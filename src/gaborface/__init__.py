@@ -12,6 +12,7 @@ from .gabor import (
     amplitude,
     build_filter_bank,
     compute_jet,
+    compute_jets,
     evaluate_kernel,
     filter_response,
     read_pgm,

@@ -248,13 +248,64 @@ def amplitude(even, odd):
     return math.hypot(even, odd)
 
 
+def _separable_vectors(d, k, sigma, wave_components):
+    """1-D kernel factors along one axis, shape (points, window, 1 + filters):
+    the Gaussian g(d), then g(d)*e^{i k_j d} for each filter's wave-vector
+    component k_j on that axis."""
+    phase = d[:, :, None] * np.concatenate([[0.0], wave_components])
+    carriers = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=carriers.real)
+    np.sin(phase, out=carriers.imag)
+    return carriers * np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))[:, :, None]
+
+
+def compute_jets(image, bank, points):
+    """Jets at many image points: a (len(points), len(bank)) amplitude array.
+
+    Same window, reflection and offset rules as filter_response, evaluated
+    separably: the envelope and carrier factor into 1-D vectors along x and
+    y, so the complex response is c*(u_y^T P u_x - e^{-sigma^2/2} g_y^T P g_x)
+    with g the 1-D Gaussian, u = g*e^{i k.d} and P the reflected patch.
+    Filters sharing (wavenumber, sigma) share one patch stack and one DC
+    term g_y^T P g_x, for all points at once.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    cx, cy = pts[:, 0], pts[:, 1]
+    outside = ~((cx >= 0) & (cx < image.width) & (cy >= 0) & (cy < image.height))
+    if np.any(outside):
+        bx, by = pts[np.argmax(outside)]
+        raise OutOfBoundsError(
+            f"center ({bx}, {by}) outside {image.width}x{image.height} image"
+        )
+    rx = np.round(cx).astype(int)  # half-to-even, as round() in filter_response
+    ry = np.round(cy).astype(int)
+    jets = np.empty((len(pts), len(bank)))
+    groups = {}
+    for i, spec in enumerate(bank.specs):
+        groups.setdefault((spec.wavenumber, spec.sigma), []).append(i)
+    for (k, sigma), members in groups.items():
+        h = bank.specs[members[0]].window_half_width()
+        offsets = np.arange(-h, h + 1)
+        xs = rx[:, None] + offsets
+        ys = ry[:, None] + offsets
+        patches = image.pixels[_reflect_indices(ys, image.height)[:, :, None],
+                               _reflect_indices(xs, image.width)[:, None, :]]
+        kx, ky = np.array([bank.specs[i].wave_vector for i in members]).T
+        vx = _separable_vectors(xs - cx[:, None], k, sigma, kx)
+        vy = _separable_vectors(ys - cy[:, None], k, sigma, ky)
+        # real patches times complex columns, as one real matmul on the
+        # interleaved (re, im) view
+        pvx = (patches @ vx.view(float)).view(complex)
+        sums = np.einsum("nac,nac->nc", vy, pvx)
+        responses = (k * k / (sigma * sigma)) * (
+            sums[:, 1:] - math.exp(-sigma * sigma / 2.0) * sums[:, :1].real)
+        jets[:, members] = np.abs(responses)
+    return jets
+
+
 def compute_jet(image, bank, point):
     """Jet (all bank amplitudes) at one image point, in bank ordering."""
-    values = np.empty(len(bank))
-    for i, spec in enumerate(bank.specs):
-        even, odd = filter_response(image, spec, point)
-        values[i] = amplitude(even, odd)
-    return JetVector(values)
+    return JetVector(compute_jets(image, bank, [point])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +374,9 @@ def jet_document(image_id, bank, points):
 
 def parse_jet_document(doc):
     """Parse a jet-set JSON document into (image_id, FilterBank, points)."""
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
     try:
+        if isinstance(doc, (str, bytes)):
+            doc = json.loads(doc)
         bank = build_filter_bank(
             doc["bank"]["wavenumbers"], doc["bank"]["orientations"], doc["bank"]["sigma"]
         )
@@ -334,5 +385,9 @@ def parse_jet_document(doc):
             for p in doc["points"]
         ]
         return doc["image_id"], bank, points
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise FormatError(f"malformed jet document: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        # json.JSONDecodeError, float() of a non-number, and the bank and
+        # JetVector checks (ParameterError) are all ValueErrors
+        raise FormatError(f"malformed jet document: {exc}") from exc

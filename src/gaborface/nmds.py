@@ -20,6 +20,7 @@ from scipy.spatial.distance import pdist, squareform
 from .errors import (
     AlignmentError,
     DegenerateConfigurationError,
+    FormatError,
     ParameterError,
 )
 
@@ -78,9 +79,15 @@ class Configuration:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        return cls(tuple(doc["item_ids"]), np.asarray(doc["coordinates"]),
-                   doc["stress"], doc["rsq"], doc["iterations"])
+        try:
+            doc = json.loads(text)
+            return cls(tuple(doc["item_ids"]), np.asarray(doc["coordinates"]),
+                       doc["stress"], doc["rsq"], doc["iterations"])
+        except KeyError as exc:
+            raise FormatError(f"malformed configuration: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            # json.JSONDecodeError and ParameterError are ValueErrors
+            raise FormatError(f"malformed configuration: {exc}") from exc
 
 
 def _check_dissimilarity(matrix):

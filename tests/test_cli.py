@@ -16,6 +16,7 @@ from gaborface.cli import (
     run_matrices,
     run_study,
 )
+from gaborface import gabor
 from gaborface.errors import ValidationError
 from synthetic_study import make_synthetic_study
 
@@ -190,6 +191,57 @@ class TestMainCli:
         assert main(["--config", str(config_path), "--stage", "encode",
                      "--out", str(tmp_path / "o2"), "--threads", "4"]) == 0
         assert tree_digest(tmp_path / "o1") == tree_digest(tmp_path / "o2")
+
+    @pytest.mark.parametrize("stage,victim", [("matrices", "jets/img00.json"),
+                                              ("align", "embeddings/SY_gabor.json")])
+    def test_truncated_intermediate_exits_one(self, tmp_path, capsys, stage, victim):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path)]) == 0
+        path = tmp_path / "out" / victim
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        assert main(["--config", str(config_path), "--stage", stage]) == 1
+        assert "malformed" in capsys.readouterr().err
+
+
+class TestBatchedEncodeDrift:
+    """The batched jet kernel against a per-filter re-encode through
+    filter_response: jets and gabor matrices differ in the last bits only,
+    and the rank-based outputs are byte-identical."""
+
+    def test_study_outputs_match_per_filter_encode(self, tmp_path, monkeypatch):
+        config_path = make_synthetic_study(tmp_path / "study")
+        batched = load_config(config_path)
+        batched.out_dir = tmp_path / "batched"
+        run_study(batched)
+
+        def per_filter_jets(image, bank, points):
+            return np.array([[gf.amplitude(*gf.filter_response(image, spec, p))
+                              for spec in bank.specs] for p in points])
+
+        monkeypatch.setattr(gabor, "compute_jets", per_filter_jets)
+        reference = load_config(config_path)
+        reference.out_dir = tmp_path / "reference"
+        run_study(reference)
+
+        def read_json(config, name):
+            return json.loads((config.out_dir / name).read_text())
+
+        for image_id in batched.image_ids():
+            got, want = (np.array([p["amplitudes"] for p in
+                                   read_json(c, f"jets/{image_id}.json")["points"]])
+                         for c in (batched, reference))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        got, want = (np.array(read_json(c, "matrices/SY_gabor.json")["values"])
+                     for c in (batched, reference))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        identical = ["summary.csv", "summary.txt", "plots/SY_gabor.svg",
+                     "plots/SY_semantic.svg", "matrices/SY_geometry.json",
+                     "matrices/SY_semantic.json", "correlations/SY_gabor.json",
+                     "correlations/SY_geometry.json"]
+        for name in identical:
+            assert ((batched.out_dir / name).read_bytes()
+                    == (reference.out_dir / name).read_bytes()), name
 
 
 class TestModelDissimilarityConversion:

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -217,6 +218,53 @@ class TestComputeJet:
         assert winner.orientation == 0.0
 
 
+
+class TestComputeJets:
+    @staticmethod
+    def oracle(img, bank, points):
+        return np.array([[gf.amplitude(*gf.filter_response(img, spec, p))
+                          for spec in bank.specs] for p in points])
+
+    @pytest.mark.parametrize("width,height", [(128, 128), (140, 97), (40, 64)])
+    def test_matches_per_filter_oracle(self, width, height):
+        from scipy.ndimage import gaussian_filter
+        rng = np.random.default_rng(width * height)
+        img = gf.ImageRaster(width, height, 128 + 60 * gaussian_filter(
+            rng.standard_normal((height, width)), 2))
+        bank = gf.build_filter_bank()
+        w, h = width - 1e-9, height - 1e-9
+        random_points = [tuple(p) for p in rng.uniform(0, 1, (12, 2)) * (w, h)]
+        # exact .5 centres round half-to-even; window centres land on both parities
+        half_points = [(0.5, 1.5), (2.5, 3.5), (width / 2 + 0.5, height / 2 - 0.5)]
+        # corners and edges reflect most of the window
+        edge_points = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h),
+                       (width / 2, 0.0), (0.0, height / 3), (w, height / 2)]
+        points = random_points + half_points + edge_points
+        jets = gf.compute_jets(img, bank, points)
+        assert jets.shape == (len(points), len(bank))
+        np.testing.assert_allclose(jets, self.oracle(img, bank, points),
+                                   rtol=1e-12, atol=0)
+
+    def test_compute_jet_is_a_row_of_compute_jets(self):
+        img = smooth_image(4, size=64)
+        bank = gf.build_filter_bank()
+        points = [(10.25, 50.0), (33.5, 12.5)]
+        jets = gf.compute_jets(img, bank, points)
+        for point, row in zip(points, jets):
+            np.testing.assert_array_equal(
+                gf.compute_jet(img, bank, point).amplitudes, row)
+
+    def test_one_out_of_bounds_point_fails_the_batch(self):
+        img = smooth_image(0, size=32)
+        bank = gf.build_filter_bank()
+        for bad in [(-0.5, 5.0), (5.0, 32.0), (40.0, 5.0), (float("nan"), 3.0)]:
+            with pytest.raises(OutOfBoundsError):
+                gf.compute_jets(img, bank, [(4.0, 4.0), bad, (8.0, 8.0)])
+
+    def test_empty_point_list(self):
+        img = smooth_image(0, size=32)
+        assert gf.compute_jets(img, gf.build_filter_bank(), []).shape == (0, 18)
+
 class TestImageRaster:
     def test_flat_and_2d_agree(self):
         flat = np.arange(12.0)
@@ -279,3 +327,23 @@ class TestJetDocument:
     def test_malformed_document(self):
         with pytest.raises(FormatError):
             gf.gabor.parse_jet_document({"image_id": "x"})
+
+    def test_every_truncation_is_a_format_error(self):
+        bank = gf.build_filter_bank()
+        img = smooth_image(9, size=64)
+        entries = [("a", 20.0, 20.0, gf.compute_jet(img, bank, (20.0, 20.0)))]
+        text = json.dumps(gf.gabor.jet_document("img1", bank, entries))
+        for end in range(len(text)):
+            with pytest.raises(FormatError):
+                gf.gabor.parse_jet_document(text[:end])
+
+    @pytest.mark.parametrize("point", [
+        {"name": "a", "x": "left", "y": 1.0, "amplitudes": [1.0]},
+        {"name": "a", "x": 1.0, "y": 1.0, "amplitudes": ["big"]},
+        {"name": "a", "x": 1.0, "y": 1.0, "amplitudes": [-1.0]},
+    ])
+    def test_bad_values_are_format_errors(self, point):
+        doc = {"image_id": "x", "points": [point],
+               "bank": {"wavenumbers": [1.0], "orientations": [0.0], "sigma": 1.0}}
+        with pytest.raises(FormatError):
+            gf.gabor.parse_jet_document(doc)

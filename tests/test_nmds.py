@@ -9,6 +9,7 @@ import gaborface as gf
 from gaborface.errors import (
     AlignmentError,
     DegenerateConfigurationError,
+    FormatError,
     ParameterError,
 )
 from gaborface.nmds import Disparities, _dissimilarity_order
@@ -224,6 +225,18 @@ class TestEmbed:
         assert back.item_ids == config.item_ids
         np.testing.assert_array_equal(back.coordinates, config.coordinates)
         assert back.stress == config.stress
+
+    def test_malformed_json_is_format_error(self):
+        m, _ = planted_matrix(np.random.default_rng(13), 4, 2)
+        text = gf.embed(m, 2).to_json()
+        bad = [text[:end] for end in range(0, len(text), 7)]
+        bad += ['[]', '{"item_ids": ["a"], "coordinates": [[1.0, 2.0], [3.0, 4.0]], '
+                '"stress": 0, "rsq": 1, "iterations": 0}',
+                '{"item_ids": ["a"], "coordinates": [["x", 2.0]], '
+                '"stress": 0, "rsq": 1, "iterations": 0}']
+        for doc in bad:
+            with pytest.raises(FormatError):
+                gf.Configuration.from_json(doc)
 
 
 def rotation(theta):
