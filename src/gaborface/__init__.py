@@ -8,7 +8,6 @@ from .gabor import (
     FilterBank,
     FilterSpec,
     ImageRaster,
-    JetVector,
     amplitude,
     build_filter_bank,
     compute_jet,
@@ -20,7 +19,6 @@ from .gabor import (
 )
 from .grid import (
     GridPlacement,
-    ShapeVector,
     geometry_vector,
     load_grid,
     rescale_placement,
@@ -43,12 +41,11 @@ from .rank_stats import (
     significance,
     spearman_rho,
 )
-from .ratings import RatingVector, load_ratings, semantic_dissimilarity
+from .ratings import RatingVector, load_ratings
 from .similarity import (
     CodedImage,
     PairMatrix,
     gabor_image_similarity,
-    geometry_dissimilarity,
     jet_similarity,
     pairwise_matrix,
 )

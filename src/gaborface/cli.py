@@ -2,8 +2,8 @@
 
 Stages (each reads the previous stage's files, enabling partial reruns):
 
-  encode     images + grids -> per-image jet JSON
-  matrices   jets/grids/ratings -> per-expresser pair matrices
+  encode     images + grids -> per-image jet JSON (jets and placement)
+  matrices   jets/ratings -> per-expresser pair matrices
   correlate  matrices -> per-expresser correlation results + summary table
   embed      matrices -> per-expresser nMDS configurations
   align      configurations -> Procrustes residuals (model vs semantic)
@@ -29,6 +29,7 @@ from .errors import RuntimeFailure, ValidationError
 from .similarity import CodedImage, PairMatrix, pairwise_matrix
 
 FEAR_LABEL = "FE"
+FEAR_ADJECTIVE = "fear"
 MIN_GROUP_SIZE = 3
 
 
@@ -56,6 +57,7 @@ class StudyConfig:
     options: StudyOptions = field(default_factory=StudyOptions)
     exclude_from_average: tuple = ()
     threads: int = 1
+    no_fear: bool = False  # set by drop_fear()
 
     @classmethod
     def from_file(cls, path):
@@ -117,6 +119,7 @@ class StudyConfig:
         keep = {i: e for i, e in self.expressers.items()
                 if self.labels.get(i) != FEAR_LABEL}
         self.expressers = keep
+        self.no_fear = True
 
 
 def _write_atomic(path, data):
@@ -137,27 +140,16 @@ def _json_bytes(doc):
 # Stage: encode
 # ---------------------------------------------------------------------------
 
-def _load_placement(config, image_id, image):
-    path = config.grid_dir / f"{image_id}.json"
-    if not path.exists():
-        raise ValidationError(f"no grid placement for image {image_id!r} "
-                              f"(expected {path})")
-    placement = grid.load_grid(path.read_text())
-    if tuple(placement.source_size) != (image.width, image.height):
-        placement = grid.rescale_placement(placement, (image.width, image.height))
-    return placement
-
-
 def _encode_one(config, bank, image_id):
     image_path = config.image_dir / f"{image_id}.pgm"
     if not image_path.exists():
         raise ValidationError(f"missing image file {image_path}")
     image = gabor.read_pgm(image_path)
-    nodes = _load_placement(config, image_id, image).nodes
-    jets = gabor.compute_jets(image, bank, [(node.x, node.y) for node in nodes])
-    points = [(node.name, node.x, node.y, gabor.JetVector(jet))
-              for node, jet in zip(nodes, jets)]
-    doc = gabor.jet_document(image_id, bank, points)
+    placement = grid.load_grid((config.grid_dir / f"{image_id}.json").read_text())
+    if tuple(placement.source_size) != (image.width, image.height):
+        placement = grid.rescale_placement(placement, (image.width, image.height))
+    jets = gabor.compute_jets(image, bank, placement.points())
+    doc = gabor.jet_document(image_id, bank, placement, jets)
     _write_atomic(config.out_dir / "jets" / f"{image_id}.json", _json_bytes(doc))
 
 
@@ -185,23 +177,31 @@ def run_encode(config):
 # Stage: matrices
 # ---------------------------------------------------------------------------
 
-def _load_coded_image(config, bank, image_id):
+def _load_jet_file(config, bank, image_id):
+    """The coded image and the grid placement its jets were taken at."""
     path = config.out_dir / "jets" / f"{image_id}.json"
     if not path.exists():
         raise ValidationError(f"missing jet file {path}; run the encode stage")
-    loaded_id, loaded_bank, points = gabor.parse_jet_document(path.read_text())
+    try:
+        placement, loaded_bank, jets = gabor.parse_jet_document(path.read_text())
+    except ValidationError as exc:
+        raise type(exc)(f"jet file {path}: {exc}") from exc
     if loaded_bank.fingerprint() != bank.fingerprint():
         raise ValidationError(
             f"jet file {path} was coded with a different filter bank"
         )
-    return CodedImage(loaded_id, tuple(jet for _, _, _, jet in points),
-                      bank.fingerprint())
+    return CodedImage(placement.image_id, jets, bank.fingerprint()), placement
 
 
 def _load_ratings_map(config):
     if not config.ratings_path.exists():
         raise ValidationError(f"missing ratings table {config.ratings_path}")
     vectors = ratings.load_ratings(config.ratings_path.read_text())
+    if config.no_fear and vectors and FEAR_ADJECTIVE in vectors[0].adjectives:
+        keep = [a != FEAR_ADJECTIVE for a in vectors[0].adjectives]
+        adjectives = tuple(a for a in vectors[0].adjectives if a != FEAR_ADJECTIVE)
+        vectors = [ratings.RatingVector(v.image_id, adjectives, v.values[keep])
+                   for v in vectors]
     return {v.image_id: v for v in vectors}
 
 
@@ -227,13 +227,9 @@ def run_matrices(config):
             raise ValidationError(
                 f"expresser {expresser!r}: no ratings for {missing}"
             )
-        coded = [_load_coded_image(config, bank, i) for i in ids]
-        shapes = []
-        for image_id in ids:
-            image_path = config.image_dir / f"{image_id}.pgm"
-            image = gabor.read_pgm(image_path)
-            placement = _load_placement(config, image_id, image)
-            shapes.append((image_id, grid.geometry_vector(placement)))
+        coded, placements = zip(*(_load_jet_file(config, bank, i) for i in ids))
+        shapes = [(image_id, grid.geometry_vector(placement))
+                  for image_id, placement in zip(ids, placements)]
         matrices = {
             "gabor": pairwise_matrix(coded, "gabor"),
             "geometry": pairwise_matrix(shapes, "geometry"),
@@ -480,7 +476,8 @@ def main(argv=None):
     parser.add_argument("--exclude", default="",
                         help="comma-separated expressers excluded from averages")
     parser.add_argument("--no-fear", action="store_true",
-                        help="drop fear-labelled images before analysis")
+                        help="drop fear-labelled images and the fear rating "
+                             "column before analysis")
     args = parser.parse_args(argv)
 
     try:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, OutOfBoundsError, ParameterError
+from .grid import load_grid
 
 DEFAULT_WAVENUMBERS = (math.pi / 2, math.pi / 4, math.pi / 8)
 DEFAULT_ORIENTATIONS = tuple(i * math.pi / 6 for i in range(6))
@@ -158,26 +159,6 @@ class ImageRaster:
         return 0 <= x < self.width and 0 <= y < self.height
 
 
-@dataclass(frozen=True)
-class JetVector:
-    """Response amplitudes of the full bank at one point, bank ordering."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("jet amplitudes must be finite")
-        if np.any(arr < 0):
-            raise ParameterError("jet amplitudes must be non-negative")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    def __len__(self):
-        return self.amplitudes.size
-
-
 def evaluate_kernel(spec, center, point):
     """Closed-form even/odd kernel values at `point` for a filter at `center`."""
     k, sigma = spec.wavenumber, spec.sigma
@@ -305,7 +286,7 @@ def compute_jets(image, bank, points):
 
 def compute_jet(image, bank, point):
     """Jet (all bank amplitudes) at one image point, in bank ordering."""
-    return JetVector(compute_jets(image, bank, [point])[0])
+    return compute_jets(image, bank, [point])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +334,12 @@ def write_pgm(path, image):
         fh.write(pixels.tobytes())
 
 
-def jet_document(image_id, bank, points):
+def jet_document(image_id, bank, placement, jets):
     """Build the jet-set JSON document for one coded image.
 
-    `points` is a sequence of (name, x, y, JetVector).
+    It holds the bank, the grid placement the jets were taken at (source
+    size, nose tip and the named points) and each point's amplitudes, one
+    row of the (points, filters) array `jets` per point.
     """
     return {
         "image_id": image_id,
@@ -365,29 +348,46 @@ def jet_document(image_id, bank, points):
             "orientations": list(bank.orientations),
             "sigma": bank.sigma,
         },
+        "source_size": list(placement.source_size),
+        "nose_tip": placement.nose_tip,
         "points": [
-            {"name": name, "x": x, "y": y, "amplitudes": list(map(float, jet.amplitudes))}
-            for name, x, y, jet in points
+            {"name": node.name, "x": node.x, "y": node.y,
+             "amplitudes": list(map(float, jet))}
+            for node, jet in zip(placement.nodes, jets)
         ],
     }
 
 
 def parse_jet_document(doc):
-    """Parse a jet-set JSON document into (image_id, FilterBank, points)."""
+    """Parse a jet-set JSON document into (GridPlacement, FilterBank, jets),
+    with jets the (points, filters) array of finite, non-negative
+    amplitudes."""
     try:
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
+        if "source_size" not in doc or "nose_tip" not in doc:
+            raise FormatError("jet document has no source_size or nose_tip, "
+                              "so it predates placements in jet files; "
+                              "re-run the encode stage")
         bank = build_filter_bank(
             doc["bank"]["wavenumbers"], doc["bank"]["orientations"], doc["bank"]["sigma"]
         )
-        points = [
-            (p["name"], float(p["x"]), float(p["y"]), JetVector(np.asarray(p["amplitudes"])))
-            for p in doc["points"]
-        ]
-        return doc["image_id"], bank, points
+        placement = load_grid({"image_id": doc["image_id"],
+                               "source_size": doc["source_size"],
+                               "nose_tip": doc["nose_tip"],
+                               "nodes": doc["points"]})
+        jets = np.array([p["amplitudes"] for p in doc["points"]], dtype=float)
     except KeyError as exc:
         raise FormatError(f"malformed jet document: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        # json.JSONDecodeError, float() of a non-number, and the bank and
-        # JetVector checks (ParameterError) are all ValueErrors
+    except (TypeError, ValueError, OverflowError) as exc:
+        # json.JSONDecodeError, float() of a non-number, ragged amplitude
+        # lists and the bank checks (ParameterError) are all ValueErrors
         raise FormatError(f"malformed jet document: {exc}") from exc
+    if jets.shape != (len(placement.nodes), len(bank)):
+        raise FormatError(f"malformed jet document: amplitudes of shape "
+                          f"{jets.shape}, expected {len(placement.nodes)} "
+                          f"points x {len(bank)} filters")
+    if not np.all(np.isfinite(jets)) or np.any(jets < 0):
+        raise FormatError("malformed jet document: jet amplitudes must be "
+                          "finite and non-negative")
+    return placement, bank, jets

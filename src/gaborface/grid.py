@@ -38,14 +38,21 @@ class GridPlacement:
                 f"expected {NODE_COUNT} nodes, found {len(self.nodes)}"
             )
         names = [n.name for n in self.nodes]
+        if not all(isinstance(name, str) for name in [self.image_id, *names]):
+            raise FormatError("image_id and node names must be strings")
         if len(set(names)) != NODE_COUNT:
             dup = next(n for n in names if names.count(n) > 1)
             raise FormatError(f"duplicate node name {dup!r}")
         if self.nose_tip not in names:
             raise FormatError(f"nose_tip {self.nose_tip!r} names no node")
-        w, h = self.source_size
-        if w < 1 or h < 1:
-            raise FormatError(f"source_size must be >= 1x1, got {self.source_size}")
+        try:
+            w, h = self.source_size
+            valid = math.isfinite(w) and math.isfinite(h) and w >= 1 and h >= 1
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise FormatError(f"source_size must be a finite width and height "
+                              f">= 1, got {self.source_size!r}")
         for n in self.nodes:
             if not (math.isfinite(n.x) and math.isfinite(n.y)):
                 raise FormatError(f"node {n.name!r} has non-finite coordinates")
@@ -62,25 +69,6 @@ class GridPlacement:
         return np.array([(n.x, n.y) for n in self.nodes])
 
 
-@dataclass(frozen=True)
-class ShapeVector:
-    """Distances of each non-nose node to the nose tip, in node order."""
-
-    distances: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.distances, dtype=float)
-        if arr.size != NODE_COUNT - 1:
-            raise ParameterError(
-                f"shape vector needs {NODE_COUNT - 1} entries, got {arr.size}"
-            )
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ParameterError("shape vector entries must be finite and >= 0")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "distances", arr)
-
-
 def load_grid(document):
     """Parse and validate a grid JSON document (string, bytes, or dict)."""
     if isinstance(document, (str, bytes)):
@@ -95,11 +83,13 @@ def load_grid(document):
         raw_nodes = document["nodes"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"grid document missing field: {exc}") from exc
+    if not isinstance(raw_nodes, list):
+        raise FormatError(f"grid nodes must be a list, got {type(raw_nodes).__name__}")
     nodes = []
     for entry in raw_nodes:
         try:
             nodes.append(GridNode(entry["name"], float(entry["x"]), float(entry["y"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed grid node {entry!r}: {exc}") from exc
     return GridPlacement(image_id, tuple(nodes), nose_tip, source_size)
 
@@ -126,14 +116,12 @@ def rescale_placement(placement, target):
 
 
 def geometry_vector(placement):
-    """Euclidean distance of every non-nose node to the nose tip."""
-    nose = next(n for n in placement.nodes if n.name == placement.nose_tip)
-    distances = [
-        math.hypot(n.x - nose.x, n.y - nose.y)
-        for n in placement.nodes
-        if n.name != placement.nose_tip
-    ]
-    return ShapeVector(np.array(distances))
+    """Euclidean distance of every non-nose node to the nose tip, in node
+    order: a (NODE_COUNT - 1,) array."""
+    points = placement.points()
+    nose = placement.node_names().index(placement.nose_tip)
+    offsets = np.delete(points, nose, axis=0) - points[nose]
+    return np.hypot(offsets[:, 0], offsets[:, 1])
 
 
 def default_template_placement(image_id, coordinates, source_size=STANDARD_SIZE):

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
@@ -150,23 +151,14 @@ def isotonic_fit(distances, order):
     by pool-adjacent-violators; pooled blocks carry their mean."""
     distances = np.asarray(distances, dtype=float)
     order = np.asarray(order)
-    if distances.size != order.size or sorted(order) != list(range(order.size)):
+    m = distances.size
+    # O(m): every index in range, each of 0..m-1 counted exactly once
+    if (order.shape != (m,) or not np.issubdtype(order.dtype, np.integer)
+            or np.any((order < 0) | (order >= m))
+            or np.any(np.bincount(order, minlength=m) != 1)):
         raise ParameterError("order must be a permutation of the pair indices")
-    y = distances[order]
-    # blocks of (mean, weight)
-    means = []
-    weights = []
-    for value in y:
-        means.append(value)
-        weights.append(1.0)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, w2 = means.pop(), weights.pop()
-            m1, w1 = means.pop(), weights.pop()
-            means.append((m1 * w1 + m2 * w2) / (w1 + w2))
-            weights.append(w1 + w2)
-    fitted = np.repeat(means, np.asarray(weights, dtype=int))
-    out = np.empty_like(fitted)
-    out[order] = fitted
+    out = np.empty(m)
+    out[order] = isotonic_regression(distances[order]).x
     return Disparities(out)
 
 

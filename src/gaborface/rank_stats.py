@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import AlignmentError, ParameterError, UndefinedCorrelationError
 
@@ -62,15 +62,12 @@ def average_ranks(values):
     if not np.all(np.isfinite(values)):
         raise ParameterError("cannot rank non-finite values")
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # runs of equal sorted values: first index i and last index j of each
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], values.size] - 1
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -104,7 +101,7 @@ def significance(rho, n, permutations=None, series=None,
             warnings.warn("exact-extreme correlation; t-approximation p = 0")
             return 0.0
         t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-        return float(2.0 * stats.t.sf(abs(t), n - 2))
+        return float(2.0 * special.stdtr(n - 2, -abs(t)))
     if series is None:
         raise ParameterError("permutation test needs the paired series")
     rx = average_ranks(series.x)

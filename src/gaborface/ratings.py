@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
+from .similarity import distance_matrix
 
 RATING_MIN = 1.0
 RATING_MAX = 5.0
@@ -46,11 +47,13 @@ def load_ratings(table):
     """Parse a ratings CSV (header: image_id plus 5 or 6 adjective columns)."""
     if hasattr(table, "read"):
         table = table.read()
-    reader = csv.reader(io.StringIO(table))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty ratings table") from None
+        rows = list(csv.reader(io.StringIO(table)))
+    except csv.Error as exc:
+        raise FormatError(f"malformed ratings table: {exc}") from exc
+    if not rows:
+        raise FormatError("empty ratings table")
+    header = rows[0]
     if not header or header[0] != "image_id":
         raise FormatError("first column must be image_id")
     adjectives = tuple(header[1:])
@@ -59,13 +62,17 @@ def load_ratings(table):
             f"expected 5 or 6 adjective columns, found {len(adjectives)}"
         )
     vectors = []
-    for row_no, row in enumerate(reader, start=2):
+    seen = set()
+    for row_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
             raise FormatError(
                 f"row {row_no}: expected {len(header)} cells, found {len(row)}"
             )
+        if row[0] in seen:
+            raise FormatError(f"row {row_no}: image_id {row[0]!r} repeats an earlier row")
+        seen.add(row[0])
         values = []
         for col_no, cell in enumerate(row[1:], start=2):
             try:
@@ -100,27 +107,9 @@ def dump_ratings(vectors):
     return "\n".join(lines) + "\n"
 
 
-def semantic_dissimilarity(a, b):
-    """Euclidean distance between two rating vectors."""
-    if a.adjectives != b.adjectives:
-        raise DimensionError(
-            f"adjective lists differ: {a.adjectives} vs {b.adjectives}"
-        )
-    return float(np.linalg.norm(a.values - b.values))
-
-
 def semantic_matrix(vectors):
-    """Pairwise semantic dissimilarity matrix for a list of rating vectors."""
-    from .similarity import PairMatrix
-
-    n = len(vectors)
-    if n < 2:
-        raise ParameterError(f"need at least 2 rating vectors, got {n}")
-    ids = tuple(v.image_id for v in vectors)
-    if len(set(ids)) != n:
-        raise ParameterError("duplicate image ids in ratings")
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = semantic_dissimilarity(vectors[i], vectors[j])
-    return PairMatrix(ids, values, "dissimilarity")
+    """Pairwise Euclidean dissimilarity matrix of a list of rating vectors."""
+    adjective_lists = {v.adjectives for v in vectors}
+    if len(adjective_lists) > 1:
+        raise DimensionError(f"adjective lists differ: {sorted(adjective_lists)}")
+    return distance_matrix([v.image_id for v in vectors], [v.values for v in vectors])

@@ -1,4 +1,4 @@
-"""Jet-based image similarity, geometry dissimilarity, pairwise matrices."""
+"""Jet-based image similarity, Euclidean dissimilarity, pairwise matrices."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     DegenerateJetError,
@@ -21,25 +22,34 @@ from .grid import NODE_COUNT
 
 @dataclass(frozen=True)
 class CodedImage:
-    """All 34 jets of one image plus the fingerprint of the bank used."""
+    """The (34, filters) jet array of one image plus the fingerprint of the
+    bank used."""
 
     image_id: str
-    jets: tuple
+    jets: np.ndarray
     bank_fingerprint: str
 
     def __post_init__(self):
-        if len(self.jets) != NODE_COUNT:
+        try:
+            jets = np.ascontiguousarray(np.asarray(self.jets, dtype=float))
+        except ValueError as exc:
+            raise ParameterError(f"inconsistent jet dimensions: {exc}") from exc
+        if jets.ndim != 2 or jets.shape[0] != NODE_COUNT:
             raise ParameterError(
-                f"coded image needs {NODE_COUNT} jets, got {len(self.jets)}"
+                f"coded image needs {NODE_COUNT} jets, got an array of shape "
+                f"{jets.shape}"
             )
-        sizes = {len(j) for j in self.jets}
-        if len(sizes) != 1:
-            raise ParameterError(f"inconsistent jet dimensions: {sorted(sizes)}")
+        jets.setflags(write=False)
+        object.__setattr__(self, "jets", jets)
 
 
 def jet_similarity(a, b):
-    """Normalized dot product of two jets; in [0, 1] for non-negative jets."""
-    va, vb = a.amplitudes, b.amplitudes
+    """Normalized dot product of two jets; in [0, 1] for non-negative jets.
+
+    One pair at a time: the reference the whole-array gabor matrix of
+    pairwise_matrix is tested against.
+    """
+    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if va.size != vb.size:
         raise DimensionError(f"jet dimensions differ: {va.size} vs {vb.size}")
     na = np.linalg.norm(va)
@@ -50,7 +60,8 @@ def jet_similarity(a, b):
 
 
 def gabor_image_similarity(a, b):
-    """Mean jet similarity over corresponding grid nodes.
+    """Mean jet similarity over corresponding grid nodes, one pair at a
+    time (the reference for pairwise_matrix).
 
     A node pair involving an all-zero jet contributes 0 and emits a
     warning instead of failing the whole comparison.
@@ -69,15 +80,6 @@ def gabor_image_similarity(a, b):
                 "counting similarity 0 for that node"
             )
     return total / NODE_COUNT
-
-
-def geometry_dissimilarity(a, b):
-    """Euclidean distance between two shape vectors."""
-    if a.distances.size != b.distances.size:
-        raise DimensionError(
-            f"shape vector lengths differ: {a.distances.size} vs {b.distances.size}"
-        )
-    return float(np.linalg.norm(a.distances - b.distances))
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,9 @@ class PairMatrix:
         try:
             doc = json.loads(text)
             return cls(tuple(doc["item_ids"]), np.asarray(doc["values"]), doc["kind"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # json.JSONDecodeError, ragged or non-numeric values and the
+            # shape checks (ParameterError) are all ValueErrors
             raise FormatError(f"malformed pair-matrix document: {exc}") from exc
 
     def to_csv(self):
@@ -134,32 +138,54 @@ class PairMatrix:
 def pairwise_matrix(items, measure):
     """Fill the full symmetric matrix for a list of items.
 
-    measure "gabor" takes CodedImage items and yields a similarity matrix;
-    measure "geometry" takes (item_id, ShapeVector) pairs and yields a
+    measure "gabor" takes CodedImage items and yields the similarity matrix
+    of gabor_image_similarity; measure "geometry" takes (item_id, vector)
+    pairs, such as geometry_vector results, and yields their Euclidean
     dissimilarity matrix.
     """
     if measure == "gabor":
-        ids = [it.image_id for it in items]
-        compare = gabor_image_similarity
-        payloads = list(items)
-        kind, diag = "similarity", 1.0
-    elif measure == "geometry":
+        return _gabor_matrix(items)
+    if measure == "geometry":
         ids = [item_id for item_id, _ in items]
-        compare = geometry_dissimilarity
-        payloads = [vec for _, vec in items]
-        kind, diag = "dissimilarity", 0.0
-    else:
-        raise ParameterError(f"unknown measure {measure!r}")
+        return distance_matrix(ids, [vector for _, vector in items])
+    raise ParameterError(f"unknown measure {measure!r}")
+
+
+def _check_item_ids(ids):
     n = len(ids)
     if n < 2:
         raise ParameterError(f"need at least 2 items, got {n}")
     if len(set(ids)) != n:
         raise ParameterError("duplicate item ids")
-    values = np.full((n, n), diag)
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                values[i, j] = values[j, i] = compare(payloads[i], payloads[j])
-            except (ValueError, RuntimeError) as exc:
-                raise type(exc)(f"pair ({ids[i]!r}, {ids[j]!r}): {exc}") from exc
-    return PairMatrix(tuple(ids), values, kind)
+
+
+def distance_matrix(item_ids, rows):
+    """Euclidean dissimilarity matrix between equal-length vectors, one per
+    item."""
+    ids = tuple(item_ids)
+    _check_item_ids(ids)
+    return PairMatrix(ids, squareform(pdist(np.array(rows, dtype=float))),
+                      "dissimilarity")
+
+
+def _gabor_matrix(coded):
+    ids = tuple(c.image_id for c in coded)
+    _check_item_ids(ids)
+    for other in coded[1:]:
+        if other.bank_fingerprint != coded[0].bank_fingerprint:
+            raise IncompatibleCodingError(
+                f"images {ids[0]!r} and {other.image_id!r} coded with "
+                "different banks"
+            )
+    jets = np.stack([c.jets for c in coded])
+    norms = np.linalg.norm(jets, axis=2)
+    for i, node in zip(*np.nonzero(norms == 0.0)):
+        warnings.warn(f"zero jet at node {node} of image {ids[i]!r}; counting "
+                      "similarity 0 for that node in all its pairs")
+    # a zero row stays zero, so its node adds 0 to every pair's sum
+    unit = jets / np.where(norms == 0.0, 1.0, norms)[:, :, None]
+    # mirror the strict upper triangle so the matrix is exactly symmetric
+    upper = np.triu(np.einsum("ink,jnk->ij", unit, unit) / NODE_COUNT, 1)
+    values = upper + upper.T
+    np.fill_diagonal(values, 1.0)
+    return PairMatrix(ids, values, "similarity")

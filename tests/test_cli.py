@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from gaborface.cli import (
     run_matrices,
     run_study,
 )
-from gaborface import gabor
+from gaborface import cli, gabor, ratings
 from gaborface.errors import ValidationError
 from synthetic_study import make_synthetic_study
 
@@ -204,6 +206,58 @@ class TestMainCli:
         assert "malformed" in capsys.readouterr().err
 
 
+    def test_ragged_matrix_fails_embed_and_its_expresser(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "matrices" / "SY_semantic.json"
+        doc = json.loads(path.read_text())
+        doc["values"][1] = doc["values"][1][:-1]
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path), "--stage", "embed"]) == 1
+        assert "malformed pair-matrix" in capsys.readouterr().err
+        with pytest.warns(UserWarning, match="'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert summary[1:] == ["SY,failed,,,,"]
+
+    def test_jet_file_without_placement_exits_one(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 0
+        path = tmp_path / "out" / "jets" / "img01.json"
+        doc = json.loads(path.read_text())
+        del doc["source_size"], doc["nose_tip"]
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
+        err = capsys.readouterr().err
+        assert "img01.json" in err and "re-run the encode stage" in err
+
+    def test_no_fear_semantic_matrix_ignores_fear_column(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=5)
+        ratings_path = tmp_path / "ratings.csv"
+        original = ratings_path.read_text()
+        rewritten = "\n".join(
+            line if i == 0 else f"{line.rsplit(',', 1)[0]},{1.0 + i * 0.7!r}"
+            for i, line in enumerate(original.splitlines())) + "\n"
+        assert rewritten != original
+        matrix = tmp_path / "out" / "matrices" / "SY_semantic.json"
+
+        def semantic(table, *flags):
+            ratings_path.write_text(table)
+            for stage in ("encode", "matrices"):
+                assert main(["--config", str(config_path), "--stage", stage,
+                             *flags]) == 0
+            return matrix.read_bytes()
+
+        assert semantic(rewritten, "--no-fear") == semantic(original, "--no-fear")
+        assert semantic(rewritten) != semantic(original)
+
+    def test_import_leaves_out_scipy_stats(self):
+        code = "import sys, gaborface.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestBatchedEncodeDrift:
     """The batched jet kernel against a per-filter re-encode through
     filter_response: jets and gabor matrices differ in the last bits only,
@@ -252,3 +306,57 @@ class TestModelDissimilarityConversion:
         configs = run_embed(config)
         assert ("SY", "gabor") in configs
         assert configs[("SY", "gabor")].d == 2
+
+
+class TestArrayPathDrift:
+    """The whole-array pair matrices against matrices filled pair by pair
+    from gabor_image_similarity and np.linalg.norm: the matrices differ in
+    the last bits only, and the rank-based outputs are byte-identical."""
+
+    def test_study_outputs_match_per_pair_matrices(self, tmp_path, monkeypatch):
+        config_path = make_synthetic_study(tmp_path / "study")
+        arrays = load_config(config_path)
+        arrays.out_dir = tmp_path / "arrays"
+        run_study(arrays)
+
+        def per_pair(ids, payloads, compare, kind, diagonal):
+            n = len(ids)
+            values = np.full((n, n), diagonal)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    values[i, j] = values[j, i] = compare(payloads[i], payloads[j])
+            return gf.PairMatrix(tuple(ids), values, kind)
+
+        def distance(a, b):
+            return float(np.linalg.norm(a - b))
+
+        def pairwise_matrix(items, measure):
+            if measure == "gabor":
+                return per_pair([c.image_id for c in items], items,
+                                gf.gabor_image_similarity, "similarity", 1.0)
+            return per_pair([i for i, _ in items], [v for _, v in items],
+                            distance, "dissimilarity", 0.0)
+
+        def semantic_matrix(vectors):
+            return per_pair([v.image_id for v in vectors],
+                            [v.values for v in vectors], distance,
+                            "dissimilarity", 0.0)
+
+        monkeypatch.setattr(cli, "pairwise_matrix", pairwise_matrix)
+        monkeypatch.setattr(ratings, "semantic_matrix", semantic_matrix)
+        reference = load_config(config_path)
+        reference.out_dir = tmp_path / "reference"
+        run_study(reference)
+
+        for name in ("gabor", "geometry", "semantic"):
+            got, want = (np.array(json.loads(
+                (c.out_dir / "matrices" / f"SY_{name}.json").read_text())["values"])
+                for c in (arrays, reference))
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        names = ["summary.csv", "summary.txt"] + [
+            f"{d}/SY_{m}.{ext}" for d, ext, ms in (
+                ("correlations", "json", ("gabor", "geometry")),
+                ("plots", "svg", ("gabor", "semantic"))) for m in ms]
+        for name in names:
+            assert ((arrays.out_dir / name).read_bytes()
+                    == (reference.out_dir / name).read_bytes()), name

@@ -7,6 +7,7 @@ import pytest
 
 import gaborface as gf
 from gaborface.errors import FormatError, OutOfBoundsError, ParameterError
+from gaborface.grid import default_template_placement
 
 
 def smooth_image(seed, size=128, scale=60.0):
@@ -198,7 +199,7 @@ class TestComputeJet:
     def test_constant_image_gives_zero_jet(self):
         img = gf.ImageRaster(96, 96, np.full(96 * 96, 200.0))
         jet = gf.compute_jet(img, gf.build_filter_bank(), (48.0, 48.0))
-        assert np.all(jet.amplitudes < 1e-6 * 200.0)
+        assert np.all(jet < 1e-6 * 200.0)
 
     def test_amplitude_homogeneity(self):
         img = smooth_image(3, size=96)
@@ -206,14 +207,14 @@ class TestComputeJet:
         bank = gf.build_filter_bank()
         jet = gf.compute_jet(img, bank, (48.0, 47.5))
         jet7 = gf.compute_jet(scaled, bank, (48.0, 47.5))
-        np.testing.assert_allclose(jet7.amplitudes, 7.0 * jet.amplitudes, rtol=1e-9)
+        np.testing.assert_allclose(jet7, 7.0 * jet, rtol=1e-9)
 
     def test_oriented_grating_peaks_at_matching_entry(self):
         # brute force across all 18 entries
         bank = gf.build_filter_bank()
         img = grating(math.pi / 4, 0.0)
         jet = gf.compute_jet(img, bank, (128.0, 128.0))
-        winner = bank.specs[int(np.argmax(jet.amplitudes))]
+        winner = bank.specs[int(np.argmax(jet))]
         assert winner.wavenumber == math.pi / 4
         assert winner.orientation == 0.0
 
@@ -252,7 +253,7 @@ class TestComputeJets:
         jets = gf.compute_jets(img, bank, points)
         for point, row in zip(points, jets):
             np.testing.assert_array_equal(
-                gf.compute_jet(img, bank, point).amplitudes, row)
+                gf.compute_jet(img, bank, point), row)
 
     def test_one_out_of_bounds_point_fails_the_batch(self):
         img = smooth_image(0, size=32)
@@ -310,29 +311,37 @@ class TestPgmIO:
             gf.read_pgm(io.BytesIO(b"P5\n1 1\n65535\n\x00\x00"))
 
 
+def coded_document(bank, size=64):
+    """A jet document for a random 34-node placement on a smooth image."""
+    rng = np.random.default_rng(9)
+    placement = default_template_placement(
+        "img1", rng.uniform(0, size - 1, (34, 2)), (size, size))
+    jets = gf.compute_jets(smooth_image(9, size=size), bank, placement.points())
+    return gf.gabor.jet_document("img1", bank, placement, jets), placement, jets
+
+
 class TestJetDocument:
     def test_round_trip(self):
         bank = gf.build_filter_bank()
-        img = smooth_image(9, size=64)
-        points = [("a", 20.0, 20.0), ("b", 40.5, 33.25)]
-        entries = [(n, x, y, gf.compute_jet(img, bank, (x, y))) for n, x, y in points]
-        doc = gf.gabor.jet_document("img1", bank, entries)
-        image_id, bank2, parsed = gf.gabor.parse_jet_document(doc)
-        assert image_id == "img1"
+        doc, placement, jets = coded_document(bank)
+        placement2, bank2, jets2 = gf.gabor.parse_jet_document(json.dumps(doc))
+        assert placement2 == placement
         assert bank2.fingerprint() == bank.fingerprint()
-        for (n1, x1, y1, j1), (n2, x2, y2, j2) in zip(entries, parsed):
-            assert (n1, x1, y1) == (n2, x2, y2)
-            np.testing.assert_array_equal(j1.amplitudes, j2.amplitudes)
+        np.testing.assert_array_equal(jets2, jets)
 
     def test_malformed_document(self):
         with pytest.raises(FormatError):
             gf.gabor.parse_jet_document({"image_id": "x"})
 
+    def test_document_without_placement_asks_for_encode(self):
+        doc, _, _ = coded_document(gf.build_filter_bank([1.0], [0.0], 1.0))
+        del doc["source_size"], doc["nose_tip"]
+        with pytest.raises(FormatError, match="re-run the encode stage"):
+            gf.gabor.parse_jet_document(doc)
+
     def test_every_truncation_is_a_format_error(self):
-        bank = gf.build_filter_bank()
-        img = smooth_image(9, size=64)
-        entries = [("a", 20.0, 20.0, gf.compute_jet(img, bank, (20.0, 20.0)))]
-        text = json.dumps(gf.gabor.jet_document("img1", bank, entries))
+        doc, _, _ = coded_document(gf.build_filter_bank([1.0], [0.0], 1.0))
+        text = json.dumps(doc)
         for end in range(len(text)):
             with pytest.raises(FormatError):
                 gf.gabor.parse_jet_document(text[:end])
@@ -341,9 +350,12 @@ class TestJetDocument:
         {"name": "a", "x": "left", "y": 1.0, "amplitudes": [1.0]},
         {"name": "a", "x": 1.0, "y": 1.0, "amplitudes": ["big"]},
         {"name": "a", "x": 1.0, "y": 1.0, "amplitudes": [-1.0]},
+        {"name": "a", "x": 1.0, "y": 1.0, "amplitudes": [float("nan")]},
+        {"name": "a", "x": 1.0, "y": 1.0, "amplitudes": [1.0, 2.0]},
+        {"name": "a", "x": 1.0, "y": 1.0, "amplitudes": [[1.0]]},
     ])
     def test_bad_values_are_format_errors(self, point):
-        doc = {"image_id": "x", "points": [point],
-               "bank": {"wavenumbers": [1.0], "orientations": [0.0], "sigma": 1.0}}
+        doc, _, _ = coded_document(gf.build_filter_bank([1.0], [0.0], 1.0))
+        doc["points"][0] = point
         with pytest.raises(FormatError):
             gf.gabor.parse_jet_document(doc)

@@ -56,6 +56,19 @@ class TestLoadGrid:
         with pytest.raises(FormatError, match=doc["nodes"][3]["name"]):
             gf.load_grid(doc)
 
+    @pytest.mark.parametrize("field,value", [
+        ("source_size", [256, 256, 1]), ("source_size", "256x256"),
+        ("source_size", [float("nan"), 256]), ("nodes", 34), ("name", 7),
+        ("name", ["nose"]), ("image_id", None)])
+    def test_ill_typed_field_is_format_error(self, field, value):
+        doc = grid_document(square_layout())
+        if field == "name":
+            doc["nodes"][2]["name"] = value
+        else:
+            doc[field] = value
+        with pytest.raises(FormatError):
+            gf.load_grid(json.dumps(doc))
+
     def test_not_json(self):
         with pytest.raises(FormatError):
             gf.load_grid("not json {")
@@ -100,12 +113,12 @@ class TestGeometryVector:
         pts[other_idx] = (103.0, 104.0)
         p = default_template_placement("img", pts, (256, 256))
         vec = gf.geometry_vector(p)
-        assert vec.distances[0] == pytest.approx(5.0)
+        assert vec[0] == pytest.approx(5.0)
 
     def test_all_coincident(self):
         pts = [(42.0, 42.0)] * NODE_COUNT
         p = default_template_placement("img", pts, (256, 256))
-        assert np.all(gf.geometry_vector(p).distances == 0.0)
+        assert np.all(gf.geometry_vector(p) == 0.0)
 
     def test_matches_direct_recomputation(self):
         # independent per-node distance oracle
@@ -114,21 +127,21 @@ class TestGeometryVector:
         nose = next(n for n in p.nodes if n.name == p.nose_tip)
         expected = [math.sqrt((n.x - nose.x) ** 2 + (n.y - nose.y) ** 2)
                     for n in p.nodes if n.name != p.nose_tip]
-        np.testing.assert_allclose(vec.distances, expected, rtol=1e-15)
+        np.testing.assert_allclose(vec, expected, rtol=1e-15)
 
     def test_length_is_33(self):
-        assert gf.geometry_vector(random_placement(7)).distances.size == 33
+        assert gf.geometry_vector(random_placement(7)).size == 33
 
     def test_translation_invariance(self):
         p = random_placement(8, size=200)
         shifted = default_template_placement(
             "img", [(n.x + 30.0, n.y + 17.0) for n in p.nodes], (256, 256))
-        np.testing.assert_allclose(gf.geometry_vector(shifted).distances,
-                                   gf.geometry_vector(p).distances, rtol=1e-12)
+        np.testing.assert_allclose(gf.geometry_vector(shifted),
+                                   gf.geometry_vector(p), rtol=1e-12)
 
     def test_uniform_rescale_scales_distances(self):
         p = random_placement(9, size=128)
         q = gf.rescale_placement(p, (256, 256))
-        np.testing.assert_allclose(gf.geometry_vector(q).distances,
-                                   2.0 * gf.geometry_vector(p).distances,
+        np.testing.assert_allclose(gf.geometry_vector(q),
+                                   2.0 * gf.geometry_vector(p),
                                    rtol=1e-12)

@@ -119,8 +119,11 @@ class TestIsotonicFit:
         assert np.all(np.diff(out.values[order]) >= -1e-12)
 
     def test_bad_order_rejected(self):
-        with pytest.raises(ParameterError):
-            gf.isotonic_fit(np.array([1.0, 2.0]), np.array([0, 0]))
+        y = np.array([1.0, 2.0, 3.0])
+        for order in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1],
+                      [0, 1, 10**15], [0.0, 1.0, 2.0], [[0, 1, 2]]):
+            with pytest.raises(ParameterError):
+                gf.isotonic_fit(y, np.array(order))
 
 
 class TestStress1:

@@ -69,6 +69,24 @@ class TestAverageRanks:
         with pytest.raises(ParameterError):
             gf.average_ranks([1.0, float("nan")])
 
+    def test_bit_identical_to_run_scan(self):
+        def scanned(values):
+            order = np.argsort(values, kind="stable")
+            ranks = np.empty(values.size)
+            i = 0
+            while i < values.size:
+                j = i
+                while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            vals = rng.integers(-3, 4, size=rng.integers(1, 60)) * rng.choice([1.0, 0.1])
+            np.testing.assert_array_equal(gf.average_ranks(vals), scanned(vals))
+
 
 class TestSpearmanRho:
     def test_perfect_concordance(self):
@@ -138,6 +156,13 @@ class TestSignificance:
         p_oracle = float(mp.betainc(nu / mp.mpf(2), mp.mpf(1) / 2, 0, xx,
                                     regularized=True))
         assert p == pytest.approx(p_oracle, rel=1e-6)
+
+    def test_t_approximation_matches_student_t_survival(self):
+        from scipy import stats
+        rng = np.random.default_rng(8)
+        for rho, n in zip(rng.uniform(-0.999, 0.999, 500), rng.integers(4, 30000, 500)):
+            t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+            assert gf.significance(rho, int(n)) == 2.0 * stats.t.sf(abs(t), n - 2)
 
     def test_small_n_rejected(self):
         with pytest.raises(ParameterError):

@@ -46,6 +46,11 @@ class TestLoadRatings:
         with pytest.raises(FormatError):
             gf.load_ratings("image_id,happy\na,3\n")
 
+    def test_repeated_image_id(self):
+        table = SIX + "\na,1,2,3,4,5,1\nb,1,1,1,1,1,1\na,5,5,5,5,5,5\n"
+        with pytest.raises(FormatError, match="row 4.*'a'"):
+            gf.load_ratings(table)
+
     def test_missing_image_id_header(self):
         with pytest.raises(FormatError):
             gf.load_ratings("id,a,b,c,d,e\nx,1,2,3,4,5\n")
@@ -64,42 +69,44 @@ class TestLoadRatings:
             np.testing.assert_array_equal(v1.values, v2.values)
 
 
+def semantic_distances(*vectors):
+    return semantic_matrix(list(vectors)).values
+
+
 class TestSemanticDissimilarity:
     def vec(self, image_id, values, adjectives=("h", "s", "u", "a", "d")):
         return gf.RatingVector(image_id, adjectives, np.asarray(values, dtype=float))
 
     def test_identical_is_zero(self):
-        v = self.vec("a", [1, 2, 3, 4, 5])
-        assert gf.semantic_dissimilarity(v, v) == 0.0
+        a = self.vec("a", [1, 2, 3, 4, 5])
+        b = self.vec("b", [1, 2, 3, 4, 5])
+        assert semantic_distances(a, b)[0, 1] == 0.0
 
     def test_single_axis_difference(self):
         a = self.vec("a", [1, 3, 3, 3, 3])
         b = self.vec("b", [5, 3, 3, 3, 3])
-        assert gf.semantic_dissimilarity(a, b) == 4.0
+        assert semantic_distances(a, b)[0, 1] == 4.0
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(1)
         a = self.vec("a", rng.uniform(1, 5, 5))
         b = self.vec("b", rng.uniform(1, 5, 5))
         expected = sum((x - y) ** 2 for x, y in zip(a.values, b.values)) ** 0.5
-        assert gf.semantic_dissimilarity(a, b) == pytest.approx(expected, rel=1e-15)
+        assert semantic_distances(a, b)[0, 1] == pytest.approx(expected, rel=1e-15)
 
     def test_adjective_mismatch(self):
         a = self.vec("a", [1, 2, 3, 4, 5])
         b = self.vec("b", [1, 2, 3, 4, 5], adjectives=("x", "s", "u", "a", "d"))
         with pytest.raises(DimensionError):
-            gf.semantic_dissimilarity(a, b)
+            semantic_matrix([a, b])
 
     def test_metric_properties_on_sampled_triples(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            a, b, c = (self.vec(n, rng.uniform(1, 5, 5)) for n in "abc")
-            ab = gf.semantic_dissimilarity(a, b)
-            ba = gf.semantic_dissimilarity(b, a)
-            assert ab == ba
-            assert ab >= 0.0
-            assert gf.semantic_dissimilarity(a, c) <= ab + \
-                gf.semantic_dissimilarity(b, c) + 1e-12
+            d = semantic_distances(*(self.vec(n, rng.uniform(1, 5, 5)) for n in "abc"))
+            assert d[0, 1] == d[1, 0]
+            assert d[0, 1] >= 0.0
+            assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
 class TestRatingVector:
@@ -122,5 +129,5 @@ class TestSemanticMatrix:
         assert m.kind == "dissimilarity"
         for i in range(4):
             for j in range(4):
-                expected = gf.semantic_dissimilarity(vectors[i], vectors[j])
+                expected = np.sqrt(np.sum((vectors[i].values - vectors[j].values) ** 2))
                 assert m.values[i, j] == pytest.approx(expected, rel=1e-14)

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import gaborface as gf
 from gaborface.errors import (
     DegenerateJetError,
     DimensionError,
+    FormatError,
     IncompatibleCodingError,
     ParameterError,
 )
@@ -15,12 +19,11 @@ FP = "bankfingerprint"
 
 
 def random_jet(rng, dim=18):
-    return gf.JetVector(rng.uniform(0.1, 5.0, size=dim))
+    return rng.uniform(0.1, 5.0, size=dim)
 
 
 def random_coded(rng, image_id, fp=FP):
-    return gf.CodedImage(image_id,
-                         tuple(random_jet(rng) for _ in range(NODE_COUNT)), fp)
+    return gf.CodedImage(image_id, rng.uniform(0.1, 5.0, (NODE_COUNT, 18)), fp)
 
 
 class TestJetSimilarity:
@@ -29,17 +32,17 @@ class TestJetSimilarity:
         assert gf.jet_similarity(jet, jet) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        a = gf.JetVector(np.eye(18)[0])
-        b = gf.JetVector(np.eye(18)[1])
+        a = np.eye(18)[0]
+        b = np.eye(18)[1]
         assert gf.jet_similarity(a, b) == 0.0
 
     def test_scale_invariance(self):
         jet = random_jet(np.random.default_rng(1))
-        scaled = gf.JetVector(7.0 * jet.amplitudes)
+        scaled = 7.0 * jet
         assert gf.jet_similarity(jet, scaled) == pytest.approx(1.0)
 
     def test_zero_jet_raises(self):
-        zero = gf.JetVector(np.zeros(18))
+        zero = np.zeros(18)
         with pytest.raises(DegenerateJetError):
             gf.jet_similarity(zero, random_jet(np.random.default_rng(2)))
 
@@ -70,10 +73,10 @@ class TestGaborImageSimilarity:
                 jets_a.append(jet)
                 jets_b.append(jet)
             else:
-                jets_a.append(gf.JetVector(basis[0]))
-                jets_b.append(gf.JetVector(basis[1]))
-        a = gf.CodedImage("a", tuple(jets_a), FP)
-        b = gf.CodedImage("b", tuple(jets_b), FP)
+                jets_a.append(basis[0])
+                jets_b.append(basis[1])
+        a = gf.CodedImage("a", jets_a, FP)
+        b = gf.CodedImage("b", jets_b, FP)
         assert gf.gabor_image_similarity(a, b) == pytest.approx(0.5)
 
     def test_matches_per_point_oracle(self):
@@ -100,8 +103,8 @@ class TestGaborImageSimilarity:
     def test_zero_jet_counts_zero_with_warning(self):
         rng = np.random.default_rng(5)
         jets = [random_jet(rng) for _ in range(NODE_COUNT - 1)]
-        jets.append(gf.JetVector(np.zeros(18)))
-        a = gf.CodedImage("a", tuple(jets), FP)
+        jets.append(np.zeros(18))
+        a = gf.CodedImage("a", jets, FP)
         b = random_coded(rng, "b")
         with pytest.warns(UserWarning, match="zero jet"):
             s = gf.gabor_image_similarity(a, b)
@@ -110,31 +113,32 @@ class TestGaborImageSimilarity:
         assert s == pytest.approx(expected, rel=1e-12)
 
 
+def geometry_distances(*vectors):
+    ids = [f"v{i}" for i in range(len(vectors))]
+    return pairwise_matrix(list(zip(ids, vectors)), "geometry").values
+
+
 class TestGeometryDissimilarity:
     def test_self_is_zero(self):
-        vec = gf.ShapeVector(np.arange(33.0))
-        assert gf.geometry_dissimilarity(vec, vec) == 0.0
+        vec = np.arange(33.0)
+        assert geometry_distances(vec, vec)[0, 1] == 0.0
 
     def test_unit_offsets(self):
-        a = gf.ShapeVector(np.full(33, 5.0))
-        b = gf.ShapeVector(np.full(33, 6.0))
-        assert gf.geometry_dissimilarity(a, b) == pytest.approx(np.sqrt(33))
+        d = geometry_distances(np.full(33, 5.0), np.full(33, 6.0))
+        assert d[0, 1] == pytest.approx(np.sqrt(33))
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
-        a = gf.ShapeVector(rng.uniform(0, 100, 33))
-        b = gf.ShapeVector(rng.uniform(0, 100, 33))
-        expected = np.sqrt(np.sum((a.distances - b.distances) ** 2))
-        assert gf.geometry_dissimilarity(a, b) == pytest.approx(expected, rel=1e-15)
+        a = rng.uniform(0, 100, 33)
+        b = rng.uniform(0, 100, 33)
+        expected = np.sqrt(np.sum((a - b) ** 2))
+        assert geometry_distances(a, b)[0, 1] == pytest.approx(expected, rel=1e-15)
 
     def test_triangle_inequality_on_sampled_triples(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            a, b, c = (gf.ShapeVector(rng.uniform(0, 50, 33)) for _ in range(3))
-            ab = gf.geometry_dissimilarity(a, b)
-            bc = gf.geometry_dissimilarity(b, c)
-            ac = gf.geometry_dissimilarity(a, c)
-            assert ac <= ab + bc + 1e-9
+            d = geometry_distances(*rng.uniform(0, 50, (3, 33)))
+            assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-9
 
 
 class TestPairwiseMatrix:
@@ -148,9 +152,9 @@ class TestPairwiseMatrix:
 
     def test_geometry_with_equal_pair(self):
         rng = np.random.default_rng(1)
-        v1 = gf.ShapeVector(rng.uniform(0, 10, 33))
-        v2 = gf.ShapeVector(np.array(v1.distances))
-        v3 = gf.ShapeVector(rng.uniform(0, 10, 33))
+        v1 = rng.uniform(0, 10, 33)
+        v2 = v1.copy()
+        v3 = rng.uniform(0, 10, 33)
         m = pairwise_matrix([("a", v1), ("b", v2), ("c", v3)], "geometry")
         assert m.kind == "dissimilarity"
         assert m.values[0, 1] == 0.0
@@ -164,6 +168,21 @@ class TestPairwiseMatrix:
             for j in range(5):
                 expected = 1.0 if i == j else gf.gabor_image_similarity(items[i], items[j])
                 assert m.values[i, j] == pytest.approx(expected, rel=1e-14)
+
+    def test_zero_jet_warns_once_per_image_and_node(self):
+        rng = np.random.default_rng(6)
+        items = [random_coded(rng, f"i{k}") for k in range(4)]
+        jets = np.array(items[1].jets)
+        jets[5] = 0.0
+        items[1] = gf.CodedImage("i1", jets, FP)
+        with pytest.warns(UserWarning, match="zero jet") as record:
+            m = pairwise_matrix(items, "gabor")
+        assert sum("zero jet" in str(w.message) for w in record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for j in (0, 2, 3):
+                expected = gf.gabor_image_similarity(items[1], items[j])
+                assert m.values[1, j] == pytest.approx(expected, rel=1e-14)
 
     def test_too_few_items(self):
         rng = np.random.default_rng(3)
@@ -225,6 +244,14 @@ class TestPairMatrixSerialization:
         lines = m.to_csv().splitlines()
         assert lines[0] == ",a,b"
         assert lines[1].startswith("a,")
+
+    @pytest.mark.parametrize("values", [[[0.0, 1.0], [1.0]], [[0.0, "x"], ["x", 0.0]],
+                                        "", [None, [1.0, 0.0]]])
+    def test_from_json_ill_formed_values(self, values):
+        text = json.dumps({"kind": "dissimilarity", "item_ids": ["a", "b"],
+                           "values": values})
+        with pytest.raises(FormatError):
+            gf.PairMatrix.from_json(text)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
