@@ -31,6 +31,7 @@ from .similarity import CodedImage, PairMatrix, pairwise_matrix
 FEAR_LABEL = "FE"
 FEAR_ADJECTIVE = "fear"
 MIN_GROUP_SIZE = 3
+MEASURES = ("gabor", "geometry")  # the models correlated with the ratings
 
 
 @dataclass
@@ -66,39 +67,74 @@ class StudyConfig:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read study config {path}: {exc}") from exc
-        base = path.parent
+        try:
+            return cls._from_document(doc, path.parent)
+        except ValidationError as exc:
+            raise type(exc)(f"study config {path}: {exc}") from exc
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ValidationError(f"study config {path}: bad field: {exc}") from exc
+
+    @classmethod
+    def _from_document(cls, doc, base):
+        def section(key):
+            value = doc.get(key, {})
+            if not isinstance(value, dict):
+                raise ValidationError(f"{key!r} must be an object")
+            return value
 
         def resolve(key):
             if key not in doc:
-                raise ValidationError(f"study config missing {key!r}")
+                raise ValidationError(f"missing {key!r}")
             return (base / doc[key]).resolve()
 
-        bank = doc.get("bank", {})
-        opts = doc.get("options", {})
+        def integer(key, default=None):
+            value = opts.get(key, default)
+            if value is None and default is None:
+                return None  # an optional option left unset
+            try:
+                if int(value) == value:
+                    return int(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+            raise ValidationError(f"options.{key} must be an integer, got {value!r}")
+
+        if not isinstance(doc, dict):
+            raise ValidationError("must be a JSON object")
+        bank = section("bank")
+        opts = section("options")
+        expressers = section("expressers")
+        if not all(isinstance(e, str) for e in expressers.values()):
+            raise ValidationError("expresser ids must be strings")
+        exclude = doc.get("exclude_from_average", [])
+        if not (isinstance(exclude, list) and all(isinstance(e, str) for e in exclude)):
+            raise ValidationError("'exclude_from_average' must be a list of "
+                                  "expresser ids")
         options = StudyOptions(
-            dims=int(opts.get("dims", 2)),
+            dims=integer("dims", 2),
             tolerance=float(opts.get("tolerance", nmds.DEFAULT_TOLERANCE)),
-            max_iterations=int(opts.get("max_iterations",
-                                        nmds.DEFAULT_MAX_ITERATIONS)),
-            seed=int(opts.get("seed", 0)),
-            permutations=(int(opts["permutations"])
-                          if opts.get("permutations") is not None else None),
-            scan_dims=(int(opts["scan_dims"])
-                       if opts.get("scan_dims") is not None else None),
+            max_iterations=integer("max_iterations", nmds.DEFAULT_MAX_ITERATIONS),
+            seed=integer("seed", 0),
+            permutations=integer("permutations"),
+            scan_dims=integer("scan_dims"),
         )
-        return cls(
+        if options.permutations is not None and options.permutations < 1:
+            raise ValidationError(
+                f"need permutations >= 1, got {options.permutations}")
+        config = cls(
             image_dir=resolve("image_dir"),
             grid_dir=resolve("grid_dir"),
             ratings_path=resolve("ratings"),
             out_dir=resolve("out_dir"),
-            expressers=dict(doc.get("expressers", {})),
-            labels=dict(doc.get("labels", {})),
+            expressers=dict(expressers),
+            labels=dict(section("labels")),
             wavenumbers=tuple(bank.get("wavenumbers", gabor.DEFAULT_WAVENUMBERS)),
             orientations=tuple(bank.get("orientations", gabor.DEFAULT_ORIENTATIONS)),
             sigma=float(bank.get("sigma", gabor.DEFAULT_SIGMA)),
             options=options,
-            exclude_from_average=tuple(doc.get("exclude_from_average", ())),
+            exclude_from_average=tuple(exclude),
         )
+        config.bank()  # a bad bank fails here, not in a later stage
+        return config
 
     def bank(self):
         return gabor.build_filter_bank(self.wavenumbers, self.orientations,
@@ -262,15 +298,13 @@ def run_correlate(config):
     for expresser in _usable_groups(config):
         try:
             semantic = _load_matrix(config, expresser, "semantic")
-            results = {}
-            for measure in ("gabor", "geometry"):
-                model = _load_matrix(config, expresser, measure)
-                result = rank_stats.correlate_model_with_ratings(
-                    model, semantic,
-                    permutations=config.options.permutations,
-                    seed=config.options.seed,
-                )
-                results[measure] = result
+            models = [_load_matrix(config, expresser, m) for m in MEASURES]
+            results = dict(zip(MEASURES, rank_stats.correlate_model_with_ratings(
+                models, semantic,
+                permutations=config.options.permutations,
+                seed=config.options.seed,
+            )))
+            for measure, result in results.items():
                 _write_atomic(
                     config.out_dir / "correlations" / f"{expresser}_{measure}.json",
                     result.to_json(expresser_id=expresser, measure=measure,

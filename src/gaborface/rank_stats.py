@@ -89,10 +89,14 @@ def significance(rho, n, permutations=None, series=None,
                  seed=DEFAULT_PERMUTATION_SEED):
     """Two-sided p-value for an observed rank correlation.
 
-    Default: t-approximation, t = rho*sqrt((n-2)/(1-rho^2)) with n-2
-    degrees of freedom.  With `permutations` set, a seeded Monte-Carlo
-    permutation test on the series ranks is used instead (requires
-    `series`).
+    Default: t-approximation for one `rho`, t = rho*sqrt((n-2)/(1-rho^2))
+    with n-2 degrees of freedom.
+
+    With `permutations` (>= 1) set, a seeded Monte-Carlo permutation test
+    instead: `rho` and `series` are matching sequences, and the series
+    share one `y`.  Each permutation of the centred `y` ranks is drawn once
+    and every series is scored against it, so a series gets the p-value it
+    would get alone.  Returns one p-value per series.
     """
     if n < 4:
         raise ParameterError(f"need n >= 4 for a significance test, got {n}")
@@ -102,17 +106,33 @@ def significance(rho, n, permutations=None, series=None,
             return 0.0
         t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
         return float(2.0 * special.stdtr(n - 2, -abs(t)))
+    permutations = int(permutations)
+    if permutations < 1:
+        raise ParameterError(f"need permutations >= 1, got {permutations}")
     if series is None:
         raise ParameterError("permutation test needs the paired series")
-    rx = average_ranks(series.x)
-    ry = average_ranks(series.y)
+    series = tuple(series)
+    thresholds = np.abs(np.asarray(rho, dtype=float)) - 1e-12
+    if not series or thresholds.shape != (len(series),):
+        raise ParameterError("permutation test needs one rho per series")
+    if any(not np.array_equal(s.y, series[0].y) for s in series):
+        raise ParameterError("permuted series must share their y values")
+    rx = np.array([average_ranks(s.x) for s in series])
+    rx -= rx.mean(axis=1, keepdims=True)
+    ry = average_ranks(series[0].y)
+    ry -= ry.mean()
+    denom = np.sqrt(np.sum(rx * rx, axis=1) * np.sum(ry * ry))
+    if np.any(denom == 0.0):
+        raise UndefinedCorrelationError("constant series has no rank correlation")
     rng = np.random.default_rng(seed)
-    hits = 0
-    threshold = abs(rho) - 1e-12
-    for _ in range(int(permutations)):
-        if abs(_rho_from_ranks(rx, rng.permutation(ry))) >= threshold:
-            hits += 1
-    return (hits + 1) / (int(permutations) + 1)
+    permuted = np.empty_like(ry)
+    hits = np.zeros(len(series), dtype=int)
+    for _ in range(permutations):
+        # refill, then shuffle in place: the draws rng.permutation(ry) makes
+        permuted[:] = ry
+        rng.shuffle(permuted)
+        hits += np.abs(rx @ permuted) / denom >= thresholds
+    return [(h + 1) / (permutations + 1) for h in hits.tolist()]
 
 
 def canonical_pairs(item_ids):
@@ -123,34 +143,40 @@ def canonical_pairs(item_ids):
 
 def matrix_series(matrix):
     """Off-diagonal values of a PairMatrix in canonical pair order."""
-    index = {item_id: i for i, item_id in enumerate(matrix.item_ids)}
-    pairs = canonical_pairs(matrix.item_ids)
-    return np.array([matrix.values[index[a], index[b]] for a, b in pairs]), pairs
+    ids = matrix.item_ids
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    upper = np.triu_indices(len(ids), 1)
+    return matrix.values[np.ix_(order, order)][upper], canonical_pairs(ids)
 
 
-def correlate_model_with_ratings(model, semantic, permutations=None,
+def correlate_model_with_ratings(models, semantic, permutations=None,
                                  seed=DEFAULT_PERMUTATION_SEED):
-    """Spearman correlation between a model matrix and semantic dissimilarity.
+    """Spearman correlation of each model matrix with semantic dissimilarity.
 
-    Similarity-kind model values are negated first so that agreement with
-    the human data reads as positive rho.
+    Returns one CorrelationResult per model.  Similarity-kind model values
+    are negated first so that agreement with the human data reads as
+    positive rho.  With `permutations` set, all models are tested against
+    one stream of permutations (see `significance`).
     """
-    if set(model.item_ids) != set(semantic.item_ids):
-        missing = set(model.item_ids) ^ set(semantic.item_ids)
-        raise AlignmentError(
-            f"item sets differ; unmatched ids: {sorted(missing)}"
-        )
-    x, pairs = matrix_series(model)
-    y, _ = matrix_series(semantic)
-    if model.kind == "similarity":
-        x = -x
-    series = PairedSeries(x, y, tuple(pairs))
-    rho = spearman_rho(series)
+    y, pairs = matrix_series(semantic)
+    pairs = tuple(pairs)
+    series = []
+    for model in models:
+        if set(model.item_ids) != set(semantic.item_ids):
+            missing = set(model.item_ids) ^ set(semantic.item_ids)
+            raise AlignmentError(
+                f"item sets differ; unmatched ids: {sorted(missing)}"
+            )
+        x, _ = matrix_series(model)
+        if model.kind == "similarity":
+            x = -x
+        series.append(PairedSeries(x, y, pairs))
+    rhos = [spearman_rho(s) for s in series]
+    n = y.size
     if permutations is None:
-        p = significance(rho, series.x.size)
-        method = "t_approximation"
-    else:
-        p = significance(rho, series.x.size, permutations=permutations,
-                         series=series, seed=seed)
-        method = "permutation"
-    return CorrelationResult(rho, series.x.size, p, method)
+        return [CorrelationResult(rho, n, significance(rho, n), "t_approximation")
+                for rho in rhos]
+    ps = significance(rhos, n, permutations=permutations, series=series,
+                      seed=seed)
+    return [CorrelationResult(rho, n, p, "permutation")
+            for rho, p in zip(rhos, ps)]

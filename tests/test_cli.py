@@ -18,7 +18,7 @@ from gaborface.cli import (
     run_matrices,
     run_study,
 )
-from gaborface import cli, gabor, ratings
+from gaborface import cli, gabor, rank_stats, ratings
 from gaborface.errors import ValidationError
 from synthetic_study import make_synthetic_study
 
@@ -100,7 +100,7 @@ class TestStudyPipeline:
             (config.out_dir / "matrices" / "SY_gabor.json").read_text())
         semantic = gf.PairMatrix.from_json(
             (config.out_dir / "matrices" / "SY_semantic.json").read_text())
-        recomputed = gf.correlate_model_with_ratings(model, semantic)
+        [recomputed] = gf.correlate_model_with_ratings([model], semantic)
         assert float(row["gabor_rho"]) == recomputed.rho
         stored = json.loads(
             (config.out_dir / "correlations" / "SY_gabor.json").read_text())
@@ -250,6 +250,59 @@ class TestMainCli:
 
         assert semantic(rewritten, "--no-fear") == semantic(original, "--no-fear")
         assert semantic(rewritten) != semantic(original)
+
+    @pytest.mark.parametrize("change", [
+        {"options": {"dims": "x"}},
+        {"options": {"permutations": "abc"}},
+        {"options": {"seed": None}},
+        {"options": {"permutations": -1}},
+        {"options": {"dims": 2.5}},
+        {"exclude_from_average": "KA"},
+        {"options": 3},
+        {"expressers": ["img00", "img01"]},
+        {"bank": {"wavenumbers": ["k"]}},
+    ])
+    def test_ill_typed_config_exits_one(self, tmp_path, capsys, change):
+        doc = {"image_dir": "images", "grid_dir": "grids",
+               "ratings": "ratings.csv", "out_dir": "out",
+               "expressers": {"img00": "SY", "img01": "SY"}, **change}
+        config_path = tmp_path / "study.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: study config") and err.count("\n") == 1
+
+    def test_permutation_test_shares_one_stream_per_expresser(self, tmp_path,
+                                                              monkeypatch):
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        doc = json.loads(config_path.read_text())
+        doc["options"]["permutations"] = 300
+        config_path.write_text(json.dumps(doc))
+        calls = []
+        significance = rank_stats.significance
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("permutations"))
+            return significance(*args, **kwargs)
+
+        monkeypatch.setattr(rank_stats, "significance", counted)
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 0
+        assert main(["--config", str(config_path), "--stage", "matrices"]) == 0
+        assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
+        assert calls == [300]
+        out = tmp_path / "out"
+        semantic = gf.PairMatrix.from_json(
+            (out / "matrices" / "SY_semantic.json").read_text())
+        for measure in ("gabor", "geometry"):
+            model = gf.PairMatrix.from_json(
+                (out / "matrices" / f"SY_{measure}.json").read_text())
+            [alone] = gf.correlate_model_with_ratings(
+                [model], semantic, permutations=300, seed=11)
+            stored = json.loads(
+                (out / "correlations" / f"SY_{measure}.json").read_text())
+            assert stored["method"] == "permutation"
+            assert (stored["rho"], stored["p_two_sided"]) == (alone.rho,
+                                                              alone.p_two_sided)
 
     def test_import_leaves_out_scipy_stats(self):
         code = "import sys, gaborface.cli; print('scipy.stats' in sys.modules)"

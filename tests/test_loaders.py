@@ -9,12 +9,15 @@ JSON value, which reaches the checks behind the parser.
 import copy
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gaborface as gf
+from gaborface.cli import StudyConfig
 from gaborface.errors import ValidationError
 from gaborface.grid import NODE_COUNT, default_template_placement, grid_document
 
@@ -78,6 +81,15 @@ JET_DOC = gf.gabor.jet_document("img", BANK, PLACEMENT,
 MATRIX_DOC = json.loads(gf.PairMatrix(
     ("a", "b", "c"), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
     "dissimilarity").to_json())
+STUDY_DOC = {
+    "image_dir": "images", "grid_dir": "grids", "ratings": "ratings.csv",
+    "out_dir": "out", "expressers": {"img0": "KA", "img1": "KA"},
+    "labels": {"img0": "NE", "img1": "FE"},
+    "bank": {"wavenumbers": [1.0, 0.5], "orientations": [0.0, 1.0], "sigma": 3.0},
+    "options": {"dims": 2, "seed": 0, "tolerance": 1e-6, "max_iterations": 50,
+                "permutations": 100, "scan_dims": None},
+    "exclude_from_average": ["KA"],
+}
 CONFIG_DOC = json.loads(gf.Configuration(
     ("a", "b", "c"), np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]), 0.1, 0.9,
     4).to_json())
@@ -88,6 +100,14 @@ def test_valid_documents_load():
     assert gf.gabor.parse_jet_document(json.dumps(JET_DOC))[0] == PLACEMENT
     assert gf.PairMatrix.from_json(json.dumps(MATRIX_DOC)).item_ids == ("a", "b", "c")
     assert gf.Configuration.from_json(json.dumps(CONFIG_DOC)).iterations == 4
+    assert load_study_config(json.dumps(STUDY_DOC)).options.permutations == 100
+
+
+def load_study_config(text):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "study.json"
+        path.write_text(text)
+        return StudyConfig.from_file(path)
 
 
 @FUZZ
@@ -123,6 +143,12 @@ def test_pair_matrix_from_json(text):
 @given(documents(CONFIG_DOC))
 def test_configuration_from_json(text):
     loads_or_rejects(gf.Configuration.from_json, text)
+
+
+@FUZZ
+@given(documents(STUDY_DOC))
+def test_study_config_from_file(text):
+    loads_or_rejects(load_study_config, text)
 
 
 SIX = "image_id,happiness,sadness,surprise,anger,disgust,fear"

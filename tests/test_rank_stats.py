@@ -175,16 +175,110 @@ class TestSignificance:
         s = series(x, y)
         rho = gf.spearman_rho(s)
         p_t = gf.significance(rho, 60)
-        p_perm = gf.significance(rho, 60, permutations=100_000, series=s, seed=9)
+        [p_perm] = gf.significance([rho], 60, permutations=100_000, series=[s],
+                                   seed=9)
         assert abs(p_t - p_perm) < 0.02
 
     def test_permutation_deterministic_for_seed(self):
         rng = np.random.default_rng(5)
         s = series(rng.standard_normal(30), rng.standard_normal(30))
         rho = gf.spearman_rho(s)
-        p1 = gf.significance(rho, 30, permutations=2000, series=s, seed=42)
-        p2 = gf.significance(rho, 30, permutations=2000, series=s, seed=42)
+        p1 = gf.significance([rho], 30, permutations=2000, series=[s], seed=42)
+        p2 = gf.significance([rho], 30, permutations=2000, series=[s], seed=42)
         assert p1 == p2
+
+    @pytest.mark.parametrize("permutations", [-5, -1, 0])
+    def test_fewer_than_one_permutation_rejected(self, permutations):
+        s = series(np.arange(10.0), np.arange(10.0) % 3)
+        with pytest.raises(ParameterError, match="permutations >= 1"):
+            gf.significance([0.5], 10, permutations=permutations, series=[s])
+
+
+def reference_permutation_hits(rho, s, permutations, seed):
+    """The per-series loop the shared stream replaced: a fresh
+    rng.permutation of the y ranks per draw, scored against one series."""
+    rx = gf.average_ranks(s.x)
+    ry = gf.average_ranks(s.y)
+    rng = np.random.default_rng(seed)
+    threshold = abs(rho) - 1e-12
+    hits = 0
+    for _ in range(permutations):
+        a = rx - rx.mean()
+        b = rng.permutation(ry)
+        b = b - b.mean()
+        if abs(np.dot(a, b) / np.sqrt(np.sum(a * a) * np.sum(b * b))) >= threshold:
+            hits += 1
+    return hits
+
+
+def shared_stream_hits(rhos, group, permutations, seed):
+    ps = gf.significance(rhos, group[0].x.size, permutations=permutations,
+                         series=group, seed=seed)
+    return [round(p * (permutations + 1)) - 1 for p in ps]
+
+
+class TestSharedPermutationStream:
+    """significance scores every series against one stream of permutations
+    of the shared y; each must keep the hits of the per-series loop."""
+
+    def check_against_reference(self, xs, y, permutations=1000, seed=7):
+        group = [series(x, y) for x in xs]
+        rhos = [gf.spearman_rho(s) for s in group]
+        expected = [reference_permutation_hits(r, s, permutations, seed)
+                    for r, s in zip(rhos, group)]
+        assert shared_stream_hits(rhos, group, permutations, seed) == expected
+        return expected
+
+    def test_random_series(self):
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal(300)
+        xs = [0.3 * y + rng.standard_normal(300), rng.standard_normal(300)]
+        hits = self.check_against_reference(xs, y)
+        assert hits[0] < 10 < hits[1]
+
+    def test_tied_series(self):
+        # few distinct values: many permuted rhos equal the observed one
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            y = rng.integers(0, 3, 12).astype(float)
+            xs = [rng.integers(0, 2, 12).astype(float),
+                  rng.integers(0, 4, 12).astype(float)]
+            if min(np.ptp(v) for v in xs + [y]) == 0:
+                continue
+            self.check_against_reference(xs, y, permutations=500)
+
+    def test_near_null_series(self):
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal(2000)
+        x = rng.standard_normal(2000)
+        [hits] = self.check_against_reference([x], y)
+        assert hits > 500
+
+    def test_two_series_in_one_call_equal_each_alone(self):
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal(200)
+        group = [series(0.2 * y + rng.standard_normal(200), y),
+                 series(rng.integers(0, 5, 200), y)]
+        rhos = [gf.spearman_rho(s) for s in group]
+        together = gf.significance(rhos, 200, permutations=800, series=group,
+                                   seed=3)
+        alone = [gf.significance([r], 200, permutations=800, series=[s], seed=3)[0]
+                 for r, s in zip(rhos, group)]
+        assert together == alone
+
+    def test_series_must_share_y(self):
+        rng = np.random.default_rng(15)
+        a = series(rng.standard_normal(20), rng.standard_normal(20))
+        b = series(rng.standard_normal(20), rng.standard_normal(20))
+        with pytest.raises(ParameterError, match="share"):
+            gf.significance([0.1, 0.2], 20, permutations=10, series=[a, b])
+
+    def test_one_rho_per_series(self):
+        s = series(np.arange(10.0), np.arange(10.0) % 4)
+        with pytest.raises(ParameterError, match="one rho per series"):
+            gf.significance([0.1, 0.2], 10, permutations=10, series=[s])
+        with pytest.raises(ParameterError, match="one rho per series"):
+            gf.significance([], 10, permutations=10, series=[])
 
 
 def dissim_matrix(ids, values):
@@ -212,7 +306,7 @@ class TestCorrelateModelWithRatings:
         model_pairs = 1.0 / (1.0 + semantic_pairs)  # similarity, reversed order
         model = matrix_from_pairs(ids, model_pairs, "similarity")
         semantic = matrix_from_pairs(ids, semantic_pairs)
-        result = gf.correlate_model_with_ratings(model, semantic)
+        [result] = gf.correlate_model_with_ratings([model], semantic)
         assert result.rho == pytest.approx(1.0)
         assert result.method == "t_approximation"
         assert result.n == 15
@@ -223,8 +317,8 @@ class TestCorrelateModelWithRatings:
         semantic_pairs = rng.uniform(0.5, 4.0, 15)
         model = matrix_from_pairs(ids, 2.0 * semantic_pairs)
         semantic = matrix_from_pairs(ids, semantic_pairs)
-        assert gf.correlate_model_with_ratings(model, semantic).rho == \
-            pytest.approx(1.0)
+        [result] = gf.correlate_model_with_ratings([model], semantic)
+        assert result.rho == pytest.approx(1.0)
 
     def test_orthogonal_construction_near_zero(self):
         # constructed permutation with (close to) zero rank correlation,
@@ -234,7 +328,7 @@ class TestCorrelateModelWithRatings:
         y = np.array([5.0, 10, 1, 7, 3, 9, 2, 8, 4, 6])
         model = matrix_from_pairs(ids, x)
         semantic = matrix_from_pairs(ids, y)
-        result = gf.correlate_model_with_ratings(model, semantic)
+        [result] = gf.correlate_model_with_ratings([model], semantic)
         assert result.rho == pytest.approx(oracle_spearman(x, y), abs=1e-12)
         assert abs(result.rho) < 0.15
 
@@ -243,7 +337,7 @@ class TestCorrelateModelWithRatings:
         ids2 = ["a", "b", "d"]
         vals = np.array([[0.0, 1, 2], [1, 0, 3], [2, 3, 0.0]])
         with pytest.raises(AlignmentError, match="d"):
-            gf.correlate_model_with_ratings(dissim_matrix(ids1, vals),
+            gf.correlate_model_with_ratings([dissim_matrix(ids1, vals)],
                                             dissim_matrix(ids2, vals))
 
     def test_canonical_order_independent_of_matrix_order(self):
@@ -260,12 +354,46 @@ class TestCorrelateModelWithRatings:
         assert p1 == p2 == canonical_pairs(ids)
         np.testing.assert_array_equal(s1, s2)
 
+    def test_matrix_series_matches_per_pair_lookup(self):
+        rng = np.random.default_rng(4)
+        ids = [f"img{k:02d}" for k in rng.permutation(30)]
+        vals = rng.uniform(0, 1, (30, 30))
+        vals = (vals + vals.T) / 2
+        np.fill_diagonal(vals, 0.0)
+        values, pairs = matrix_series(dissim_matrix(ids, vals))
+        index = {item_id: i for i, item_id in enumerate(ids)}
+        expected = [vals[index[a], index[b]] for a, b in canonical_pairs(ids)]
+        assert pairs == canonical_pairs(ids)
+        np.testing.assert_array_equal(values, expected)
+
     def test_permutation_method_recorded(self):
         rng = np.random.default_rng(3)
         ids = [f"i{k}" for k in range(6)]
         model = matrix_from_pairs(ids, rng.uniform(0, 1, 15))
         semantic = matrix_from_pairs(ids, rng.uniform(0, 1, 15))
-        result = gf.correlate_model_with_ratings(model, semantic,
-                                                 permutations=500, seed=1)
+        [result] = gf.correlate_model_with_ratings([model], semantic,
+                                                   permutations=500, seed=1)
         assert result.method == "permutation"
         assert 0.0 < result.p_two_sided <= 1.0
+
+    def test_one_result_per_model_each_as_if_alone(self):
+        rng = np.random.default_rng(5)
+        ids = [f"i{k}" for k in range(8)]
+        semantic = matrix_from_pairs(ids, rng.uniform(0, 1, 28))
+        models = [matrix_from_pairs(ids, rng.uniform(0, 1, 28), "similarity"),
+                  matrix_from_pairs(ids, rng.uniform(0, 1, 28))]
+        for permutations in (None, 300):
+            together = gf.correlate_model_with_ratings(
+                models, semantic, permutations=permutations, seed=2)
+            alone = [gf.correlate_model_with_ratings(
+                [m], semantic, permutations=permutations, seed=2)[0]
+                for m in models]
+            assert together == alone
+
+    def test_item_set_mismatch_in_any_model(self):
+        ids = [f"i{k}" for k in range(4)]
+        semantic = matrix_from_pairs(ids, np.arange(1.0, 7.0))
+        other = matrix_from_pairs(ids[:3] + ["x"], np.arange(1.0, 7.0))
+        with pytest.raises(AlignmentError, match="x"):
+            gf.correlate_model_with_ratings([semantic, other], semantic,
+                                            permutations=10)
