@@ -177,10 +177,7 @@ def _json_bytes(doc):
 # ---------------------------------------------------------------------------
 
 def _encode_one(config, bank, image_id):
-    image_path = config.image_dir / f"{image_id}.pgm"
-    if not image_path.exists():
-        raise ValidationError(f"missing image file {image_path}")
-    image = gabor.read_pgm(image_path)
+    image = gabor.read_pgm(config.image_dir / f"{image_id}.pgm")
     placement = grid.load_grid((config.grid_dir / f"{image_id}.json").read_text())
     if tuple(placement.source_size) != (image.width, image.height):
         placement = grid.rescale_placement(placement, (image.width, image.height))
@@ -314,6 +311,9 @@ def run_correlate(config):
         except (ValidationError, RuntimeFailure) as exc:
             warnings.warn(f"expresser {expresser!r} failed: {exc}")
             failures.append(expresser)
+            for measure in MEASURES:  # no earlier run's result beside "failed"
+                path = config.out_dir / "correlations" / f"{expresser}_{measure}.json"
+                path.unlink(missing_ok=True)
     _write_summary(config, rows, failures)
     return rows
 
@@ -504,9 +504,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, help="override the study seed")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="encode images on N threads; the jet kernel releases the GIL "
-             "but writing jet JSON does not, so 2 threads encode about 1.2x "
-             "faster on 2 cores; outputs are byte-identical for any N")
+        help="encode images on N threads; the jet kernel's matrix products "
+             "release the GIL, but its per-point loop and writing jet JSON do "
+             "not, so 2 threads encode about 1.1x faster on 2 cores; outputs "
+             "are byte-identical for any N")
     parser.add_argument("--exclude", default="",
                         help="comma-separated expressers excluded from averages")
     parser.add_argument("--no-fear", action="store_true",

@@ -229,37 +229,29 @@ def amplitude(even, odd):
     return math.hypot(even, odd)
 
 
-def _separable_vectors(d, k, sigma, wave_components):
-    """1-D kernel factors along one axis, shape (points, window, 1 + filters):
-    the Gaussian g(d), then g(d)*e^{i k_j d} for each filter's wave-vector
-    component k_j on that axis."""
-    phase = d[:, :, None] * np.concatenate([[0.0], wave_components])
-    carriers = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=carriers.real)
-    np.sin(phase, out=carriers.imag)
-    return carriers * np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))[:, :, None]
-
-
 def compute_jets(image, bank, points):
     """Jets at many image points: a (len(points), len(bank)) amplitude array.
 
     Same window, reflection and offset rules as filter_response, evaluated
-    separably: the envelope and carrier factor into 1-D vectors along x and
-    y, so the complex response is c*(u_y^T P u_x - e^{-sigma^2/2} g_y^T P g_x)
-    with g the 1-D Gaussian, u = g*e^{i k.d} and P the reflected patch.
-    Filters sharing (wavenumber, sigma) share one patch stack and one DC
-    term g_y^T P g_x, for all points at once.
+    separably: the complex response is c*(u_y^T P u_x - e^{-sigma^2/2} g_y^T P g_x)
+    with P the window, g the 1-D Gaussian and u = g*e^{i k.d}.  With d = o - f
+    (o the integer offset, f = c - round(c)), e^{i k d} = e^{i k o} e^{-i k f}:
+    one carrier table over o serves every point, and e^{-i k.f} rotates each
+    point's sums.  The image is mirror-padded once; each P is a view into it.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    cx, cy = pts[:, 0], pts[:, 1]
-    outside = ~((cx >= 0) & (cx < image.width) & (cy >= 0) & (cy < image.height))
+    outside = ~np.all((pts >= 0) & (pts < (image.width, image.height)), axis=1)
     if np.any(outside):
         bx, by = pts[np.argmax(outside)]
         raise OutOfBoundsError(
             f"center ({bx}, {by}) outside {image.width}x{image.height} image"
         )
-    rx = np.round(cx).astype(int)  # half-to-even, as round() in filter_response
-    ry = np.round(cy).astype(int)
+    rounded = np.round(pts).astype(int)  # half-to-even, as filter_response
+    fraction = (pts - rounded).T  # (2, points): f along x and y
+    # a centre just below the width rounds onto it, hence H + 1 past the end;
+    # "symmetric" repeats the edge pixel at each fold, as _reflect_indices
+    pad = max(spec.window_half_width() for spec in bank.specs)
+    padded = np.pad(image.pixels, (pad, pad + 1), mode="symmetric")
     jets = np.empty((len(pts), len(bank)))
     groups = {}
     for i, spec in enumerate(bank.specs):
@@ -267,19 +259,21 @@ def compute_jets(image, bank, points):
     for (k, sigma), members in groups.items():
         h = bank.specs[members[0]].window_half_width()
         offsets = np.arange(-h, h + 1)
-        xs = rx[:, None] + offsets
-        ys = ry[:, None] + offsets
-        patches = image.pixels[_reflect_indices(ys, image.height)[:, :, None],
-                               _reflect_indices(xs, image.width)[:, None, :]]
         kx, ky = np.array([bank.specs[i].wave_vector for i in members]).T
-        vx = _separable_vectors(xs - cx[:, None], k, sigma, kx)
-        vy = _separable_vectors(ys - cy[:, None], k, sigma, ky)
-        # real patches times complex columns, as one real matmul on the
-        # interleaved (re, im) view
-        pvx = (patches @ vx.view(float)).view(complex)
-        sums = np.einsum("nac,nac->nc", vy, pvx)
+        waves = np.array([[0.0, *kx], [0.0, *ky]])  # column 0: the DC term
+        carriers = np.exp(1j * offsets[:, None] * waves[:, None, :])
+        d = offsets - fraction[:, :, None]
+        gauss = np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))
+        # (points, window, 1 + filters) per axis, complex as (re, im) pairs
+        vx, vy = gauss[..., None] * carriers.view(float)[:, None]
+        # real window (a view) times complex columns: one real matmul per point
+        pvx = np.empty(vx.shape)
+        for n, (x, y) in enumerate(rounded + pad - h):
+            np.matmul(padded[y:y + 2 * h + 1, x:x + 2 * h + 1], vx[n], out=pvx[n])
+        sums = np.einsum("nac,nac->nc", vy.view(complex), pvx.view(complex))
+        rotation = np.exp(-1j * (fraction.T @ waves[:, 1:]))  # e^{-i k.f}
         responses = (k * k / (sigma * sigma)) * (
-            sums[:, 1:] - math.exp(-sigma * sigma / 2.0) * sums[:, :1].real)
+            sums[:, 1:] * rotation - math.exp(-sigma * sigma / 2.0) * sums[:, :1].real)
         jets[:, members] = np.abs(responses)
     return jets
 
@@ -293,6 +287,10 @@ def compute_jet(image, bank, point):
 # I/O: binary 8-bit PGM images and jet-set JSON documents
 # ---------------------------------------------------------------------------
 
+# one PGM header token, after any whitespace and "#" comment lines
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]+|#[^\n]*\n?)*([^ \t\r\n#]+)")
+
+
 def read_pgm(source):
     """Read a binary (P5) 8-bit grayscale PGM file."""
     if hasattr(source, "read"):
@@ -303,7 +301,7 @@ def read_pgm(source):
     tokens = []
     pos = 0
     while len(tokens) < 4:
-        m = re.compile(rb"(?:[ \t\r\n]+|#[^\n]*\n?)*([^ \t\r\n#]+)").match(data, pos)
+        m = _PGM_TOKEN.match(data, pos)
         if m is None:
             raise FormatError("truncated PGM header")
         tokens.append(m.group(1))

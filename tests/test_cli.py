@@ -220,6 +220,21 @@ class TestMainCli:
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert summary[1:] == ["SY,failed,,,,"]
 
+    def test_failed_expresser_leaves_no_stale_correlations(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        stale = [out / "correlations" / f"SY_{m}.json" for m in cli.MEASURES]
+        assert all(path.exists() for path in stale)
+        path = out / "matrices" / "SY_semantic.json"
+        doc = json.loads(path.read_text())
+        doc["values"][1] = doc["values"][1][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
+        assert (out / "summary.csv").read_text().splitlines()[1:] == ["SY,failed,,,,"]
+        assert not any(path.exists() for path in stale)
+
     def test_jet_file_without_placement_exits_one(self, tmp_path, capsys):
         config_path = make_synthetic_study(tmp_path, n_images=4)
         assert main(["--config", str(config_path), "--stage", "encode"]) == 0

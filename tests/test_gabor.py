@@ -246,6 +246,37 @@ class TestComputeJets:
         np.testing.assert_allclose(jets, self.oracle(img, bank, points),
                                    rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("width,height", [(1, 1), (2, 3), (5, 7)])
+    def test_tiny_images_fold_the_window_many_times(self, width, height):
+        rng = np.random.default_rng(width + 10 * height)
+        img = gf.ImageRaster(width, height, rng.uniform(0, 255, (height, width)))
+        bank = gf.build_filter_bank()
+        w, h = width - 1e-9, height - 1e-9  # these round onto the far edge
+        points = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h), (width / 2, height / 2)]
+        points += [tuple(p) for p in rng.uniform(0, 1, (4, 2)) * (w, h)]
+        # On a window folded from a few pixels many amplitudes are tiny (a
+        # 1x1 image is constant, so all of its are the truncated kernel's DC
+        # leakage): 1e-11 to 1e-7 of the sum's scale, the envelope's mass
+        # 2*pi times the largest pixel.  Neither this kernel nor the
+        # per-filter oracle gets those to 1e-12 relative, so they are held
+        # to 1e-14 of that scale; the others to rtol.
+        atol = 1e-14 * 2 * math.pi * img.pixels.max()
+        np.testing.assert_allclose(gf.compute_jets(img, bank, points),
+                                   self.oracle(img, bank, points),
+                                   rtol=1e-12, atol=atol)
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (2, 3), (5, 7)])
+    def test_symmetric_pad_is_the_reflect_gather(self, width, height):
+        from gaborface.gabor import _reflect_indices
+        pixels = np.arange(width * height, dtype=float).reshape(height, width)
+        for pad in (2 * max(width, height) + 1, 48):
+            ys = np.arange(-pad, height + pad + 1)
+            xs = np.arange(-pad, width + pad + 1)
+            np.testing.assert_array_equal(
+                np.pad(pixels, (pad, pad + 1), mode="symmetric"),
+                pixels[np.ix_(_reflect_indices(ys, height),
+                              _reflect_indices(xs, width))])
+
     def test_compute_jet_is_a_row_of_compute_jets(self):
         img = smooth_image(4, size=64)
         bank = gf.build_filter_bank()
