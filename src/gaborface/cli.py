@@ -9,6 +9,11 @@ Stages (each reads the previous stage's files, enabling partial reruns):
   align      configurations -> Procrustes residuals (model vs semantic)
   plot       configurations -> SVG scatter plots
   study      all of the above
+
+`encode` codes each image on its own; `run_stage` runs every other stage
+one expresser at a time.  A failing expresser is warned about, its outputs
+of that stage are removed and the others still run; then `correlate` writes
+a `failed` summary row, and every other stage raises its first failure.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from . import gabor, grid, nmds, rank_stats, ratings
-from .errors import RuntimeFailure, ValidationError
+from .errors import FormatError, RuntimeFailure, ValidationError
 from .similarity import CodedImage, PairMatrix, pairwise_matrix
 
 FEAR_LABEL = "FE"
 FEAR_ADJECTIVE = "fear"
 MIN_GROUP_SIZE = 3
 MEASURES = ("gabor", "geometry")  # the models correlated with the ratings
+EMBEDDED = ("gabor", "semantic")  # the matrices embedded, aligned and plotted
 
 
 @dataclass
@@ -207,35 +213,23 @@ def run_encode(config):
 
 
 # ---------------------------------------------------------------------------
-# Stage: matrices
+# Stage driver: matrices, correlate, embed, align and plot run per expresser
 # ---------------------------------------------------------------------------
 
-def _load_jet_file(config, bank, image_id):
-    """The coded image and the grid placement its jets were taken at."""
-    path = config.out_dir / "jets" / f"{image_id}.json"
+def _read(config, relpath, parse):
+    """parse(text) of the intermediate file out_dir/relpath; every error
+    names the file."""
+    path = config.out_dir / relpath
     if not path.exists():
-        raise ValidationError(f"missing jet file {path}; run the encode stage")
+        directory = relpath.split("/")[0]
+        stage = {"jets": "encode", "embeddings": "embed"}.get(directory, directory)
+        raise ValidationError(f"missing {path}; run the {stage} stage")
     try:
-        placement, loaded_bank, jets = gabor.parse_jet_document(path.read_text())
+        return parse(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except ValidationError as exc:
-        raise type(exc)(f"jet file {path}: {exc}") from exc
-    if loaded_bank.fingerprint() != bank.fingerprint():
-        raise ValidationError(
-            f"jet file {path} was coded with a different filter bank"
-        )
-    return CodedImage(placement.image_id, jets, bank.fingerprint()), placement
-
-
-def _load_ratings_map(config):
-    if not config.ratings_path.exists():
-        raise ValidationError(f"missing ratings table {config.ratings_path}")
-    vectors = ratings.load_ratings(config.ratings_path.read_text())
-    if config.no_fear and vectors and FEAR_ADJECTIVE in vectors[0].adjectives:
-        keep = [a != FEAR_ADJECTIVE for a in vectors[0].adjectives]
-        adjectives = tuple(a for a in vectors[0].adjectives if a != FEAR_ADJECTIVE)
-        vectors = [ratings.RatingVector(v.image_id, adjectives, v.values[keep])
-                   for v in vectors]
-    return {v.image_id: v for v in vectors}
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _usable_groups(config):
@@ -249,18 +243,65 @@ def _usable_groups(config):
     return usable
 
 
-def run_matrices(config):
+def run_stage(config, name):
+    """Run one stage; return its result per expresser (encode: the image
+    ids).  Failures follow the policy in the module docstring."""
+    if name == "encode":
+        return run_encode(config)
+    factory, directory, suffixes = _STAGES[name]
+    unit = factory(config)
+    results, failures = {}, []
+    for expresser, ids in _usable_groups(config).items():
+        try:
+            results[expresser] = unit(expresser, ids)
+        except (ValidationError, RuntimeFailure) as exc:
+            warnings.warn(f"expresser {expresser!r} failed: {exc}")
+            failures.append((expresser, exc))
+            for suffix in suffixes:
+                path = config.out_dir / directory / f"{expresser}{suffix}"
+                path.unlink(missing_ok=True)
+    if name == "correlate":
+        _write_summary(config, results, [expresser for expresser, _ in failures])
+    elif failures:
+        raise failures[0][1]
+    return results
+
+
+def run_study(config):
+    """Every stage in order; returns the correlate rows
+    (expresser, gabor result, geometry result)."""
+    results = {name: run_stage(config, name) for name in STAGE_ORDER}
+    return [(expresser, *pair) for expresser, pair in results["correlate"].items()]
+
+
+# Stage units: a factory does its stage's one-off set-up and returns
+# unit(expresser, ids), which reads, computes and writes one group.
+
+def _matrices(config):
     """Per expresser: Gabor similarity, geometry and semantic dissimilarity."""
     bank = config.bank()
-    rating_map = _load_ratings_map(config)
-    results = {}
-    for expresser, ids in _usable_groups(config).items():
+    if not config.ratings_path.exists():
+        raise ValidationError(f"missing ratings table {config.ratings_path}")
+    vectors = ratings.load_ratings(config.ratings_path.read_text())
+    if config.no_fear and vectors and FEAR_ADJECTIVE in vectors[0].adjectives:
+        keep = [a != FEAR_ADJECTIVE for a in vectors[0].adjectives]
+        adjectives = tuple(a for a in vectors[0].adjectives if a != FEAR_ADJECTIVE)
+        vectors = [ratings.RatingVector(v.image_id, adjectives, v.values[keep])
+                   for v in vectors]
+    rating_map = {v.image_id: v for v in vectors}
+
+    def coded_image(text):
+        placement, loaded_bank, jets = gabor.parse_jet_document(text)
+        if loaded_bank.fingerprint() != bank.fingerprint():
+            raise ValidationError("coded with a different filter bank")
+        return CodedImage(placement.image_id, jets, bank.fingerprint()), placement
+
+    def unit(expresser, ids):
         missing = [i for i in ids if i not in rating_map]
         if missing:
-            raise ValidationError(
-                f"expresser {expresser!r}: no ratings for {missing}"
-            )
-        coded, placements = zip(*(_load_jet_file(config, bank, i) for i in ids))
+            raise ValidationError(f"expresser {expresser!r}: no ratings for {missing}")
+        coded, placements = zip(*(_read(config, f"jets/{i}.json", coded_image)
+                                  for i in ids))
         shapes = [(image_id, grid.geometry_vector(placement))
                   for image_id, placement in zip(ids, placements)]
         matrices = {
@@ -272,56 +313,36 @@ def run_matrices(config):
             stem = config.out_dir / "matrices" / f"{expresser}_{name}"
             _write_atomic(stem.with_suffix(".json"), matrix.to_json() + "\n")
             _write_atomic(stem.with_suffix(".csv"), matrix.to_csv())
-        results[expresser] = matrices
-    return results
+        return matrices
+    return unit
 
 
-def _load_matrix(config, expresser, name):
-    path = config.out_dir / "matrices" / f"{expresser}_{name}.json"
-    if not path.exists():
-        raise ValidationError(f"missing matrix {path}; run the matrices stage")
-    return PairMatrix.from_json(path.read_text())
+def _correlate(config):
+    """Rank-correlate the model matrices against the semantic matrix."""
+    opts = config.options
+
+    def unit(expresser, ids):
+        semantic, *models = (
+            _read(config, f"matrices/{expresser}_{m}.json", PairMatrix.from_json)
+            for m in ("semantic", *MEASURES))
+        results = rank_stats.correlate_model_with_ratings(
+            models, semantic, permutations=opts.permutations, seed=opts.seed)
+        for measure, result in zip(MEASURES, results):
+            _write_atomic(
+                config.out_dir / "correlations" / f"{expresser}_{measure}.json",
+                result.to_json(expresser_id=expresser, measure=measure,
+                               seed=opts.seed) + "\n",
+            )
+        return tuple(results)
+    return unit
 
 
-# ---------------------------------------------------------------------------
-# Stage: correlate
-# ---------------------------------------------------------------------------
-
-def run_correlate(config):
-    """Rank-correlate model matrices against the semantic matrix, emit the
-    per-expresser summary table."""
-    rows = []
-    failures = []
-    for expresser in _usable_groups(config):
-        try:
-            semantic = _load_matrix(config, expresser, "semantic")
-            models = [_load_matrix(config, expresser, m) for m in MEASURES]
-            results = dict(zip(MEASURES, rank_stats.correlate_model_with_ratings(
-                models, semantic,
-                permutations=config.options.permutations,
-                seed=config.options.seed,
-            )))
-            for measure, result in results.items():
-                _write_atomic(
-                    config.out_dir / "correlations" / f"{expresser}_{measure}.json",
-                    result.to_json(expresser_id=expresser, measure=measure,
-                                   seed=config.options.seed) + "\n",
-                )
-            rows.append((expresser, results["gabor"], results["geometry"]))
-        except (ValidationError, RuntimeFailure) as exc:
-            warnings.warn(f"expresser {expresser!r} failed: {exc}")
-            failures.append(expresser)
-            for measure in MEASURES:  # no earlier run's result beside "failed"
-                path = config.out_dir / "correlations" / f"{expresser}_{measure}.json"
-                path.unlink(missing_ok=True)
-    _write_summary(config, rows, failures)
-    return rows
-
-
-def _write_summary(config, rows, failures):
-    averaged = [r for r in rows if r[0] not in config.exclude_from_average]
+def _write_summary(config, results, failures):
+    """Summary tables; `results` maps expresser -> (gabor, geometry) result."""
+    averaged = [pair for expresser, pair in results.items()
+                if expresser not in config.exclude_from_average]
     csv_lines = ["expresser,gabor_rho,gabor_p,geometry_rho,geometry_p,n_pairs"]
-    for expresser, gab, geo in rows:
+    for expresser, (gab, geo) in results.items():
         csv_lines.append(
             f"{expresser},{gab.rho!r},{gab.p_two_sided!r},"
             f"{geo.rho!r},{geo.p_two_sided!r},{gab.n}"
@@ -329,14 +350,14 @@ def _write_summary(config, rows, failures):
     for expresser in failures:
         csv_lines.append(f"{expresser},failed,,,,")
     if averaged:
-        avg_gabor = float(np.mean([r[1].rho for r in averaged]))
-        avg_geo = float(np.mean([r[2].rho for r in averaged]))
+        avg_gabor = float(np.mean([gab.rho for gab, _ in averaged]))
+        avg_geo = float(np.mean([geo.rho for _, geo in averaged]))
         csv_lines.append(f"Average,{avg_gabor!r},,{avg_geo!r},,")
     _write_atomic(config.out_dir / "summary.csv", "\n".join(csv_lines) + "\n")
 
-    width = max([len("Expresser")] + [len(r[0]) for r in rows] + [7])
+    width = max([len("Expresser")] + [len(e) for e in results] + [7])
     text = [f"{'Expresser':<{width}}  {'Gabor':>8}  {'Geometry':>8}"]
-    for expresser, gab, geo in rows:
+    for expresser, (gab, geo) in results.items():
         text.append(f"{expresser:<{width}}  {gab.rho:8.3f}  {geo.rho:8.3f}")
     for expresser in failures:
         text.append(f"{expresser:<{width}}  {'failed':>8}  {'failed':>8}")
@@ -344,10 +365,6 @@ def _write_summary(config, rows, failures):
         text.append(f"{'Average':<{width}}  {avg_gabor:8.3f}  {avg_geo:8.3f}")
     _write_atomic(config.out_dir / "summary.txt", "\n".join(text) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# Stage: embed / align / plot
-# ---------------------------------------------------------------------------
 
 def _model_dissimilarity(matrix):
     """Similarity -> dissimilarity (1 - s) for embedding; rank-equivalent."""
@@ -360,59 +377,43 @@ def _model_dissimilarity(matrix):
     return PairMatrix(matrix.item_ids, values, "dissimilarity")
 
 
-def run_embed(config):
+def _embed(config):
     """nMDS embedding of the Gabor and semantic matrices per expresser."""
     opts = config.options
-    configs = {}
-    for expresser in _usable_groups(config):
-        for measure in ("gabor", "semantic"):
-            matrix = _model_dissimilarity(_load_matrix(config, expresser, measure))
-            d = min(opts.dims, len(matrix.item_ids) - 1)
-            embedded = nmds.embed(matrix, d, max_iterations=opts.max_iterations,
-                                  tolerance=opts.tolerance, seed=opts.seed)
-            _write_atomic(
-                config.out_dir / "embeddings" / f"{expresser}_{measure}.json",
-                embedded.to_json(options={
-                    "max_iterations": opts.max_iterations,
-                    "tolerance": opts.tolerance,
-                    "seed": opts.seed,
-                }) + "\n",
-            )
-            configs[(expresser, measure)] = embedded
+    fit = {"max_iterations": opts.max_iterations, "tolerance": opts.tolerance,
+           "seed": opts.seed}
+
+    def unit(expresser, ids):
+        configs = {}
+        for measure in EMBEDDED:
+            matrix = _model_dissimilarity(_read(
+                config, f"matrices/{expresser}_{measure}.json", PairMatrix.from_json))
+            n = len(matrix.item_ids)
+            configs[measure] = nmds.embed(matrix, min(opts.dims, n - 1), **fit)
+            stem = f"{expresser}_{measure}"
+            _write_atomic(config.out_dir / "embeddings" / f"{stem}.json",
+                          configs[measure].to_json(options=fit) + "\n")
             if opts.scan_dims:
-                rows = nmds.scan_dimensions(
-                    matrix, min(opts.scan_dims, len(matrix.item_ids) - 1),
-                    max_iterations=opts.max_iterations,
-                    tolerance=opts.tolerance, seed=opts.seed)
+                rows = nmds.scan_dimensions(matrix, min(opts.scan_dims, n - 1),
+                                            **fit)
                 csv = "d,stress,rsq\n" + "".join(
-                    f"{d_},{s!r},{r!r}\n" for d_, s, r in rows)
-                _write_atomic(
-                    config.out_dir / "embeddings" / f"{expresser}_{measure}_scan.csv",
-                    csv,
-                )
-    return configs
+                    f"{d},{s!r},{r!r}\n" for d, s, r in rows)
+                _write_atomic(config.out_dir / "embeddings" / f"{stem}_scan.csv",
+                              csv)
+        return configs
+    return unit
 
 
-def _load_configuration(config, expresser, measure):
-    path = config.out_dir / "embeddings" / f"{expresser}_{measure}.json"
-    if not path.exists():
-        raise ValidationError(f"missing embedding {path}; run the embed stage")
-    return nmds.Configuration.from_json(path.read_text())
-
-
-def run_align(config):
+def _align(config):
     """Procrustes-align each Gabor configuration onto the semantic one."""
-    residuals = {}
-    for expresser in _usable_groups(config):
-        source = _load_configuration(config, expresser, "gabor")
-        target = _load_configuration(config, expresser, "semantic")
+    def unit(expresser, ids):
+        source, target = (_read(config, f"embeddings/{expresser}_{m}.json",
+                                nmds.Configuration.from_json) for m in EMBEDDED)
         aligned, residual = nmds.procrustes_align(source, target)
-        _write_atomic(
-            config.out_dir / "align" / f"{expresser}.json",
-            aligned.to_json(residual=residual, target="semantic") + "\n",
-        )
-        residuals[expresser] = residual
-    return residuals
+        _write_atomic(config.out_dir / "align" / f"{expresser}.json",
+                      aligned.to_json(residual=residual, target="semantic") + "\n")
+        return residual
+    return unit
 
 
 def render_scatter(configuration, labels=None):
@@ -454,43 +455,33 @@ def render_scatter(configuration, labels=None):
     return "\n".join(parts) + "\n"
 
 
-def run_plot(config):
+def _plot(config):
     """SVG scatter for every stored 2-d configuration."""
-    written = []
-    for expresser in _usable_groups(config):
-        for measure in ("gabor", "semantic"):
-            configuration = _load_configuration(config, expresser, measure)
+    def unit(expresser, ids):
+        for measure in EMBEDDED:
+            configuration = _read(config, f"embeddings/{expresser}_{measure}.json",
+                                  nmds.Configuration.from_json)
             if configuration.d != 2:
                 warnings.warn(f"{expresser}/{measure}: d={configuration.d}, "
                               "skipping plot")
                 continue
-            svg = render_scatter(configuration, config.labels)
-            path = config.out_dir / "plots" / f"{expresser}_{measure}.svg"
-            _write_atomic(path, svg)
-            written.append(path)
-    return written
+            _write_atomic(config.out_dir / "plots" / f"{expresser}_{measure}.svg",
+                          render_scatter(configuration, config.labels))
+    return unit
 
 
-def run_study(config):
-    """Full pipeline: encode, matrices, correlate, embed, align, plot."""
-    run_encode(config)
-    run_matrices(config)
-    rows = run_correlate(config)
-    run_embed(config)
-    run_align(config)
-    run_plot(config)
-    return rows
-
-
-STAGES = {
-    "encode": run_encode,
-    "matrices": run_matrices,
-    "correlate": run_correlate,
-    "embed": run_embed,
-    "align": run_align,
-    "plot": run_plot,
-    "study": run_study,
+# stage -> (factory(config) -> unit(expresser, ids), output directory, the
+# suffixes after the expresser id of every file the unit can write there)
+_STAGES = {
+    "matrices": (_matrices, "matrices", [f"_{m}.{x}" for m in (*MEASURES, "semantic")
+                                         for x in ("json", "csv")]),
+    "correlate": (_correlate, "correlations", [f"_{m}.json" for m in MEASURES]),
+    "embed": (_embed, "embeddings", [f"_{m}{x}" for m in EMBEDDED
+                                     for x in (".json", "_scan.csv")]),
+    "align": (_align, "align", [".json"]),
+    "plot": (_plot, "plots", [f"_{m}.svg" for m in EMBEDDED]),
 }
+STAGE_ORDER = ("encode", *_STAGES)
 
 
 def main(argv=None):
@@ -499,7 +490,8 @@ def main(argv=None):
         description="Gabor-jet facial expression coding and analysis pipeline",
     )
     parser.add_argument("--config", required=True, help="study config JSON")
-    parser.add_argument("--stage", choices=sorted(STAGES), default="study")
+    parser.add_argument("--stage", choices=sorted((*STAGE_ORDER, "study")),
+                        default="study")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--seed", type=int, help="override the study seed")
     parser.add_argument(
@@ -529,7 +521,10 @@ def main(argv=None):
             )
         if args.no_fear:
             config.drop_fear()
-        STAGES[args.stage](config)
+        if args.stage == "study":
+            run_study(config)
+        else:
+            run_stage(config, args.stage)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -150,10 +150,6 @@ class ImageRaster:
         self.height = height
         self.pixels = pixels
 
-    @property
-    def intensities(self):
-        return self.pixels.ravel()
-
     def contains(self, point):
         x, y = point
         return 0 <= x < self.width and 0 <= y < self.height

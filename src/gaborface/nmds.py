@@ -134,15 +134,16 @@ def classical_init(dissimilarity, d, seed=0):
     if np.all(distances == 0.0):
         stress, rsq = 0.0, 1.0
     else:
-        disp = isotonic_fit(distances, _dissimilarity_order(dissimilarity))
+        disp = isotonic_fit(distances, np.lexsort(
+            (distances, squareform(D, checks=False))))
         stress = stress1(distances, disp)
         rsq = _rsq(distances, disp.values)
     return Configuration(dissimilarity.item_ids, coords, stress, rsq, 0)
 
 
 def _dissimilarity_order(matrix):
-    # stable sort realizes the "primary" tie approach: tied dissimilarities
-    # impose no order constraint among themselves beyond PAVA pooling
+    # stable: tied dissimilarities keep their pair-index order here; embed
+    # re-sorts each tie block by the current distances (primary approach)
     return np.argsort(squareform(matrix.values, checks=False), kind="stable")
 
 
@@ -214,10 +215,17 @@ def embed(dissimilarity, d, max_iterations=DEFAULT_MAX_ITERATIONS,
                       "returning the initialization")
         return init
     order = _dissimilarity_order(dissimilarity)
-    coords = np.array(init.coordinates)
+    # Kruskal's primary approach: a tie block is fitted in the order of its
+    # current distances, the order of least stress among its orders
+    tied = np.any(np.diff(off_diag[order]) == 0)
 
+    def fit(distances):
+        return isotonic_fit(distances, np.lexsort((distances, off_diag))
+                            if tied else order).values
+
+    coords = np.array(init.coordinates)
     distances = pdist(coords)
-    disparities = isotonic_fit(distances, order).values
+    disparities = fit(distances)
     stress = stress1(distances, disparities)
     if on_iteration is not None:
         on_iteration(0, stress)
@@ -229,7 +237,7 @@ def embed(dissimilarity, d, max_iterations=DEFAULT_MAX_ITERATIONS,
         new_distances = pdist(new_coords)
         if np.all(new_distances == 0.0):
             break
-        new_disparities = isotonic_fit(new_distances, order).values
+        new_disparities = fit(new_distances)
         new_stress = stress1(new_distances, new_disparities)
         if new_stress > stress:
             break  # never accept an uphill step

@@ -12,10 +12,8 @@ from gaborface.cli import (
     StudyConfig,
     main,
     render_scatter,
-    run_correlate,
-    run_embed,
     run_encode,
-    run_matrices,
+    run_stage,
     run_study,
 )
 from gaborface import cli, gabor, rank_stats, ratings
@@ -115,14 +113,14 @@ class TestStudyPipeline:
         config.expressers[first] = "LONE"
         run_encode(config)
         with pytest.warns(UserWarning, match="LONE"):
-            run_matrices(config)
+            run_stage(config, "matrices")
 
     def test_exclusion_changes_only_average(self, study, tmp_path):
         config = load_config(study)
         run_study(config)
         with_avg = (config.out_dir / "summary.csv").read_text().splitlines()
         config.exclude_from_average = ("SY",)
-        run_correlate(config)
+        run_stage(config, "correlate")
         without_avg = (config.out_dir / "summary.csv").read_text().splitlines()
         assert with_avg[1] == without_avg[1]  # per-expresser row unchanged
         assert any(line.startswith("Average") for line in with_avg)
@@ -195,6 +193,7 @@ class TestMainCli:
         assert tree_digest(tmp_path / "o1") == tree_digest(tmp_path / "o2")
 
     @pytest.mark.parametrize("stage,victim", [("matrices", "jets/img00.json"),
+                                              ("embed", "matrices/SY_gabor.json"),
                                               ("align", "embeddings/SY_gabor.json")])
     def test_truncated_intermediate_exits_one(self, tmp_path, capsys, stage, victim):
         config_path = make_synthetic_study(tmp_path, n_images=4)
@@ -203,7 +202,56 @@ class TestMainCli:
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         assert main(["--config", str(config_path), "--stage", stage]) == 1
-        assert "malformed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed" in err and str(path) in err
+
+    @pytest.mark.parametrize("stage,victim,content,message", [
+        ("matrices", "jets/img00.json", b"\xff\xfe{", "not UTF-8 text"),
+        ("align", "embeddings/SY_gabor.json", None, "run the embed stage"),
+    ])
+    def test_unreadable_intermediate_exits_one(self, tmp_path, capsys, stage,
+                                               victim, content, message):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path)]) == 0
+        path = tmp_path / "out" / victim
+        if content is None:
+            path.unlink()
+        else:
+            path.write_bytes(content)
+        assert main(["--config", str(config_path), "--stage", stage]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and message in err
+
+    @pytest.mark.parametrize("stage,victim,outputs", [
+        ("embed", "matrices/{}_semantic.json",
+         ["embeddings/{}_gabor.json", "embeddings/{}_semantic.json"]),
+        ("align", "embeddings/{}_semantic.json", ["align/{}.json"]),
+        ("plot", "embeddings/{}_semantic.json",
+         ["plots/{}_gabor.svg", "plots/{}_semantic.svg"]),
+    ])
+    def test_failing_expresser_is_isolated(self, tmp_path, capsys, stage, victim,
+                                           outputs):
+        # AA sorts first and fails on its second input, after its unit has
+        # written a fresh output; ZZ still runs, then the stage exits 1
+        config_path = make_synthetic_study(tmp_path, n_images=8)
+        doc = json.loads(config_path.read_text())
+        ids = sorted(doc["expressers"])
+        doc["expressers"] = {i: "AA" if n < 4 else "ZZ" for n, i in enumerate(ids)}
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        path = out / victim.format("AA")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        for name in outputs:
+            assert (out / name.format("AA")).exists()
+            (out / name.format("ZZ")).unlink()
+        with pytest.warns(UserWarning, match="expresser 'AA' failed"):
+            assert main(["--config", str(config_path), "--stage", stage]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed") and err.count("\n") == 1
+        assert all((out / name.format("ZZ")).exists() for name in outputs)
+        assert not any((out / name.format("AA")).exists() for name in outputs)
 
 
     def test_ragged_matrix_fails_embed_and_its_expresser(self, tmp_path, capsys):
@@ -370,10 +418,10 @@ class TestModelDissimilarityConversion:
     def test_embed_stage_accepts_similarity_matrix(self, study):
         config = load_config(study)
         run_encode(config)
-        run_matrices(config)
-        configs = run_embed(config)
-        assert ("SY", "gabor") in configs
-        assert configs[("SY", "gabor")].d == 2
+        run_stage(config, "matrices")
+        configs = run_stage(config, "embed")
+        assert "gabor" in configs["SY"]
+        assert configs["SY"]["gabor"].d == 2
 
 
 class TestArrayPathDrift:

@@ -303,7 +303,7 @@ class TestImageRaster:
         a = gf.ImageRaster(4, 3, flat)
         b = gf.ImageRaster(4, 3, flat.reshape(3, 4))
         assert np.array_equal(a.pixels, b.pixels)
-        assert np.array_equal(a.intensities, flat)
+        assert np.array_equal(a.pixels.ravel(), flat)
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):

@@ -333,3 +333,18 @@ class TestTieHandling:
         # pairs in squareform order: (a,b)=1, (a,c)=1, (b,c)=2; ties keep
         # their original relative order (stable sort)
         np.testing.assert_array_equal(order, [0, 1, 2])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stress_is_minimal_over_orders_within_tie_blocks(self, seed):
+        # 10 pairs in four tie blocks (3, 3, 2, 2 pairs): 144 block orders
+        rng = np.random.default_rng(seed)
+        off_diag = rng.permutation([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0])
+        ids = tuple("abcde")
+        config = gf.embed(gf.PairMatrix(ids, squareform(off_diag), "dissimilarity"), 2)
+        distances = pdist(config.coordinates)
+        blocks = [np.flatnonzero(off_diag == v) for v in np.unique(off_diag)]
+        best = min(
+            gf.stress1(distances, gf.isotonic_fit(distances, np.concatenate(orders)))
+            for orders in itertools.product(*(itertools.permutations(b)
+                                              for b in blocks)))
+        assert config.stress == pytest.approx(best, rel=1e-9, abs=1e-12)
