@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,19 @@ class StudyOptions:
     seed: int = 0
     permutations: int | None = None
     scan_dims: int | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValidationError(f"need a finite tolerance >= 0, got "
+                                  f"{self.tolerance!r}")
+        if self.max_iterations < 0:
+            raise ValidationError(
+                f"need max_iterations >= 0, got {self.max_iterations}")
+        if self.seed < 0:
+            raise ValidationError(f"need seed >= 0, got {self.seed}")
+        if self.permutations is not None and self.permutations < 1:
+            raise ValidationError(
+                f"need permutations >= 1, got {self.permutations}")
 
 
 @dataclass
@@ -123,9 +137,6 @@ class StudyConfig:
             permutations=integer("permutations"),
             scan_dims=integer("scan_dims"),
         )
-        if options.permutations is not None and options.permutations < 1:
-            raise ValidationError(
-                f"need permutations >= 1, got {options.permutations}")
         config = cls(
             image_dir=resolve("image_dir"),
             grid_dir=resolve("grid_dir"),
@@ -174,8 +185,9 @@ def _write_atomic(path, data):
     os.replace(tmp, path)
 
 
-def _json_bytes(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write_json(path, doc):
+    """The one layout of every JSON file under out/: one line, sorted keys."""
+    _write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +200,8 @@ def _encode_one(config, bank, image_id):
     if tuple(placement.source_size) != (image.width, image.height):
         placement = grid.rescale_placement(placement, (image.width, image.height))
     jets = gabor.compute_jets(image, bank, placement.points())
-    doc = gabor.jet_document(image_id, bank, placement, jets)
-    _write_atomic(config.out_dir / "jets" / f"{image_id}.json", _json_bytes(doc))
+    _write_json(config.out_dir / "jets" / f"{image_id}.json",
+                gabor.jet_document(image_id, bank, placement, jets))
 
 
 def run_encode(config):
@@ -311,7 +323,7 @@ def _matrices(config):
         }
         for name, matrix in matrices.items():
             stem = config.out_dir / "matrices" / f"{expresser}_{name}"
-            _write_atomic(stem.with_suffix(".json"), matrix.to_json() + "\n")
+            _write_json(stem.with_suffix(".json"), matrix.to_document())
             _write_atomic(stem.with_suffix(".csv"), matrix.to_csv())
         return matrices
     return unit
@@ -328,11 +340,10 @@ def _correlate(config):
         results = rank_stats.correlate_model_with_ratings(
             models, semantic, permutations=opts.permutations, seed=opts.seed)
         for measure, result in zip(MEASURES, results):
-            _write_atomic(
+            _write_json(
                 config.out_dir / "correlations" / f"{expresser}_{measure}.json",
-                result.to_json(expresser_id=expresser, measure=measure,
-                               seed=opts.seed) + "\n",
-            )
+                result.to_document(expresser_id=expresser, measure=measure,
+                                   seed=opts.seed))
         return tuple(results)
     return unit
 
@@ -391,8 +402,8 @@ def _embed(config):
             n = len(matrix.item_ids)
             configs[measure] = nmds.embed(matrix, min(opts.dims, n - 1), **fit)
             stem = f"{expresser}_{measure}"
-            _write_atomic(config.out_dir / "embeddings" / f"{stem}.json",
-                          configs[measure].to_json(options=fit) + "\n")
+            _write_json(config.out_dir / "embeddings" / f"{stem}.json",
+                        configs[measure].to_document(options=fit))
             if opts.scan_dims:
                 rows = nmds.scan_dimensions(matrix, min(opts.scan_dims, n - 1),
                                             **fit)
@@ -410,8 +421,8 @@ def _align(config):
         source, target = (_read(config, f"embeddings/{expresser}_{m}.json",
                                 nmds.Configuration.from_json) for m in EMBEDDED)
         aligned, residual = nmds.procrustes_align(source, target)
-        _write_atomic(config.out_dir / "align" / f"{expresser}.json",
-                      aligned.to_json(residual=residual, target="semantic") + "\n")
+        _write_json(config.out_dir / "align" / f"{expresser}.json",
+                    aligned.to_document(residual=residual, target="semantic"))
         return residual
     return unit
 
@@ -461,12 +472,13 @@ def _plot(config):
         for measure in EMBEDDED:
             configuration = _read(config, f"embeddings/{expresser}_{measure}.json",
                                   nmds.Configuration.from_json)
+            path = config.out_dir / "plots" / f"{expresser}_{measure}.svg"
             if configuration.d != 2:
                 warnings.warn(f"{expresser}/{measure}: d={configuration.d}, "
                               "skipping plot")
+                path.unlink(missing_ok=True)  # it would depict another embedding
                 continue
-            _write_atomic(config.out_dir / "plots" / f"{expresser}_{measure}.svg",
-                          render_scatter(configuration, config.labels))
+            _write_atomic(path, render_scatter(configuration, config.labels))
     return unit
 
 
@@ -496,10 +508,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, help="override the study seed")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="encode images on N threads; the jet kernel's matrix products "
-             "release the GIL, but its per-point loop and writing jet JSON do "
-             "not, so 2 threads encode about 1.1x faster on 2 cores; outputs "
-             "are byte-identical for any N")
+        help="encode images on N >= 1 threads; the jet kernel's matrix "
+             "products release the GIL, but its per-point loop does not, so 2 "
+             "threads encode about 1.1x faster on 2 cores; outputs are "
+             "byte-identical for any N")
     parser.add_argument("--exclude", default="",
                         help="comma-separated expressers excluded from averages")
     parser.add_argument("--no-fear", action="store_true",
@@ -512,9 +524,10 @@ def main(argv=None):
         if args.out:
             config.out_dir = Path(args.out).resolve()
         if args.seed is not None:
-            config.options.seed = args.seed
-        if args.threads:
-            config.threads = max(1, args.threads)
+            config.options = replace(config.options, seed=args.seed)
+        if args.threads < 1:
+            raise ValidationError(f"need --threads >= 1, got {args.threads}")
+        config.threads = args.threads
         if args.exclude:
             config.exclude_from_average = tuple(
                 e for e in args.exclude.split(",") if e

@@ -345,9 +345,9 @@ def jet_document(image_id, bank, placement, jets):
         "source_size": list(placement.source_size),
         "nose_tip": placement.nose_tip,
         "points": [
-            {"name": node.name, "x": node.x, "y": node.y,
-             "amplitudes": list(map(float, jet))}
-            for node, jet in zip(placement.nodes, jets)
+            {"name": node.name, "x": node.x, "y": node.y, "amplitudes": jet}
+            for node, jet in zip(placement.nodes,
+                                 np.asarray(jets, dtype=float).tolist())
         ],
     }
 

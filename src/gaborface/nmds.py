@@ -58,6 +58,9 @@ class Configuration:
                 f"coordinates shape {coords.shape} does not match "
                 f"{len(self.item_ids)} items"
             )
+        if not (np.all(np.isfinite(coords))
+                and np.isfinite(self.stress) and np.isfinite(self.rsq)):
+            raise ParameterError("coordinates, stress and rsq must be finite")
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
@@ -66,17 +69,11 @@ class Configuration:
     def d(self):
         return self.coordinates.shape[1]
 
-    def to_json(self, **extra):
-        doc = dict(extra)
-        doc.update(
-            item_ids=list(self.item_ids),
-            d=self.d,
-            coordinates=[list(row) for row in self.coordinates],
-            stress=self.stress,
-            rsq=self.rsq,
-            iterations=self.iterations,
-        )
-        return json.dumps(doc, indent=2, sort_keys=True)
+    def to_document(self, **extra):
+        """The JSON document that from_json reads back, plus `extra` keys."""
+        return {**extra, "item_ids": list(self.item_ids), "d": self.d,
+                "coordinates": self.coordinates.tolist(), "stress": self.stress,
+                "rsq": self.rsq, "iterations": self.iterations}
 
     @classmethod
     def from_json(cls, text):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -45,13 +44,10 @@ class CorrelationResult:
     p_two_sided: float
     method: str  # "t_approximation" or "permutation"
 
-    def to_json(self, **extra):
-        doc = dict(extra)
-        doc.update(
-            rho=self.rho, n_pairs=self.n, p_two_sided=self.p_two_sided,
-            method=self.method,
-        )
-        return json.dumps(doc, indent=2, sort_keys=True)
+    def to_document(self, **extra):
+        """The result as a JSON document, plus `extra` keys."""
+        return {**extra, "rho": self.rho, "n_pairs": self.n,
+                "p_two_sided": self.p_two_sided, "method": self.method}
 
 
 def average_ranks(values):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -97,7 +96,9 @@ class PairMatrix:
         n = len(self.item_ids)
         if vals.shape != (n, n):
             raise ParameterError(f"matrix shape {vals.shape} != ({n}, {n})")
-        if not np.allclose(vals, vals.T, rtol=0, atol=0):
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("pair matrix values must be finite")
+        if not np.array_equal(vals, vals.T):
             raise ParameterError("pair matrix must be exactly symmetric")
         diag = 1.0 if self.kind == "similarity" else 0.0
         if not np.all(np.diag(vals) == diag):
@@ -107,15 +108,10 @@ class PairMatrix:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "item_ids": list(self.item_ids),
-                "values": [list(row) for row in self.values],
-            },
-            indent=2,
-        )
+    def to_document(self):
+        """The JSON document that from_json reads back."""
+        return {"kind": self.kind, "item_ids": list(self.item_ids),
+                "values": self.values.tolist()}
 
     @classmethod
     def from_json(cls, text):
@@ -128,11 +124,10 @@ class PairMatrix:
             raise FormatError(f"malformed pair-matrix document: {exc}") from exc
 
     def to_csv(self):
-        out = io.StringIO()
-        out.write("," + ",".join(self.item_ids) + "\n")
-        for item_id, row in zip(self.item_ids, self.values):
-            out.write(item_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
-        return out.getvalue()
+        lines = ["," + ",".join(self.item_ids)]
+        lines += [item_id + "," + ",".join(map(repr, row))
+                  for item_id, row in zip(self.item_ids, self.values.tolist())]
+        return "\n".join(lines) + "\n"
 
 
 def pairwise_matrix(items, measure):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import shutil
 import subprocess
 import sys
 
@@ -28,6 +29,28 @@ def study(tmp_path_factory):
     return config_path
 
 
+@pytest.fixture(scope="module")
+def matrices_study(tmp_path_factory):
+    """A synthetic study whose matrices are written, ready to correlate."""
+    config_path = make_synthetic_study(tmp_path_factory.mktemp("matrices"),
+                                       n_images=4)
+    for stage in ("encode", "matrices"):
+        assert main(["--config", str(config_path), "--stage", stage]) == 0
+    return config_path
+
+
+@pytest.fixture(scope="module")
+def scanned_study(tmp_path_factory):
+    """The out/ directory of a full synthetic study with dimension scans."""
+    config_path = make_synthetic_study(tmp_path_factory.mktemp("scanned"),
+                                       n_images=6)
+    doc = json.loads(config_path.read_text())
+    doc["options"]["scan_dims"] = 2
+    config_path.write_text(json.dumps(doc))
+    assert main(["--config", str(config_path)]) == 0
+    return config_path.parent / "out"
+
+
 def load_config(config_path):
     return StudyConfig.from_file(config_path)
 
@@ -39,6 +62,23 @@ def tree_digest(root):
             digests[str(path.relative_to(root))] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
     return digests
+
+
+def edit_json(change):
+    """A file edit: parse the JSON, apply change(doc) in place, write it back."""
+    def edit(data):
+        doc = json.loads(data)
+        change(doc)
+        return json.dumps(doc).encode()
+    return edit
+
+
+def infinite_pair(matrix_doc):
+    matrix_doc["values"][0][1] = matrix_doc["values"][1][0] = math.inf
+
+
+def nan_coordinate(configuration_doc):
+    configuration_doc["coordinates"][0][0] = math.nan
 
 
 class TestEncode:
@@ -208,6 +248,12 @@ class TestMainCli:
     @pytest.mark.parametrize("stage,victim,content,message", [
         ("matrices", "jets/img00.json", b"\xff\xfe{", "not UTF-8 text"),
         ("align", "embeddings/SY_gabor.json", None, "run the embed stage"),
+        ("embed", "matrices/SY_semantic.json", edit_json(infinite_pair),
+         "must be finite"),
+        ("align", "embeddings/SY_gabor.json", edit_json(nan_coordinate),
+         "must be finite"),
+        ("plot", "embeddings/SY_gabor.json", edit_json(nan_coordinate),
+         "must be finite"),
     ])
     def test_unreadable_intermediate_exits_one(self, tmp_path, capsys, stage,
                                                victim, content, message):
@@ -216,6 +262,8 @@ class TestMainCli:
         path = tmp_path / "out" / victim
         if content is None:
             path.unlink()
+        elif callable(content):
+            path.write_bytes(content(path.read_bytes()))
         else:
             path.write_bytes(content)
         assert main(["--config", str(config_path), "--stage", stage]) == 1
@@ -335,6 +383,42 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith("error: study config") and err.count("\n") == 1
 
+    def test_plot_removes_the_plot_of_a_replaced_2d_embedding(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=5)
+        assert main(["--config", str(config_path)]) == 0
+        plots = tmp_path / "out" / "plots"
+        assert sorted(p.name for p in plots.glob("SY_*.svg")) == [
+            "SY_gabor.svg", "SY_semantic.svg"]
+        doc = json.loads(config_path.read_text())
+        doc["options"]["dims"] = 3
+        config_path.write_text(json.dumps(doc))
+        for stage in ("embed", "align"):
+            assert main(["--config", str(config_path), "--stage", stage]) == 0
+        with pytest.warns(UserWarning, match="skipping plot"):
+            assert main(["--config", str(config_path), "--stage", "plot"]) == 0
+        assert not list(plots.glob("SY_*.svg"))
+
+    @pytest.mark.parametrize("options,flags", [
+        ({"seed": -1, "permutations": 20}, []),
+        ({"permutations": 20}, ["--seed", "-5"]),
+        ({}, ["--threads", "0"]),
+        ({}, ["--threads", "-2"]),
+        ({"tolerance": math.nan}, []),
+        ({"tolerance": math.inf}, []),
+        ({"tolerance": -1e-6}, []),
+        ({"max_iterations": -1}, []),
+    ], ids=["seed", "seed-flag", "threads-0", "threads-negative", "tolerance-nan",
+            "tolerance-inf", "tolerance-negative", "max-iterations"])
+    def test_bad_option_exits_one(self, matrices_study, capsys, options, flags):
+        doc = json.loads(matrices_study.read_text())
+        doc["options"].update(options)
+        config_path = matrices_study.with_name("bad_options.json")
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path), "--stage", "correlate",
+                     *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_permutation_test_shares_one_stream_per_expresser(self, tmp_path,
                                                               monkeypatch):
         config_path = make_synthetic_study(tmp_path, n_images=6)
@@ -372,6 +456,48 @@ class TestMainCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestOutputLayout:
+    """Every JSON file under out/ has one layout, and the later stages read
+    the indented layout of earlier runs to the same results."""
+
+    def test_json_files_are_one_sorted_line(self, scanned_study):
+        files = sorted(scanned_study.rglob("*.json"))
+        assert {p.parent.name for p in files} == {
+            "jets", "matrices", "correlations", "embeddings", "align"}
+        for path in files:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      separators=(",", ":")) + "\n", path
+
+    def test_stages_read_indented_files(self, scanned_study, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(scanned_study, out)
+        for path in out.rglob("*"):
+            if path.suffix != ".json" and path.is_file():
+                path.unlink()
+        config_path = scanned_study.parent / "study.json"
+        for stage in ("matrices", "correlate", "embed", "align", "plot"):
+            for path in out.rglob("*.json"):
+                path.write_text(json.dumps(json.loads(path.read_text()),
+                                           indent=2) + "\n")
+            assert main(["--config", str(config_path), "--stage", stage,
+                         "--out", str(out)]) == 0
+
+        def files(root):
+            return {str(p.relative_to(root)): p for p in root.rglob("*")
+                    if p.is_file()}
+
+        got, want = files(out), files(scanned_study)
+        assert sorted(got) == sorted(want)
+        assert any(name.endswith("_scan.csv") for name in want)
+        for name, path in got.items():
+            if path.suffix == ".json":
+                assert (json.loads(path.read_text())
+                        == json.loads(want[name].read_text())), name
+            else:
+                assert path.read_bytes() == want[name].read_bytes(), name
 
 
 class TestBatchedEncodeDrift:

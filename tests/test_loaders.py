@@ -78,9 +78,9 @@ PLACEMENT = default_template_placement(
 BANK = gf.build_filter_bank([1.0], [0.0], 1.0)
 JET_DOC = gf.gabor.jet_document("img", BANK, PLACEMENT,
                                 np.ones((NODE_COUNT, len(BANK))))
-MATRIX_DOC = json.loads(gf.PairMatrix(
+MATRIX_DOC = gf.PairMatrix(
     ("a", "b", "c"), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
-    "dissimilarity").to_json())
+    "dissimilarity").to_document()
 STUDY_DOC = {
     "image_dir": "images", "grid_dir": "grids", "ratings": "ratings.csv",
     "out_dir": "out", "expressers": {"img0": "KA", "img1": "KA"},
@@ -90,9 +90,9 @@ STUDY_DOC = {
                 "permutations": 100, "scan_dims": None},
     "exclude_from_average": ["KA"],
 }
-CONFIG_DOC = json.loads(gf.Configuration(
+CONFIG_DOC = gf.Configuration(
     ("a", "b", "c"), np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]), 0.1, 0.9,
-    4).to_json())
+    4).to_document()
 
 
 def test_valid_documents_load():
@@ -101,6 +101,10 @@ def test_valid_documents_load():
     assert gf.PairMatrix.from_json(json.dumps(MATRIX_DOC)).item_ids == ("a", "b", "c")
     assert gf.Configuration.from_json(json.dumps(CONFIG_DOC)).iterations == 4
     assert load_study_config(json.dumps(STUDY_DOC)).options.permutations == 100
+    # nMDS may run to max_iterations with no tolerance, or not iterate at all
+    limits = {"tolerance": 0, "max_iterations": 0}
+    options = load_study_config(json.dumps({**STUDY_DOC, "options": limits})).options
+    assert (options.tolerance, options.max_iterations) == (0, 0)
 
 
 def load_study_config(text):

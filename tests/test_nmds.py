@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -224,19 +225,23 @@ class TestEmbed:
     def test_json_round_trip(self):
         m, _ = planted_matrix(np.random.default_rng(13), 6, 2)
         config = gf.embed(m, 2)
-        back = gf.Configuration.from_json(config.to_json())
+        back = gf.Configuration.from_json(json.dumps(config.to_document()))
         assert back.item_ids == config.item_ids
         np.testing.assert_array_equal(back.coordinates, config.coordinates)
         assert back.stress == config.stress
 
     def test_malformed_json_is_format_error(self):
         m, _ = planted_matrix(np.random.default_rng(13), 4, 2)
-        text = gf.embed(m, 2).to_json()
+        text = json.dumps(gf.embed(m, 2).to_document())
         bad = [text[:end] for end in range(0, len(text), 7)]
         bad += ['[]', '{"item_ids": ["a"], "coordinates": [[1.0, 2.0], [3.0, 4.0]], '
                 '"stress": 0, "rsq": 1, "iterations": 0}',
                 '{"item_ids": ["a"], "coordinates": [["x", 2.0]], '
-                '"stress": 0, "rsq": 1, "iterations": 0}']
+                '"stress": 0, "rsq": 1, "iterations": 0}',
+                '{"item_ids": ["a"], "coordinates": [[NaN, 2.0]], '
+                '"stress": 0, "rsq": 1, "iterations": 0}',
+                '{"item_ids": ["a"], "coordinates": [[1.0, 2.0]], '
+                '"stress": Infinity, "rsq": 1, "iterations": 0}']
         for doc in bad:
             with pytest.raises(FormatError):
                 gf.Configuration.from_json(doc)

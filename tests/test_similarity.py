@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -233,20 +234,21 @@ class TestPairMatrixSerialization:
         vals = (vals + vals.T) / 2
         np.fill_diagonal(vals, 0.0)
         m = gf.PairMatrix(("a", "b", "c"), vals, "dissimilarity")
-        back = gf.PairMatrix.from_json(m.to_json())
+        back = gf.PairMatrix.from_json(json.dumps(m.to_document()))
         assert back.item_ids == m.item_ids
         assert back.kind == m.kind
         np.testing.assert_array_equal(back.values, m.values)
 
     def test_csv_has_header_row_and_column(self):
-        m = gf.PairMatrix(("a", "b"), np.array([[0.0, 2.0], [2.0, 0.0]]),
+        m = gf.PairMatrix(("a", "b"), np.array([[0.0, 0.1 + 0.2], [0.1 + 0.2, 0.0]]),
                           "dissimilarity")
-        lines = m.to_csv().splitlines()
-        assert lines[0] == ",a,b"
-        assert lines[1].startswith("a,")
+        assert m.to_csv() == (",a,b\na,0.0,0.30000000000000004\n"
+                              "b,0.30000000000000004,0.0\n")
 
     @pytest.mark.parametrize("values", [[[0.0, 1.0], [1.0]], [[0.0, "x"], ["x", 0.0]],
-                                        "", [None, [1.0, 0.0]]])
+                                        "", [None, [1.0, 0.0]],
+                                        [[0.0, math.inf], [math.inf, 0.0]],
+                                        [[0.0, math.nan], [math.nan, 0.0]]])
     def test_from_json_ill_formed_values(self, values):
         text = json.dumps({"kind": "dissimilarity", "item_ids": ["a", "b"],
                            "values": values})
