@@ -41,9 +41,8 @@ from .rank_stats import (
     significance,
     spearman_rho,
 )
-from .ratings import RatingVector, load_ratings
+from .ratings import RatingTable, load_ratings, semantic_matrix
 from .similarity import (
-    CodedImage,
     PairMatrix,
     gabor_image_similarity,
     jet_similarity,

@@ -19,6 +19,7 @@ a `failed` summary row, and every other stage raises its first failure.
 from __future__ import annotations
 
 import argparse
+import html
 import json
 import math
 import os
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import gabor, grid, nmds, rank_stats, ratings
 from .errors import FormatError, RuntimeFailure, ValidationError
-from .similarity import CodedImage, PairMatrix, pairwise_matrix
+from .similarity import PairMatrix, pairwise_matrix
 
 FEAR_LABEL = "FE"
 FEAR_ADJECTIVE = "fear"
@@ -51,6 +52,8 @@ class StudyOptions:
     scan_dims: int | None = None
 
     def __post_init__(self):
+        if self.dims < 1:
+            raise ValidationError(f"need dims >= 1, got {self.dims}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValidationError(f"need a finite tolerance >= 0, got "
                                   f"{self.tolerance!r}")
@@ -62,6 +65,8 @@ class StudyOptions:
         if self.permutations is not None and self.permutations < 1:
             raise ValidationError(
                 f"need permutations >= 1, got {self.permutations}")
+        if self.scan_dims is not None and self.scan_dims < 1:
+            raise ValidationError(f"need scan_dims >= 1, got {self.scan_dims}")
 
 
 @dataclass
@@ -112,7 +117,7 @@ class StudyConfig:
             if value is None and default is None:
                 return None  # an optional option left unset
             try:
-                if int(value) == value:
+                if int(value) == value and not isinstance(value, bool):
                     return int(value)
             except (TypeError, ValueError, OverflowError):
                 pass
@@ -129,9 +134,13 @@ class StudyConfig:
         if not (isinstance(exclude, list) and all(isinstance(e, str) for e in exclude)):
             raise ValidationError("'exclude_from_average' must be a list of "
                                   "expresser ids")
+        tolerance = opts.get("tolerance", nmds.DEFAULT_TOLERANCE)
+        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+            raise ValidationError(f"options.tolerance must be a number, got "
+                                  f"{tolerance!r}")
         options = StudyOptions(
             dims=integer("dims", 2),
-            tolerance=float(opts.get("tolerance", nmds.DEFAULT_TOLERANCE)),
+            tolerance=float(tolerance),
             max_iterations=integer("max_iterations", nmds.DEFAULT_MAX_ITERATIONS),
             seed=integer("seed", 0),
             permutations=integer("permutations"),
@@ -199,7 +208,7 @@ def _encode_one(config, bank, image_id):
     placement = grid.load_grid((config.grid_dir / f"{image_id}.json").read_text())
     if tuple(placement.source_size) != (image.width, image.height):
         placement = grid.rescale_placement(placement, (image.width, image.height))
-    jets = gabor.compute_jets(image, bank, placement.points())
+    jets = gabor.compute_jets(image, bank, placement.points)
     _write_json(config.out_dir / "jets" / f"{image_id}.json",
                 gabor.jet_document(image_id, bank, placement, jets))
 
@@ -294,32 +303,30 @@ def _matrices(config):
     bank = config.bank()
     if not config.ratings_path.exists():
         raise ValidationError(f"missing ratings table {config.ratings_path}")
-    vectors = ratings.load_ratings(config.ratings_path.read_text())
-    if config.no_fear and vectors and FEAR_ADJECTIVE in vectors[0].adjectives:
-        keep = [a != FEAR_ADJECTIVE for a in vectors[0].adjectives]
-        adjectives = tuple(a for a in vectors[0].adjectives if a != FEAR_ADJECTIVE)
-        vectors = [ratings.RatingVector(v.image_id, adjectives, v.values[keep])
-                   for v in vectors]
-    rating_map = {v.image_id: v for v in vectors}
+    table = ratings.load_ratings(config.ratings_path.read_text())
+    if config.no_fear and FEAR_ADJECTIVE in table.adjectives:
+        fear = table.adjectives.index(FEAR_ADJECTIVE)
+        table = table._replace(
+            adjectives=table.adjectives[:fear] + table.adjectives[fear + 1:],
+            values=np.delete(table.values, fear, axis=1))
 
     def coded_image(text):
         placement, loaded_bank, jets = gabor.parse_jet_document(text)
         if loaded_bank.fingerprint() != bank.fingerprint():
             raise ValidationError("coded with a different filter bank")
-        return CodedImage(placement.image_id, jets, bank.fingerprint()), placement
+        return placement, jets
 
     def unit(expresser, ids):
-        missing = [i for i in ids if i not in rating_map]
-        if missing:
-            raise ValidationError(f"expresser {expresser!r}: no ratings for {missing}")
-        coded, placements = zip(*(_read(config, f"jets/{i}.json", coded_image)
-                                  for i in ids))
-        shapes = [(image_id, grid.geometry_vector(placement))
-                  for image_id, placement in zip(ids, placements)]
+        semantic = ratings.semantic_matrix(table, ids)
+        placements, jets = zip(*(_read(config, f"jets/{i}.json", coded_image)
+                                 for i in ids))
         matrices = {
-            "gabor": pairwise_matrix(coded, "gabor"),
-            "geometry": pairwise_matrix(shapes, "geometry"),
-            "semantic": ratings.semantic_matrix([rating_map[i] for i in ids]),
+            "gabor": pairwise_matrix(
+                [(p.image_id, j) for p, j in zip(placements, jets)], "gabor"),
+            "geometry": pairwise_matrix(
+                [(i, grid.geometry_vector(p)) for i, p in zip(ids, placements)],
+                "geometry"),
+            "semantic": semantic,
         }
         for name, matrix in matrices.items():
             stem = config.out_dir / "matrices" / f"{expresser}_{name}"
@@ -456,7 +463,7 @@ def render_scatter(configuration, labels=None):
     ]
     for item_id, (x, y) in zip(configuration.item_ids, coords):
         px, py = to_px(x, y)
-        label = labels.get(item_id, item_id)
+        label = html.escape(str(labels.get(item_id, item_id)), quote=False)
         parts.append(f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="4" fill="#1f77b4"/>')
         parts.append(
             f'<text x="{fmt(px + 6)}" y="{fmt(py - 6)}" font-family="sans-serif" '

@@ -29,10 +29,6 @@ class DegenerateJetError(RuntimeFailure):
     """A jet is all-zero, so its normalized dot product is undefined."""
 
 
-class IncompatibleCodingError(ValidationError):
-    """Two coded images were produced with different filter banks."""
-
-
 class DimensionError(ValidationError):
     """Vector or matrix dimensions do not agree."""
 

@@ -345,9 +345,9 @@ def jet_document(image_id, bank, placement, jets):
         "source_size": list(placement.source_size),
         "nose_tip": placement.nose_tip,
         "points": [
-            {"name": node.name, "x": node.x, "y": node.y, "amplitudes": jet}
-            for node, jet in zip(placement.nodes,
-                                 np.asarray(jets, dtype=float).tolist())
+            {"name": name, "x": x, "y": y, "amplitudes": jet}
+            for name, (x, y), jet in zip(placement.names, placement.points.tolist(),
+                                         np.asarray(jets, dtype=float).tolist())
         ],
     }
 
@@ -377,9 +377,9 @@ def parse_jet_document(doc):
         # json.JSONDecodeError, float() of a non-number, ragged amplitude
         # lists and the bank checks (ParameterError) are all ValueErrors
         raise FormatError(f"malformed jet document: {exc}") from exc
-    if jets.shape != (len(placement.nodes), len(bank)):
+    if jets.shape != (len(placement.names), len(bank)):
         raise FormatError(f"malformed jet document: amplitudes of shape "
-                          f"{jets.shape}, expected {len(placement.nodes)} "
+                          f"{jets.shape}, expected {len(placement.names)} "
                           f"points x {len(bank)} filters")
     if not np.all(np.isfinite(jets)) or np.any(jets < 0):
         raise FormatError("malformed jet document: jet amplitudes must be "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,27 +17,20 @@ STANDARD_SIZE = (256, 256)
 
 
 @dataclass(frozen=True)
-class GridNode:
-    name: str
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class GridPlacement:
-    """The 34 labelled fiducial points on one image."""
+    """The 34 labelled fiducial points on one image: `names` in node order
+    and their (x, y) coordinates as the read-only (34, 2) array `points`."""
 
     image_id: str
-    nodes: tuple
+    names: tuple
+    points: np.ndarray
     nose_tip: str
     source_size: tuple
 
     def __post_init__(self):
-        if len(self.nodes) != NODE_COUNT:
-            raise FormatError(
-                f"expected {NODE_COUNT} nodes, found {len(self.nodes)}"
-            )
-        names = [n.name for n in self.nodes]
+        names = tuple(self.names)
+        if len(names) != NODE_COUNT:
+            raise FormatError(f"expected {NODE_COUNT} nodes, found {len(names)}")
         if not all(isinstance(name, str) for name in [self.image_id, *names]):
             raise FormatError("image_id and node names must be strings")
         if len(set(names)) != NODE_COUNT:
@@ -53,20 +46,21 @@ class GridPlacement:
         if not valid:
             raise FormatError(f"source_size must be a finite width and height "
                               f">= 1, got {self.source_size!r}")
-        for n in self.nodes:
-            if not (math.isfinite(n.x) and math.isfinite(n.y)):
-                raise FormatError(f"node {n.name!r} has non-finite coordinates")
-            if not (0 <= n.x < w and 0 <= n.y < h):
-                raise FormatError(
-                    f"node {n.name!r} at ({n.x}, {n.y}) outside {w}x{h} image"
-                )
-
-    def node_names(self):
-        return tuple(n.name for n in self.nodes)
-
-    def points(self):
-        """(x, y) coordinates in node order, as an (34, 2) array."""
-        return np.array([(n.x, n.y) for n in self.nodes])
+        points = np.array(self.points, dtype=float)
+        if points.shape != (NODE_COUNT, 2):
+            raise FormatError(f"points must be a ({NODE_COUNT}, 2) array, got "
+                              f"shape {points.shape}")
+        x, y = points.T
+        outside = ~((0 <= x) & (x < w) & (0 <= y) & (y < h))  # NaN is outside
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            if not np.all(np.isfinite(points[i])):
+                raise FormatError(f"node {names[i]!r} has non-finite coordinates")
+            raise FormatError(f"node {names[i]!r} at ({x[i]}, {y[i]}) outside "
+                              f"{w}x{h} image")
+        points.setflags(write=False)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "points", points)
 
 
 def load_grid(document):
@@ -85,13 +79,14 @@ def load_grid(document):
         raise FormatError(f"grid document missing field: {exc}") from exc
     if not isinstance(raw_nodes, list):
         raise FormatError(f"grid nodes must be a list, got {type(raw_nodes).__name__}")
-    nodes = []
+    names, points = [], []
     for entry in raw_nodes:
         try:
-            nodes.append(GridNode(entry["name"], float(entry["x"]), float(entry["y"])))
+            names.append(entry["name"])
+            points.append((float(entry["x"]), float(entry["y"])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed grid node {entry!r}: {exc}") from exc
-    return GridPlacement(image_id, tuple(nodes), nose_tip, source_size)
+    return GridPlacement(image_id, names, points, nose_tip, source_size)
 
 
 def grid_document(placement):
@@ -100,7 +95,8 @@ def grid_document(placement):
         "image_id": placement.image_id,
         "source_size": list(placement.source_size),
         "nose_tip": placement.nose_tip,
-        "nodes": [{"name": n.name, "x": n.x, "y": n.y} for n in placement.nodes],
+        "nodes": [{"name": name, "x": x, "y": y}
+                  for name, (x, y) in zip(placement.names, placement.points.tolist())],
     }
 
 
@@ -110,24 +106,19 @@ def rescale_placement(placement, target):
     if tw < 1 or th < 1:
         raise ParameterError(f"target size must be >= 1x1, got {target}")
     sw, sh = placement.source_size
-    fx, fy = tw / sw, th / sh
-    nodes = tuple(GridNode(n.name, n.x * fx, n.y * fy) for n in placement.nodes)
-    return GridPlacement(placement.image_id, nodes, placement.nose_tip, (tw, th))
+    return replace(placement, points=placement.points * (tw / sw, th / sh),
+                   source_size=(tw, th))
 
 
 def geometry_vector(placement):
     """Euclidean distance of every non-nose node to the nose tip, in node
     order: a (NODE_COUNT - 1,) array."""
-    points = placement.points()
-    nose = placement.node_names().index(placement.nose_tip)
+    points = placement.points
+    nose = placement.names.index(placement.nose_tip)
     offsets = np.delete(points, nose, axis=0) - points[nose]
     return np.hypot(offsets[:, 0], offsets[:, 1])
 
 
 def default_template_placement(image_id, coordinates, source_size=STANDARD_SIZE):
     """Build a placement from bare coordinates using the default name template."""
-    nodes = tuple(
-        GridNode(name, float(x), float(y))
-        for name, (x, y) in zip(NODE_NAMES, coordinates)
-    )
-    return GridPlacement(image_id, nodes, NOSE_TIP, source_size)
+    return GridPlacement(image_id, NODE_NAMES, coordinates, NOSE_TIP, source_size)

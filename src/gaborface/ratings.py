@@ -1,50 +1,32 @@
-"""Averaged semantic rating vectors and their Euclidean dissimilarity."""
+"""The table of averaged semantic ratings and its Euclidean dissimilarity."""
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import FormatError, ValidationError
 from .similarity import distance_matrix
 
 RATING_MIN = 1.0
 RATING_MAX = 5.0
 
 
-@dataclass(frozen=True)
-class RatingVector:
-    """Per-adjective mean ratings for one image, five-point scale."""
+class RatingTable(NamedTuple):
+    """Per-adjective mean ratings on the five-point scale: row i of the
+    (images, adjectives) array `values` rates image `image_ids[i]`."""
 
-    image_id: str
+    image_ids: tuple
     adjectives: tuple
     values: np.ndarray
 
-    def __post_init__(self):
-        if len(self.adjectives) not in (5, 6):
-            raise ParameterError(
-                f"expected 5 or 6 adjectives, got {len(self.adjectives)}"
-            )
-        vals = np.asarray(self.values, dtype=float)
-        if vals.size != len(self.adjectives):
-            raise ParameterError("values length must match adjective count")
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("rating values must be finite")
-        if np.any(vals < RATING_MIN) or np.any(vals > RATING_MAX):
-            raise ParameterError(
-                f"rating values must lie in [{RATING_MIN}, {RATING_MAX}]"
-            )
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "adjectives", tuple(self.adjectives))
-
 
 def load_ratings(table):
-    """Parse a ratings CSV (header: image_id plus 5 or 6 adjective columns)."""
+    """Parse a ratings CSV (header: image_id plus 5 or 6 adjective columns)
+    into a RatingTable."""
     if hasattr(table, "read"):
         table = table.read()
     try:
@@ -61,7 +43,7 @@ def load_ratings(table):
         raise FormatError(
             f"expected 5 or 6 adjective columns, found {len(adjectives)}"
         )
-    vectors = []
+    image_ids, rated = [], []
     seen = set()
     for row_no, row in enumerate(rows[1:], start=2):
         if not row:
@@ -87,29 +69,24 @@ def load_ratings(table):
                     f"[{RATING_MIN}, {RATING_MAX}]"
                 )
             values.append(value)
-        vectors.append(RatingVector(row[0], adjectives, np.array(values)))
-    return vectors
+        image_ids.append(row[0])
+        rated.append(values)
+    values = np.array(rated, dtype=float).reshape(-1, len(adjectives))
+    return RatingTable(tuple(image_ids), adjectives, values)
 
 
-def dump_ratings(vectors):
-    """Serialize rating vectors back to CSV; floats round-trip exactly."""
-    if not vectors:
-        raise ParameterError("nothing to serialize")
-    adjectives = vectors[0].adjectives
-    lines = ["image_id," + ",".join(adjectives)]
-    for vec in vectors:
-        if vec.adjectives != adjectives:
-            raise ParameterError(
-                f"adjective mismatch for {vec.image_id!r}: "
-                f"{vec.adjectives} vs {adjectives}"
-            )
-        lines.append(vec.image_id + "," + ",".join(repr(float(v)) for v in vec.values))
+def dump_ratings(table):
+    """Serialize a RatingTable back to CSV; floats round-trip exactly."""
+    lines = ["image_id," + ",".join(table.adjectives)]
+    lines += [image_id + "," + ",".join(map(repr, row))
+              for image_id, row in zip(table.image_ids, table.values.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def semantic_matrix(vectors):
-    """Pairwise Euclidean dissimilarity matrix of a list of rating vectors."""
-    adjective_lists = {v.adjectives for v in vectors}
-    if len(adjective_lists) > 1:
-        raise DimensionError(f"adjective lists differ: {sorted(adjective_lists)}")
-    return distance_matrix([v.image_id for v in vectors], [v.values for v in vectors])
+def semantic_matrix(table, ids):
+    """Pairwise Euclidean dissimilarity matrix of the rating rows of `ids`."""
+    rows = {image_id: i for i, image_id in enumerate(table.image_ids)}
+    missing = [i for i in ids if i not in rows]
+    if missing:
+        raise ValidationError(f"no ratings for {missing}")
+    return distance_matrix(ids, table.values[[rows[i] for i in ids]])

@@ -9,37 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import (
-    DegenerateJetError,
-    DimensionError,
-    FormatError,
-    IncompatibleCodingError,
-    ParameterError,
-)
+from .errors import DegenerateJetError, DimensionError, FormatError, ParameterError
 from .grid import NODE_COUNT
-
-
-@dataclass(frozen=True)
-class CodedImage:
-    """The (34, filters) jet array of one image plus the fingerprint of the
-    bank used."""
-
-    image_id: str
-    jets: np.ndarray
-    bank_fingerprint: str
-
-    def __post_init__(self):
-        try:
-            jets = np.ascontiguousarray(np.asarray(self.jets, dtype=float))
-        except ValueError as exc:
-            raise ParameterError(f"inconsistent jet dimensions: {exc}") from exc
-        if jets.ndim != 2 or jets.shape[0] != NODE_COUNT:
-            raise ParameterError(
-                f"coded image needs {NODE_COUNT} jets, got an array of shape "
-                f"{jets.shape}"
-            )
-        jets.setflags(write=False)
-        object.__setattr__(self, "jets", jets)
 
 
 def jet_similarity(a, b):
@@ -59,26 +30,34 @@ def jet_similarity(a, b):
 
 
 def gabor_image_similarity(a, b):
-    """Mean jet similarity over corresponding grid nodes, one pair at a
-    time (the reference for pairwise_matrix).
+    """Mean jet similarity over corresponding grid nodes of two
+    (34, filters) jet arrays, one pair at a time (the reference for
+    pairwise_matrix).
 
     A node pair involving an all-zero jet contributes 0 and emits a
     warning instead of failing the whole comparison.
     """
-    if a.bank_fingerprint != b.bank_fingerprint:
-        raise IncompatibleCodingError(
-            f"images {a.image_id!r} and {b.image_id!r} coded with different banks"
-        )
+    a, b = _jet_stack([a, b])
     total = 0.0
-    for i, (ja, jb) in enumerate(zip(a.jets, b.jets)):
+    for i, (ja, jb) in enumerate(zip(a, b)):
         try:
             total += jet_similarity(ja, jb)
         except DegenerateJetError:
-            warnings.warn(
-                f"zero jet at node {i} comparing {a.image_id!r} vs {b.image_id!r}; "
-                "counting similarity 0 for that node"
-            )
+            warnings.warn(f"zero jet at node {i}; counting similarity 0 for "
+                          "that node")
     return total / NODE_COUNT
+
+
+def _jet_stack(arrays):
+    """The (items, 34, filters) stack of equal-shape jet arrays."""
+    try:
+        jets = np.array(arrays, dtype=float)
+    except ValueError as exc:
+        raise ParameterError(f"inconsistent jet dimensions: {exc}") from exc
+    if jets.ndim != 3 or jets.shape[1] != NODE_COUNT:
+        raise ParameterError(f"need {NODE_COUNT} jets per image, got arrays "
+                             f"of shape {jets.shape[1:]}")
+    return jets
 
 
 @dataclass(frozen=True)
@@ -131,18 +110,19 @@ class PairMatrix:
 
 
 def pairwise_matrix(items, measure):
-    """Fill the full symmetric matrix for a list of items.
+    """Fill the full symmetric matrix for a list of (item_id, array) pairs.
 
-    measure "gabor" takes CodedImage items and yields the similarity matrix
-    of gabor_image_similarity; measure "geometry" takes (item_id, vector)
-    pairs, such as geometry_vector results, and yields their Euclidean
-    dissimilarity matrix.
+    measure "gabor" takes (34, filters) jet arrays and yields the similarity
+    matrix of gabor_image_similarity; measure "geometry" takes vectors, such
+    as geometry_vector results, and yields their Euclidean dissimilarity
+    matrix.
     """
+    ids = [item_id for item_id, _ in items]
+    arrays = [array for _, array in items]
     if measure == "gabor":
-        return _gabor_matrix(items)
+        return _gabor_matrix(ids, arrays)
     if measure == "geometry":
-        ids = [item_id for item_id, _ in items]
-        return distance_matrix(ids, [vector for _, vector in items])
+        return distance_matrix(ids, arrays)
     raise ParameterError(f"unknown measure {measure!r}")
 
 
@@ -163,16 +143,10 @@ def distance_matrix(item_ids, rows):
                       "dissimilarity")
 
 
-def _gabor_matrix(coded):
-    ids = tuple(c.image_id for c in coded)
+def _gabor_matrix(item_ids, arrays):
+    ids = tuple(item_ids)
     _check_item_ids(ids)
-    for other in coded[1:]:
-        if other.bank_fingerprint != coded[0].bank_fingerprint:
-            raise IncompatibleCodingError(
-                f"images {ids[0]!r} and {other.image_id!r} coded with "
-                "different banks"
-            )
-    jets = np.stack([c.jets for c in coded])
+    jets = _jet_stack(arrays)
     norms = np.linalg.norm(jets, axis=2)
     for i, node in zip(*np.nonzero(norms == 0.0)):
         warnings.warn(f"zero jet at node {node} of image {ids[i]!r}; counting "

@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -203,6 +204,14 @@ class TestRenderScatter:
         with pytest.raises(ValidationError):
             render_scatter(config)
 
+    def test_markup_in_labels_and_ids_is_escaped(self):
+        pts = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -1.0]])
+        config = gf.Configuration(("a", "b", "<c>"), pts, 0.0, 1.0, 3)
+        svg = render_scatter(config, {"a": "NE<1>", "b": "H&S"})
+        root = ElementTree.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["NE<1>", "H&S", "<c>"]
+
 
 class TestMainCli:
     def test_study_stage_exit_zero(self, tmp_path):
@@ -342,6 +351,18 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert "img01.json" in err and "re-run the encode stage" in err
 
+    def test_jet_file_of_another_bank_exits_one(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 0
+        path = tmp_path / "out" / "jets" / "img02.json"
+        doc = json.loads(path.read_text())
+        doc["bank"]["sigma"] += 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="expresser 'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: coded with a different filter bank\n")
+
     def test_no_fear_semantic_matrix_ignores_fear_column(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=5)
         ratings_path = tmp_path / "ratings.csv"
@@ -372,6 +393,11 @@ class TestMainCli:
         {"options": 3},
         {"expressers": ["img00", "img01"]},
         {"bank": {"wavenumbers": ["k"]}},
+        {"options": {"tolerance": "1e-3"}},
+        {"options": {"tolerance": True}},
+        {"options": {"max_iterations": True}},
+        {"options": {"permutations": True}},
+        {"options": {"scan_dims": False}},
     ])
     def test_ill_typed_config_exits_one(self, tmp_path, capsys, change):
         doc = {"image_dir": "images", "grid_dir": "grids",
@@ -407,8 +433,12 @@ class TestMainCli:
         ({"tolerance": math.inf}, []),
         ({"tolerance": -1e-6}, []),
         ({"max_iterations": -1}, []),
+        ({"scan_dims": -2}, []),
+        ({"scan_dims": 0}, []),
+        ({"dims": 0}, []),
     ], ids=["seed", "seed-flag", "threads-0", "threads-negative", "tolerance-nan",
-            "tolerance-inf", "tolerance-negative", "max-iterations"])
+            "tolerance-inf", "tolerance-negative", "max-iterations",
+            "scan-dims-negative", "scan-dims-0", "dims-0"])
     def test_bad_option_exits_one(self, matrices_study, capsys, options, flags):
         doc = json.loads(matrices_study.read_text())
         doc["options"].update(options)
@@ -573,16 +603,15 @@ class TestArrayPathDrift:
             return float(np.linalg.norm(a - b))
 
         def pairwise_matrix(items, measure):
+            ids, arrays = zip(*items)
             if measure == "gabor":
-                return per_pair([c.image_id for c in items], items,
-                                gf.gabor_image_similarity, "similarity", 1.0)
-            return per_pair([i for i, _ in items], [v for _, v in items],
-                            distance, "dissimilarity", 0.0)
+                return per_pair(ids, arrays, gf.gabor_image_similarity,
+                                "similarity", 1.0)
+            return per_pair(ids, arrays, distance, "dissimilarity", 0.0)
 
-        def semantic_matrix(vectors):
-            return per_pair([v.image_id for v in vectors],
-                            [v.values for v in vectors], distance,
-                            "dissimilarity", 0.0)
+        def semantic_matrix(table, ids):
+            rows = [table.values[table.image_ids.index(i)] for i in ids]
+            return per_pair(ids, rows, distance, "dissimilarity", 0.0)
 
         monkeypatch.setattr(cli, "pairwise_matrix", pairwise_matrix)
         monkeypatch.setattr(ratings, "semantic_matrix", semantic_matrix)

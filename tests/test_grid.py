@@ -84,20 +84,20 @@ class TestRescalePlacement:
         pts = [(128.0, 64.0)] + [(float(i), float(i)) for i in range(33)]
         p = default_template_placement("img", pts, (256, 256))
         q = gf.rescale_placement(p, (128, 128))
-        assert (q.nodes[0].x, q.nodes[0].y) == (64.0, 32.0)
+        assert tuple(q.points[0]) == (64.0, 32.0)
         assert q.source_size == (128, 128)
 
     def test_anisotropic(self):
         p = random_placement(3)
         q = gf.rescale_placement(p, (512, 256))
-        for a, b in zip(p.nodes, q.nodes):
-            assert b.x == pytest.approx(2.0 * a.x)
-            assert b.y == a.y
+        for a, b in zip(p.points, q.points):
+            assert b[0] == pytest.approx(2.0 * a[0])
+            assert b[1] == a[1]
 
     def test_node_order_preserved(self):
         p = random_placement(4)
         q = gf.rescale_placement(p, (100, 100))
-        assert q.node_names() == p.node_names()
+        assert q.names == p.names
 
     def test_bad_target(self):
         with pytest.raises(ParameterError):
@@ -124,9 +124,10 @@ class TestGeometryVector:
         # independent per-node distance oracle
         p = random_placement(6)
         vec = gf.geometry_vector(p)
-        nose = next(n for n in p.nodes if n.name == p.nose_tip)
-        expected = [math.sqrt((n.x - nose.x) ** 2 + (n.y - nose.y) ** 2)
-                    for n in p.nodes if n.name != p.nose_tip]
+        nodes = dict(zip(p.names, p.points.tolist()))
+        nx, ny = nodes[p.nose_tip]
+        expected = [math.sqrt((x - nx) ** 2 + (y - ny) ** 2)
+                    for name, (x, y) in nodes.items() if name != p.nose_tip]
         np.testing.assert_allclose(vec, expected, rtol=1e-15)
 
     def test_length_is_33(self):
@@ -135,7 +136,7 @@ class TestGeometryVector:
     def test_translation_invariance(self):
         p = random_placement(8, size=200)
         shifted = default_template_placement(
-            "img", [(n.x + 30.0, n.y + 17.0) for n in p.nodes], (256, 256))
+            "img", p.points + (30.0, 17.0), (256, 256))
         np.testing.assert_allclose(gf.geometry_vector(shifted),
                                    gf.geometry_vector(p), rtol=1e-12)
 

@@ -96,8 +96,10 @@ CONFIG_DOC = gf.Configuration(
 
 
 def test_valid_documents_load():
-    assert gf.load_grid(json.dumps(grid_document(PLACEMENT))) == PLACEMENT
-    assert gf.gabor.parse_jet_document(json.dumps(JET_DOC))[0] == PLACEMENT
+    grid_doc = grid_document(PLACEMENT)
+    assert grid_document(gf.load_grid(json.dumps(grid_doc))) == grid_doc
+    placement = gf.gabor.parse_jet_document(json.dumps(JET_DOC))[0]
+    assert grid_document(placement) == grid_doc
     assert gf.PairMatrix.from_json(json.dumps(MATRIX_DOC)).item_ids == ("a", "b", "c")
     assert gf.Configuration.from_json(json.dumps(CONFIG_DOC)).iterations == 4
     assert load_study_config(json.dumps(STUDY_DOC)).options.permutations == 100

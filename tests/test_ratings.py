@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import gaborface as gf
-from gaborface.errors import DimensionError, FormatError, ParameterError
-from gaborface.ratings import dump_ratings, semantic_matrix
+from gaborface.errors import FormatError, ValidationError
+from gaborface.ratings import RatingTable, dump_ratings, semantic_matrix
 
 SIX = "image_id,happiness,sadness,surprise,anger,disgust,fear"
 
@@ -16,16 +16,15 @@ class TestLoadRatings:
             "b,2.5,2.5,2.5,2.5,2.5,2.5",
             "c,1.0,1.0,1.0,1.0,1.0,1.0",
         ])
-        vectors = gf.load_ratings(table)
-        assert len(vectors) == 3
-        assert all(len(v.adjectives) == 6 for v in vectors)
-        assert vectors[0].image_id == "a"
-        np.testing.assert_array_equal(vectors[0].values, [1, 2, 3, 4, 5, 1.5])
+        ratings = gf.load_ratings(table)
+        assert ratings.image_ids == ("a", "b", "c")
+        assert len(ratings.adjectives) == 6
+        assert ratings.values.shape == (3, 6)
+        np.testing.assert_array_equal(ratings.values[0], [1, 2, 3, 4, 5, 1.5])
 
     def test_five_column_table(self):
         table = "image_id,happiness,sadness,surprise,anger,disgust\na,1,2,3,4,5\n"
-        vectors = gf.load_ratings(table)
-        assert len(vectors[0].adjectives) == 5
+        assert len(gf.load_ratings(table).adjectives) == 5
 
     def test_out_of_range_value_locates_cell(self):
         table = SIX + "\na,1,2,3,4,5,1\nb,1,2,5.7,4,5,1\n"
@@ -62,72 +61,60 @@ class TestLoadRatings:
             vals = rng.uniform(1, 5, 6)
             rows.append(f"im{i}," + ",".join(repr(float(v)) for v in vals))
         table = "\n".join(rows) + "\n"
-        vectors = gf.load_ratings(table)
-        assert dump_ratings(vectors) == table
-        again = gf.load_ratings(dump_ratings(vectors))
-        for v1, v2 in zip(vectors, again):
-            np.testing.assert_array_equal(v1.values, v2.values)
+        ratings = gf.load_ratings(table)
+        assert dump_ratings(ratings) == table
+        again = gf.load_ratings(dump_ratings(ratings))
+        np.testing.assert_array_equal(ratings.values, again.values)
 
 
-def semantic_distances(*vectors):
-    return semantic_matrix(list(vectors)).values
+def semantic_distances(*rows):
+    ids = [f"v{i}" for i in range(len(rows))]
+    table = RatingTable(tuple(ids), ("h", "s", "u", "a", "d"), np.array(rows))
+    return semantic_matrix(table, ids).values
 
 
 class TestSemanticDissimilarity:
-    def vec(self, image_id, values, adjectives=("h", "s", "u", "a", "d")):
-        return gf.RatingVector(image_id, adjectives, np.asarray(values, dtype=float))
-
     def test_identical_is_zero(self):
-        a = self.vec("a", [1, 2, 3, 4, 5])
-        b = self.vec("b", [1, 2, 3, 4, 5])
-        assert semantic_distances(a, b)[0, 1] == 0.0
+        assert semantic_distances([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])[0, 1] == 0.0
 
     def test_single_axis_difference(self):
-        a = self.vec("a", [1, 3, 3, 3, 3])
-        b = self.vec("b", [5, 3, 3, 3, 3])
-        assert semantic_distances(a, b)[0, 1] == 4.0
+        assert semantic_distances([1, 3, 3, 3, 3], [5, 3, 3, 3, 3])[0, 1] == 4.0
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(1)
-        a = self.vec("a", rng.uniform(1, 5, 5))
-        b = self.vec("b", rng.uniform(1, 5, 5))
-        expected = sum((x - y) ** 2 for x, y in zip(a.values, b.values)) ** 0.5
+        a = rng.uniform(1, 5, 5)
+        b = rng.uniform(1, 5, 5)
+        expected = sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
         assert semantic_distances(a, b)[0, 1] == pytest.approx(expected, rel=1e-15)
-
-    def test_adjective_mismatch(self):
-        a = self.vec("a", [1, 2, 3, 4, 5])
-        b = self.vec("b", [1, 2, 3, 4, 5], adjectives=("x", "s", "u", "a", "d"))
-        with pytest.raises(DimensionError):
-            semantic_matrix([a, b])
 
     def test_metric_properties_on_sampled_triples(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            d = semantic_distances(*(self.vec(n, rng.uniform(1, 5, 5)) for n in "abc"))
+            d = semantic_distances(*rng.uniform(1, 5, (3, 5)))
             assert d[0, 1] == d[1, 0]
             assert d[0, 1] >= 0.0
             assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
-class TestRatingVector:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ParameterError):
-            gf.RatingVector("a", ("h", "s", "u", "a", "d"),
-                            np.array([0.5, 3, 3, 3, 3]))
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ParameterError):
-            gf.RatingVector("a", ("h", "s"), np.array([3.0, 3.0]))
-
-
 class TestSemanticMatrix:
     def test_matches_pairwise_recomputation(self):
         rng = np.random.default_rng(3)
-        vectors = [gf.RatingVector(f"i{k}", ("h", "s", "u", "a", "d"),
-                                   rng.uniform(1, 5, 5)) for k in range(4)]
-        m = semantic_matrix(vectors)
+        table = RatingTable(tuple(f"i{k}" for k in range(4)), ("h", "s", "u", "a", "d"),
+                            rng.uniform(1, 5, (4, 5)))
+        m = semantic_matrix(table, table.image_ids)
         assert m.kind == "dissimilarity"
         for i in range(4):
             for j in range(4):
-                expected = np.sqrt(np.sum((vectors[i].values - vectors[j].values) ** 2))
+                expected = np.sqrt(np.sum((table.values[i] - table.values[j]) ** 2))
                 assert m.values[i, j] == pytest.approx(expected, rel=1e-14)
+
+    def test_picks_the_rows_of_ids_in_their_order(self):
+        table = gf.load_ratings(SIX + "\na,1,1,1,1,1,1\nb,2,2,2,2,2,2\nc,4,4,4,4,4,4\n")
+        m = semantic_matrix(table, ["c", "a"])
+        assert m.item_ids == ("c", "a")
+        assert m.values[0, 1] == pytest.approx(3.0 * np.sqrt(6))
+
+    def test_missing_ratings_name_the_images(self):
+        table = gf.load_ratings(SIX + "\na,1,1,1,1,1,1\nb,2,2,2,2,2,2\n")
+        with pytest.raises(ValidationError, match=r"no ratings for \['x', 'y'\]"):
+            semantic_matrix(table, ["a", "x", "b", "y"])

@@ -10,21 +10,18 @@ from gaborface.errors import (
     DegenerateJetError,
     DimensionError,
     FormatError,
-    IncompatibleCodingError,
     ParameterError,
 )
 from gaborface.grid import NODE_COUNT
 from gaborface.similarity import pairwise_matrix
-
-FP = "bankfingerprint"
 
 
 def random_jet(rng, dim=18):
     return rng.uniform(0.1, 5.0, size=dim)
 
 
-def random_coded(rng, image_id, fp=FP):
-    return gf.CodedImage(image_id, rng.uniform(0.1, 5.0, (NODE_COUNT, 18)), fp)
+def random_jets(rng):
+    return rng.uniform(0.1, 5.0, (NODE_COUNT, 18))
 
 
 class TestJetSimilarity:
@@ -61,7 +58,7 @@ class TestJetSimilarity:
 
 class TestGaborImageSimilarity:
     def test_self_is_one(self):
-        a = random_coded(np.random.default_rng(0), "a")
+        a = random_jets(np.random.default_rng(0))
         assert gf.gabor_image_similarity(a, a) == pytest.approx(1.0)
 
     def test_half_identical_half_orthogonal(self):
@@ -76,41 +73,31 @@ class TestGaborImageSimilarity:
             else:
                 jets_a.append(basis[0])
                 jets_b.append(basis[1])
-        a = gf.CodedImage("a", jets_a, FP)
-        b = gf.CodedImage("b", jets_b, FP)
-        assert gf.gabor_image_similarity(a, b) == pytest.approx(0.5)
+        assert gf.gabor_image_similarity(jets_a, jets_b) == pytest.approx(0.5)
 
     def test_matches_per_point_oracle(self):
         rng = np.random.default_rng(2)
-        a = random_coded(rng, "a")
-        b = random_coded(rng, "b")
-        expected = np.mean([gf.jet_similarity(ja, jb)
-                            for ja, jb in zip(a.jets, b.jets)])
+        a = random_jets(rng)
+        b = random_jets(rng)
+        expected = np.mean([gf.jet_similarity(ja, jb) for ja, jb in zip(a, b)])
         assert gf.gabor_image_similarity(a, b) == pytest.approx(expected, rel=1e-14)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
-        a = random_coded(rng, "a")
-        b = random_coded(rng, "b")
+        a = random_jets(rng)
+        b = random_jets(rng)
         assert gf.gabor_image_similarity(a, b) == gf.gabor_image_similarity(b, a)
-
-    def test_fingerprint_mismatch(self):
-        rng = np.random.default_rng(4)
-        a = random_coded(rng, "a", fp="one")
-        b = random_coded(rng, "b", fp="two")
-        with pytest.raises(IncompatibleCodingError):
-            gf.gabor_image_similarity(a, b)
 
     def test_zero_jet_counts_zero_with_warning(self):
         rng = np.random.default_rng(5)
         jets = [random_jet(rng) for _ in range(NODE_COUNT - 1)]
         jets.append(np.zeros(18))
-        a = gf.CodedImage("a", jets, FP)
-        b = random_coded(rng, "b")
+        a = np.array(jets)
+        b = random_jets(rng)
         with pytest.warns(UserWarning, match="zero jet"):
             s = gf.gabor_image_similarity(a, b)
         expected = np.mean([gf.jet_similarity(ja, jb)
-                            for ja, jb in zip(a.jets[:-1], b.jets[:-1])] + [0.0])
+                            for ja, jb in zip(a[:-1], b[:-1])] + [0.0])
         assert s == pytest.approx(expected, rel=1e-12)
 
 
@@ -145,9 +132,8 @@ class TestGeometryDissimilarity:
 class TestPairwiseMatrix:
     def test_identical_coded_images(self):
         rng = np.random.default_rng(0)
-        a = random_coded(rng, "a")
-        b = gf.CodedImage("b", a.jets, FP)
-        m = pairwise_matrix([a, b], "gabor")
+        a = random_jets(rng)
+        m = pairwise_matrix([("a", a), ("b", a.copy())], "gabor")
         np.testing.assert_allclose(m.values, np.ones((2, 2)), rtol=1e-12)
         assert m.kind == "similarity"
 
@@ -163,39 +149,37 @@ class TestPairwiseMatrix:
 
     def test_elementwise_oracle(self):
         rng = np.random.default_rng(2)
-        items = [random_coded(rng, f"i{k}") for k in range(5)]
-        m = pairwise_matrix(items, "gabor")
+        jets = [random_jets(rng) for _ in range(5)]
+        m = pairwise_matrix([(f"i{k}", j) for k, j in enumerate(jets)], "gabor")
         for i in range(5):
             for j in range(5):
-                expected = 1.0 if i == j else gf.gabor_image_similarity(items[i], items[j])
+                expected = 1.0 if i == j else gf.gabor_image_similarity(jets[i], jets[j])
                 assert m.values[i, j] == pytest.approx(expected, rel=1e-14)
 
     def test_zero_jet_warns_once_per_image_and_node(self):
         rng = np.random.default_rng(6)
-        items = [random_coded(rng, f"i{k}") for k in range(4)]
-        jets = np.array(items[1].jets)
-        jets[5] = 0.0
-        items[1] = gf.CodedImage("i1", jets, FP)
+        jets = [random_jets(rng) for _ in range(4)]
+        jets[1][5] = 0.0
         with pytest.warns(UserWarning, match="zero jet") as record:
-            m = pairwise_matrix(items, "gabor")
+            m = pairwise_matrix([(f"i{k}", j) for k, j in enumerate(jets)], "gabor")
         assert sum("zero jet" in str(w.message) for w in record) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for j in (0, 2, 3):
-                expected = gf.gabor_image_similarity(items[1], items[j])
+                expected = gf.gabor_image_similarity(jets[1], jets[j])
                 assert m.values[1, j] == pytest.approx(expected, rel=1e-14)
 
     def test_too_few_items(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ParameterError):
-            pairwise_matrix([random_coded(rng, "a")], "gabor")
+            pairwise_matrix([("a", random_jets(rng))], "gabor")
 
-    def test_error_names_offending_pair(self):
-        rng = np.random.default_rng(4)
-        a = random_coded(rng, "a", fp="one")
-        b = random_coded(rng, "b", fp="two")
-        with pytest.raises(IncompatibleCodingError, match="'a'.*'b'"):
-            pairwise_matrix([a, b], "gabor")
+    @pytest.mark.parametrize("shapes", [[(33, 18), (33, 18)],
+                                        [(NODE_COUNT, 18), (NODE_COUNT, 6)]])
+    def test_rejects_ill_shaped_jets(self, shapes):
+        items = [(f"i{k}", np.ones(shape)) for k, shape in enumerate(shapes)]
+        with pytest.raises(ParameterError):
+            pairwise_matrix(items, "gabor")
 
     def test_unknown_measure(self):
         with pytest.raises(ParameterError):
@@ -209,20 +193,18 @@ class TestIlluminationInvariance:
         bank = gf.build_filter_bank()
         size = 96
 
-        def code(pixels, image_id):
+        def code(pixels):
             img = gf.ImageRaster(size, size, pixels)
-            pts = rng_points
-            jets = tuple(gf.compute_jet(img, bank, p) for p in pts)
-            return gf.CodedImage(image_id, jets, bank.fingerprint())
+            return np.array([gf.compute_jet(img, bank, p) for p in rng_points])
 
         rng_points = [tuple(p) for p in rng.uniform(10, size - 10, (NODE_COUNT, 2))]
         pa = 128 + 60 * gaussian_filter(rng.standard_normal((size, size)), 2)
         pb = 128 + 60 * gaussian_filter(rng.standard_normal((size, size)), 2)
-        a = code(pa, "a")
-        b = code(pb, "b")
+        a = code(pa)
+        b = code(pb)
         base = gf.gabor_image_similarity(a, b)
         for c in (0.5, 2.0, 10.0):
-            b_scaled = code(c * pb, "b")
+            b_scaled = code(c * pb)
             assert gf.gabor_image_similarity(a, b_scaled) == pytest.approx(
                 base, abs=1e-9)
 
