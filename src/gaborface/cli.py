@@ -22,11 +22,12 @@ import argparse
 import html
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,21 +53,24 @@ class StudyOptions:
     scan_dims: int | None = None
 
     def __post_init__(self):
-        if self.dims < 1:
-            raise ValidationError(f"need dims >= 1, got {self.dims}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValidationError(f"need a finite tolerance >= 0, got "
-                                  f"{self.tolerance!r}")
-        if self.max_iterations < 0:
-            raise ValidationError(
-                f"need max_iterations >= 0, got {self.max_iterations}")
-        if self.seed < 0:
-            raise ValidationError(f"need seed >= 0, got {self.seed}")
-        if self.permutations is not None and self.permutations < 1:
-            raise ValidationError(
-                f"need permutations >= 1, got {self.permutations}")
-        if self.scan_dims is not None and self.scan_dims < 1:
-            raise ValidationError(f"need scan_dims >= 1, got {self.scan_dims}")
+        """Type and range checks; permutations and scan_dims may be None
+        (the t-approximation, no dimension scan)."""
+        for name, least in (("dims", 1), ("max_iterations", 0), ("seed", 0),
+                            ("permutations", 1), ("scan_dims", 1)):
+            value = getattr(self, name)
+            if value is None and name in ("permutations", "scan_dims"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValidationError(f"need {name} >= {least}, got {value}")
+            setattr(self, name, int(value))
+        tolerance = self.tolerance
+        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+            raise ValidationError(f"tolerance must be a number, got {tolerance!r}")
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ValidationError(f"need a finite tolerance >= 0, got {tolerance!r}")
+        self.tolerance = float(tolerance)
 
 
 @dataclass
@@ -88,16 +92,7 @@ class StudyConfig:
     @classmethod
     def from_file(cls, path):
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read study config {path}: {exc}") from exc
-        try:
-            return cls._from_document(doc, path.parent)
-        except ValidationError as exc:
-            raise type(exc)(f"study config {path}: {exc}") from exc
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise ValidationError(f"study config {path}: bad field: {exc}") from exc
+        return _read(path, lambda doc: cls._from_document(doc, path.parent))
 
     @classmethod
     def _from_document(cls, doc, base):
@@ -112,17 +107,6 @@ class StudyConfig:
                 raise ValidationError(f"missing {key!r}")
             return (base / doc[key]).resolve()
 
-        def integer(key, default=None):
-            value = opts.get(key, default)
-            if value is None and default is None:
-                return None  # an optional option left unset
-            try:
-                if int(value) == value and not isinstance(value, bool):
-                    return int(value)
-            except (TypeError, ValueError, OverflowError):
-                pass
-            raise ValidationError(f"options.{key} must be an integer, got {value!r}")
-
         if not isinstance(doc, dict):
             raise ValidationError("must be a JSON object")
         bank = section("bank")
@@ -134,32 +118,28 @@ class StudyConfig:
         if not (isinstance(exclude, list) and all(isinstance(e, str) for e in exclude)):
             raise ValidationError("'exclude_from_average' must be a list of "
                                   "expresser ids")
-        tolerance = opts.get("tolerance", nmds.DEFAULT_TOLERANCE)
-        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
-            raise ValidationError(f"options.tolerance must be a number, got "
-                                  f"{tolerance!r}")
-        options = StudyOptions(
-            dims=integer("dims", 2),
-            tolerance=float(tolerance),
-            max_iterations=integer("max_iterations", nmds.DEFAULT_MAX_ITERATIONS),
-            seed=integer("seed", 0),
-            permutations=integer("permutations"),
-            scan_dims=integer("scan_dims"),
-        )
-        config = cls(
-            image_dir=resolve("image_dir"),
-            grid_dir=resolve("grid_dir"),
-            ratings_path=resolve("ratings"),
-            out_dir=resolve("out_dir"),
-            expressers=dict(expressers),
-            labels=dict(section("labels")),
-            wavenumbers=tuple(bank.get("wavenumbers", gabor.DEFAULT_WAVENUMBERS)),
-            orientations=tuple(bank.get("orientations", gabor.DEFAULT_ORIENTATIONS)),
-            sigma=float(bank.get("sigma", gabor.DEFAULT_SIGMA)),
-            options=options,
-            exclude_from_average=tuple(exclude),
-        )
-        config.bank()  # a bad bank fails here, not in a later stage
+        try:
+            config = cls(
+                image_dir=resolve("image_dir"),
+                grid_dir=resolve("grid_dir"),
+                ratings_path=resolve("ratings"),
+                out_dir=resolve("out_dir"),
+                expressers=dict(expressers),
+                labels=dict(section("labels")),
+                wavenumbers=tuple(bank.get("wavenumbers", gabor.DEFAULT_WAVENUMBERS)),
+                orientations=tuple(bank.get("orientations",
+                                            gabor.DEFAULT_ORIENTATIONS)),
+                sigma=float(bank.get("sigma", gabor.DEFAULT_SIGMA)),
+                options=StudyOptions(**{f.name: opts[f.name]
+                                        for f in fields(StudyOptions)
+                                        if f.name in opts}),
+                exclude_from_average=tuple(exclude),
+            )
+            config.bank()  # a bad bank fails here, not in a later stage
+        except ValidationError:
+            raise
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ValidationError(f"bad field: {exc}") from exc
         return config
 
     def bank(self):
@@ -203,9 +183,8 @@ def _write_json(path, doc):
 # Stage: encode
 # ---------------------------------------------------------------------------
 
-def _encode_one(config, bank, image_id):
-    image = gabor.read_pgm(config.image_dir / f"{image_id}.pgm")
-    placement = grid.load_grid((config.grid_dir / f"{image_id}.json").read_text())
+def _encode_one(config, bank, image_id, placement):
+    image = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
     if tuple(placement.source_size) != (image.width, image.height):
         placement = grid.rescale_placement(placement, (image.width, image.height))
     jets = gabor.compute_jets(image, bank, placement.points)
@@ -217,19 +196,15 @@ def run_encode(config):
     """Code every study image: one jet JSON per image, deterministic bytes."""
     bank = config.bank()
     ids = config.image_ids()
-    # validate everything up front so a missing grid fails before any output
-    for image_id in ids:
-        image_path = config.image_dir / f"{image_id}.pgm"
-        if not image_path.exists():
-            raise ValidationError(f"missing image file {image_path}")
-        if not (config.grid_dir / f"{image_id}.json").exists():
-            raise ValidationError(f"no grid placement for image {image_id!r}")
+    # every grid is read first, so a bad or missing grid fails before any output
+    placements = [_read(config.grid_dir / f"{i}.json", grid.load_grid) for i in ids]
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(lambda i: _encode_one(config, bank, i), ids))
+            list(pool.map(lambda i, p: _encode_one(config, bank, i, p),
+                          ids, placements))
     else:
-        for image_id in ids:
-            _encode_one(config, bank, image_id)
+        for image_id, placement in zip(ids, placements):
+            _encode_one(config, bank, image_id, placement)
     return ids
 
 
@@ -237,18 +212,34 @@ def run_encode(config):
 # Stage driver: matrices, correlate, embed, align and plot run per expresser
 # ---------------------------------------------------------------------------
 
-def _read(config, relpath, parse):
-    """parse(text) of the intermediate file out_dir/relpath; every error
-    names the file."""
-    path = config.out_dir / relpath
-    if not path.exists():
-        directory = relpath.split("/")[0]
-        stage = {"jets": "encode", "embeddings": "embed"}.get(directory, directory)
-        raise ValidationError(f"missing {path}; run the {stage} stage")
+def _read(path, parse, form="json", stage=None):
+    """parse(content) of the file at `path`: the one place the pipeline
+    opens a file it reads.
+
+    content is the file's JSON value, its UTF-8 text (form "text") or its
+    bytes (form "bytes").  Every error names the file, and a missing
+    intermediate file names the `stage` that writes it.
+    """
     try:
-        return parse(path.read_text())
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        hint = f"; run the {stage} stage" if stage else ""
+        raise ValidationError(f"{path}: no such file{hint}") from None
+    except OSError as exc:  # a directory in place of the file, say
+        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    if form != "bytes":
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    if form == "json":
+        try:
+            data = json.loads(data)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an integer of over 4,300 digits, deep nesting
+            raise FormatError(f"{path}: malformed JSON: {exc}") from exc
+    try:
+        return parse(data)
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -301,25 +292,24 @@ def run_study(config):
 def _matrices(config):
     """Per expresser: Gabor similarity, geometry and semantic dissimilarity."""
     bank = config.bank()
-    if not config.ratings_path.exists():
-        raise ValidationError(f"missing ratings table {config.ratings_path}")
-    table = ratings.load_ratings(config.ratings_path.read_text())
+    table = _read(config.ratings_path, ratings.load_ratings, "text")
     if config.no_fear and FEAR_ADJECTIVE in table.adjectives:
         fear = table.adjectives.index(FEAR_ADJECTIVE)
         table = table._replace(
             adjectives=table.adjectives[:fear] + table.adjectives[fear + 1:],
             values=np.delete(table.values, fear, axis=1))
 
-    def coded_image(text):
-        placement, loaded_bank, jets = gabor.parse_jet_document(text)
+    def coded_image(doc):
+        placement, loaded_bank, jets = gabor.parse_jet_document(doc)
         if loaded_bank.fingerprint() != bank.fingerprint():
             raise ValidationError("coded with a different filter bank")
         return placement, jets
 
     def unit(expresser, ids):
         semantic = ratings.semantic_matrix(table, ids)
-        placements, jets = zip(*(_read(config, f"jets/{i}.json", coded_image)
-                                 for i in ids))
+        placements, jets = zip(*(
+            _read(config.out_dir / "jets" / f"{i}.json", coded_image, stage="encode")
+            for i in ids))
         matrices = {
             "gabor": pairwise_matrix(
                 [(p.image_id, j) for p, j in zip(placements, jets)], "gabor"),
@@ -342,7 +332,8 @@ def _correlate(config):
 
     def unit(expresser, ids):
         semantic, *models = (
-            _read(config, f"matrices/{expresser}_{m}.json", PairMatrix.from_json)
+            _read(config.out_dir / "matrices" / f"{expresser}_{m}.json",
+                  PairMatrix.from_document, stage="matrices")
             for m in ("semantic", *MEASURES))
         results = rank_stats.correlate_model_with_ratings(
             models, semantic, permutations=opts.permutations, seed=opts.seed)
@@ -405,7 +396,8 @@ def _embed(config):
         configs = {}
         for measure in EMBEDDED:
             matrix = _model_dissimilarity(_read(
-                config, f"matrices/{expresser}_{measure}.json", PairMatrix.from_json))
+                config.out_dir / "matrices" / f"{expresser}_{measure}.json",
+                PairMatrix.from_document, stage="matrices"))
             n = len(matrix.item_ids)
             configs[measure] = nmds.embed(matrix, min(opts.dims, n - 1), **fit)
             stem = f"{expresser}_{measure}"
@@ -425,8 +417,10 @@ def _embed(config):
 def _align(config):
     """Procrustes-align each Gabor configuration onto the semantic one."""
     def unit(expresser, ids):
-        source, target = (_read(config, f"embeddings/{expresser}_{m}.json",
-                                nmds.Configuration.from_json) for m in EMBEDDED)
+        source, target = (
+            _read(config.out_dir / "embeddings" / f"{expresser}_{m}.json",
+                  nmds.Configuration.from_document, stage="embed")
+            for m in EMBEDDED)
         aligned, residual = nmds.procrustes_align(source, target)
         _write_json(config.out_dir / "align" / f"{expresser}.json",
                     aligned.to_document(residual=residual, target="semantic"))
@@ -477,8 +471,9 @@ def _plot(config):
     """SVG scatter for every stored 2-d configuration."""
     def unit(expresser, ids):
         for measure in EMBEDDED:
-            configuration = _read(config, f"embeddings/{expresser}_{measure}.json",
-                                  nmds.Configuration.from_json)
+            configuration = _read(
+                config.out_dir / "embeddings" / f"{expresser}_{measure}.json",
+                nmds.Configuration.from_document, stage="embed")
             path = config.out_dir / "plots" / f"{expresser}_{measure}.svg"
             if configuration.d != 2:
                 warnings.warn(f"{expresser}/{measure}: d={configuration.d}, "

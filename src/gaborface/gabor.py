@@ -287,13 +287,8 @@ def compute_jet(image, bank, point):
 _PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]+|#[^\n]*\n?)*([^ \t\r\n#]+)")
 
 
-def read_pgm(source):
-    """Read a binary (P5) 8-bit grayscale PGM file."""
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+def read_pgm(data):
+    """Decode the bytes of a binary (P5) 8-bit grayscale PGM file."""
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -353,12 +348,10 @@ def jet_document(image_id, bank, placement, jets):
 
 
 def parse_jet_document(doc):
-    """Parse a jet-set JSON document into (GridPlacement, FilterBank, jets),
-    with jets the (points, filters) array of finite, non-negative
-    amplitudes."""
+    """Parse a jet-set document, the JSON value of a jet file, into
+    (GridPlacement, FilterBank, jets), with jets the (points, filters) array
+    of finite, non-negative amplitudes."""
     try:
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
         if "source_size" not in doc or "nose_tip" not in doc:
             raise FormatError("jet document has no source_size or nose_tip, "
                               "so it predates placements in jet files; "
@@ -374,8 +367,8 @@ def parse_jet_document(doc):
     except KeyError as exc:
         raise FormatError(f"malformed jet document: missing {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        # json.JSONDecodeError, float() of a non-number, ragged amplitude
-        # lists and the bank checks (ParameterError) are all ValueErrors
+        # float() of a non-number, ragged amplitude lists and the bank
+        # checks (ParameterError) are all ValueErrors
         raise FormatError(f"malformed jet document: {exc}") from exc
     if jets.shape != (len(placement.names), len(bank)):
         raise FormatError(f"malformed jet document: amplitudes of shape "

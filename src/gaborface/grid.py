@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -64,12 +63,8 @@ class GridPlacement:
 
 
 def load_grid(document):
-    """Parse and validate a grid JSON document (string, bytes, or dict)."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"grid document is not valid JSON: {exc}") from exc
+    """Validate a grid document, the JSON value of a grid file, into a
+    GridPlacement."""
     try:
         image_id = document["image_id"]
         source_size = tuple(document["source_size"])

@@ -1,11 +1,8 @@
 """Default 34-node fiducial grid template: node names and the nose tip.
 
 Only the ordering and the nose-tip designation matter to the numerics;
-the names exist so grid files are self-describing.  Bump TEMPLATE_VERSION
-if the ordering ever changes.
+the names exist so grid files are self-describing.
 """
-
-TEMPLATE_VERSION = 1
 
 NOSE_TIP = "nose_tip"
 

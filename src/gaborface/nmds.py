@@ -10,7 +10,7 @@ configurations.
 
 from __future__ import annotations
 
-import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +52,8 @@ class Configuration:
     iterations: int
 
     def __post_init__(self):
+        if not all(isinstance(i, str) for i in self.item_ids):
+            raise ParameterError("item ids must be strings")
         coords = np.ascontiguousarray(np.asarray(self.coordinates, dtype=float))
         if coords.ndim != 2 or coords.shape[0] != len(self.item_ids):
             raise ParameterError(
@@ -61,6 +63,9 @@ class Configuration:
         if not (np.all(np.isfinite(coords))
                 and np.isfinite(self.stress) and np.isfinite(self.rsq)):
             raise ParameterError("coordinates, stress and rsq must be finite")
+        it = self.iterations
+        if isinstance(it, bool) or not (isinstance(it, numbers.Integral) and it >= 0):
+            raise ParameterError(f"iterations must be an integer >= 0, got {it!r}")
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
@@ -70,21 +75,21 @@ class Configuration:
         return self.coordinates.shape[1]
 
     def to_document(self, **extra):
-        """The JSON document that from_json reads back, plus `extra` keys."""
+        """The JSON document that from_document reads back, plus `extra` keys."""
         return {**extra, "item_ids": list(self.item_ids), "d": self.d,
                 "coordinates": self.coordinates.tolist(), "stress": self.stress,
                 "rsq": self.rsq, "iterations": self.iterations}
 
     @classmethod
-    def from_json(cls, text):
+    def from_document(cls, doc):
+        """The Configuration of a JSON value that to_document wrote."""
         try:
-            doc = json.loads(text)
             return cls(tuple(doc["item_ids"]), np.asarray(doc["coordinates"]),
                        doc["stress"], doc["rsq"], doc["iterations"])
         except KeyError as exc:
             raise FormatError(f"malformed configuration: missing {exc}") from exc
         except (TypeError, ValueError) as exc:
-            # json.JSONDecodeError and ParameterError are ValueErrors
+            # ParameterError is a ValueError
             raise FormatError(f"malformed configuration: {exc}") from exc
 
 

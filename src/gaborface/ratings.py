@@ -25,10 +25,8 @@ class RatingTable(NamedTuple):
 
 
 def load_ratings(table):
-    """Parse a ratings CSV (header: image_id plus 5 or 6 adjective columns)
-    into a RatingTable."""
-    if hasattr(table, "read"):
-        table = table.read()
+    """Parse the text of a ratings CSV (header: image_id plus 5 or 6
+    adjective columns) into a RatingTable."""
     try:
         rows = list(csv.reader(io.StringIO(table)))
     except csv.Error as exc:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -62,7 +61,7 @@ def _jet_stack(arrays):
 
 @dataclass(frozen=True)
 class PairMatrix:
-    """Symmetric pairwise matrix over a list of items."""
+    """Symmetric pairwise matrix over a list of distinct string item ids."""
 
     item_ids: tuple
     values: np.ndarray
@@ -71,8 +70,13 @@ class PairMatrix:
     def __post_init__(self):
         if self.kind not in ("similarity", "dissimilarity"):
             raise ParameterError(f"unknown matrix kind {self.kind!r}")
+        ids = tuple(self.item_ids)
+        if not all(isinstance(i, str) for i in ids):
+            raise ParameterError("item ids must be strings")
+        if len(set(ids)) != len(ids):
+            raise ParameterError("duplicate item ids")
         vals = np.asarray(self.values, dtype=float)
-        n = len(self.item_ids)
+        n = len(ids)
         if vals.shape != (n, n):
             raise ParameterError(f"matrix shape {vals.shape} != ({n}, {n})")
         if not np.all(np.isfinite(vals)):
@@ -85,21 +89,21 @@ class PairMatrix:
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "item_ids", tuple(self.item_ids))
+        object.__setattr__(self, "item_ids", ids)
 
     def to_document(self):
-        """The JSON document that from_json reads back."""
+        """The JSON document that from_document reads back."""
         return {"kind": self.kind, "item_ids": list(self.item_ids),
                 "values": self.values.tolist()}
 
     @classmethod
-    def from_json(cls, text):
+    def from_document(cls, doc):
+        """The PairMatrix of a JSON value that to_document wrote."""
         try:
-            doc = json.loads(text)
             return cls(tuple(doc["item_ids"]), np.asarray(doc["values"]), doc["kind"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # json.JSONDecodeError, ragged or non-numeric values and the
-            # shape checks (ParameterError) are all ValueErrors
+            # ragged or non-numeric values and the checks (ParameterError)
+            # are ValueErrors
             raise FormatError(f"malformed pair-matrix document: {exc}") from exc
 
     def to_csv(self):
@@ -130,8 +134,6 @@ def _check_item_ids(ids):
     n = len(ids)
     if n < 2:
         raise ParameterError(f"need at least 2 items, got {n}")
-    if len(set(ids)) != n:
-        raise ParameterError("duplicate item ids")
 
 
 def distance_matrix(item_ids, rows):

@@ -135,10 +135,9 @@ class TestStudyPipeline:
         run_study(config)
         summary = (config.out_dir / "summary.csv").read_text().splitlines()
         row = dict(zip(summary[0].split(","), summary[1].split(",")))
-        model = gf.PairMatrix.from_json(
-            (config.out_dir / "matrices" / "SY_gabor.json").read_text())
-        semantic = gf.PairMatrix.from_json(
-            (config.out_dir / "matrices" / "SY_semantic.json").read_text())
+        model, semantic = (gf.PairMatrix.from_document(json.loads(
+            (config.out_dir / "matrices" / f"SY_{m}.json").read_text()))
+            for m in ("gabor", "semantic"))
         [recomputed] = gf.correlate_model_with_ratings([model], semantic)
         assert float(row["gabor_rho"]) == recomputed.rho
         stored = json.loads(
@@ -263,6 +262,9 @@ class TestMainCli:
          "must be finite"),
         ("plot", "embeddings/SY_gabor.json", edit_json(nan_coordinate),
          "must be finite"),
+        ("align", "embeddings/SY_gabor.json",
+         edit_json(lambda doc: doc.update(iterations="many")),
+         "iterations must be an integer"),
     ])
     def test_unreadable_intermediate_exits_one(self, tmp_path, capsys, stage,
                                                victim, content, message):
@@ -320,6 +322,19 @@ class TestMainCli:
         path.write_text(json.dumps(doc))
         assert main(["--config", str(config_path), "--stage", "embed"]) == 1
         assert "malformed pair-matrix" in capsys.readouterr().err
+        with pytest.warns(UserWarning, match="'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert summary[1:] == ["SY,failed,,,,"]
+
+    @pytest.mark.parametrize("item_id", [7, "img01"], ids=["number", "duplicate"])
+    def test_bad_item_id_fails_its_expresser(self, tmp_path, capsys, item_id):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "matrices" / "SY_gabor.json"
+        doc = json.loads(path.read_text())
+        doc["item_ids"][0] = item_id
+        path.write_text(json.dumps(doc))
         with pytest.warns(UserWarning, match="'SY' failed"):
             assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
@@ -407,7 +422,17 @@ class TestMainCli:
         config_path.write_text(json.dumps(doc))
         assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: study config") and err.count("\n") == 1
+        assert err.startswith(f"error: {config_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("options", [
+        {"dims": True}, {"seed": 1.5}, {"dims": "2"}, {"tolerance": "1e-3"},
+        {"max_iterations": None}, {"permutations": 2.0}, {"scan_dims": False},
+    ], ids=["dims-bool", "seed-float", "dims-string", "tolerance-string",
+            "max-iterations-none", "permutations-float", "scan-dims-bool"])
+    def test_ill_typed_option_is_validation_error(self, options):
+        [name] = options
+        with pytest.raises(ValidationError, match=f"{name} must be"):
+            cli.StudyOptions(**options)
 
     def test_plot_removes_the_plot_of_a_replaced_2d_embedding(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=5)
@@ -468,11 +493,11 @@ class TestMainCli:
         assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
         assert calls == [300]
         out = tmp_path / "out"
-        semantic = gf.PairMatrix.from_json(
-            (out / "matrices" / "SY_semantic.json").read_text())
+        semantic = gf.PairMatrix.from_document(json.loads(
+            (out / "matrices" / "SY_semantic.json").read_text()))
         for measure in ("gabor", "geometry"):
-            model = gf.PairMatrix.from_json(
-                (out / "matrices" / f"SY_{measure}.json").read_text())
+            model = gf.PairMatrix.from_document(json.loads(
+                (out / "matrices" / f"SY_{measure}.json").read_text()))
             [alone] = gf.correlate_model_with_ratings(
                 [model], semantic, permutations=300, seed=11)
             stored = json.loads(
@@ -486,6 +511,64 @@ class TestMainCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+# kind of input -> (its file in the study directory, the stage that reads
+# it, a change of its bytes that breaks its schema)
+INPUT_FILES = {
+    "grid": ("grids/img00.json", "encode",
+             edit_json(lambda doc: doc.update(nodes=3))),
+    "pgm": ("images/img00.pgm", "encode", lambda data: data[:len(data) // 2]),
+    "ratings": ("ratings.csv", "matrices",
+                lambda data: data.replace(b"image_id", b"id", 1)),
+    "study-config": ("study.json", "encode",
+                     edit_json(lambda doc: doc["options"].update(dims="2"))),
+    "jet": ("out/jets/img00.json", "matrices",
+            edit_json(lambda doc: doc["points"][0].update(amplitudes=["big"]))),
+    "matrix": ("out/matrices/SY_semantic.json", "embed",
+               edit_json(lambda doc: doc["item_ids"].__setitem__(0, 7))),
+    "embedding": ("out/embeddings/SY_gabor.json", "plot",
+                  edit_json(lambda doc: doc["item_ids"].__setitem__(0, [1]))),
+}
+
+
+def damage_input(path, damage, break_schema):
+    if damage in ("missing", "directory"):
+        path.unlink()
+        if damage == "directory":
+            path.mkdir()
+    elif damage == "not-utf-8":
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    elif damage == "malformed-json":
+        path.write_bytes(path.read_bytes()[:-9])
+    else:
+        path.write_bytes(break_schema(path.read_bytes()))
+
+
+class TestInputFiles:
+    """Every file the CLI reads exits 1 with one `error: <path>: ...` line,
+    and no traceback, when it is missing, a directory, not UTF-8 text,
+    malformed JSON or of the wrong schema."""
+
+    @pytest.mark.filterwarnings("ignore:expresser 'SY' failed")
+    @pytest.mark.parametrize("kind,damage", [
+        (kind, damage) for kind in INPUT_FILES
+        for damage in ("missing", "directory", "not-utf-8", "malformed-json",
+                       "wrong-schema")
+        if not (kind == "pgm" and damage in ("not-utf-8", "malformed-json"))
+        and not (kind == "ratings" and damage == "malformed-json")])
+    def test_bad_input_file_exits_one_naming_it(self, scanned_study, tmp_path,
+                                                capsys, kind, damage):
+        study = tmp_path / "study"
+        shutil.copytree(scanned_study.parent, study)
+        name, stage, break_schema = INPUT_FILES[kind]
+        path = (study / name).resolve()
+        damage_input(path, damage, break_schema)
+        assert main(["--config", str(study.resolve() / "study.json"),
+                     "--stage", stage]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 class TestOutputLayout:

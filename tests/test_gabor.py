@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 import gaborface as gf
+from gaborface.cli import _read
 from gaborface.errors import FormatError, OutOfBoundsError, ParameterError
 from gaborface.grid import default_template_placement, grid_document
 
@@ -320,26 +320,26 @@ class TestPgmIO:
         img = gf.ImageRaster(7, 5, rng.integers(0, 256, size=35).astype(float))
         path = tmp_path / "x.pgm"
         gf.write_pgm(path, img)
-        back = gf.read_pgm(path)
+        back = gf.read_pgm(path.read_bytes())
         assert back.width == 7 and back.height == 5
         np.testing.assert_array_equal(back.pixels, img.pixels)
 
     def test_header_comments(self):
         data = b"P5\n# a comment\n2 2\n# another\n255\n\x00\x40\x80\xff"
-        img = gf.read_pgm(io.BytesIO(data))
+        img = gf.read_pgm(data)
         np.testing.assert_array_equal(img.pixels, [[0, 64], [128, 255]])
 
     def test_rejects_non_p5(self):
         with pytest.raises(FormatError):
-            gf.read_pgm(io.BytesIO(b"P2\n2 2\n255\n0 0 0 0"))
+            gf.read_pgm(b"P2\n2 2\n255\n0 0 0 0")
 
     def test_rejects_truncated_raster(self):
         with pytest.raises(FormatError):
-            gf.read_pgm(io.BytesIO(b"P5\n4 4\n255\n\x00\x00"))
+            gf.read_pgm(b"P5\n4 4\n255\n\x00\x00")
 
     def test_rejects_16_bit(self):
         with pytest.raises(FormatError):
-            gf.read_pgm(io.BytesIO(b"P5\n1 1\n65535\n\x00\x00"))
+            gf.read_pgm(b"P5\n1 1\n65535\n\x00\x00")
 
 
 def coded_document(bank, size=64):
@@ -355,7 +355,8 @@ class TestJetDocument:
     def test_round_trip(self):
         bank = gf.build_filter_bank()
         doc, placement, jets = coded_document(bank)
-        placement2, bank2, jets2 = gf.gabor.parse_jet_document(json.dumps(doc))
+        placement2, bank2, jets2 = gf.gabor.parse_jet_document(
+            json.loads(json.dumps(doc)))
         assert grid_document(placement2) == grid_document(placement)
         assert bank2.fingerprint() == bank.fingerprint()
         np.testing.assert_array_equal(jets2, jets)
@@ -370,12 +371,14 @@ class TestJetDocument:
         with pytest.raises(FormatError, match="re-run the encode stage"):
             gf.gabor.parse_jet_document(doc)
 
-    def test_every_truncation_is_a_format_error(self):
+    def test_every_truncation_is_a_format_error(self, tmp_path):
         doc, _, _ = coded_document(gf.build_filter_bank([1.0], [0.0], 1.0))
         text = json.dumps(doc)
+        path = tmp_path / "img1.json"
         for end in range(len(text)):
+            path.write_text(text[:end])
             with pytest.raises(FormatError):
-                gf.gabor.parse_jet_document(text[:end])
+                _read(path, gf.gabor.parse_jet_document)
 
     @pytest.mark.parametrize("point", [
         {"name": "a", "x": "left", "y": 1.0, "amplitudes": [1.0]},

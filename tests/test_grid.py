@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gaborface as gf
+from gaborface.cli import _read
 from gaborface.errors import FormatError, ParameterError
 from gaborface.grid import (
     NODE_COUNT,
@@ -29,7 +30,7 @@ class TestLoadGrid:
     def test_round_trip_preserves_coordinates(self):
         placement = random_placement(1)
         doc = grid_document(placement)
-        back = gf.load_grid(json.dumps(doc))
+        back = gf.load_grid(json.loads(json.dumps(doc)))
         assert grid_document(back) == doc
 
     def test_wrong_node_count(self):
@@ -67,11 +68,13 @@ class TestLoadGrid:
         else:
             doc[field] = value
         with pytest.raises(FormatError):
-            gf.load_grid(json.dumps(doc))
+            gf.load_grid(doc)
 
-    def test_not_json(self):
-        with pytest.raises(FormatError):
-            gf.load_grid("not json {")
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "img.json"
+        path.write_text("not json {")
+        with pytest.raises(FormatError, match="malformed JSON"):
+            _read(path, gf.load_grid)
 
 
 class TestRescalePlacement:

@@ -1,24 +1,26 @@
-"""Every loader of outside input either returns a value or raises a
-ValidationError, whatever bytes it is given.
+"""Every kind of file the pipeline reads, read through the one reader
+(cli._read), either gives a value or raises a ValidationError whose message
+starts with the file's path, whatever bytes the file holds.
 
-Each loader gets arbitrary input, arbitrary JSON where it reads JSON, and
-valid documents with one field (at any depth) replaced by an arbitrary
-JSON value, which reaches the checks behind the parser.
+Each kind gets arbitrary bytes, and arbitrary text, arbitrary JSON and valid
+documents with one field (at any depth) replaced by an arbitrary JSON value,
+each encoded as UTF-8, UTF-16 or UTF-32.  The mutations reach the checks
+behind the parser; the other encodings reach the decode step.
 """
 
 import copy
-import io
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gaborface as gf
-from gaborface.cli import StudyConfig
-from gaborface.errors import ValidationError
+from gaborface.cli import StudyConfig, _read
+from gaborface.errors import FormatError, ValidationError
 from gaborface.grid import NODE_COUNT, default_template_placement, grid_document
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -60,22 +62,22 @@ def mutated(draw, doc):
     return doc
 
 
-def loads_or_rejects(load, data):
-    try:
-        load(data)
-    except ValidationError:
-        pass
+def encoded(texts):
+    """Arbitrary bytes, and `texts` encoded as UTF-8, UTF-16 or UTF-32."""
+    encodings = st.sampled_from(["utf-8", "utf-16", "utf-32"])
+    return st.one_of(st.binary(), st.builds(str.encode, texts, encodings))
 
 
 def documents(valid):
-    """Arbitrary text, arbitrary JSON and mutations of `valid`, as text."""
-    return st.one_of(st.text(), json_values.map(json.dumps),
-                     mutated(valid).map(json.dumps))
+    """File contents for a JSON file whose valid form is `valid`."""
+    return encoded(st.one_of(st.text(), json_values.map(json.dumps),
+                             mutated(valid).map(json.dumps)))
 
 
 PLACEMENT = default_template_placement(
     "img", np.random.default_rng(0).uniform(0, 63, (NODE_COUNT, 2)), (64, 64))
 BANK = gf.build_filter_bank([1.0], [0.0], 1.0)
+GRID_DOC = grid_document(PLACEMENT)
 JET_DOC = gf.gabor.jet_document("img", BANK, PLACEMENT,
                                 np.ones((NODE_COUNT, len(BANK))))
 MATRIX_DOC = gf.PairMatrix(
@@ -93,27 +95,88 @@ STUDY_DOC = {
 CONFIG_DOC = gf.Configuration(
     ("a", "b", "c"), np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]), 0.1, 0.9,
     4).to_document()
+SIX = "image_id,happiness,sadness,surprise,anger,disgust,fear"
+RATINGS = SIX + "\nimg0,1,2,3,4,5,1\nimg1,2.5,2.5,2.5,2.5,2.5,2.5\n"
+
+# each kind of file: how the pipeline reads it, and a valid content
+READERS = {
+    "pgm": (lambda path: _read(path, gf.read_pgm, "bytes"),
+            b"P5\n2 2\n255\n\x00\x40\x80\xff"),
+    "grid": (lambda path: _read(path, gf.load_grid), GRID_DOC),
+    "jet": (lambda path: _read(path, gf.gabor.parse_jet_document), JET_DOC),
+    "matrix": (lambda path: _read(path, gf.PairMatrix.from_document), MATRIX_DOC),
+    "embedding": (lambda path: _read(path, gf.Configuration.from_document),
+                  CONFIG_DOC),
+    "study": (StudyConfig.from_file, STUDY_DOC),
+    "ratings": (lambda path: _read(path, gf.load_ratings, "text"), RATINGS),
+}
+JSON_KINDS = ["grid", "jet", "matrix", "embedding", "study"]
+
+
+def read_bytes_as(kind, data):
+    """Read `data` as a file of `kind`: the value, or the ValidationError."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / f"input.{kind}"
+        path.write_bytes(data)
+        try:
+            return READERS[kind][0](path)
+        except ValidationError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            return exc
+
+
+def valid_bytes(kind):
+    content = READERS[kind][1]
+    if isinstance(content, dict):
+        content = json.dumps(content)
+    return content if isinstance(content, bytes) else content.encode()
 
 
 def test_valid_documents_load():
-    grid_doc = grid_document(PLACEMENT)
-    assert grid_document(gf.load_grid(json.dumps(grid_doc))) == grid_doc
-    placement = gf.gabor.parse_jet_document(json.dumps(JET_DOC))[0]
-    assert grid_document(placement) == grid_doc
-    assert gf.PairMatrix.from_json(json.dumps(MATRIX_DOC)).item_ids == ("a", "b", "c")
-    assert gf.Configuration.from_json(json.dumps(CONFIG_DOC)).iterations == 4
-    assert load_study_config(json.dumps(STUDY_DOC)).options.permutations == 100
+    image = read_bytes_as("pgm", valid_bytes("pgm"))
+    np.testing.assert_array_equal(image.pixels, [[0, 64], [128, 255]])
+    assert grid_document(read_bytes_as("grid", valid_bytes("grid"))) == GRID_DOC
+    placement = read_bytes_as("jet", valid_bytes("jet"))[0]
+    assert grid_document(placement) == GRID_DOC
+    assert read_bytes_as("matrix", valid_bytes("matrix")).item_ids == ("a", "b", "c")
+    assert read_bytes_as("embedding", valid_bytes("embedding")).iterations == 4
+    assert read_bytes_as("ratings", valid_bytes("ratings")).image_ids == (
+        "img0", "img1")
+    study = read_bytes_as("study", valid_bytes("study"))
+    assert study.options.permutations == 100
     # nMDS may run to max_iterations with no tolerance, or not iterate at all
     limits = {"tolerance": 0, "max_iterations": 0}
-    options = load_study_config(json.dumps({**STUDY_DOC, "options": limits})).options
+    options = read_bytes_as(
+        "study", json.dumps({**STUDY_DOC, "options": limits}).encode()).options
     assert (options.tolerance, options.max_iterations) == (0, 0)
+    assert isinstance(options.tolerance, float)  # written as 0.0 in embeddings
 
 
-def load_study_config(text):
-    with tempfile.TemporaryDirectory() as root:
-        path = Path(root) / "study.json"
-        path.write_text(text)
-        return StudyConfig.from_file(path)
+# damage -> (new content from the valid bytes, what the error says)
+DAMAGE = {
+    "utf-16": (lambda valid: valid.decode("latin-1").encode("utf-16"),
+               "not UTF-8 text"),
+    "invalid-utf-8": (lambda valid: b"\xff" + valid, "not UTF-8 text"),
+    "truncated": (lambda valid: valid[:-9], ""),
+    "empty": (lambda valid: b"", ""),
+}
+
+
+@pytest.mark.parametrize("kind,damage", [
+    (kind, damage) for kind in sorted(READERS) for damage in DAMAGE
+    if kind != "pgm" or damage in ("truncated", "empty")])  # a PGM is not text
+def test_damaged_file_is_rejected_naming_it(kind, damage):
+    content, message = DAMAGE[damage]
+    result = read_bytes_as(kind, content(valid_bytes(kind)))
+    assert isinstance(result, ValidationError) and message in str(result)
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS)
+@pytest.mark.parametrize("data", [b"1" * 5000, b"[" * 100_000],
+                         ids=["long-integer", "deep-nesting"])
+def test_json_the_decoder_refuses_is_malformed(kind, data):
+    result = read_bytes_as(kind, data)
+    assert isinstance(result, FormatError) and "malformed JSON" in str(result)
 
 
 @FUZZ
@@ -124,50 +187,49 @@ def load_study_config(text):
               st.integers(-1, 300), st.binary(max_size=200)),
 ))
 def test_read_pgm(data):
-    loads_or_rejects(gf.read_pgm, io.BytesIO(data))
+    read_bytes_as("pgm", data)
 
 
 @FUZZ
-@given(documents(grid_document(PLACEMENT)))
-def test_load_grid(text):
-    loads_or_rejects(gf.load_grid, text)
+@given(documents(GRID_DOC))
+def test_load_grid(data):
+    read_bytes_as("grid", data)
 
 
 @FUZZ
 @given(documents(JET_DOC))
-def test_parse_jet_document(text):
-    loads_or_rejects(gf.gabor.parse_jet_document, text)
+def test_parse_jet_document(data):
+    read_bytes_as("jet", data)
 
 
 @FUZZ
 @given(documents(MATRIX_DOC))
-def test_pair_matrix_from_json(text):
-    loads_or_rejects(gf.PairMatrix.from_json, text)
+def test_pair_matrix_from_json(data):
+    read_bytes_as("matrix", data)
 
 
 @FUZZ
 @given(documents(CONFIG_DOC))
-def test_configuration_from_json(text):
-    loads_or_rejects(gf.Configuration.from_json, text)
+def test_configuration_from_json(data):
+    read_bytes_as("embedding", data)
 
 
 @FUZZ
 @given(documents(STUDY_DOC))
-def test_study_config_from_file(text):
-    loads_or_rejects(load_study_config, text)
+def test_study_config_from_file(data):
+    read_bytes_as("study", data)
 
 
-SIX = "image_id,happiness,sadness,surprise,anger,disgust,fear"
 cells = st.one_of(st.text(max_size=6),
                   st.floats(0, 6).map(repr),
                   st.sampled_from(["a", "b", "1", "3.5", "5", "nan", "inf"]))
 
 
 @FUZZ
-@given(st.one_of(
+@given(encoded(st.one_of(
     st.text(),
     st.lists(st.lists(cells, min_size=5, max_size=8).map(",".join), max_size=5)
     .map(lambda rows: "\n".join([SIX] + rows)),
-))
-def test_load_ratings(text):
-    loads_or_rejects(gf.load_ratings, text)
+)))
+def test_load_ratings(data):
+    read_bytes_as("ratings", data)

@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 import gaborface as gf
+from gaborface.cli import _read
 from gaborface.errors import (
     AlignmentError,
     DegenerateConfigurationError,
@@ -222,15 +223,25 @@ class TestEmbed:
         stresses = [s for _, s, _ in rows]
         assert stresses[2] <= stresses[0] + 1e-9
 
+    @pytest.mark.parametrize("iterations", ["many", -1, True, 2.5, None])
+    def test_configuration_rejects_bad_iterations(self, iterations):
+        with pytest.raises(ParameterError, match="iterations"):
+            gf.Configuration(("a", "b"), [[0.0], [1.0]], 0.0, 1.0, iterations)
+
+    def test_configuration_rejects_ids_that_are_not_strings(self):
+        with pytest.raises(ParameterError, match="must be strings"):
+            gf.Configuration((["a"], "b"), [[0.0], [1.0]], 0.0, 1.0, 0)
+
     def test_json_round_trip(self):
         m, _ = planted_matrix(np.random.default_rng(13), 6, 2)
         config = gf.embed(m, 2)
-        back = gf.Configuration.from_json(json.dumps(config.to_document()))
+        back = gf.Configuration.from_document(json.loads(json.dumps(
+            config.to_document())))
         assert back.item_ids == config.item_ids
         np.testing.assert_array_equal(back.coordinates, config.coordinates)
         assert back.stress == config.stress
 
-    def test_malformed_json_is_format_error(self):
+    def test_malformed_json_is_format_error(self, tmp_path):
         m, _ = planted_matrix(np.random.default_rng(13), 4, 2)
         text = json.dumps(gf.embed(m, 2).to_document())
         bad = [text[:end] for end in range(0, len(text), 7)]
@@ -242,9 +253,11 @@ class TestEmbed:
                 '"stress": 0, "rsq": 1, "iterations": 0}',
                 '{"item_ids": ["a"], "coordinates": [[1.0, 2.0]], '
                 '"stress": Infinity, "rsq": 1, "iterations": 0}']
+        path = tmp_path / "embedding.json"
         for doc in bad:
+            path.write_text(doc)
             with pytest.raises(FormatError):
-                gf.Configuration.from_json(doc)
+                _read(path, gf.Configuration.from_document)
 
 
 def rotation(theta):

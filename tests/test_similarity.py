@@ -216,7 +216,7 @@ class TestPairMatrixSerialization:
         vals = (vals + vals.T) / 2
         np.fill_diagonal(vals, 0.0)
         m = gf.PairMatrix(("a", "b", "c"), vals, "dissimilarity")
-        back = gf.PairMatrix.from_json(json.dumps(m.to_document()))
+        back = gf.PairMatrix.from_document(json.loads(json.dumps(m.to_document())))
         assert back.item_ids == m.item_ids
         assert back.kind == m.kind
         np.testing.assert_array_equal(back.values, m.values)
@@ -232,10 +232,9 @@ class TestPairMatrixSerialization:
                                         [[0.0, math.inf], [math.inf, 0.0]],
                                         [[0.0, math.nan], [math.nan, 0.0]]])
     def test_from_json_ill_formed_values(self, values):
-        text = json.dumps({"kind": "dissimilarity", "item_ids": ["a", "b"],
-                           "values": values})
+        doc = {"kind": "dissimilarity", "item_ids": ["a", "b"], "values": values}
         with pytest.raises(FormatError):
-            gf.PairMatrix.from_json(text)
+            gf.PairMatrix.from_document(doc)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
@@ -246,3 +245,10 @@ class TestPairMatrixSerialization:
         with pytest.raises(ParameterError):
             gf.PairMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]),
                           "similarity")
+
+    @pytest.mark.parametrize("ids,message", [
+        ((7, "b"), "must be strings"), ((None, "b"), "must be strings"),
+        (("a", "a"), "duplicate item ids")])
+    def test_rejects_ids_that_are_not_distinct_strings(self, ids, message):
+        with pytest.raises(ParameterError, match=message):
+            gf.PairMatrix(ids, np.array([[0.0, 1.0], [1.0, 0.0]]), "dissimilarity")
