@@ -27,7 +27,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +68,12 @@ class StudyOptions:
         tolerance = self.tolerance
         if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
             raise ValidationError(f"tolerance must be a number, got {tolerance!r}")
-        if not (math.isfinite(tolerance) and tolerance >= 0):
+        try:
+            self.tolerance = float(tolerance)
+        except OverflowError:
+            self.tolerance = math.inf  # an integer too large for a float
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValidationError(f"need a finite tolerance >= 0, got {tolerance!r}")
-        self.tolerance = float(tolerance)
 
 
 @dataclass
@@ -130,9 +133,7 @@ class StudyConfig:
                 orientations=tuple(bank.get("orientations",
                                             gabor.DEFAULT_ORIENTATIONS)),
                 sigma=float(bank.get("sigma", gabor.DEFAULT_SIGMA)),
-                options=StudyOptions(**{f.name: opts[f.name]
-                                        for f in fields(StudyOptions)
-                                        if f.name in opts}),
+                options=StudyOptions(**opts),
                 exclude_from_average=tuple(exclude),
             )
             config.bank()  # a bad bank fails here, not in a later stage

@@ -424,14 +424,18 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config_path}: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("options", [
-        {"dims": True}, {"seed": 1.5}, {"dims": "2"}, {"tolerance": "1e-3"},
-        {"max_iterations": None}, {"permutations": 2.0}, {"scan_dims": False},
+    @pytest.mark.parametrize("options,message", [
+        ({"dims": True}, "dims must be"), ({"seed": 1.5}, "seed must be"),
+        ({"dims": "2"}, "dims must be"), ({"tolerance": "1e-3"}, "tolerance must be"),
+        ({"max_iterations": None}, "max_iterations must be"),
+        ({"permutations": 2.0}, "permutations must be"),
+        ({"scan_dims": False}, "scan_dims must be"),
+        ({"tolerance": 10**400}, "need a finite tolerance"),
     ], ids=["dims-bool", "seed-float", "dims-string", "tolerance-string",
-            "max-iterations-none", "permutations-float", "scan-dims-bool"])
-    def test_ill_typed_option_is_validation_error(self, options):
-        [name] = options
-        with pytest.raises(ValidationError, match=f"{name} must be"):
+            "max-iterations-none", "permutations-float", "scan-dims-bool",
+            "tolerance-overflow"])
+    def test_ill_typed_option_is_validation_error(self, options, message):
+        with pytest.raises(ValidationError, match=message):
             cli.StudyOptions(**options)
 
     def test_plot_removes_the_plot_of_a_replaced_2d_embedding(self, tmp_path):
@@ -461,9 +465,10 @@ class TestMainCli:
         ({"scan_dims": -2}, []),
         ({"scan_dims": 0}, []),
         ({"dims": 0}, []),
+        ({"permutation": 1000}, []),
     ], ids=["seed", "seed-flag", "threads-0", "threads-negative", "tolerance-nan",
             "tolerance-inf", "tolerance-negative", "max-iterations",
-            "scan-dims-negative", "scan-dims-0", "dims-0"])
+            "scan-dims-negative", "scan-dims-0", "dims-0", "unknown-option"])
     def test_bad_option_exits_one(self, matrices_study, capsys, options, flags):
         doc = json.loads(matrices_study.read_text())
         doc["options"].update(options)

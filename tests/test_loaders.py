@@ -2,10 +2,11 @@
 (cli._read), either gives a value or raises a ValidationError whose message
 starts with the file's path, whatever bytes the file holds.
 
-Each kind gets arbitrary bytes, and arbitrary text, arbitrary JSON and valid
-documents with one field (at any depth) replaced by an arbitrary JSON value,
-each encoded as UTF-8, UTF-16 or UTF-32.  The mutations reach the checks
-behind the parser; the other encodings reach the decode step.
+Each kind gets arbitrary text, arbitrary JSON and valid documents with one
+field (at any depth) replaced by an arbitrary JSON value, written as UTF-8;
+the mutations reach the checks behind the parser.  Each kind also gets
+arbitrary bytes, and its valid content in another encoding or with a byte
+that is not UTF-8 put in, which reach the decode step.
 """
 
 import copy
@@ -62,16 +63,10 @@ def mutated(draw, doc):
     return doc
 
 
-def encoded(texts):
-    """Arbitrary bytes, and `texts` encoded as UTF-8, UTF-16 or UTF-32."""
-    encodings = st.sampled_from(["utf-8", "utf-16", "utf-32"])
-    return st.one_of(st.binary(), st.builds(str.encode, texts, encodings))
-
-
 def documents(valid):
-    """File contents for a JSON file whose valid form is `valid`."""
-    return encoded(st.one_of(st.text(), json_values.map(json.dumps),
-                             mutated(valid).map(json.dumps)))
+    """UTF-8 file contents for a JSON file whose valid form is `valid`."""
+    return st.one_of(st.text(), json_values.map(json.dumps),
+                     mutated(valid).map(json.dumps)).map(str.encode)
 
 
 PLACEMENT = default_template_placement(
@@ -226,10 +221,25 @@ cells = st.one_of(st.text(max_size=6),
 
 
 @FUZZ
-@given(encoded(st.one_of(
+@given(st.one_of(
     st.text(),
     st.lists(st.lists(cells, min_size=5, max_size=8).map(",".join), max_size=5)
     .map(lambda rows: "\n".join([SIX] + rows)),
-)))
+).map(str.encode))
 def test_load_ratings(data):
     read_bytes_as("ratings", data)
+
+
+@FUZZ
+@pytest.mark.parametrize("kind", sorted(set(READERS) - {"pgm"}))  # text kinds
+@given(data=st.data())
+def test_bytes_that_are_not_utf8(kind, data):
+    """Arbitrary bytes give a value or an error; the valid content in
+    another encoding, or with a byte that is not ASCII put in, an error."""
+    read_bytes_as(kind, data.draw(st.binary()))
+    valid = valid_bytes(kind)  # ASCII, so any byte >= 0x80 breaks its UTF-8
+    foreign = data.draw(st.one_of(
+        st.sampled_from(["utf-16", "utf-16-le", "utf-32"]).map(valid.decode().encode),
+        st.builds(lambda at, byte: valid[:at] + bytes([byte]) + valid[at:],
+                  st.integers(0, len(valid)), st.integers(0x80, 0xff))))
+    assert isinstance(read_bytes_as(kind, foreign), ValidationError)
