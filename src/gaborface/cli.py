@@ -292,7 +292,7 @@ def run_study(config):
 
 def _matrices(config):
     """Per expresser: Gabor similarity, geometry and semantic dissimilarity."""
-    bank = config.bank()
+    fingerprint = config.bank().fingerprint()
     table = _read(config.ratings_path, ratings.load_ratings, "text")
     if config.no_fear and FEAR_ADJECTIVE in table.adjectives:
         fear = table.adjectives.index(FEAR_ADJECTIVE)
@@ -302,7 +302,7 @@ def _matrices(config):
 
     def coded_image(doc):
         placement, loaded_bank, jets = gabor.parse_jet_document(doc)
-        if loaded_bank.fingerprint() != bank.fingerprint():
+        if loaded_bank.fingerprint() != fingerprint:
             raise ValidationError("coded with a different filter bank")
         return placement, jets
 
@@ -513,7 +513,7 @@ def main(argv=None):
         "--threads", type=int, default=1,
         help="encode images on N >= 1 threads; the jet kernel's matrix "
              "products release the GIL, but its per-point loop does not, so 2 "
-             "threads encode about 1.1x faster on 2 cores; outputs are "
+             "threads encode only about 1.05x faster on 2 cores; outputs are "
              "byte-identical for any N")
     parser.add_argument("--exclude", default="",
                         help="comma-separated expressers excluded from averages")

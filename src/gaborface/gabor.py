@@ -10,6 +10,7 @@ pair at a point is one jet component; the full bank yields the jet.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -225,17 +226,41 @@ def amplitude(even, odd):
     return math.hypot(even, odd)
 
 
+@functools.lru_cache(maxsize=16)
+def _bank_groups(bank):
+    """compute_jets' set-up of one bank, per (wavenumber, sigma) group."""
+    groups = {}
+    for i, spec in enumerate(bank.specs):
+        groups.setdefault((spec.wavenumber, spec.sigma), []).append(i)
+    setup = []
+    for (k, sigma), members in groups.items():
+        h = bank.specs[members[0]].window_half_width()
+        offsets = np.arange(-h, h + 1)
+        kx, ky = np.array([bank.specs[i].wave_vector for i in members]).T
+        waves = np.array([[0.0, *kx], [0.0, *ky]])  # column 0: the DC term
+        # e^{i k o}: (2, window, 1 + filters), complex as (re, im) pairs
+        carriers = np.exp(1j * offsets[:, None] * waves[:, None, :]).view(float)
+        for array in (offsets, waves, carriers):
+            array.setflags(write=False)  # the cache hands them to every call
+        setup.append((k, sigma, tuple(members), h, offsets, waves, carriers))
+    return tuple(setup)
+
+
 def compute_jets(image, bank, points):
     """Jets at many image points: a (len(points), len(bank)) amplitude array.
 
+    `points` is (n, 2), (x, y) centres; another shape is a ParameterError.
     Same window, reflection and offset rules as filter_response, evaluated
     separably: the complex response is c*(u_y^T P u_x - e^{-sigma^2/2} g_y^T P g_x)
     with P the window, g the 1-D Gaussian and u = g*e^{i k.d}.  With d = o - f
     (o the integer offset, f = c - round(c)), e^{i k d} = e^{i k o} e^{-i k f}:
-    one carrier table over o serves every point, and e^{-i k.f} rotates each
-    point's sums.  The image is mirror-padded once; each P is a view into it.
+    one carrier table over o, built once per bank, serves every point, and
+    e^{-i k.f} rotates each point's sums.  P is a view into the image, or a
+    _reflect_indices gather where the window crosses an edge.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = np.asarray(points, dtype=float) if len(points) else np.empty((0, 2))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ParameterError(f"points must be (x, y) pairs, got shape {pts.shape}")
     outside = ~np.all((pts >= 0) & (pts < (image.width, image.height)), axis=1)
     if np.any(outside):
         bx, by = pts[np.argmax(outside)]
@@ -244,28 +269,23 @@ def compute_jets(image, bank, points):
         )
     rounded = np.round(pts).astype(int)  # half-to-even, as filter_response
     fraction = (pts - rounded).T  # (2, points): f along x and y
-    # a centre just below the width rounds onto it, hence H + 1 past the end;
-    # "symmetric" repeats the edge pixel at each fold, as _reflect_indices
-    pad = max(spec.window_half_width() for spec in bank.specs)
-    padded = np.pad(image.pixels, (pad, pad + 1), mode="symmetric")
+    pixels, width, height = image.pixels, image.width, image.height
     jets = np.empty((len(pts), len(bank)))
-    groups = {}
-    for i, spec in enumerate(bank.specs):
-        groups.setdefault((spec.wavenumber, spec.sigma), []).append(i)
-    for (k, sigma), members in groups.items():
-        h = bank.specs[members[0]].window_half_width()
-        offsets = np.arange(-h, h + 1)
-        kx, ky = np.array([bank.specs[i].wave_vector for i in members]).T
-        waves = np.array([[0.0, *kx], [0.0, *ky]])  # column 0: the DC term
-        carriers = np.exp(1j * offsets[:, None] * waves[:, None, :])
+    for k, sigma, members, h, offsets, waves, carriers in _bank_groups(bank):
         d = offsets - fraction[:, :, None]
         gauss = np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))
         # (points, window, 1 + filters) per axis, complex as (re, im) pairs
-        vx, vy = gauss[..., None] * carriers.view(float)[:, None]
-        # real window (a view) times complex columns: one real matmul per point
+        vx = gauss[0, :, :, None] * carriers[0]
+        vy = gauss[1, :, :, None] * carriers[1]
+        # real window times complex columns: one real matmul per point
         pvx = np.empty(vx.shape)
-        for n, (x, y) in enumerate(rounded + pad - h):
-            np.matmul(padded[y:y + 2 * h + 1, x:x + 2 * h + 1], vx[n], out=pvx[n])
+        for n, (x, y) in enumerate(rounded.tolist()):
+            if h <= x < width - h and h <= y < height - h:
+                window = pixels[y - h:y + h + 1, x - h:x + h + 1]
+            else:  # near an edge, or a centre rounded onto the width or height
+                window = pixels[np.ix_(_reflect_indices(offsets + y, height),
+                                       _reflect_indices(offsets + x, width))]
+            np.matmul(window, vx[n], out=pvx[n])
         sums = np.einsum("nac,nac->nc", vy.view(complex), pvx.view(complex))
         rotation = np.exp(-1j * (fraction.T @ waves[:, 1:]))  # e^{-i k.f}
         responses = (k * k / (sigma * sigma)) * (

@@ -24,6 +24,39 @@ def grating(k, theta, size=256, mean=128.0, contrast=100.0, phase=0.0):
     return gf.ImageRaster(size, size, mean + contrast * np.cos(arg))
 
 
+def padded_kernel(image, bank, points):
+    """Reference jet kernel: compute_jets' operations, with every window a
+    view into one mirror-padded copy of the image; compute_jets is held to
+    it bit for bit."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    rounded = np.round(pts).astype(int)
+    fraction = (pts - rounded).T
+    pad = max(spec.window_half_width() for spec in bank.specs)
+    padded = np.pad(image.pixels, (pad, pad + 1), mode="symmetric")
+    jets = np.empty((len(pts), len(bank)))
+    groups = {}
+    for i, spec in enumerate(bank.specs):
+        groups.setdefault((spec.wavenumber, spec.sigma), []).append(i)
+    for (k, sigma), members in groups.items():
+        h = bank.specs[members[0]].window_half_width()
+        offsets = np.arange(-h, h + 1)
+        kx, ky = np.array([bank.specs[i].wave_vector for i in members]).T
+        waves = np.array([[0.0, *kx], [0.0, *ky]])
+        carriers = np.exp(1j * offsets[:, None] * waves[:, None, :])
+        d = offsets - fraction[:, :, None]
+        gauss = np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))
+        vx, vy = gauss[..., None] * carriers.view(float)[:, None]
+        pvx = np.empty(vx.shape)
+        for n, (x, y) in enumerate(rounded + pad - h):
+            np.matmul(padded[y:y + 2 * h + 1, x:x + 2 * h + 1], vx[n], out=pvx[n])
+        sums = np.einsum("nac,nac->nc", vy.view(complex), pvx.view(complex))
+        rotation = np.exp(-1j * (fraction.T @ waves[:, 1:]))
+        responses = (k * k / (sigma * sigma)) * (
+            sums[:, 1:] * rotation - math.exp(-sigma * sigma / 2.0) * sums[:, :1].real)
+        jets[:, members] = np.abs(responses)
+    return jets
+
+
 class TestBuildFilterBank:
     def test_default_bank_is_18_filters(self):
         bank = gf.build_filter_bank()
@@ -265,17 +298,27 @@ class TestComputeJets:
                                    self.oracle(img, bank, points),
                                    rtol=1e-12, atol=atol)
 
-    @pytest.mark.parametrize("width,height", [(1, 1), (2, 3), (5, 7)])
-    def test_symmetric_pad_is_the_reflect_gather(self, width, height):
-        from gaborface.gabor import _reflect_indices
-        pixels = np.arange(width * height, dtype=float).reshape(height, width)
-        for pad in (2 * max(width, height) + 1, 48):
-            ys = np.arange(-pad, height + pad + 1)
-            xs = np.arange(-pad, width + pad + 1)
-            np.testing.assert_array_equal(
-                np.pad(pixels, (pad, pad + 1), mode="symmetric"),
-                pixels[np.ix_(_reflect_indices(ys, height),
-                              _reflect_indices(xs, width))])
+    @pytest.mark.parametrize("width,height", [(1, 1), (2, 3), (5, 7), (140, 113)])
+    def test_bit_for_bit_the_padded_kernel(self, width, height):
+        # every window, inside the image or gathered at an edge, gives the
+        # same floating-point operations as one view into a mirror-padded copy
+        rng = np.random.default_rng(width * height)
+        img = gf.ImageRaster(width, height, rng.uniform(0, 255, (height, width)))
+        bank = gf.build_filter_bank()
+        w, h = width - 1e-9, height - 1e-9  # these round onto the far edge
+        points = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h), (width - 0.5, height - 0.5),
+                  (width / 2, height / 2), (width / 2 - 0.5, height / 2 - 0.5)]
+        points += [tuple(p) for p in rng.uniform(0, 1, (8, 2)) * (w, h)]
+        for half_width in sorted({spec.window_half_width() for spec in bank.specs}):
+            # 0 .. half_width + 1 pixels in from each edge and corner
+            for e in range(half_width + 2):
+                near = (min(e + 0.25, w), min(e + 0.25, h))
+                far = (max(width - 1.25 - e, 0.0), max(height - 1.25 - e, 0.0))
+                points += [(near[0], height / 2), (far[0], height / 2),
+                           (width / 2, near[1]), (width / 2, far[1]),
+                           near, (far[0], near[1]), (near[0], far[1]), far]
+        jets = gf.compute_jets(img, bank, points)
+        assert np.array_equal(jets, padded_kernel(img, bank, points))
 
     def test_compute_jet_is_a_row_of_compute_jets(self):
         img = smooth_image(4, size=64)
@@ -296,6 +339,18 @@ class TestComputeJets:
     def test_empty_point_list(self):
         img = smooth_image(0, size=32)
         assert gf.compute_jets(img, gf.build_filter_bank(), []).shape == (0, 18)
+
+    @pytest.mark.parametrize("points", [
+        [(10, 20, 30), (40, 50, 60)],
+        [[10, 20, 30, 40]],
+        [10, 20],
+        [[[10, 20]]],
+    ])
+    def test_points_must_be_xy_pairs(self, points):
+        img = smooth_image(0, size=64)
+        with pytest.raises(ParameterError, match="points must be"):
+            gf.compute_jets(img, gf.build_filter_bank(), points)
+
 
 class TestImageRaster:
     def test_flat_and_2d_agree(self):
