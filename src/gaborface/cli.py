@@ -27,6 +27,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -165,19 +166,42 @@ class StudyConfig:
         self.no_fear = True
 
 
-def _write_atomic(path, data):
+@contextmanager
+def _atomic(path):
+    """A UTF-8 text file whose content replaces `path` when the block ends.
+    It is written as `<name>.tmp` and renamed; if the block raises, the
+    temporary file is deleted and `path` keeps its old bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, str):
-        data = data.encode()
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_atomic(path, text):
+    with _atomic(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path, doc):
-    """The one layout of every JSON file under out/: one line, sorted keys."""
+    """The one layout of every JSON file under out/: one line, sorted keys
+    (PairMatrix.text_chunks lays out the matrix files the same way)."""
     _write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _write_matrix(stem, matrix):
+    """A pair matrix's JSON file and its CSV twin, `<stem>.json` and
+    `<stem>.csv`, streamed row by row from the one formatting pass of
+    PairMatrix.text_chunks."""
+    with _atomic(f"{stem}.json") as json_file, _atomic(f"{stem}.csv") as csv_file:
+        for json_chunk, csv_chunk in matrix.text_chunks():
+            json_file.write(json_chunk)
+            csv_file.write(csv_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +344,7 @@ def _matrices(config):
             "semantic": semantic,
         }
         for name, matrix in matrices.items():
-            stem = config.out_dir / "matrices" / f"{expresser}_{name}"
-            _write_json(stem.with_suffix(".json"), matrix.to_document())
-            _write_atomic(stem.with_suffix(".csv"), matrix.to_csv())
+            _write_matrix(config.out_dir / "matrices" / f"{expresser}_{name}", matrix)
         return matrices
     return unit
 

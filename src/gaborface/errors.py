@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the number check of
+every document loader.
 
 Everything derives from ValidationError (bad inputs, exit code 1 in the
 CLI) or RuntimeFailure (a computation that could not proceed, exit code 2).
 """
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -43,3 +46,12 @@ class AlignmentError(ValidationError):
 
 class DegenerateConfigurationError(RuntimeFailure):
     """A configuration or distance set is degenerate (all zero)."""
+
+
+def require_numbers(values, what):
+    """Raise FormatError unless every item of the iterable `values` is a
+    number.  A string or a boolean is not one, although float() and numpy
+    would convert it."""
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, numbers.Real):
+            raise FormatError(f"{what} must be numbers, got {kind.__name__}")

@@ -16,10 +16,11 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, OutOfBoundsError, ParameterError
+from .errors import FormatError, OutOfBoundsError, ParameterError, require_numbers
 from .grid import load_grid
 
 DEFAULT_WAVENUMBERS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -376,14 +377,18 @@ def parse_jet_document(doc):
             raise FormatError("jet document has no source_size or nose_tip, "
                               "so it predates placements in jet files; "
                               "re-run the encode stage")
-        bank = build_filter_bank(
-            doc["bank"]["wavenumbers"], doc["bank"]["orientations"], doc["bank"]["sigma"]
-        )
+        bank = doc["bank"]
+        require_numbers((*bank["wavenumbers"], *bank["orientations"], bank["sigma"]),
+                        "bank parameters")
+        bank = build_filter_bank(bank["wavenumbers"], bank["orientations"],
+                                 bank["sigma"])
         placement = load_grid({"image_id": doc["image_id"],
                                "source_size": doc["source_size"],
                                "nose_tip": doc["nose_tip"],
                                "nodes": doc["points"]})
-        jets = np.array([p["amplitudes"] for p in doc["points"]], dtype=float)
+        amplitudes = [p["amplitudes"] for p in doc["points"]]
+        require_numbers(chain.from_iterable(amplitudes), "jet amplitudes")
+        jets = np.array(amplitudes, dtype=float)
     except KeyError as exc:
         raise FormatError(f"malformed jet document: missing {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

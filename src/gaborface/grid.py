@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, require_numbers
 from .grid_template import NODE_NAMES, NOSE_TIP
 
 NODE_COUNT = 34
@@ -74,13 +74,18 @@ def load_grid(document):
         raise FormatError(f"grid document missing field: {exc}") from exc
     if not isinstance(raw_nodes, list):
         raise FormatError(f"grid nodes must be a list, got {type(raw_nodes).__name__}")
-    names, points = [], []
+    names, coordinates = [], []
     for entry in raw_nodes:
         try:
             names.append(entry["name"])
-            points.append((float(entry["x"]), float(entry["y"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            coordinates += (entry["x"], entry["y"])
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed grid node {entry!r}: {exc}") from exc
+    require_numbers((*source_size, *coordinates), "source_size and node x, y")
+    try:
+        points = np.array(coordinates, dtype=float).reshape(-1, 2)
+    except OverflowError as exc:
+        raise FormatError(f"malformed grid node coordinate: {exc}") from exc
     return GridPlacement(image_id, names, points, nose_tip, source_size)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -23,6 +24,7 @@ from .errors import (
     DegenerateConfigurationError,
     FormatError,
     ParameterError,
+    require_numbers,
 )
 
 DEFAULT_TOLERANCE = 1e-6
@@ -84,12 +86,19 @@ class Configuration:
     def from_document(cls, doc):
         """The Configuration of a JSON value that to_document wrote."""
         try:
-            return cls(tuple(doc["item_ids"]), np.asarray(doc["coordinates"]),
+            ids, coordinates = doc["item_ids"], doc["coordinates"]
+            if not isinstance(ids, list):
+                raise FormatError("item_ids must be a list")
+            require_numbers(chain(chain.from_iterable(coordinates),
+                                  (doc["stress"], doc["rsq"])),
+                            "coordinates, stress and rsq")
+            return cls(tuple(ids), np.asarray(coordinates),
                        doc["stress"], doc["rsq"], doc["iterations"])
         except KeyError as exc:
             raise FormatError(f"malformed configuration: missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            # ParameterError is a ValueError
+        except (TypeError, ValueError, OverflowError) as exc:
+            # FormatError and ParameterError are ValueErrors; an integer too
+            # large for a float overflows
             raise FormatError(f"malformed configuration: {exc}") from exc
 
 

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import DegenerateJetError, DimensionError, FormatError, ParameterError
+from .errors import (
+    DegenerateJetError,
+    DimensionError,
+    FormatError,
+    ParameterError,
+    require_numbers,
+)
 from .grid import NODE_COUNT
 
 
@@ -100,17 +108,48 @@ class PairMatrix:
     def from_document(cls, doc):
         """The PairMatrix of a JSON value that to_document wrote."""
         try:
-            return cls(tuple(doc["item_ids"]), np.asarray(doc["values"]), doc["kind"])
+            ids, values = doc["item_ids"], doc["values"]
+            if not isinstance(ids, list):
+                raise FormatError("item_ids must be a list")
+            require_numbers(chain.from_iterable(values), "values")
+            return cls(tuple(ids), np.asarray(values), doc["kind"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # ragged or non-numeric values and the checks (ParameterError)
-            # are ValueErrors
+            # ragged values and the checks (FormatError, ParameterError) are
+            # ValueErrors
             raise FormatError(f"malformed pair-matrix document: {exc}") from exc
 
+    def text_chunks(self):
+        """The JSON text of to_document, laid out as every JSON file under
+        out/ (one line, sorted keys), and the text of to_csv, as matching
+        (json, csv) chunks: the headers, one chunk per row, then the JSON's
+        close (with an empty CSV chunk).
+
+        Each value is formatted once, with repr, which is what json writes
+        for a finite float.  A cell below the diagonal reuses its mirror's
+        string where the two are the same double bit for bit; symmetry is
+        checked with ==, so a 0.0 may mirror a -0.0.
+        """
+        ids = self.item_ids
+        yield (f'{{"item_ids":{json.dumps(list(ids), separators=(",", ":"))},'
+               f'"kind":{json.dumps(self.kind)},"values":[',
+               "," + ",".join(ids) + "\n")
+        bits = self.values.view(np.uint64)
+        unmirrored = bits != bits.T
+        upper = []  # upper[j]: the strings of row j right of the diagonal
+        # one row of Python floats at a time: the whole matrix as floats
+        # would raise the matrices stage's memory peak
+        for i, row in enumerate(map(np.ndarray.tolist, self.values)):
+            upper.append(list(map(repr, row[i + 1:])))
+            lower = [upper[j][i - j - 1] for j in range(i)]
+            for j in np.flatnonzero(unmirrored[i, :i]).tolist():
+                lower[j] = repr(row[j])
+            cells = ",".join([*lower, repr(row[i]), *upper[i]])
+            yield ("," if i else "") + f"[{cells}]", f"{ids[i]},{cells}\n"
+        yield "]}\n", ""
+
     def to_csv(self):
-        lines = ["," + ",".join(self.item_ids)]
-        lines += [item_id + "," + ",".join(map(repr, row))
-                  for item_id, row in zip(self.item_ids, self.values.tolist())]
-        return "\n".join(lines) + "\n"
+        """The CSV twin: an id header row and column around the values."""
+        return "".join(csv for _, csv in self.text_chunks())
 
 
 def pairwise_matrix(items, measure):

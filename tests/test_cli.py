@@ -265,6 +265,23 @@ class TestMainCli:
         ("align", "embeddings/SY_gabor.json",
          edit_json(lambda doc: doc.update(iterations="many")),
          "iterations must be an integer"),
+        # numbers in intermediate files must be JSON numbers
+        ("embed", "matrices/SY_semantic.json",
+         edit_json(lambda doc: doc.update(values=[[repr(v) for v in row]
+                                                  for row in doc["values"]])),
+         "values must be numbers, got str"),
+        ("embed", "matrices/SY_gabor.json",
+         edit_json(lambda doc: doc.update(item_ids="".join(doc["item_ids"]))),
+         "item_ids must be a list"),
+        ("matrices", "jets/img00.json",
+         edit_json(lambda doc: doc["points"][0]["amplitudes"].__setitem__(0, "1.5")),
+         "jet amplitudes must be numbers, got str"),
+        ("matrices", "jets/img00.json",
+         edit_json(lambda doc: doc["points"][0].update(x="10")),
+         "must be numbers, got str"),
+        ("align", "embeddings/SY_gabor.json",
+         edit_json(lambda doc: doc["coordinates"][0].__setitem__(0, True)),
+         "must be numbers, got bool"),
     ])
     def test_unreadable_intermediate_exits_one(self, tmp_path, capsys, stage,
                                                victim, content, message):
@@ -339,6 +356,16 @@ class TestMainCli:
             assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert summary[1:] == ["SY,failed,,,,"]
+
+    def test_expresser_id_with_a_dot_keeps_its_matrix_files(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        doc = json.loads(config_path.read_text())
+        doc["expressers"] = {i: "S.Y" for i in doc["expressers"]}
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path)]) == 0
+        names = {p.name for p in (tmp_path / "out" / "matrices").iterdir()}
+        assert names == {f"S.Y_{m}.{x}" for m in ("gabor", "geometry", "semantic")
+                         for x in ("json", "csv")}
 
     def test_failed_expresser_leaves_no_stale_correlations(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=4)
@@ -616,6 +643,87 @@ class TestOutputLayout:
                         == json.loads(want[name].read_text())), name
             else:
                 assert path.read_bytes() == want[name].read_bytes(), name
+
+
+def reference_csv(matrix):
+    """The CSV layout, formatted the one way it was before the streaming
+    writer: a repr per cell of both triangles."""
+    lines = ["," + ",".join(matrix.item_ids)]
+    lines += [item_id + "," + ",".join(map(repr, row))
+              for item_id, row in zip(matrix.item_ids, matrix.values.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def awkward_matrix(n, kind):
+    """A symmetric n x n matrix of hard-to-format values: subnormal, tiny,
+    inexact and large doubles of both signs, a 0.0 below the diagonal
+    mirroring a -0.0 above it and, for dissimilarities, a -0.0 on the
+    diagonal; its ids are non-ASCII or hold quotes and backslashes."""
+    pool = [5e-324, 1e-5, 0.1 + 0.2, 1e16, 2.5, 1 / 3]
+    pool += [-v for v in pool]
+    values = np.zeros((n, n))
+    upper = np.triu_indices(n, 1)
+    values[upper] = [pool[k % len(pool)] for k in range(len(upper[0]))]
+    values += values.T
+    np.fill_diagonal(values, 1.0 if kind == "similarity" else 0.0)
+    values[0, 1], values[1, 0] = -0.0, 0.0
+    if kind == "dissimilarity":
+        values[n - 1, n - 1] = -0.0
+    ids = tuple(["é\"q", "back\\slash", "'", "日本"] + [f"i{k}" for k in range(n)])[:n]
+    return gf.PairMatrix(ids, values, kind)
+
+
+class TestMatrixWriter:
+    """cli._write_matrix writes a pair matrix's JSON file and CSV twin from
+    one formatting pass, in the bytes of the one JSON layout and of the
+    repr-per-cell CSV, through a temporary file and a rename."""
+
+    @pytest.mark.parametrize("kind", ["similarity", "dissimilarity"])
+    @pytest.mark.parametrize("n", [2, 3, 21, 210])
+    def test_bytes_match_the_json_layout_and_the_csv_formula(self, tmp_path, n,
+                                                             kind):
+        matrix = awkward_matrix(n, kind)
+        cli._write_matrix(tmp_path / "m", matrix)
+        assert (tmp_path / "m.json").read_text(encoding="utf-8") == json.dumps(
+            matrix.to_document(), sort_keys=True, separators=(",", ":")) + "\n"
+        csv = (tmp_path / "m.csv").read_text(encoding="utf-8")
+        assert csv == reference_csv(matrix) == matrix.to_csv()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.json"]
+
+    def test_signed_zeros_round_trip_byte_exact(self, tmp_path):
+        matrix = gf.PairMatrix.from_document(
+            {"kind": "dissimilarity", "item_ids": ["a", "b"],
+             "values": [[0, -0.0], [0.0, 0]]})
+        cli._write_matrix(tmp_path / "m", matrix)
+        first = (tmp_path / "m.json").read_bytes(), (tmp_path / "m.csv").read_bytes()
+        assert first == (b'{"item_ids":["a","b"],"kind":"dissimilarity",'
+                         b'"values":[[0.0,-0.0],[0.0,0.0]]}\n',
+                         b",a,b\na,0.0,-0.0\nb,0.0,0.0\n")
+        again = gf.PairMatrix.from_document(json.loads(first[0]))
+        cli._write_matrix(tmp_path / "m", again)
+        assert ((tmp_path / "m.json").read_bytes(),
+                (tmp_path / "m.csv").read_bytes()) == first
+
+    def test_failed_write_leaves_old_bytes_and_no_tmp(self, tmp_path):
+        class Failing:
+            """A chunk source that raises after its first chunk."""
+            def text_chunks(self):
+                yield "{", ",a\n"
+                raise OSError("disk full")
+
+        for name in ("m.json", "m.csv"):
+            (tmp_path / name).write_text(f"old {name}\n")
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_matrix(tmp_path / "m", Failing())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.json"]
+        for name in ("m.json", "m.csv"):
+            assert (tmp_path / name).read_text() == f"old {name}\n"
+
+    def test_failed_rename_leaves_no_tmp(self, tmp_path):
+        (tmp_path / "summary.csv").mkdir()  # a directory the file cannot replace
+        with pytest.raises(OSError):
+            cli._write_atomic(tmp_path / "summary.csv", "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
 class TestBatchedEncodeDrift:

@@ -147,6 +147,79 @@ def test_valid_documents_load():
     assert isinstance(options.tolerance, float)  # written as 0.0 in embeddings
 
 
+def edited(doc, change):
+    doc = copy.deepcopy(doc)
+    change(doc)
+    return doc
+
+
+def set_at(*path_and_value):
+    """A change that sets the value at a path of keys and indices."""
+    *path, key, value = path_and_value
+
+    def change(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return change
+
+
+# kind -> documents that float() or numpy would turn into numbers or ids:
+# every number in an intermediate file must be a JSON number, every id list
+# a JSON list
+NOT_NUMBERS = {
+    "matrix": {
+        "string-values": set_at("values", [[repr(v) for v in row]
+                                           for row in MATRIX_DOC["values"]]),
+        "boolean-values": set_at("values", [[i != j for j in range(3)]
+                                            for i in range(3)]),
+        "mixed-values": lambda doc: [set_at("values", i, j, True)(doc)
+                                     for i, j in ((0, 1), (1, 0))],
+        "string-ids": set_at("item_ids", "abc"),
+    },
+    "embedding": {
+        "string-coordinates": set_at("coordinates", [
+            [repr(v) for v in row] for row in CONFIG_DOC["coordinates"]]),
+        "mixed-coordinates": set_at("coordinates", 1, 0, True),
+        "boolean-stress": set_at("stress", True),
+        "string-ids": set_at("item_ids", "abc"),
+    },
+    "grid": {
+        "string-x": set_at("nodes", 0, "x", "10"),
+        "boolean-y": set_at("nodes", 0, "y", True),
+    },
+    "jet": {
+        "string-amplitudes": set_at("points", 0, "amplitudes", ["1.0"] * len(BANK)),
+        # the other points' amplitudes stay floats
+        "mixed-amplitudes": set_at("points", 0, "amplitudes", [True] * len(BANK)),
+        "string-x": set_at("points", 0, "x", "10"),
+        "string-sigma": set_at("bank", "sigma", "1.0"),
+    },
+}
+
+
+@pytest.mark.parametrize("kind,change", [
+    pytest.param(kind, change, id=f"{kind}-{name}")
+    for kind, changes in NOT_NUMBERS.items() for name, change in changes.items()])
+def test_strings_and_booleans_are_not_numbers(kind, change):
+    doc = edited(READERS[kind][1], change)
+    result = read_bytes_as(kind, json.dumps(doc).encode())
+    assert isinstance(result, FormatError), result
+    assert "must be numbers" in str(result) or "must be a list" in str(result)
+
+
+@pytest.mark.parametrize("kind,change", [
+    ("matrix", lambda doc: [set_at("values", i, j, 10 ** 400)(doc)
+                            for i, j in ((0, 1), (1, 0))]),
+    ("embedding", set_at("coordinates", 0, 0, 10 ** 400)),
+    ("grid", set_at("nodes", 0, "x", 10 ** 400)),
+    ("jet", set_at("points", 0, "amplitudes", [10 ** 400] * len(BANK))),
+], ids=["matrix", "embedding", "grid", "jet"])
+def test_integer_too_large_for_a_float_is_malformed(kind, change):
+    result = read_bytes_as(kind, json.dumps(edited(READERS[kind][1], change)).encode())
+    assert isinstance(result, FormatError), result
+
+
 # damage -> (new content from the valid bytes, what the error says)
 DAMAGE = {
     "utf-16": (lambda valid: valid.decode("latin-1").encode("utf-16"),
