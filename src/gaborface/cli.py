@@ -34,12 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from . import gabor, grid, nmds, rank_stats, ratings
-from .errors import FormatError, RuntimeFailure, ValidationError
+from .errors import FormatError, RuntimeFailure, ValidationError, require_numbers
 from .similarity import PairMatrix, pairwise_matrix
 
 FEAR_LABEL = "FE"
 FEAR_ADJECTIVE = "fear"
-MIN_GROUP_SIZE = 3
+MIN_GROUP_SIZE = 4  # 6 pairs; significance needs at least 4
 MEASURES = ("gabor", "geometry")  # the models correlated with the ratings
 EMBEDDED = ("gabor", "semantic")  # the matrices embedded, aligned and plotted
 
@@ -106,6 +106,16 @@ class StudyConfig:
                 raise ValidationError(f"{key!r} must be an object")
             return value
 
+        def bank_field(key, default):
+            """The bank's `key`: a JSON list of numbers, or a number for
+            sigma.  float() would also take a string or a boolean."""
+            value = bank.get(key, default)
+            listed = isinstance(default, tuple)
+            if listed and not isinstance(value, (list, tuple)):
+                raise ValidationError(f"bank {key!r} must be a list of numbers")
+            require_numbers(value if listed else [value], f"bank {key!r}")
+            return tuple(value) if listed else value
+
         def resolve(key):
             if key not in doc:
                 raise ValidationError(f"missing {key!r}")
@@ -130,10 +140,9 @@ class StudyConfig:
                 out_dir=resolve("out_dir"),
                 expressers=dict(expressers),
                 labels=dict(section("labels")),
-                wavenumbers=tuple(bank.get("wavenumbers", gabor.DEFAULT_WAVENUMBERS)),
-                orientations=tuple(bank.get("orientations",
-                                            gabor.DEFAULT_ORIENTATIONS)),
-                sigma=float(bank.get("sigma", gabor.DEFAULT_SIGMA)),
+                wavenumbers=bank_field("wavenumbers", gabor.DEFAULT_WAVENUMBERS),
+                orientations=bank_field("orientations", gabor.DEFAULT_ORIENTATIONS),
+                sigma=float(bank_field("sigma", gabor.DEFAULT_SIGMA)),
                 options=StudyOptions(**opts),
                 exclude_from_average=tuple(exclude),
             )
@@ -274,7 +283,7 @@ def _usable_groups(config):
     for expresser, ids in config.groups().items():
         if len(ids) < MIN_GROUP_SIZE:
             warnings.warn(f"expresser {expresser!r} has only {len(ids)} images; "
-                          "skipping (need >= 3)")
+                          f"skipping (need >= {MIN_GROUP_SIZE})")
             continue
         usable[expresser] = ids
     return usable

@@ -1,7 +1,16 @@
-"""Spearman rank correlation with t-approximation or permutation p-values."""
+"""Spearman rank correlation with t-approximation or permutation p-values.
+
+The series correlated are the pairs of one item set, which are not
+independent: pairs that share an item share its errors.  The permutation
+test respects that by relabelling the items (the Mantel test; Mantel 1967,
+Cancer Research 27:209), not by shuffling the pairs.  The default
+t-approximation treats the pairs as independent and is anti-conservative
+on pair matrices, so it is a quick description, not an inference.
+"""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -83,16 +92,22 @@ def spearman_rho(series):
 
 def significance(rho, n, permutations=None, series=None,
                  seed=DEFAULT_PERMUTATION_SEED):
-    """Two-sided p-value for an observed rank correlation.
+    """Two-sided p-value for an observed rank correlation over `n` pairs.
 
     Default: t-approximation for one `rho`, t = rho*sqrt((n-2)/(1-rho^2))
-    with n-2 degrees of freedom.
+    with n-2 degrees of freedom.  It treats the pairs as independent, which
+    the pairs of one item set are not: on the distance matrices of two
+    unrelated configurations it rejects far more often than its level
+    (22.7% at alpha = .05 for 21 items), so use `permutations` for
+    inference on pair matrices.
 
     With `permutations` (>= 1) set, a seeded Monte-Carlo permutation test
-    instead: `rho` and `series` are matching sequences, and the series
-    share one `y`.  Each permutation of the centred `y` ranks is drawn once
-    and every series is scored against it, so a series gets the p-value it
-    would get alone.  Returns one p-value per series.
+    of item labels instead (the Mantel test): `rho` and `series` are
+    matching sequences, and the series share one `y`, each over the
+    canonical pairs of one item set (see `canonical_pairs`).  Each draw
+    relabels the items with one `rng.permutation` and scores every series
+    against that relabelled `y`, so a series gets the p-value it would get
+    alone.  Returns one p-value per series.
     """
     if n < 4:
         raise ParameterError(f"need n >= 4 for a significance test, got {n}")
@@ -113,6 +128,10 @@ def significance(rho, n, permutations=None, series=None,
         raise ParameterError("permutation test needs one rho per series")
     if any(not np.array_equal(s.y, series[0].y) for s in series):
         raise ParameterError("permuted series must share their y values")
+    m = series[0].y.size
+    items = (1 + math.isqrt(1 + 8 * m)) // 2
+    if items * (items - 1) // 2 != m:
+        raise ParameterError(f"{m} values are not the pairs of an item set")
     rx = np.array([average_ranks(s.x) for s in series])
     rx -= rx.mean(axis=1, keepdims=True)
     ry = average_ranks(series[0].y)
@@ -120,13 +139,28 @@ def significance(rho, n, permutations=None, series=None,
     denom = np.sqrt(np.sum(rx * rx, axis=1) * np.sum(ry * ry))
     if np.any(denom == 0.0):
         raise UndefinedCorrelationError("constant series has no rank correlation")
+    # relabelling the items reorders the same pair values, so the centred
+    # ranks and the denominator hold for every draw; draw p gathers pair
+    # (i, j) from cell (p[i], p[j]) of the symmetric rank matrix.  The
+    # indices are in range by construction, and mode="clip" spares take
+    # the copy of `out` that its default mode makes.
+    upper_i, upper_j = np.triu_indices(items, 1)
+    ry_matrix = np.zeros((items, items))
+    ry_matrix[upper_i, upper_j] = ry
+    ry_matrix[upper_j, upper_i] = ry
+    ry_flat = ry_matrix.ravel()
+    row_starts = np.empty(items, dtype=np.intp)
+    cells, cols = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    permuted = np.empty(m)
     rng = np.random.default_rng(seed)
-    permuted = np.empty_like(ry)
     hits = np.zeros(len(series), dtype=int)
     for _ in range(permutations):
-        # refill, then shuffle in place: the draws rng.permutation(ry) makes
-        permuted[:] = ry
-        rng.shuffle(permuted)
+        labels = rng.permutation(items)
+        np.multiply(labels, items, out=row_starts)
+        np.take(row_starts, upper_i, out=cells, mode="clip")
+        np.take(labels, upper_j, out=cols, mode="clip")
+        cells += cols
+        np.take(ry_flat, cells, out=permuted, mode="clip")
         hits += np.abs(rx @ permuted) / denom >= thresholds
     return [(h + 1) / (permutations + 1) for h in hits.tolist()]
 
@@ -151,8 +185,11 @@ def correlate_model_with_ratings(models, semantic, permutations=None,
 
     Returns one CorrelationResult per model.  Similarity-kind model values
     are negated first so that agreement with the human data reads as
-    positive rho.  With `permutations` set, all models are tested against
-    one stream of permutations (see `significance`).
+    positive rho.  Without `permutations`, the p-values are the
+    t-approximation's, which treats the pairs as independent and is
+    anti-conservative here.  With `permutations` set, they come from
+    permuting the item labels of the semantic matrix, and all models are
+    tested against one stream of relabellings (see `significance`).
     """
     y, pairs = matrix_series(semantic)
     pairs = tuple(pairs)

@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -450,6 +451,59 @@ class TestMainCli:
         assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bank,field", [
+        ({"wavenumbers": ["1.5", True]}, "wavenumbers"),
+        ({"wavenumbers": [1.5, True]}, "wavenumbers"),
+        ({"orientations": [0.0, "1"]}, "orientations"),
+        ({"sigma": "3.0"}, "sigma"),
+        ({"sigma": False}, "sigma"),
+        ({"sigma": [3.0]}, "sigma"),
+        ({"wavenumbers": "12"}, "wavenumbers"),
+        ({"wavenumbers": 1.5}, "wavenumbers"),
+        ({"orientations": {"0": 1, "1": 2}}, "orientations"),
+    ], ids=["strings-and-bool", "bool", "string-orientation", "string-sigma",
+            "bool-sigma", "list-sigma", "string-list", "number-list", "object-list"])
+    def test_bank_takes_json_numbers_in_json_lists(self, tmp_path, capsys, bank,
+                                                   field):
+        doc = {"image_dir": "images", "grid_dir": "grids",
+               "ratings": "ratings.csv", "out_dir": "out",
+               "expressers": {"img00": "SY"}, "bank": bank}
+        config_path = tmp_path / "study.json"
+        config_path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"bank '{field}'"):
+            StudyConfig.from_file(config_path)
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: ") and err.count("\n") == 1
+        assert field in err
+
+    def test_bank_of_json_numbers_loads(self, tmp_path):
+        doc = {"image_dir": "images", "grid_dir": "grids",
+               "ratings": "ratings.csv", "out_dir": "out",
+               "expressers": {"img00": "SY"},
+               "bank": {"wavenumbers": [2, 0.5], "orientations": [0, 1.0],
+                        "sigma": 3}}
+        config_path = tmp_path / "study.json"
+        config_path.write_text(json.dumps(doc))
+        bank = StudyConfig.from_file(config_path).bank()
+        assert (bank.wavenumbers, bank.orientations, bank.sigma) == (
+            (2.0, 0.5), (0.0, 1.0), 3.0)
+
+    def test_expresser_of_three_images_is_skipped_at_every_stage(self, tmp_path):
+        # 3 images give 3 pairs, too few for a significance test
+        config_path = make_synthetic_study(tmp_path, n_images=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(config_path)]) == 0
+        messages = [str(w.message) for w in caught]
+        skipped = "expresser 'SY' has only 3 images; skipping (need >= 4)"
+        assert messages == [skipped] * (len(cli.STAGE_ORDER) - 1)
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["jets", "summary.csv",
+                                                         "summary.txt"]
+        assert (out / "summary.csv").read_text() == (
+            "expresser,gabor_rho,gabor_p,geometry_rho,geometry_p,n_pairs\n")
 
     @pytest.mark.parametrize("options,message", [
         ({"dims": True}, "dims must be"), ({"seed": 1.5}, "seed must be"),

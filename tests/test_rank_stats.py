@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -169,22 +170,22 @@ class TestSignificance:
             gf.significance(0.5, 3)
 
     def test_permutation_agrees_with_t_on_null_data(self):
+        # pair values drawn independently carry no item effects, so the
+        # item-label null has the spread the t-approximation assumes
         rng = np.random.default_rng(4)
-        x = rng.standard_normal(60)
-        y = rng.standard_normal(60)
-        s = series(x, y)
+        s = item_series(rng.standard_normal(66), rng.standard_normal(66))
         rho = gf.spearman_rho(s)
-        p_t = gf.significance(rho, 60)
-        [p_perm] = gf.significance([rho], 60, permutations=100_000, series=[s],
+        p_t = gf.significance(rho, 66)
+        [p_perm] = gf.significance([rho], 66, permutations=20_000, series=[s],
                                    seed=9)
         assert abs(p_t - p_perm) < 0.02
 
     def test_permutation_deterministic_for_seed(self):
         rng = np.random.default_rng(5)
-        s = series(rng.standard_normal(30), rng.standard_normal(30))
+        s = item_series(rng.standard_normal(28), rng.standard_normal(28))
         rho = gf.spearman_rho(s)
-        p1 = gf.significance([rho], 30, permutations=2000, series=[s], seed=42)
-        p2 = gf.significance([rho], 30, permutations=2000, series=[s], seed=42)
+        p1 = gf.significance([rho], 28, permutations=2000, series=[s], seed=42)
+        p2 = gf.significance([rho], 28, permutations=2000, series=[s], seed=42)
         assert p1 == p2
 
     @pytest.mark.parametrize("permutations", [-5, -1, 0])
@@ -193,19 +194,54 @@ class TestSignificance:
         with pytest.raises(ParameterError, match="permutations >= 1"):
             gf.significance([0.5], 10, permutations=permutations, series=[s])
 
+    @pytest.mark.parametrize("m", [4, 5, 20, 189])
+    def test_series_that_are_not_the_pairs_of_an_item_set_rejected(self, m):
+        s = series(np.arange(float(m)), np.arange(float(m)) % 3)
+        with pytest.raises(ParameterError, match="pairs of an item set"):
+            gf.significance([0.5], m, permutations=10, series=[s])
 
-def reference_permutation_hits(rho, s, permutations, seed):
-    """The per-series loop the shared stream replaced: a fresh
-    rng.permutation of the y ranks per draw, scored against one series."""
+
+def item_series(x, y):
+    """A PairedSeries over the canonical pairs of the items that `x` and
+    `y` (of length k(k-1)/2) are the pair values of."""
+    m = len(x)
+    k = round((1 + math.sqrt(1 + 8 * m)) / 2)
+    assert k * (k - 1) // 2 == m
+    pairs = tuple(canonical_pairs([f"i{i:03d}" for i in range(k)]))
+    return gf.PairedSeries(np.asarray(x, float), np.asarray(y, float), pairs)
+
+
+def pair_matrix(values):
+    """The symmetric item matrix whose canonical pairs hold `values`."""
+    m = len(values)
+    k = round((1 + math.sqrt(1 + 8 * m)) / 2)
+    matrix = [[0.0] * k for _ in range(k)]
+    pairs = ((i, j) for i in range(k) for j in range(i + 1, k))
+    for (i, j), v in zip(pairs, values):
+        matrix[i][j] = matrix[j][i] = v
+    return matrix
+
+
+def relabelled(matrix, labels):
+    """The canonical pair values of the items relabelled by `labels`:
+    pair (i, j) takes the value of pair (labels[i], labels[j])."""
+    k = len(labels)
+    return [matrix[labels[i]][labels[j]] for i in range(k) for j in range(i + 1, k)]
+
+
+def reference_relabel_hits(rho, s, permutations, seed):
+    """Brute-force item-label permutation test of one series: per draw,
+    rng.permutation of the item labels, the y pair values relabelled one
+    by one, then the rank correlation from scratch."""
+    y = pair_matrix(s.y.tolist())
     rx = gf.average_ranks(s.x)
-    ry = gf.average_ranks(s.y)
     rng = np.random.default_rng(seed)
     threshold = abs(rho) - 1e-12
     hits = 0
     for _ in range(permutations):
+        ry = gf.average_ranks(relabelled(y, rng.permutation(len(y)).tolist()))
         a = rx - rx.mean()
-        b = rng.permutation(ry)
-        b = b - b.mean()
+        b = ry - ry.mean()
         if abs(np.dot(a, b) / np.sqrt(np.sum(a * a) * np.sum(b * b))) >= threshold:
             hits += 1
     return hits
@@ -218,13 +254,14 @@ def shared_stream_hits(rhos, group, permutations, seed):
 
 
 class TestSharedPermutationStream:
-    """significance scores every series against one stream of permutations
-    of the shared y; each must keep the hits of the per-series loop."""
+    """significance scores every series against one stream of item
+    relabellings of the shared y; each must keep the hits of the
+    brute-force per-series loop."""
 
     def check_against_reference(self, xs, y, permutations=1000, seed=7):
-        group = [series(x, y) for x in xs]
+        group = [item_series(x, y) for x in xs]
         rhos = [gf.spearman_rho(s) for s in group]
-        expected = [reference_permutation_hits(r, s, permutations, seed)
+        expected = [reference_relabel_hits(r, s, permutations, seed)
                     for r, s in zip(rhos, group)]
         assert shared_stream_hits(rhos, group, permutations, seed) == expected
         return expected
@@ -233,45 +270,46 @@ class TestSharedPermutationStream:
         rng = np.random.default_rng(11)
         y = rng.standard_normal(300)
         xs = [0.3 * y + rng.standard_normal(300), rng.standard_normal(300)]
-        hits = self.check_against_reference(xs, y)
+        # seed 8: a pair shuffle's hits differ from the relabelling's here
+        hits = self.check_against_reference(xs, y, seed=8)
         assert hits[0] < 10 < hits[1]
 
     def test_tied_series(self):
         # few distinct values: many permuted rhos equal the observed one
         rng = np.random.default_rng(12)
         for _ in range(5):
-            y = rng.integers(0, 3, 12).astype(float)
-            xs = [rng.integers(0, 2, 12).astype(float),
-                  rng.integers(0, 4, 12).astype(float)]
+            y = rng.integers(0, 3, 15).astype(float)
+            xs = [rng.integers(0, 2, 15).astype(float),
+                  rng.integers(0, 4, 15).astype(float)]
             if min(np.ptp(v) for v in xs + [y]) == 0:
                 continue
             self.check_against_reference(xs, y, permutations=500)
 
     def test_near_null_series(self):
         rng = np.random.default_rng(13)
-        y = rng.standard_normal(2000)
-        x = rng.standard_normal(2000)
-        [hits] = self.check_against_reference([x], y)
-        assert hits > 500
+        y = rng.standard_normal(2016)
+        x = rng.standard_normal(2016)
+        [hits] = self.check_against_reference([x], y, permutations=300)
+        assert hits > 150
 
     def test_two_series_in_one_call_equal_each_alone(self):
         rng = np.random.default_rng(14)
-        y = rng.standard_normal(200)
-        group = [series(0.2 * y + rng.standard_normal(200), y),
-                 series(rng.integers(0, 5, 200), y)]
+        y = rng.standard_normal(190)
+        group = [item_series(0.2 * y + rng.standard_normal(190), y),
+                 item_series(rng.integers(0, 5, 190), y)]
         rhos = [gf.spearman_rho(s) for s in group]
-        together = gf.significance(rhos, 200, permutations=800, series=group,
+        together = gf.significance(rhos, 190, permutations=800, series=group,
                                    seed=3)
-        alone = [gf.significance([r], 200, permutations=800, series=[s], seed=3)[0]
+        alone = [gf.significance([r], 190, permutations=800, series=[s], seed=3)[0]
                  for r, s in zip(rhos, group)]
         assert together == alone
 
     def test_series_must_share_y(self):
         rng = np.random.default_rng(15)
-        a = series(rng.standard_normal(20), rng.standard_normal(20))
-        b = series(rng.standard_normal(20), rng.standard_normal(20))
+        a = item_series(rng.standard_normal(21), rng.standard_normal(21))
+        b = item_series(rng.standard_normal(21), rng.standard_normal(21))
         with pytest.raises(ParameterError, match="share"):
-            gf.significance([0.1, 0.2], 20, permutations=10, series=[a, b])
+            gf.significance([0.1, 0.2], 21, permutations=10, series=[a, b])
 
     def test_one_rho_per_series(self):
         s = series(np.arange(10.0), np.arange(10.0) % 4)
@@ -279,6 +317,48 @@ class TestSharedPermutationStream:
             gf.significance([0.1, 0.2], 10, permutations=10, series=[s])
         with pytest.raises(ParameterError, match="one rho per series"):
             gf.significance([], 10, permutations=10, series=[])
+
+
+class TestItemLabelNull:
+    """The permutation test's null: the items are exchangeable, not the
+    pairs (Mantel 1967)."""
+
+    def test_null_rejection_rate_holds_alpha(self):
+        # 300 null studies: the distances among 21 items in two unrelated
+        # random 6-d configurations.  Pairs that share an item are
+        # dependent, so a pair shuffle rejects ~21% of them at .05; the
+        # item-label null must stay near 5% (binomial sd 1.3%).
+        from scipy.spatial.distance import pdist
+        rng = np.random.default_rng(2024)
+        rejected = 0
+        for study in range(300):
+            s = item_series(pdist(rng.standard_normal((21, 6))),
+                            pdist(rng.standard_normal((21, 6))))
+            [p] = gf.significance([gf.spearman_rho(s)], 210, permutations=199,
+                                  series=[s], seed=study)
+            rejected += p <= 0.05
+        assert 0.01 <= rejected / 300 <= 0.09
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monte_carlo_p_matches_all_120_relabellings_of_5_items(self, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 4, 10).astype(float)  # ties included
+        x = y + rng.integers(0, 3, 10)
+        s = item_series(x, y)
+        rho = gf.spearman_rho(s)
+        observed = abs(oracle_spearman(x, y)) - 1e-12
+        matrix = pair_matrix(y.tolist())
+        extreme = sum(abs(oracle_spearman(x, relabelled(matrix, labels))) >= observed
+                      for labels in itertools.permutations(range(5)))
+        exact_p = extreme / 120
+        assert 0 < extreme < 120
+        draws = 20_000
+        [p] = gf.significance([rho], 10, permutations=draws, series=[s], seed=seed)
+        # the Monte Carlo p counts the observed labelling as one draw
+        assert p == pytest.approx(exact_p, abs=4 * math.sqrt(0.25 / draws) + 1 / draws)
+        # and the seeded draws are the brute-force relabelling's
+        assert (shared_stream_hits([rho], [s], 1000, seed)
+                == [reference_relabel_hits(rho, s, 1000, seed)])
 
 
 def dissim_matrix(ids, values):
