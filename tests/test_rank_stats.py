@@ -201,20 +201,23 @@ class TestSignificance:
             gf.significance([0.5], m, permutations=10, series=[s])
 
 
-def item_series(x, y):
-    """A PairedSeries over the canonical pairs of the items that `x` and
-    `y` (of length k(k-1)/2) are the pair values of."""
-    m = len(x)
+def item_count(m):
+    """k, for m = k(k-1)/2 pair values."""
     k = round((1 + math.sqrt(1 + 8 * m)) / 2)
     assert k * (k - 1) // 2 == m
-    pairs = tuple(canonical_pairs([f"i{i:03d}" for i in range(k)]))
+    return k
+
+
+def item_series(x, y):
+    """A PairedSeries over the canonical pairs of the items that `x` and
+    `y` are the pair values of."""
+    pairs = tuple(canonical_pairs([f"i{i:03d}" for i in range(item_count(len(x)))]))
     return gf.PairedSeries(np.asarray(x, float), np.asarray(y, float), pairs)
 
 
 def pair_matrix(values):
     """The symmetric item matrix whose canonical pairs hold `values`."""
-    m = len(values)
-    k = round((1 + math.sqrt(1 + 8 * m)) / 2)
+    k = item_count(len(values))
     matrix = [[0.0] * k for _ in range(k)]
     pairs = ((i, j) for i in range(k) for j in range(i + 1, k))
     for (i, j), v in zip(pairs, values):
