@@ -35,7 +35,6 @@ from .nmds import (
 )
 from .rank_stats import (
     CorrelationResult,
-    PairedSeries,
     average_ranks,
     correlate_model_with_ratings,
     significance,

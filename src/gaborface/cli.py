@@ -128,6 +128,12 @@ class StudyConfig:
         expressers = section("expressers")
         if not all(isinstance(e, str) for e in expressers.values()):
             raise ValidationError("expresser ids must be strings")
+        for item in (*expressers, *expressers.values()):
+            # ids name files under out/ and fill unquoted CSV cells
+            if item in ("", ".", "..") or any(c in item for c in '/\0,"\r\n'):
+                raise ValidationError(
+                    f"bad id {item!r}: an image or expresser id must not be "
+                    "empty, '.' or '..', nor hold '/', NUL, ',', '\"', CR or LF")
         exclude = doc.get("exclude_from_average", [])
         if not (isinstance(exclude, list) and all(isinstance(e, str) for e in exclude)):
             raise ValidationError("'exclude_from_average' must be a list of "
@@ -168,7 +174,8 @@ class StudyConfig:
         return dict(sorted(groups.items()))
 
     def drop_fear(self):
-        """Remove fear-labelled images and the fear rating column."""
+        """Remove fear-labelled images.  The fear rating column is dropped
+        by the matrices stage, which reads `no_fear`."""
         keep = {i: e for i, e in self.expressers.items()
                 if self.labels.get(i) != FEAR_LABEL}
         self.expressers = keep
@@ -286,6 +293,9 @@ def _usable_groups(config):
                           f"skipping (need >= {MIN_GROUP_SIZE})")
             continue
         usable[expresser] = ids
+    if not usable:
+        raise ValidationError(f"no expresser has >= {MIN_GROUP_SIZE} images, "
+                              "the fewest a significance test can use")
     return usable
 
 

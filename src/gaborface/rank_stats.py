@@ -1,16 +1,17 @@
 """Spearman rank correlation with t-approximation or permutation p-values.
 
-The series correlated are the pairs of one item set, which are not
-independent: pairs that share an item share its errors.  The permutation
-test respects that by relabelling the items (the Mantel test; Mantel 1967,
-Cancer Research 27:209), not by shuffling the pairs.  The default
+The series correlated are the pairs of one item set, taken from pair
+matrices in canonical order: the upper triangle, row by row, of the matrix
+with its items in sorted-id order.  Pairs that share an item are not
+independent; they share its errors.  The permutation test respects that by
+relabelling the items of the semantic rank matrix (the Mantel test; Mantel
+1967, Cancer Research 27:209), not by shuffling the pairs.  The default
 t-approximation treats the pairs as independent and is anti-conservative
 on pair matrices, so it is a quick description, not an inference.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,30 +21,6 @@ from scipy import special
 from .errors import AlignmentError, ParameterError, UndefinedCorrelationError
 
 DEFAULT_PERMUTATION_SEED = 20230
-
-
-@dataclass(frozen=True)
-class PairedSeries:
-    """Two paired value series over the canonical unordered item pairs."""
-
-    x: np.ndarray
-    y: np.ndarray
-    pair_labels: tuple
-
-    def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=float))
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=float))
-        if x.size != y.size:
-            raise ParameterError(f"series lengths differ: {x.size} vs {y.size}")
-        if x.size < 3:
-            raise ParameterError(f"need at least 3 pairs, got {x.size}")
-        if len(self.pair_labels) != x.size:
-            raise ParameterError("pair_labels length must match series length")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "pair_labels", tuple(self.pair_labels))
 
 
 @dataclass(frozen=True)
@@ -85,12 +62,15 @@ def _rho_from_ranks(rx, ry):
     return float(np.dot(rx, ry) / denom)
 
 
-def spearman_rho(series):
-    """Pearson correlation of the midranks of the two series."""
-    return _rho_from_ranks(average_ranks(series.x), average_ranks(series.y))
+def spearman_rho(x, y):
+    """Pearson correlation of the midranks of two paired series."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ParameterError(f"series lengths differ: {x.size} vs {y.size}")
+    return _rho_from_ranks(average_ranks(x), average_ranks(y))
 
 
-def significance(rho, n, permutations=None, series=None,
+def significance(rho, n, permutations=None, x_ranks=None, y_ranks=None,
                  seed=DEFAULT_PERMUTATION_SEED):
     """Two-sided p-value for an observed rank correlation over `n` pairs.
 
@@ -102,12 +82,13 @@ def significance(rho, n, permutations=None, series=None,
     inference on pair matrices.
 
     With `permutations` (>= 1) set, a seeded Monte-Carlo permutation test
-    of item labels instead (the Mantel test): `rho` and `series` are
-    matching sequences, and the series share one `y`, each over the
-    canonical pairs of one item set (see `canonical_pairs`).  Each draw
-    relabels the items with one `rng.permutation` and scores every series
-    against that relabelled `y`, so a series gets the p-value it would get
-    alone.  Returns one p-value per series.
+    of item labels instead (the Mantel test).  `rho` holds one value per
+    row of `x_ranks`, the midranks of a series over the pairs (i, j),
+    i < j, of k items in row-major order; `y_ranks` is the symmetric
+    k x k item matrix whose cell (i, j) holds the midrank of y at that
+    pair.  Each draw relabels the items with one `rng.permutation` and
+    scores every series against that relabelled `y`, so a series gets the
+    p-value it would get alone.  Returns one p-value per series.
     """
     if n < 4:
         raise ParameterError(f"need n >= 4 for a significance test, got {n}")
@@ -120,40 +101,39 @@ def significance(rho, n, permutations=None, series=None,
     permutations = int(permutations)
     if permutations < 1:
         raise ParameterError(f"need permutations >= 1, got {permutations}")
-    if series is None:
-        raise ParameterError("permutation test needs the paired series")
-    series = tuple(series)
+    if x_ranks is None or y_ranks is None:
+        raise ParameterError("permutation test needs x_ranks and y_ranks")
     thresholds = np.abs(np.asarray(rho, dtype=float)) - 1e-12
-    if not series or thresholds.shape != (len(series),):
+    rx = np.array(x_ranks, dtype=float)
+    if thresholds.ndim != 1 or not thresholds.size or len(rx) != thresholds.size:
         raise ParameterError("permutation test needs one rho per series")
-    if any(not np.array_equal(s.y, series[0].y) for s in series):
-        raise ParameterError("permuted series must share their y values")
-    m = series[0].y.size
-    items = (1 + math.isqrt(1 + 8 * m)) // 2
-    if items * (items - 1) // 2 != m:
-        raise ParameterError(f"{m} values are not the pairs of an item set")
-    rx = np.array([average_ranks(s.x) for s in series])
+    y = np.asarray(y_ranks, dtype=float)
+    items = len(y)
+    upper_i, upper_j = np.triu_indices(items, 1)
+    if y.shape != (items, items) or not np.array_equal(y, y.T):
+        raise ParameterError("y_ranks must be a symmetric square matrix")
+    if rx.shape[1:] != upper_i.shape:
+        raise ParameterError(f"each series must rank the {upper_i.size} pairs "
+                             f"of an item set of {items}, as y_ranks does")
     rx -= rx.mean(axis=1, keepdims=True)
-    ry = average_ranks(series[0].y)
-    ry -= ry.mean()
+    ry = y[upper_i, upper_j]
+    centre = ry.mean()
+    ry -= centre
     denom = np.sqrt(np.sum(rx * rx, axis=1) * np.sum(ry * ry))
     if np.any(denom == 0.0):
         raise UndefinedCorrelationError("constant series has no rank correlation")
     # relabelling the items reorders the same pair values, so the centred
     # ranks and the denominator hold for every draw; draw p gathers pair
-    # (i, j) from cell (p[i], p[j]) of the symmetric rank matrix.  The
-    # indices are in range by construction, and mode="clip" spares take
-    # the copy of `out` that its default mode makes.
-    upper_i, upper_j = np.triu_indices(items, 1)
-    ry_matrix = np.zeros((items, items))
-    ry_matrix[upper_i, upper_j] = ry
-    ry_matrix[upper_j, upper_i] = ry
-    ry_flat = ry_matrix.ravel()
+    # (i, j) from cell (p[i], p[j]) of the centred rank matrix, never from
+    # its diagonal.  The indices are in range by construction, and
+    # mode="clip" spares take the copy of `out` that its default mode makes.
+    ry_flat = (y - centre).ravel()
+    m = upper_i.size
     row_starts = np.empty(items, dtype=np.intp)
     cells, cols = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
     permuted = np.empty(m)
     rng = np.random.default_rng(seed)
-    hits = np.zeros(len(series), dtype=int)
+    hits = np.zeros(len(rx), dtype=int)
     for _ in range(permutations):
         labels = rng.permutation(items)
         np.multiply(labels, items, out=row_starts)
@@ -165,51 +145,48 @@ def significance(rho, n, permutations=None, series=None,
     return [(h + 1) / (permutations + 1) for h in hits.tolist()]
 
 
-def canonical_pairs(item_ids):
-    """Unordered id pairs in canonical (lexicographic) order."""
-    ordered = sorted(item_ids)
-    return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
-
-
 def matrix_series(matrix):
-    """Off-diagonal values of a PairMatrix in canonical pair order."""
+    """Off-diagonal values of a PairMatrix in canonical pair order: the
+    upper triangle, row by row, of the matrix with its items in sorted-id
+    order."""
     ids = matrix.item_ids
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    upper = np.triu_indices(len(ids), 1)
-    return matrix.values[np.ix_(order, order)][upper], canonical_pairs(ids)
+    return matrix.values[np.ix_(order, order)][np.triu_indices(len(ids), 1)]
 
 
 def correlate_model_with_ratings(models, semantic, permutations=None,
                                  seed=DEFAULT_PERMUTATION_SEED):
     """Spearman correlation of each model matrix with semantic dissimilarity.
 
-    Returns one CorrelationResult per model.  Similarity-kind model values
-    are negated first so that agreement with the human data reads as
-    positive rho.  Without `permutations`, the p-values are the
+    Returns one CorrelationResult per model.  Each matrix is put in
+    sorted-id order and its upper triangle ranked once.  Similarity-kind
+    model values are negated first so that agreement with the human data
+    reads as positive rho.  Without `permutations`, the p-values are the
     t-approximation's, which treats the pairs as independent and is
     anti-conservative here.  With `permutations` set, they come from
-    permuting the item labels of the semantic matrix, and all models are
-    tested against one stream of relabellings (see `significance`).
+    permuting the item labels of the semantic matrix, whose midranks go to
+    `significance` as the symmetric item matrix, and all models are tested
+    against one stream of relabellings.
     """
-    y, pairs = matrix_series(semantic)
-    pairs = tuple(pairs)
-    series = []
+    rx = []
     for model in models:
         if set(model.item_ids) != set(semantic.item_ids):
             missing = set(model.item_ids) ^ set(semantic.item_ids)
             raise AlignmentError(
                 f"item sets differ; unmatched ids: {sorted(missing)}"
             )
-        x, _ = matrix_series(model)
-        if model.kind == "similarity":
-            x = -x
-        series.append(PairedSeries(x, y, pairs))
-    rhos = [spearman_rho(s) for s in series]
-    n = y.size
+        x = matrix_series(model)
+        rx.append(average_ranks(-x if model.kind == "similarity" else x))
+    ry = average_ranks(matrix_series(semantic))
+    rhos = [_rho_from_ranks(x, ry) for x in rx]
+    n = ry.size
     if permutations is None:
         return [CorrelationResult(rho, n, significance(rho, n), "t_approximation")
                 for rho in rhos]
-    ps = significance(rhos, n, permutations=permutations, series=series,
-                      seed=seed)
+    items = len(semantic.item_ids)
+    y_ranks = np.zeros((items, items))
+    y_ranks[np.triu_indices(items, 1)] = ry
+    ps = significance(rhos, n, permutations=permutations, x_ranks=rx,
+                      y_ranks=y_ranks + y_ranks.T, seed=seed)
     return [CorrelationResult(rho, n, p, "permutation")
             for rho, p in zip(rhos, ps)]

@@ -490,20 +490,42 @@ class TestMainCli:
         assert (bank.wavenumbers, bank.orientations, bank.sigma) == (
             (2.0, 0.5), (0.0, 1.0), 3.0)
 
-    def test_expresser_of_three_images_is_skipped_at_every_stage(self, tmp_path):
-        # 3 images give 3 pairs, too few for a significance test
+    def test_expresser_of_three_images_is_skipped_at_every_stage(self, tmp_path,
+                                                                  capsys):
+        # 3 images give 3 pairs, too few for a significance test; with no
+        # other expresser, every stage after encode has nothing to analyse
         config_path = make_synthetic_study(tmp_path, n_images=3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["--config", str(config_path)]) == 0
-        messages = [str(w.message) for w in caught]
         skipped = "expresser 'SY' has only 3 images; skipping (need >= 4)"
-        assert messages == [skipped] * (len(cli.STAGE_ORDER) - 1)
+        for stage in ("study", *cli.STAGE_ORDER[1:]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["--config", str(config_path), "--stage", stage]) == 1
+            assert [str(w.message) for w in caught] == [skipped]
+            err = capsys.readouterr().err
+            assert err.startswith("error: no expresser has >= 4 images")
+            assert err.count("\n") == 1
         out = tmp_path / "out"
-        assert sorted(p.name for p in out.iterdir()) == ["jets", "summary.csv",
-                                                         "summary.txt"]
-        assert (out / "summary.csv").read_text() == (
-            "expresser,gabor_rho,gabor_p,geometry_rho,geometry_p,n_pairs\n")
+        assert sorted(p.name for p in out.iterdir()) == ["jets"]
+
+    @pytest.mark.parametrize("role", ["image", "expresser"])
+    @pytest.mark.parametrize("item_id", [
+        "", ".", "..", "../../LEAK", "a/b", "a\0b", "a,b", 'a"b', "a\rb", "a\nb"])
+    def test_id_that_leaves_out_or_breaks_a_csv_is_refused(self, tmp_path, capsys,
+                                                          role, item_id):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        doc = json.loads(config_path.read_text())
+        if role == "image":
+            first = sorted(doc["expressers"])[0]
+            doc["expressers"][item_id] = doc["expressers"].pop(first)
+        else:
+            doc["expressers"] = dict.fromkeys(doc["expressers"], item_id)
+        config_path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: bad id {item_id!r}")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("options,message", [
         ({"dims": True}, "dims must be"), ({"seed": 1.5}, "seed must be"),

@@ -11,7 +11,8 @@ from gaborface.errors import (
     ParameterError,
     UndefinedCorrelationError,
 )
-from gaborface.rank_stats import canonical_pairs, matrix_series
+from gaborface import rank_stats
+from gaborface.rank_stats import matrix_series
 
 
 def oracle_midranks(values):
@@ -40,11 +41,6 @@ def oracle_spearman(x, y):
     if vx == 0 or vy == 0:
         return None
     return float(cov) / math.sqrt(float(vx) * float(vy))
-
-
-def series(x, y):
-    labels = tuple((f"a{i}", f"b{i}") for i in range(len(x)))
-    return gf.PairedSeries(np.asarray(x, float), np.asarray(y, float), labels)
 
 
 class TestAverageRanks:
@@ -92,15 +88,15 @@ class TestAverageRanks:
 class TestSpearmanRho:
     def test_perfect_concordance(self):
         x = np.arange(10.0)
-        assert gf.spearman_rho(series(x, np.exp(x))) == pytest.approx(1.0)
+        assert gf.spearman_rho(x, np.exp(x)) == pytest.approx(1.0)
 
     def test_perfect_discordance(self):
         x = np.arange(10.0)
-        assert gf.spearman_rho(series(x, -x)) == pytest.approx(-1.0)
+        assert gf.spearman_rho(x, -x) == pytest.approx(-1.0)
 
     def test_constant_series_raises(self):
         with pytest.raises(UndefinedCorrelationError):
-            gf.spearman_rho(series([1, 1, 1, 1], [1, 2, 3, 4]))
+            gf.spearman_rho([1, 1, 1, 1], [1, 2, 3, 4])
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
@@ -111,29 +107,29 @@ class TestSpearmanRho:
             expected = oracle_spearman(x, y)
             if expected is None:
                 with pytest.raises(UndefinedCorrelationError):
-                    gf.spearman_rho(series(x, y))
+                    gf.spearman_rho(x, y)
             else:
-                assert gf.spearman_rho(series(x, y)) == pytest.approx(
+                assert gf.spearman_rho(x, y) == pytest.approx(
                     expected, abs=1e-12)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(30)
         y = rng.standard_normal(30)
-        rho = gf.spearman_rho(series(x, y))
+        rho = gf.spearman_rho(x, y)
         for transform in (lambda v: 3.0 * v + 1.0, lambda v: v ** 3, np.exp):
-            assert gf.spearman_rho(series(transform(x), y)) == pytest.approx(
+            assert gf.spearman_rho(transform(x), y) == pytest.approx(
                 rho, abs=1e-12)
-            assert gf.spearman_rho(series(x, transform(y))) == pytest.approx(
+            assert gf.spearman_rho(x, transform(y)) == pytest.approx(
                 rho, abs=1e-12)
 
     def test_symmetry_and_negation(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(20)
         y = rng.standard_normal(20)
-        assert gf.spearman_rho(series(x, y)) == gf.spearman_rho(series(y, x))
-        assert gf.spearman_rho(series(x, -y)) == pytest.approx(
-            -gf.spearman_rho(series(x, y)), abs=1e-14)
+        assert gf.spearman_rho(x, y) == gf.spearman_rho(y, x)
+        assert gf.spearman_rho(x, -y) == pytest.approx(
+            -gf.spearman_rho(x, y), abs=1e-14)
 
 
 class TestSignificance:
@@ -173,32 +169,39 @@ class TestSignificance:
         # pair values drawn independently carry no item effects, so the
         # item-label null has the spread the t-approximation assumes
         rng = np.random.default_rng(4)
-        s = item_series(rng.standard_normal(66), rng.standard_normal(66))
-        rho = gf.spearman_rho(s)
+        x, y = rng.standard_normal(66), rng.standard_normal(66)
+        rho = gf.spearman_rho(x, y)
         p_t = gf.significance(rho, 66)
-        [p_perm] = gf.significance([rho], 66, permutations=20_000, series=[s],
-                                   seed=9)
+        [p_perm] = gf.significance([rho], 66, 20_000, *item_ranks([x], y), seed=9)
         assert abs(p_t - p_perm) < 0.02
 
     def test_permutation_deterministic_for_seed(self):
         rng = np.random.default_rng(5)
-        s = item_series(rng.standard_normal(28), rng.standard_normal(28))
-        rho = gf.spearman_rho(s)
-        p1 = gf.significance([rho], 28, permutations=2000, series=[s], seed=42)
-        p2 = gf.significance([rho], 28, permutations=2000, series=[s], seed=42)
+        x, y = rng.standard_normal(28), rng.standard_normal(28)
+        rho = gf.spearman_rho(x, y)
+        p1 = gf.significance([rho], 28, 2000, *item_ranks([x], y), seed=42)
+        p2 = gf.significance([rho], 28, 2000, *item_ranks([x], y), seed=42)
         assert p1 == p2
 
     @pytest.mark.parametrize("permutations", [-5, -1, 0])
     def test_fewer_than_one_permutation_rejected(self, permutations):
-        s = series(np.arange(10.0), np.arange(10.0) % 3)
+        ranks = item_ranks([np.arange(10.0)], np.arange(10.0) % 3)
         with pytest.raises(ParameterError, match="permutations >= 1"):
-            gf.significance([0.5], 10, permutations=permutations, series=[s])
+            gf.significance([0.5], 10, permutations, *ranks)
 
     @pytest.mark.parametrize("m", [4, 5, 20, 189])
     def test_series_that_are_not_the_pairs_of_an_item_set_rejected(self, m):
-        s = series(np.arange(float(m)), np.arange(float(m)) % 3)
+        x_ranks = gf.average_ranks(np.arange(float(m)) % 3)[None]
+        items = math.isqrt(2 * m) + 1  # the item set nearest in pair count
         with pytest.raises(ParameterError, match="pairs of an item set"):
-            gf.significance([0.5], m, permutations=10, series=[s])
+            gf.significance([0.5], m, 10, x_ranks, np.ones((items, items)))
+
+    @pytest.mark.parametrize("y_ranks", [np.ones((5, 4)), np.triu(np.ones((5, 5)))],
+                             ids=["not-square", "not-symmetric"])
+    def test_rank_matrix_that_is_not_a_symmetric_item_matrix_rejected(self,
+                                                                       y_ranks):
+        with pytest.raises(ParameterError, match="symmetric square"):
+            gf.significance([0.5], 10, 10, np.ones((1, 10)), y_ranks)
 
 
 def item_count(m):
@@ -206,13 +209,6 @@ def item_count(m):
     k = round((1 + math.sqrt(1 + 8 * m)) / 2)
     assert k * (k - 1) // 2 == m
     return k
-
-
-def item_series(x, y):
-    """A PairedSeries over the canonical pairs of the items that `x` and
-    `y` are the pair values of."""
-    pairs = tuple(canonical_pairs([f"i{i:03d}" for i in range(item_count(len(x)))]))
-    return gf.PairedSeries(np.asarray(x, float), np.asarray(y, float), pairs)
 
 
 def pair_matrix(values):
@@ -225,6 +221,14 @@ def pair_matrix(values):
     return matrix
 
 
+def item_ranks(xs, y):
+    """significance's permutation-test inputs for the series `xs` against
+    `y`, pair values over the canonical pairs of one item set: the midranks
+    of each x, and the symmetric item matrix of the midranks of y."""
+    return (np.array([gf.average_ranks(x) for x in xs]),
+            np.array(pair_matrix(gf.average_ranks(y).tolist())))
+
+
 def relabelled(matrix, labels):
     """The canonical pair values of the items relabelled by `labels`:
     pair (i, j) takes the value of pair (labels[i], labels[j])."""
@@ -232,12 +236,12 @@ def relabelled(matrix, labels):
     return [matrix[labels[i]][labels[j]] for i in range(k) for j in range(i + 1, k)]
 
 
-def reference_relabel_hits(rho, s, permutations, seed):
+def reference_relabel_hits(rho, x, y, permutations, seed):
     """Brute-force item-label permutation test of one series: per draw,
     rng.permutation of the item labels, the y pair values relabelled one
     by one, then the rank correlation from scratch."""
-    y = pair_matrix(s.y.tolist())
-    rx = gf.average_ranks(s.x)
+    y = pair_matrix(np.asarray(y, float).tolist())
+    rx = gf.average_ranks(x)
     rng = np.random.default_rng(seed)
     threshold = abs(rho) - 1e-12
     hits = 0
@@ -250,9 +254,9 @@ def reference_relabel_hits(rho, s, permutations, seed):
     return hits
 
 
-def shared_stream_hits(rhos, group, permutations, seed):
-    ps = gf.significance(rhos, group[0].x.size, permutations=permutations,
-                         series=group, seed=seed)
+def shared_stream_hits(rhos, xs, y, permutations, seed):
+    ps = gf.significance(rhos, len(y), permutations, *item_ranks(xs, y),
+                         seed=seed)
     return [round(p * (permutations + 1)) - 1 for p in ps]
 
 
@@ -262,11 +266,10 @@ class TestSharedPermutationStream:
     brute-force per-series loop."""
 
     def check_against_reference(self, xs, y, permutations=1000, seed=7):
-        group = [item_series(x, y) for x in xs]
-        rhos = [gf.spearman_rho(s) for s in group]
-        expected = [reference_relabel_hits(r, s, permutations, seed)
-                    for r, s in zip(rhos, group)]
-        assert shared_stream_hits(rhos, group, permutations, seed) == expected
+        rhos = [gf.spearman_rho(x, y) for x in xs]
+        expected = [reference_relabel_hits(r, x, y, permutations, seed)
+                    for r, x in zip(rhos, xs)]
+        assert shared_stream_hits(rhos, xs, y, permutations, seed) == expected
         return expected
 
     def test_random_series(self):
@@ -298,28 +301,19 @@ class TestSharedPermutationStream:
     def test_two_series_in_one_call_equal_each_alone(self):
         rng = np.random.default_rng(14)
         y = rng.standard_normal(190)
-        group = [item_series(0.2 * y + rng.standard_normal(190), y),
-                 item_series(rng.integers(0, 5, 190), y)]
-        rhos = [gf.spearman_rho(s) for s in group]
-        together = gf.significance(rhos, 190, permutations=800, series=group,
-                                   seed=3)
-        alone = [gf.significance([r], 190, permutations=800, series=[s], seed=3)[0]
-                 for r, s in zip(rhos, group)]
+        xs = [0.2 * y + rng.standard_normal(190), rng.integers(0, 5, 190)]
+        rhos = [gf.spearman_rho(x, y) for x in xs]
+        together = gf.significance(rhos, 190, 800, *item_ranks(xs, y), seed=3)
+        alone = [gf.significance([r], 190, 800, *item_ranks([x], y), seed=3)[0]
+                 for r, x in zip(rhos, xs)]
         assert together == alone
 
-    def test_series_must_share_y(self):
-        rng = np.random.default_rng(15)
-        a = item_series(rng.standard_normal(21), rng.standard_normal(21))
-        b = item_series(rng.standard_normal(21), rng.standard_normal(21))
-        with pytest.raises(ParameterError, match="share"):
-            gf.significance([0.1, 0.2], 21, permutations=10, series=[a, b])
-
     def test_one_rho_per_series(self):
-        s = series(np.arange(10.0), np.arange(10.0) % 4)
+        ranks = item_ranks([np.arange(10.0)], np.arange(10.0) % 4)
         with pytest.raises(ParameterError, match="one rho per series"):
-            gf.significance([0.1, 0.2], 10, permutations=10, series=[s])
+            gf.significance([0.1, 0.2], 10, 10, *ranks)
         with pytest.raises(ParameterError, match="one rho per series"):
-            gf.significance([], 10, permutations=10, series=[])
+            gf.significance([], 10, 10, np.empty((0, 10)), ranks[1])
 
 
 class TestItemLabelNull:
@@ -335,10 +329,10 @@ class TestItemLabelNull:
         rng = np.random.default_rng(2024)
         rejected = 0
         for study in range(300):
-            s = item_series(pdist(rng.standard_normal((21, 6))),
-                            pdist(rng.standard_normal((21, 6))))
-            [p] = gf.significance([gf.spearman_rho(s)], 210, permutations=199,
-                                  series=[s], seed=study)
+            x = pdist(rng.standard_normal((21, 6)))
+            y = pdist(rng.standard_normal((21, 6)))
+            [p] = gf.significance([gf.spearman_rho(x, y)], 210, 199,
+                                  *item_ranks([x], y), seed=study)
             rejected += p <= 0.05
         assert 0.01 <= rejected / 300 <= 0.09
 
@@ -347,8 +341,7 @@ class TestItemLabelNull:
         rng = np.random.default_rng(seed)
         y = rng.integers(0, 4, 10).astype(float)  # ties included
         x = y + rng.integers(0, 3, 10)
-        s = item_series(x, y)
-        rho = gf.spearman_rho(s)
+        rho = gf.spearman_rho(x, y)
         observed = abs(oracle_spearman(x, y)) - 1e-12
         matrix = pair_matrix(y.tolist())
         extreme = sum(abs(oracle_spearman(x, relabelled(matrix, labels))) >= observed
@@ -356,12 +349,12 @@ class TestItemLabelNull:
         exact_p = extreme / 120
         assert 0 < extreme < 120
         draws = 20_000
-        [p] = gf.significance([rho], 10, permutations=draws, series=[s], seed=seed)
+        [p] = gf.significance([rho], 10, draws, *item_ranks([x], y), seed=seed)
         # the Monte Carlo p counts the observed labelling as one draw
         assert p == pytest.approx(exact_p, abs=4 * math.sqrt(0.25 / draws) + 1 / draws)
         # and the seeded draws are the brute-force relabelling's
-        assert (shared_stream_hits([rho], [s], 1000, seed)
-                == [reference_relabel_hits(rho, s, 1000, seed)])
+        assert (shared_stream_hits([rho], [x], y, 1000, seed)
+                == [reference_relabel_hits(rho, x, y, 1000, seed)])
 
 
 def dissim_matrix(ids, values):
@@ -432,10 +425,7 @@ class TestCorrelateModelWithRatings:
         m1 = dissim_matrix(ids, vals)
         perm = [1, 3, 2, 0]  # a, b, c, d
         m2 = dissim_matrix([ids[i] for i in perm], vals[np.ix_(perm, perm)])
-        s1, p1 = matrix_series(m1)
-        s2, p2 = matrix_series(m2)
-        assert p1 == p2 == canonical_pairs(ids)
-        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(matrix_series(m1), matrix_series(m2))
 
     def test_matrix_series_matches_per_pair_lookup(self):
         rng = np.random.default_rng(4)
@@ -443,10 +433,11 @@ class TestCorrelateModelWithRatings:
         vals = rng.uniform(0, 1, (30, 30))
         vals = (vals + vals.T) / 2
         np.fill_diagonal(vals, 0.0)
-        values, pairs = matrix_series(dissim_matrix(ids, vals))
+        values = matrix_series(dissim_matrix(ids, vals))
         index = {item_id: i for i, item_id in enumerate(ids)}
-        expected = [vals[index[a], index[b]] for a, b in canonical_pairs(ids)]
-        assert pairs == canonical_pairs(ids)
+        # canonical order: the id pairs (a, b), a < b, in lexicographic order
+        expected = [vals[index[a], index[b]]
+                    for a, b in itertools.combinations(sorted(ids), 2)]
         np.testing.assert_array_equal(values, expected)
 
     def test_permutation_method_recorded(self):
@@ -480,3 +471,60 @@ class TestCorrelateModelWithRatings:
         with pytest.raises(AlignmentError, match="x"):
             gf.correlate_model_with_ratings([semantic, other], semantic,
                                             permutations=10)
+
+    def test_each_matrix_is_ranked_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        ids = [f"i{k}" for k in range(7)]
+        semantic = matrix_from_pairs(ids, rng.uniform(0, 1, 21))
+        models = [matrix_from_pairs(ids, rng.uniform(0, 1, 21), "similarity"),
+                  matrix_from_pairs(ids, rng.uniform(0, 1, 21))]
+        calls = []
+        average_ranks = rank_stats.average_ranks
+
+        def counted(values):
+            calls.append(len(values))
+            return average_ranks(values)
+
+        monkeypatch.setattr(rank_stats, "average_ranks", counted)
+        for permutations in (None, 50):
+            calls.clear()
+            gf.correlate_model_with_ratings(models, semantic,
+                                            permutations=permutations)
+            assert calls == [21, 21, 21]
+
+
+def pinned_case():
+    """30 items in shuffled id order, semantic distances of integer ratings
+    (6 distinct values over 435 pairs, so many ties), a similarity-kind and
+    a dissimilarity-kind model, both weakly related to them."""
+    rng = np.random.default_rng(2613)
+    n = 30
+    ids = tuple(f"img{k:02d}" for k in rng.permutation(n))
+    ratings = rng.integers(1, 4, (n, 2)).astype(float)
+    semantic = np.sqrt(((ratings[:, None] - ratings[None]) ** 2).sum(-1))
+    noise = rng.standard_normal((n, n))
+    noise = noise + noise.T
+    similarity = 1.0 / (1.0 + 0.15 * semantic + noise ** 2)
+    np.fill_diagonal(similarity, 1.0)
+    dissimilarity = np.abs(0.3 * semantic + 2.0 * noise)
+    np.fill_diagonal(dissimilarity, 0.0)
+    return ([gf.PairMatrix(ids, similarity, "similarity"),
+             gf.PairMatrix(ids, dissimilarity, "dissimilarity")],
+            gf.PairMatrix(ids, semantic, "dissimilarity"))
+
+
+@pytest.mark.parametrize("permutations,expected", [
+    (None, [(0.11533316316226472, 0.01610275786341664),
+            (0.021349744459352348, 0.6570038358011397)]),
+    (500, [(0.11533316316226472, 0.011976047904191617),
+           (0.021349744459352348, 0.654690618762475)]),
+], ids=["t-approximation", "permutations"])
+def test_correlate_numbers_are_pinned(permutations, expected):
+    # the literals are the repr floats of an earlier implementation, which
+    # ranked PairedSeries built from the pair labels; every bit must hold
+    models, semantic = pinned_case()
+    assert len(np.unique(matrix_series(semantic))) == 6
+    results = gf.correlate_model_with_ratings(models, semantic,
+                                              permutations=permutations, seed=5)
+    assert [(r.rho, r.p_two_sided) for r in results] == expected
+    assert [r.n for r in results] == [435, 435]
