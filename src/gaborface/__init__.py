@@ -8,14 +8,10 @@ from .gabor import (
     FilterBank,
     FilterSpec,
     ImageRaster,
-    amplitude,
     build_filter_bank,
     compute_jet,
     compute_jets,
-    evaluate_kernel,
-    filter_response,
     read_pgm,
-    write_pgm,
 )
 from .grid import (
     GridPlacement,
@@ -41,11 +37,6 @@ from .rank_stats import (
     spearman_rho,
 )
 from .ratings import RatingTable, load_ratings, semantic_matrix
-from .similarity import (
-    PairMatrix,
-    gabor_image_similarity,
-    jet_similarity,
-    pairwise_matrix,
-)
+from .similarity import PairMatrix, pairwise_matrix
 
 __version__ = "0.1.0"

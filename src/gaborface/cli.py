@@ -238,7 +238,9 @@ def run_encode(config):
     bank = config.bank()
     ids = config.image_ids()
     # every grid is read first, so a bad or missing grid fails before any output
-    placements = [_read(config.grid_dir / f"{i}.json", grid.load_grid) for i in ids]
+    placements = [_read(config.grid_dir / f"{i}.json",
+                        lambda doc, i=i: _require_id(grid.load_grid(doc), i))
+                  for i in ids]
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             list(pool.map(lambda i, p: _encode_one(config, bank, i, p),
@@ -247,6 +249,15 @@ def run_encode(config):
         for image_id, placement in zip(ids, placements):
             _encode_one(config, bank, image_id, placement)
     return ids
+
+
+def _require_id(placement, image_id, hint=""):
+    """`placement`, if it is of `image_id`: the grid or jet file of one
+    image must not hold another image's placement."""
+    if placement.image_id != image_id:
+        raise ValidationError(f"holds image_id {placement.image_id!r}, not "
+                              f"{image_id!r}{hint}")
+    return placement
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +346,7 @@ def run_study(config):
 
 def _matrices(config):
     """Per expresser: Gabor similarity, geometry and semantic dissimilarity."""
-    fingerprint = config.bank().fingerprint()
+    bank = config.bank()
     table = _read(config.ratings_path, ratings.load_ratings, "text")
     if config.no_fear and FEAR_ADJECTIVE in table.adjectives:
         fear = table.adjectives.index(FEAR_ADJECTIVE)
@@ -343,20 +354,21 @@ def _matrices(config):
             adjectives=table.adjectives[:fear] + table.adjectives[fear + 1:],
             values=np.delete(table.values, fear, axis=1))
 
-    def coded_image(doc):
+    def coded_image(doc, image_id):
         placement, loaded_bank, jets = gabor.parse_jet_document(doc)
-        if loaded_bank.fingerprint() != fingerprint:
+        if loaded_bank != bank:
             raise ValidationError("coded with a different filter bank")
+        _require_id(placement, image_id, "; re-run the encode stage")
         return placement, jets
 
     def unit(expresser, ids):
         semantic = ratings.semantic_matrix(table, ids)
         placements, jets = zip(*(
-            _read(config.out_dir / "jets" / f"{i}.json", coded_image, stage="encode")
+            _read(config.out_dir / "jets" / f"{i}.json",
+                  lambda doc, i=i: coded_image(doc, i), stage="encode")
             for i in ids))
         matrices = {
-            "gabor": pairwise_matrix(
-                [(p.image_id, j) for p, j in zip(placements, jets)], "gabor"),
+            "gabor": pairwise_matrix(list(zip(ids, jets)), "gabor"),
             "geometry": pairwise_matrix(
                 [(i, grid.geometry_vector(p)) for i, p in zip(ids, placements)],
                 "geometry"),
@@ -370,6 +382,11 @@ def _matrices(config):
 
 def _correlate(config):
     """Rank-correlate the model matrices against the semantic matrix."""
+    unknown = sorted(set(config.exclude_from_average)
+                     - set(config.expressers.values()))
+    if unknown:
+        raise ValidationError(f"cannot exclude unknown expressers {unknown} "
+                              "from the average")
     opts = config.options
 
     def unit(expresser, ids):
@@ -445,13 +462,14 @@ def _embed(config):
             stem = f"{expresser}_{measure}"
             _write_json(config.out_dir / "embeddings" / f"{stem}.json",
                         configs[measure].to_document(options=fit))
+            scan = config.out_dir / "embeddings" / f"{stem}_scan.csv"
             if opts.scan_dims:
                 rows = nmds.scan_dimensions(matrix, min(opts.scan_dims, n - 1),
                                             **fit)
-                csv = "d,stress,rsq\n" + "".join(
-                    f"{d},{s!r},{r!r}\n" for d, s, r in rows)
-                _write_atomic(config.out_dir / "embeddings" / f"{stem}_scan.csv",
-                              csv)
+                _write_atomic(scan, "d,stress,rsq\n" + "".join(
+                    f"{d},{s!r},{r!r}\n" for d, s, r in rows))
+            else:
+                scan.unlink(missing_ok=True)  # it would scan another embedding
         return configs
     return unit
 

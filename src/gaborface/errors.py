@@ -28,14 +28,6 @@ class RuntimeFailure(RuntimeError):
     """A computation failed on otherwise well-formed inputs."""
 
 
-class DegenerateJetError(RuntimeFailure):
-    """A jet is all-zero, so its normalized dot product is undefined."""
-
-
-class DimensionError(ValidationError):
-    """Vector or matrix dimensions do not agree."""
-
-
 class UndefinedCorrelationError(RuntimeFailure):
     """Rank correlation is undefined (a constant series)."""
 

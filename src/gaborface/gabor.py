@@ -1,4 +1,4 @@
-"""Gabor wavelet filter bank: kernels, per-point responses, and jets.
+"""Gabor wavelet filter bank and the jets it codes image points with.
 
 A filter is a Gaussian-windowed sinusoid parameterized by a wave-vector
 (magnitude k sets the spatial frequency, angle theta the orientation) and
@@ -11,8 +11,6 @@ pair at a point is one jet component; the full bank yields the jet.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -93,17 +91,6 @@ class FilterBank:
     def sigma(self):
         return self.specs[0].sigma
 
-    def fingerprint(self):
-        """Stable hash of the bank parameters, for compatibility checks."""
-        payload = json.dumps(
-            {
-                "wavenumbers": [repr(k) for k in self.wavenumbers],
-                "orientations": [repr(t) for t in self.orientations],
-                "sigma": repr(self.sigma),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def build_filter_bank(wavenumbers=DEFAULT_WAVENUMBERS,
@@ -152,79 +139,12 @@ class ImageRaster:
         self.height = height
         self.pixels = pixels
 
-    def contains(self, point):
-        x, y = point
-        return 0 <= x < self.width and 0 <= y < self.height
-
-
-def evaluate_kernel(spec, center, point):
-    """Closed-form even/odd kernel values at `point` for a filter at `center`."""
-    k, sigma = spec.wavenumber, spec.sigma
-    kx, ky = spec.wave_vector
-    dx = point[0] - center[0]
-    dy = point[1] - center[1]
-    envelope = (k * k / (sigma * sigma)) * math.exp(
-        -(k * k) * (dx * dx + dy * dy) / (2.0 * sigma * sigma)
-    )
-    phase = kx * dx + ky * dy
-    even = envelope * (math.cos(phase) - math.exp(-sigma * sigma / 2.0))
-    odd = envelope * math.sin(phase)
-    return even, odd
 
 
 def _reflect_indices(idx, n):
     # mirror about the image edge (edge pixel repeated once per fold)
     idx = np.mod(idx, 2 * n)
     return np.where(idx >= n, 2 * n - 1 - idx, idx)
-
-
-def filter_response(image, spec, center, truncate=True):
-    """Discrete even/odd responses at `center`.
-
-    The kernel is summed over a square window of half-width
-    spec.window_half_width() around the rounded center; pixels past the
-    image edge are mirrored.  Kernel offsets use the exact (possibly
-    non-integer) center, so sub-pixel phase lives in the kernel, not in
-    any image interpolation.  With truncate=False the sum runs over the
-    whole image instead (reference path for truncation-error checks).
-    """
-    cx, cy = float(center[0]), float(center[1])
-    if not image.contains((cx, cy)):
-        raise OutOfBoundsError(
-            f"center ({cx}, {cy}) outside {image.width}x{image.height} image"
-        )
-    if truncate:
-        h = spec.window_half_width()
-        xs = np.arange(round(cx) - h, round(cx) + h + 1)
-        ys = np.arange(round(cy) - h, round(cy) + h + 1)
-        patch = image.pixels[
-            np.ix_(_reflect_indices(ys, image.height),
-                   _reflect_indices(xs, image.width))
-        ]
-    else:
-        xs = np.arange(image.width)
-        ys = np.arange(image.height)
-        patch = image.pixels
-
-    k, sigma = spec.wavenumber, spec.sigma
-    kx, ky = spec.wave_vector
-    dx = xs - cx
-    dy = ys - cy
-    r2 = dy[:, None] ** 2 + dx[None, :] ** 2
-    envelope = (k * k / (sigma * sigma)) * np.exp(
-        -(k * k) * r2 / (2.0 * sigma * sigma)
-    )
-    phase = ky * dy[:, None] + kx * dx[None, :]
-    even = float(np.sum(envelope * (np.cos(phase) - math.exp(-sigma * sigma / 2.0)) * patch))
-    odd = float(np.sum(envelope * np.sin(phase) * patch))
-    return even, odd
-
-
-def amplitude(even, odd):
-    """Magnitude of the quadrature response pair."""
-    _require_finite("even", even)
-    _require_finite("odd", odd)
-    return math.hypot(even, odd)
 
 
 @functools.lru_cache(maxsize=16)
@@ -251,8 +171,11 @@ def compute_jets(image, bank, points):
     """Jets at many image points: a (len(points), len(bank)) amplitude array.
 
     `points` is (n, 2), (x, y) centres; another shape is a ParameterError.
-    Same window, reflection and offset rules as filter_response, evaluated
-    separably: the complex response is c*(u_y^T P u_x - e^{-sigma^2/2} g_y^T P g_x)
+    Each kernel is summed over a square window of half-width
+    spec.window_half_width() around the rounded centre; pixels past the
+    image edge are mirrored.  Kernel offsets use the exact (possibly
+    non-integer) centre, so sub-pixel phase lives in the kernel, not in any
+    image interpolation.  The sums are evaluated separably: the complex response is c*(u_y^T P u_x - e^{-sigma^2/2} g_y^T P g_x)
     with P the window, g the 1-D Gaussian and u = g*e^{i k.d}.  With d = o - f
     (o the integer offset, f = c - round(c)), e^{i k d} = e^{i k o} e^{-i k f}:
     one carrier table over o, built once per bank, serves every point, and
@@ -268,7 +191,7 @@ def compute_jets(image, bank, points):
         raise OutOfBoundsError(
             f"center ({bx}, {by}) outside {image.width}x{image.height} image"
         )
-    rounded = np.round(pts).astype(int)  # half-to-even, as filter_response
+    rounded = np.round(pts).astype(int)  # half-to-even
     fraction = (pts - rounded).T  # (2, points): f along x and y
     pixels, width, height = image.pixels, image.width, image.height
     jets = np.empty((len(pts), len(bank)))
@@ -301,7 +224,7 @@ def compute_jet(image, bank, point):
 
 
 # ---------------------------------------------------------------------------
-# I/O: binary 8-bit PGM images and jet-set JSON documents
+# I/O: binary 8-bit PGM decoding and jet-set JSON documents
 # ---------------------------------------------------------------------------
 
 # one PGM header token, after any whitespace and "#" comment lines
@@ -334,14 +257,6 @@ def read_pgm(data):
         )
     pixels = np.frombuffer(raster, dtype=np.uint8).astype(float)
     return ImageRaster(width, height, pixels)
-
-
-def write_pgm(path, image):
-    """Write a binary (P5) 8-bit PGM; intensities are clipped to [0, 255]."""
-    pixels = np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode())
-        fh.write(pixels.tobytes())
 
 
 def jet_document(image_id, bank, placement, jets):

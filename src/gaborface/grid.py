@@ -8,11 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, ParameterError, require_numbers
-from .grid_template import NODE_NAMES, NOSE_TIP
 
 NODE_COUNT = 34
-
-STANDARD_SIZE = (256, 256)
 
 
 @dataclass(frozen=True)
@@ -89,17 +86,6 @@ def load_grid(document):
     return GridPlacement(image_id, names, points, nose_tip, source_size)
 
 
-def grid_document(placement):
-    """Serialize a placement back to its JSON document form."""
-    return {
-        "image_id": placement.image_id,
-        "source_size": list(placement.source_size),
-        "nose_tip": placement.nose_tip,
-        "nodes": [{"name": name, "x": x, "y": y}
-                  for name, (x, y) in zip(placement.names, placement.points.tolist())],
-    }
-
-
 def rescale_placement(placement, target):
     """Scale node coordinates per-axis onto a new image size."""
     tw, th = int(target[0]), int(target[1])
@@ -117,8 +103,3 @@ def geometry_vector(placement):
     nose = placement.names.index(placement.nose_tip)
     offsets = np.delete(points, nose, axis=0) - points[nose]
     return np.hypot(offsets[:, 0], offsets[:, 1])
-
-
-def default_template_placement(image_id, coordinates, source_size=STANDARD_SIZE):
-    """Build a placement from bare coordinates using the default name template."""
-    return GridPlacement(image_id, NODE_NAMES, coordinates, NOSE_TIP, source_size)

@@ -73,14 +73,6 @@ def load_ratings(table):
     return RatingTable(tuple(image_ids), adjectives, values)
 
 
-def dump_ratings(table):
-    """Serialize a RatingTable back to CSV; floats round-trip exactly."""
-    lines = ["image_id," + ",".join(table.adjectives)]
-    lines += [image_id + "," + ",".join(map(repr, row))
-              for image_id, row in zip(table.image_ids, table.values.tolist())]
-    return "\n".join(lines) + "\n"
-
-
 def semantic_matrix(table, ids):
     """Pairwise Euclidean dissimilarity matrix of the rating rows of `ids`."""
     rows = {image_id: i for i, image_id in enumerate(table.image_ids)}

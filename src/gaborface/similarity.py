@@ -10,49 +10,8 @@ from itertools import chain
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import (
-    DegenerateJetError,
-    DimensionError,
-    FormatError,
-    ParameterError,
-    require_numbers,
-)
+from .errors import FormatError, ParameterError, require_numbers
 from .grid import NODE_COUNT
-
-
-def jet_similarity(a, b):
-    """Normalized dot product of two jets; in [0, 1] for non-negative jets.
-
-    One pair at a time: the reference the whole-array gabor matrix of
-    pairwise_matrix is tested against.
-    """
-    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if va.size != vb.size:
-        raise DimensionError(f"jet dimensions differ: {va.size} vs {vb.size}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateJetError("all-zero jet has no direction")
-    return float(np.dot(va, vb) / (na * nb))
-
-
-def gabor_image_similarity(a, b):
-    """Mean jet similarity over corresponding grid nodes of two
-    (34, filters) jet arrays, one pair at a time (the reference for
-    pairwise_matrix).
-
-    A node pair involving an all-zero jet contributes 0 and emits a
-    warning instead of failing the whole comparison.
-    """
-    a, b = _jet_stack([a, b])
-    total = 0.0
-    for i, (ja, jb) in enumerate(zip(a, b)):
-        try:
-            total += jet_similarity(ja, jb)
-        except DegenerateJetError:
-            warnings.warn(f"zero jet at node {i}; counting similarity 0 for "
-                          "that node")
-    return total / NODE_COUNT
 
 
 def _jet_stack(arrays):
@@ -99,14 +58,10 @@ class PairMatrix:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "item_ids", ids)
 
-    def to_document(self):
-        """The JSON document that from_document reads back."""
-        return {"kind": self.kind, "item_ids": list(self.item_ids),
-                "values": self.values.tolist()}
-
     @classmethod
     def from_document(cls, doc):
-        """The PairMatrix of a JSON value that to_document wrote."""
+        """The PairMatrix of a matrix file's JSON value: its "kind", its
+        "item_ids" list and its "values" rows."""
         try:
             ids, values = doc["item_ids"], doc["values"]
             if not isinstance(ids, list):
@@ -119,10 +74,11 @@ class PairMatrix:
             raise FormatError(f"malformed pair-matrix document: {exc}") from exc
 
     def text_chunks(self):
-        """The JSON text of to_document, laid out as every JSON file under
-        out/ (one line, sorted keys), and the text of to_csv, as matching
-        (json, csv) chunks: the headers, one chunk per row, then the JSON's
-        close (with an empty CSV chunk).
+        """The JSON text that from_document reads back, laid out as every
+        JSON file under out/ (one line, sorted keys), and its CSV twin (an
+        id header row and column around the values), as matching (json, csv)
+        chunks: the headers, one chunk per row, then the JSON's close (with
+        an empty CSV chunk).
 
         Each value is formatted once, with repr, which is what json writes
         for a finite float.  A cell below the diagonal reuses its mirror's
@@ -147,16 +103,14 @@ class PairMatrix:
             yield ("," if i else "") + f"[{cells}]", f"{ids[i]},{cells}\n"
         yield "]}\n", ""
 
-    def to_csv(self):
-        """The CSV twin: an id header row and column around the values."""
-        return "".join(csv for _, csv in self.text_chunks())
-
 
 def pairwise_matrix(items, measure):
     """Fill the full symmetric matrix for a list of (item_id, array) pairs.
 
-    measure "gabor" takes (34, filters) jet arrays and yields the similarity
-    matrix of gabor_image_similarity; measure "geometry" takes vectors, such
+    measure "gabor" takes (34, filters) jet arrays and yields their
+    similarity matrix: the mean over the 34 nodes of the normalized dot
+    product of corresponding jets, where a node with an all-zero jet counts
+    0 (with a warning); measure "geometry" takes vectors, such
     as geometry_vector results, and yields their Euclidean dissimilarity
     matrix.
     """

@@ -1,0 +1,228 @@
+"""Reference oracles and fixture writers for the tests.
+
+The package computes each step once, with whole-array kernels: the jets of
+many points with gabor.compute_jets, the pair matrices with
+similarity.pairwise_matrix.  Here are the references they are held to,
+one point or one pair at a time (the closed-form kernel, a direct
+windowed sum, the jet similarity), and the writers that make the files and
+documents the loaders read back.
+"""
+
+import math
+import warnings
+
+import numpy as np
+
+from gaborface.errors import OutOfBoundsError, RuntimeFailure, ValidationError
+from gaborface.gabor import _reflect_indices, _require_finite
+from gaborface.grid import NODE_COUNT, GridPlacement
+from gaborface.similarity import _jet_stack
+
+# The default 34-node fiducial grid template.  Only the ordering and the
+# nose-tip designation matter to the numerics; the names make grid files
+# self-describing.
+NOSE_TIP = "nose_tip"
+
+NODE_NAMES = (
+    "right_eyebrow_outer",
+    "right_eyebrow_mid",
+    "right_eyebrow_inner",
+    "left_eyebrow_inner",
+    "left_eyebrow_mid",
+    "left_eyebrow_outer",
+    "right_eye_outer",
+    "right_eye_top",
+    "right_eye_inner",
+    "right_eye_bottom",
+    "left_eye_inner",
+    "left_eye_top",
+    "left_eye_outer",
+    "left_eye_bottom",
+    "nose_bridge",
+    "nose_right",
+    "nose_tip",
+    "nose_left",
+    "mouth_right",
+    "mouth_top_right",
+    "mouth_top_center",
+    "mouth_top_left",
+    "mouth_left",
+    "mouth_bottom_left",
+    "mouth_bottom_center",
+    "mouth_bottom_right",
+    "chin_right",
+    "chin_center",
+    "chin_left",
+    "right_cheek",
+    "left_cheek",
+    "right_temple",
+    "left_temple",
+    "forehead_center",
+)
+
+assert len(NODE_NAMES) == 34
+assert NOSE_TIP in NODE_NAMES
+
+
+class DegenerateJetError(RuntimeFailure):
+    """A jet is all-zero, so its normalized dot product is undefined."""
+
+
+class DimensionError(ValidationError):
+    """Vector or matrix dimensions do not agree."""
+
+
+# ---------------------------------------------------------------------------
+# Gabor kernels and responses, one filter and one point at a time
+# ---------------------------------------------------------------------------
+
+def evaluate_kernel(spec, center, point):
+    """Closed-form even/odd kernel values at `point` for a filter at `center`."""
+    k, sigma = spec.wavenumber, spec.sigma
+    kx, ky = spec.wave_vector
+    dx = point[0] - center[0]
+    dy = point[1] - center[1]
+    envelope = (k * k / (sigma * sigma)) * math.exp(
+        -(k * k) * (dx * dx + dy * dy) / (2.0 * sigma * sigma)
+    )
+    phase = kx * dx + ky * dy
+    even = envelope * (math.cos(phase) - math.exp(-sigma * sigma / 2.0))
+    odd = envelope * math.sin(phase)
+    return even, odd
+
+
+def filter_response(image, spec, center, truncate=True):
+    """Discrete even/odd responses at `center`.
+
+    The kernel is summed over a square window of half-width
+    spec.window_half_width() around the rounded center; pixels past the
+    image edge are mirrored.  Kernel offsets use the exact (possibly
+    non-integer) center, so sub-pixel phase lives in the kernel, not in
+    any image interpolation.  With truncate=False the sum runs over the
+    whole image instead (reference path for truncation-error checks).
+    """
+    cx, cy = float(center[0]), float(center[1])
+    if not (0 <= cx < image.width and 0 <= cy < image.height):
+        raise OutOfBoundsError(
+            f"center ({cx}, {cy}) outside {image.width}x{image.height} image"
+        )
+    if truncate:
+        h = spec.window_half_width()
+        xs = np.arange(round(cx) - h, round(cx) + h + 1)
+        ys = np.arange(round(cy) - h, round(cy) + h + 1)
+        patch = image.pixels[
+            np.ix_(_reflect_indices(ys, image.height),
+                   _reflect_indices(xs, image.width))
+        ]
+    else:
+        xs = np.arange(image.width)
+        ys = np.arange(image.height)
+        patch = image.pixels
+
+    k, sigma = spec.wavenumber, spec.sigma
+    kx, ky = spec.wave_vector
+    dx = xs - cx
+    dy = ys - cy
+    r2 = dy[:, None] ** 2 + dx[None, :] ** 2
+    envelope = (k * k / (sigma * sigma)) * np.exp(
+        -(k * k) * r2 / (2.0 * sigma * sigma)
+    )
+    phase = ky * dy[:, None] + kx * dx[None, :]
+    even = float(np.sum(envelope * (np.cos(phase) - math.exp(-sigma * sigma / 2.0)) * patch))
+    odd = float(np.sum(envelope * np.sin(phase) * patch))
+    return even, odd
+
+
+def amplitude(even, odd):
+    """Magnitude of the quadrature response pair."""
+    _require_finite("even", even)
+    _require_finite("odd", odd)
+    return math.hypot(even, odd)
+
+
+def write_pgm(path, image):
+    """Write a binary (P5) 8-bit PGM; intensities are clipped to [0, 255]."""
+    pixels = np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode())
+        fh.write(pixels.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# Jet similarity, one pair at a time
+# ---------------------------------------------------------------------------
+
+def jet_similarity(a, b):
+    """Normalized dot product of two jets; in [0, 1] for non-negative jets.
+
+    One pair at a time: the reference the whole-array gabor matrix of
+    pairwise_matrix is tested against.
+    """
+    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if va.size != vb.size:
+        raise DimensionError(f"jet dimensions differ: {va.size} vs {vb.size}")
+    na = np.linalg.norm(va)
+    nb = np.linalg.norm(vb)
+    if na == 0.0 or nb == 0.0:
+        raise DegenerateJetError("all-zero jet has no direction")
+    return float(np.dot(va, vb) / (na * nb))
+
+
+def gabor_image_similarity(a, b):
+    """Mean jet similarity over corresponding grid nodes of two
+    (34, filters) jet arrays, one pair at a time (the reference for
+    pairwise_matrix).
+
+    A node pair involving an all-zero jet contributes 0 and emits a
+    warning instead of failing the whole comparison.
+    """
+    a, b = _jet_stack([a, b])
+    total = 0.0
+    for i, (ja, jb) in enumerate(zip(a, b)):
+        try:
+            total += jet_similarity(ja, jb)
+        except DegenerateJetError:
+            warnings.warn(f"zero jet at node {i}; counting similarity 0 for "
+                          "that node")
+    return total / NODE_COUNT
+
+
+# ---------------------------------------------------------------------------
+# Documents the loaders read back
+# ---------------------------------------------------------------------------
+
+def matrix_document(matrix):
+    """The JSON document of a PairMatrix, which PairMatrix.from_document
+    reads back."""
+    return {"kind": matrix.kind, "item_ids": list(matrix.item_ids),
+            "values": matrix.values.tolist()}
+
+
+def matrix_csv(matrix):
+    """The CSV twin of a PairMatrix: an id header row and column around the
+    values."""
+    return "".join(csv for _, csv in matrix.text_chunks())
+
+
+def grid_document(placement):
+    """Serialize a placement back to its JSON document form."""
+    return {
+        "image_id": placement.image_id,
+        "source_size": list(placement.source_size),
+        "nose_tip": placement.nose_tip,
+        "nodes": [{"name": name, "x": x, "y": y}
+                  for name, (x, y) in zip(placement.names, placement.points.tolist())],
+    }
+
+
+def default_template_placement(image_id, coordinates, source_size=(256, 256)):
+    """Build a placement from bare coordinates using the default name template."""
+    return GridPlacement(image_id, NODE_NAMES, coordinates, NOSE_TIP, source_size)
+
+
+def dump_ratings(table):
+    """Serialize a RatingTable back to CSV; floats round-trip exactly."""
+    lines = ["image_id," + ",".join(table.adjectives)]
+    lines += [image_id + "," + ",".join(map(repr, row))
+              for image_id, row in zip(table.image_ids, table.values.tolist())]
+    return "\n".join(lines) + "\n"

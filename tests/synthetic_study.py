@@ -13,9 +13,9 @@ import math
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
-from gaborface import ImageRaster, write_pgm
-from gaborface.grid import NODE_COUNT, grid_document
-from gaborface.grid import default_template_placement
+from gaborface import ImageRaster
+from gaborface.grid import NODE_COUNT
+from oracles import default_template_placement, grid_document, write_pgm
 
 IMAGE_SIZE = 96
 

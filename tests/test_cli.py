@@ -21,6 +21,13 @@ from gaborface.cli import (
 )
 from gaborface import cli, gabor, rank_stats, ratings
 from gaborface.errors import ValidationError
+from oracles import (
+    amplitude,
+    filter_response,
+    gabor_image_similarity,
+    matrix_csv,
+    matrix_document,
+)
 from synthetic_study import make_synthetic_study
 
 
@@ -280,6 +287,9 @@ class TestMainCli:
         ("matrices", "jets/img00.json",
          edit_json(lambda doc: doc["points"][0].update(x="10")),
          "must be numbers, got str"),
+        ("matrices", "jets/img00.json",
+         edit_json(lambda doc: doc.update(image_id="imgXX")),
+         "holds image_id 'imgXX', not 'img00'; re-run the encode stage"),
         ("align", "embeddings/SY_gabor.json",
          edit_json(lambda doc: doc["coordinates"][0].__setitem__(0, True)),
          "must be numbers, got bool"),
@@ -405,6 +415,39 @@ class TestMainCli:
             assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: coded with a different filter bank\n")
+
+    def test_grid_file_of_another_image_exits_one(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        path = tmp_path / "grids" / "img01.json"
+        doc = json.loads(path.read_text())
+        doc["image_id"] = "other"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: holds image_id 'other', not 'img01'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,excluded", [
+        (["--exclude", "SY,NOPE"], []), ([], ["NOPE", "SY", "ZZ"])],
+        ids=["flag", "config"])
+    def test_unknown_excluded_expresser_exits_one(self, matrices_study, capsys,
+                                                  flags, excluded):
+        doc = json.loads(matrices_study.read_text())
+        doc["exclude_from_average"] = excluded
+        config_path = matrices_study.with_name("unknown_excluded.json")
+        config_path.write_text(json.dumps(doc))
+        unknown = ["NOPE", "ZZ"] if excluded else ["NOPE"]
+        assert main(["--config", str(config_path), "--stage", "correlate",
+                     *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot exclude unknown expressers {unknown} from the "
+            "average\n")
+
+    def test_unknown_excluded_expresser_fails_library_callers(self, study):
+        config = load_config(study)
+        config.exclude_from_average = ("SY", "NOPE")
+        with pytest.raises(ValidationError, match=r"\['NOPE'\]"):
+            run_stage(config, "correlate")
 
     def test_no_fear_semantic_matrix_ignores_fear_column(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=5)
@@ -555,6 +598,21 @@ class TestMainCli:
         with pytest.warns(UserWarning, match="skipping plot"):
             assert main(["--config", str(config_path), "--stage", "plot"]) == 0
         assert not list(plots.glob("SY_*.svg"))
+
+    def test_embed_removes_the_scan_of_an_unscanned_embedding(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        doc = json.loads(config_path.read_text())
+        doc["options"]["scan_dims"] = 2
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path)]) == 0
+        embeddings = tmp_path / "out" / "embeddings"
+        assert sorted(p.name for p in embeddings.glob("SY_*_scan.csv")) == [
+            "SY_gabor_scan.csv", "SY_semantic_scan.csv"]
+        doc["options"].update(scan_dims=None, seed=12)
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path), "--stage", "embed"]) == 0
+        assert sorted(p.name for p in embeddings.iterdir()) == [
+            "SY_gabor.json", "SY_semantic.json"]
 
     @pytest.mark.parametrize("options,flags", [
         ({"seed": -1, "permutations": 20}, []),
@@ -761,9 +819,9 @@ class TestMatrixWriter:
         matrix = awkward_matrix(n, kind)
         cli._write_matrix(tmp_path / "m", matrix)
         assert (tmp_path / "m.json").read_text(encoding="utf-8") == json.dumps(
-            matrix.to_document(), sort_keys=True, separators=(",", ":")) + "\n"
+            matrix_document(matrix), sort_keys=True, separators=(",", ":")) + "\n"
         csv = (tmp_path / "m.csv").read_text(encoding="utf-8")
-        assert csv == reference_csv(matrix) == matrix.to_csv()
+        assert csv == reference_csv(matrix) == matrix_csv(matrix)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.json"]
 
     def test_signed_zeros_round_trip_byte_exact(self, tmp_path):
@@ -814,7 +872,7 @@ class TestBatchedEncodeDrift:
         run_study(batched)
 
         def per_filter_jets(image, bank, points):
-            return np.array([[gf.amplitude(*gf.filter_response(image, spec, p))
+            return np.array([[amplitude(*filter_response(image, spec, p))
                               for spec in bank.specs] for p in points])
 
         monkeypatch.setattr(gabor, "compute_jets", per_filter_jets)
@@ -877,7 +935,7 @@ class TestArrayPathDrift:
         def pairwise_matrix(items, measure):
             ids, arrays = zip(*items)
             if measure == "gabor":
-                return per_pair(ids, arrays, gf.gabor_image_similarity,
+                return per_pair(ids, arrays, gabor_image_similarity,
                                 "similarity", 1.0)
             return per_pair(ids, arrays, distance, "dissimilarity", 0.0)
 

@@ -7,12 +7,8 @@ import pytest
 import gaborface as gf
 from gaborface.cli import _read
 from gaborface.errors import FormatError, ParameterError
-from gaborface.grid import (
-    NODE_COUNT,
-    default_template_placement,
-    grid_document,
-)
-from gaborface.grid_template import NODE_NAMES, NOSE_TIP
+from gaborface.grid import NODE_COUNT
+from oracles import NODE_NAMES, NOSE_TIP, default_template_placement, grid_document
 
 
 def square_layout(size=256):

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 import gaborface as gf
 from gaborface.cli import StudyConfig, _read
 from gaborface.errors import FormatError, ValidationError
-from gaborface.grid import NODE_COUNT, default_template_placement, grid_document
+from gaborface.grid import NODE_COUNT
+from oracles import default_template_placement, grid_document, matrix_document
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -75,9 +76,9 @@ BANK = gf.build_filter_bank([1.0], [0.0], 1.0)
 GRID_DOC = grid_document(PLACEMENT)
 JET_DOC = gf.gabor.jet_document("img", BANK, PLACEMENT,
                                 np.ones((NODE_COUNT, len(BANK))))
-MATRIX_DOC = gf.PairMatrix(
+MATRIX_DOC = matrix_document(gf.PairMatrix(
     ("a", "b", "c"), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
-    "dissimilarity").to_document()
+    "dissimilarity"))
 STUDY_DOC = {
     "image_dir": "images", "grid_dir": "grids", "ratings": "ratings.csv",
     "out_dir": "out", "expressers": {"img0": "KA", "img1": "KA"},

@@ -3,7 +3,8 @@ import pytest
 
 import gaborface as gf
 from gaborface.errors import FormatError, ValidationError
-from gaborface.ratings import RatingTable, dump_ratings, semantic_matrix
+from gaborface.ratings import RatingTable, semantic_matrix
+from oracles import dump_ratings
 
 SIX = "image_id,happiness,sadness,surprise,anger,disgust,fear"
 

@@ -1,4 +1,6 @@
-"""The README's library example stays in step with the package's exports."""
+"""The README's library example stays in step with the package's exports,
+and every public function and class of the package has a use outside the
+tests."""
 
 import ast
 import re
@@ -6,14 +8,38 @@ from pathlib import Path
 
 import gaborface as gf
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def library_names():
+    """The `gf.` attributes that the README's library example uses."""
+    [block] = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                         re.M | re.S)
+    return {node.attr for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "gf"}
 
 
 def test_library_example_uses_only_exported_names():
-    [block] = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                         re.M | re.S)
-    names = {node.attr for node in ast.walk(ast.parse(block))
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.value, ast.Name) and node.value.id == "gf"}
+    names = library_names()
     assert len(names) > 10
     assert sorted(name for name in names if not hasattr(gf, name)) == []
+
+
+def test_every_public_definition_has_a_caller():
+    # a reference implementation that only tests call belongs in
+    # tests/oracles.py, not in the package
+    package = sorted((ROOT / "src" / "gaborface").glob("*.py"))
+    used = library_names()
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{path.stem}.{node.name}" for path in package
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []
