@@ -8,7 +8,6 @@ from .gabor import (
     FilterBank,
     FilterSpec,
     ImageRaster,
-    build_filter_bank,
     compute_jet,
     compute_jets,
     read_pgm,

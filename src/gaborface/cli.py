@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gabor, grid, nmds, rank_stats, ratings
-from .errors import FormatError, RuntimeFailure, ValidationError, require_numbers
+from .errors import FormatError, RuntimeFailure, ValidationError
 from .similarity import PairMatrix, pairwise_matrix
 
 FEAR_LABEL = "FE"
@@ -85,9 +85,7 @@ class StudyConfig:
     out_dir: Path
     expressers: dict  # image_id -> expresser_id
     labels: dict = field(default_factory=dict)  # image_id -> expression abbrev
-    wavenumbers: tuple = gabor.DEFAULT_WAVENUMBERS
-    orientations: tuple = gabor.DEFAULT_ORIENTATIONS
-    sigma: float = gabor.DEFAULT_SIGMA
+    filter_bank: gabor.FilterBank = gabor.FilterBank()
     options: StudyOptions = field(default_factory=StudyOptions)
     exclude_from_average: tuple = ()
     threads: int = 1
@@ -106,16 +104,6 @@ class StudyConfig:
                 raise ValidationError(f"{key!r} must be an object")
             return value
 
-        def bank_field(key, default):
-            """The bank's `key`: a JSON list of numbers, or a number for
-            sigma.  float() would also take a string or a boolean."""
-            value = bank.get(key, default)
-            listed = isinstance(default, tuple)
-            if listed and not isinstance(value, (list, tuple)):
-                raise ValidationError(f"bank {key!r} must be a list of numbers")
-            require_numbers(value if listed else [value], f"bank {key!r}")
-            return tuple(value) if listed else value
-
         def resolve(key):
             if key not in doc:
                 raise ValidationError(f"missing {key!r}")
@@ -123,7 +111,6 @@ class StudyConfig:
 
         if not isinstance(doc, dict):
             raise ValidationError("must be a JSON object")
-        bank = section("bank")
         opts = section("options")
         expressers = section("expressers")
         if not all(isinstance(e, str) for e in expressers.values()):
@@ -146,13 +133,11 @@ class StudyConfig:
                 out_dir=resolve("out_dir"),
                 expressers=dict(expressers),
                 labels=dict(section("labels")),
-                wavenumbers=bank_field("wavenumbers", gabor.DEFAULT_WAVENUMBERS),
-                orientations=bank_field("orientations", gabor.DEFAULT_ORIENTATIONS),
-                sigma=float(bank_field("sigma", gabor.DEFAULT_SIGMA)),
+                filter_bank=gabor.FilterBank.from_document(section("bank"),
+                                                           defaults=True),
                 options=StudyOptions(**opts),
                 exclude_from_average=tuple(exclude),
             )
-            config.bank()  # a bad bank fails here, not in a later stage
         except ValidationError:
             raise
         except (TypeError, ValueError, ArithmeticError) as exc:
@@ -160,8 +145,7 @@ class StudyConfig:
         return config
 
     def bank(self):
-        return gabor.build_filter_bank(self.wavenumbers, self.orientations,
-                                       self.sigma)
+        return self.filter_bank
 
     def image_ids(self):
         return sorted(self.expressers)
@@ -423,7 +407,7 @@ def _write_summary(config, results, failures):
         csv_lines.append(f"Average,{avg_gabor!r},,{avg_geo!r},,")
     _write_atomic(config.out_dir / "summary.csv", "\n".join(csv_lines) + "\n")
 
-    width = max([len("Expresser")] + [len(e) for e in results] + [7])
+    width = max(len(e) for e in ("Expresser", *results, *failures))
     text = [f"{'Expresser':<{width}}  {'Gabor':>8}  {'Geometry':>8}"]
     for expresser, (gab, geo) in results.items():
         text.append(f"{expresser:<{width}}  {gab.rho:8.3f}  {geo.rho:8.3f}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -32,30 +32,14 @@ DEFAULT_SIGMA = math.pi
 KERNEL_HALF_WIDTH_SIGMAS = 6.0
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FilterSpec:
-    """One Gabor filter: wave-vector magnitude, orientation, envelope width."""
+    """One Gabor filter: wave-vector magnitude, orientation, envelope width.
+    FilterBank checks the parameters it builds its filters from."""
 
     wavenumber: float
     orientation: float
     sigma: float
-
-    def __post_init__(self):
-        for name in ("wavenumber", "orientation", "sigma"):
-            _require_finite(name, getattr(self, name))
-        if self.wavenumber <= 0:
-            raise ParameterError(f"wavenumber must be > 0, got {self.wavenumber}")
-        if not 0 <= self.orientation < math.pi:
-            raise ParameterError(
-                f"orientation must lie in [0, pi), got {self.orientation}"
-            )
-        if self.sigma <= 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
 
     @property
     def wave_vector(self):
@@ -69,48 +53,65 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Ordered bank of filters, frequency-major then orientation-minor."""
+    """Every (wavenumber, orientation) filter at one envelope width.
 
-    specs: tuple
-    frequency_count: int
-    orientation_count: int
+    The default is the 18-filter bank: k in {pi/2, pi/4, pi/8}, six
+    orientations at pi/6 steps, sigma = pi.  The constructor refuses with a
+    ParameterError, naming the field, wavenumbers or orientations that are
+    empty or repeat a value, a wavenumber or sigma that is not finite and
+    > 0, and an orientation outside [0, pi).  `specs` lists the filters
+    frequency-major, then orientation-minor: the order of a jet's
+    amplitudes.
+    """
+
+    wavenumbers: tuple = DEFAULT_WAVENUMBERS
+    orientations: tuple = DEFAULT_ORIENTATIONS
+    sigma: float = DEFAULT_SIGMA
+    specs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        wavenumbers = tuple(float(k) for k in self.wavenumbers)
+        orientations = tuple(float(t) for t in self.orientations)
+        sigma = float(self.sigma)
+        for name, values in (("wavenumbers", wavenumbers), ("orientations", orientations)):
+            if not values or len(set(values)) != len(values):
+                raise ParameterError(f"bank {name!r} must be non-empty and distinct")
+        if not all(0 < k < math.inf for k in wavenumbers):
+            raise ParameterError("bank 'wavenumbers' must be finite and > 0, "
+                                 f"got {wavenumbers}")
+        if not all(0 <= t < math.pi for t in orientations):
+            raise ParameterError("bank 'orientations' must lie in [0, pi), "
+                                 f"got {orientations}")
+        if not 0 < sigma < math.inf:
+            raise ParameterError(f"bank 'sigma' must be finite and > 0, got {sigma}")
+        specs = tuple(FilterSpec(k, theta, sigma)
+                      for k in wavenumbers for theta in orientations)
+        for name, value in (("wavenumbers", wavenumbers), ("orientations", orientations),
+                            ("sigma", sigma), ("specs", specs)):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.specs)
 
-    @property
-    def wavenumbers(self):
-        return tuple(self.specs[i * self.orientation_count].wavenumber
-                     for i in range(self.frequency_count))
-
-    @property
-    def orientations(self):
-        return tuple(s.orientation for s in self.specs[: self.orientation_count])
-
-    @property
-    def sigma(self):
-        return self.specs[0].sigma
-
-
-
-def build_filter_bank(wavenumbers=DEFAULT_WAVENUMBERS,
-                      orientations=DEFAULT_ORIENTATIONS,
-                      sigma=DEFAULT_SIGMA):
-    """Build a frequency-major bank; the default call is the 18-filter bank
-    (k in {pi/2, pi/4, pi/8}, six orientations at pi/6 steps, sigma = pi)."""
-    wavenumbers = tuple(float(k) for k in wavenumbers)
-    orientations = tuple(float(t) for t in orientations)
-    sigma = float(sigma)
-    if not wavenumbers or not orientations:
-        raise ParameterError("wavenumbers and orientations must be non-empty")
-    if len(set(wavenumbers)) != len(wavenumbers):
-        raise ParameterError("duplicate wavenumber in bank")
-    if len(set(orientations)) != len(orientations):
-        raise ParameterError("duplicate orientation in bank")
-    specs = tuple(
-        FilterSpec(k, theta, sigma) for k in wavenumbers for theta in orientations
-    )
-    return FilterBank(specs, len(wavenumbers), len(orientations))
+    @classmethod
+    def from_document(cls, doc, defaults=False):
+        """The FilterBank of a bank document: JSON lists of numbers
+        "wavenumbers" and "orientations" and a number "sigma".  With
+        `defaults` a missing field takes the default bank's value; without,
+        it is an error.  Every error names its field."""
+        if not isinstance(doc, dict):
+            raise FormatError("bank must be an object")
+        fields = {}
+        for name in ("wavenumbers", "orientations", "sigma"):
+            if name not in doc:
+                if defaults:
+                    continue
+                raise FormatError(f"bank has no {name!r}")
+            value = fields[name] = doc[name]
+            if name != "sigma" and not isinstance(value, list):
+                raise FormatError(f"bank {name!r} must be a list of numbers")
+            require_numbers(value if name != "sigma" else [value], f"bank {name!r}")
+        return cls(**fields)
 
 
 class ImageRaster:
@@ -120,7 +121,8 @@ class ImageRaster:
         width, height = int(width), int(height)
         if width < 1 or height < 1:
             raise ParameterError(f"image size must be >= 1x1, got {width}x{height}")
-        pixels = np.asarray(intensities, dtype=float)
+        # a read-only copy: the caller's array stays writable
+        pixels = np.array(intensities, dtype=float, order="C")
         if pixels.ndim == 1:
             if pixels.size != width * height:
                 raise ParameterError(
@@ -133,7 +135,6 @@ class ImageRaster:
             )
         if not np.all(np.isfinite(pixels)):
             raise ParameterError("image intensities must all be finite")
-        pixels = np.ascontiguousarray(pixels)
         pixels.setflags(write=False)
         self.width = width
         self.height = height
@@ -149,21 +150,22 @@ def _reflect_indices(idx, n):
 
 @functools.lru_cache(maxsize=16)
 def _bank_groups(bank):
-    """compute_jets' set-up of one bank, per (wavenumber, sigma) group."""
-    groups = {}
-    for i, spec in enumerate(bank.specs):
-        groups.setdefault((spec.wavenumber, spec.sigma), []).append(i)
+    """compute_jets' set-up of one bank, per wavenumber: that row's slice
+    of the bank's filters and its kernel tables."""
     setup = []
-    for (k, sigma), members in groups.items():
-        h = bank.specs[members[0]].window_half_width()
+    row = len(bank.orientations)
+    for i, k in enumerate(bank.wavenumbers):
+        members = slice(i * row, (i + 1) * row)
+        specs = bank.specs[members]
+        h = specs[0].window_half_width()
         offsets = np.arange(-h, h + 1)
-        kx, ky = np.array([bank.specs[i].wave_vector for i in members]).T
+        kx, ky = np.array([spec.wave_vector for spec in specs]).T
         waves = np.array([[0.0, *kx], [0.0, *ky]])  # column 0: the DC term
         # e^{i k o}: (2, window, 1 + filters), complex as (re, im) pairs
         carriers = np.exp(1j * offsets[:, None] * waves[:, None, :]).view(float)
         for array in (offsets, waves, carriers):
             array.setflags(write=False)  # the cache hands them to every call
-        setup.append((k, sigma, tuple(members), h, offsets, waves, carriers))
+        setup.append((k, members, h, offsets, waves, carriers))
     return tuple(setup)
 
 
@@ -195,7 +197,8 @@ def compute_jets(image, bank, points):
     fraction = (pts - rounded).T  # (2, points): f along x and y
     pixels, width, height = image.pixels, image.width, image.height
     jets = np.empty((len(pts), len(bank)))
-    for k, sigma, members, h, offsets, waves, carriers in _bank_groups(bank):
+    sigma = bank.sigma
+    for k, members, h, offsets, waves, carriers in _bank_groups(bank):
         d = offsets - fraction[:, :, None]
         gauss = np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))
         # (points, window, 1 + filters) per axis, complex as (re, im) pairs
@@ -255,8 +258,7 @@ def read_pgm(data):
         raise FormatError(
             f"PGM raster too short: {len(raster)} bytes for {width}x{height}"
         )
-    pixels = np.frombuffer(raster, dtype=np.uint8).astype(float)
-    return ImageRaster(width, height, pixels)
+    return ImageRaster(width, height, np.frombuffer(raster, dtype=np.uint8))
 
 
 def jet_document(image_id, bank, placement, jets):
@@ -292,11 +294,7 @@ def parse_jet_document(doc):
             raise FormatError("jet document has no source_size or nose_tip, "
                               "so it predates placements in jet files; "
                               "re-run the encode stage")
-        bank = doc["bank"]
-        require_numbers((*bank["wavenumbers"], *bank["orientations"], bank["sigma"]),
-                        "bank parameters")
-        bank = build_filter_bank(bank["wavenumbers"], bank["orientations"],
-                                 bank["sigma"])
+        bank = FilterBank.from_document(doc["bank"])
         placement = load_grid({"image_id": doc["image_id"],
                                "source_size": doc["source_size"],
                                "nose_tip": doc["nose_tip"],

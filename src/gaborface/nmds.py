@@ -56,7 +56,8 @@ class Configuration:
     def __post_init__(self):
         if not all(isinstance(i, str) for i in self.item_ids):
             raise ParameterError("item ids must be strings")
-        coords = np.ascontiguousarray(np.asarray(self.coordinates, dtype=float))
+        # a read-only copy: the caller's array stays writable
+        coords = np.array(self.coordinates, dtype=float, order="C")
         if coords.ndim != 2 or coords.shape[0] != len(self.item_ids):
             raise ParameterError(
                 f"coordinates shape {coords.shape} does not match "

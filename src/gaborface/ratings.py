@@ -41,6 +41,10 @@ def load_ratings(table):
         raise FormatError(
             f"expected 5 or 6 adjective columns, found {len(adjectives)}"
         )
+    for col_no, adjective in enumerate(adjectives, start=2):
+        if not adjective or adjective in adjectives[:col_no - 2]:
+            raise FormatError(f"column {col_no}: adjective {adjective!r} is empty "
+                              "or repeats an earlier column")
     image_ids, rated = [], []
     seen = set()
     for row_no, row in enumerate(rows[1:], start=2):

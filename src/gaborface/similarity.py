@@ -42,7 +42,8 @@ class PairMatrix:
             raise ParameterError("item ids must be strings")
         if len(set(ids)) != len(ids):
             raise ParameterError("duplicate item ids")
-        vals = np.asarray(self.values, dtype=float)
+        # a read-only copy: the caller's array stays writable
+        vals = np.array(self.values, dtype=float, order="C")
         n = len(ids)
         if vals.shape != (n, n):
             raise ParameterError(f"matrix shape {vals.shape} != ({n}, {n})")
@@ -53,7 +54,6 @@ class PairMatrix:
         diag = 1.0 if self.kind == "similarity" else 0.0
         if not np.all(np.diag(vals) == diag):
             raise ParameterError(f"{self.kind} matrix diagonal must be {diag}")
-        vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "item_ids", ids)

@@ -13,8 +13,13 @@ import warnings
 
 import numpy as np
 
-from gaborface.errors import OutOfBoundsError, RuntimeFailure, ValidationError
-from gaborface.gabor import _reflect_indices, _require_finite
+from gaborface.errors import (
+    OutOfBoundsError,
+    ParameterError,
+    RuntimeFailure,
+    ValidationError,
+)
+from gaborface.gabor import _reflect_indices
 from gaborface.grid import NODE_COUNT, GridPlacement
 from gaborface.similarity import _jet_stack
 
@@ -135,8 +140,9 @@ def filter_response(image, spec, center, truncate=True):
 
 def amplitude(even, odd):
     """Magnitude of the quadrature response pair."""
-    _require_finite("even", even)
-    _require_finite("odd", odd)
+    for name, value in (("even", even), ("odd", odd)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
     return math.hypot(even, odd)
 
 

@@ -7,6 +7,7 @@ GABORFACE_JAFFE_STUDY points at a study config for that dataset.
 
 import hashlib
 import itertools
+import json
 import math
 import os
 import time
@@ -47,7 +48,7 @@ def smooth_pixels(rng, size):
 def test_criterion_1_dc_rejection():
     budget = Budget(1.0)
     img = gf.ImageRaster(256, 256, np.full(256 * 256, 128.0))
-    for spec in gf.build_filter_bank().specs:
+    for spec in gf.FilterBank().specs:
         even, odd = filter_response(img, spec, (128.0, 128.0))
         bound = 1e-6 * 128 * spec.wavenumber ** 2 / spec.sigma ** 2
         assert abs(even) < bound
@@ -59,7 +60,7 @@ def test_criterion_1_dc_rejection():
 def test_criterion_2_illumination_scale_invariance():
     budget = Budget(10.0)
     rng = np.random.default_rng(21)
-    bank = gf.build_filter_bank()
+    bank = gf.FilterBank()
     size = 64
     points = [tuple(p) for p in rng.uniform(8, size - 8, (NODE_COUNT, 2))]
 
@@ -234,11 +235,32 @@ def test_criterion_8_end_to_end_synthetic_study(tmp_path):
               f"p {gab.p_two_sided:.1e} < 0.01 ({elapsed:.1f}s)")
 
 
+def jaffe_config(path, no_fear):
+    """The study config of criterion 9; with `no_fear`, the fear-excluded
+    study that `--no-fear` runs: no fear-labelled image, no fear column."""
+    config = StudyConfig.from_file(path)
+    if no_fear:
+        config.drop_fear()
+    return config
+
+
+def test_jaffe_config_drops_fear_only_when_asked(tmp_path):
+    config_path = make_synthetic_study(tmp_path / "study", n_images=5)
+    doc = json.loads(config_path.read_text())
+    doc["labels"]["img00"] = "FE"
+    config_path.write_text(json.dumps(doc))
+    everything = jaffe_config(config_path, no_fear=False)
+    assert everything.image_ids()[0] == "img00" and not everything.no_fear
+    fearless = jaffe_config(config_path, no_fear=True)
+    assert fearless.image_ids() == everything.image_ids()[1:] and fearless.no_fear
+
+
 @pytest.mark.skipif("GABORFACE_JAFFE_STUDY" not in os.environ,
                     reason="external dataset not available; criterion is "
                            "out of scope without it (criteria 1-8, 10 stand)")
 def test_criterion_9_paper_number_reproduction():
-    config = StudyConfig.from_file(os.environ["GABORFACE_JAFFE_STUDY"])
+    no_fear = bool(os.environ.get("GABORFACE_JAFFE_NO_FEAR"))
+    config = jaffe_config(os.environ["GABORFACE_JAFFE_STUDY"], no_fear)
     rows = run_study(config)
     assert rows, "no expresser groups produced results"
     gabor_rhos = {e: g.rho for e, g, _ in rows}
@@ -249,8 +271,7 @@ def test_criterion_9_paper_number_reproduction():
     avg_gabor = np.mean([gabor_rhos[e] for e in keep])
     avg_geometry = np.mean([geometry_rhos[e] for e in keep])
     # table targets: all-expression study vs fear-excluded study
-    expected_gabor, expected_geometry = (0.679, 0.462) if \
-        os.environ.get("GABORFACE_JAFFE_NO_FEAR") else (0.568, 0.366)
+    expected_gabor, expected_geometry = (0.679, 0.462) if no_fear else (0.568, 0.366)
     assert abs(avg_gabor - expected_gabor) < 0.05
     assert abs(avg_geometry - expected_geometry) < 0.05
     report(9, f"dataset averages reproduced: Gabor {avg_gabor:.3f}, "

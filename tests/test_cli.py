@@ -355,6 +355,21 @@ class TestMainCli:
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert summary[1:] == ["SY,failed,,,,"]
 
+    def test_summary_text_aligns_a_long_failed_expresser(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        long_id = "X" * 24
+        doc = json.loads(config_path.read_text())
+        doc["expressers"] = dict.fromkeys(doc["expressers"], long_id)
+        config_path.write_text(json.dumps(doc))
+        for stage in ("encode", "matrices"):
+            assert main(["--config", str(config_path), "--stage", stage]) == 0
+        (tmp_path / "out" / "matrices" / f"{long_id}_semantic.json").write_text("[")
+        with pytest.warns(UserWarning, match=f"'{long_id}' failed"):
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
+        assert (tmp_path / "out" / "summary.txt").read_text().splitlines() == [
+            f"{'Expresser':<24}  {'Gabor':>8}  {'Geometry':>8}",
+            f"{long_id}  {'failed':>8}  {'failed':>8}"]
+
     @pytest.mark.parametrize("item_id", [7, "img01"], ids=["number", "duplicate"])
     def test_bad_item_id_fails_its_expresser(self, tmp_path, capsys, item_id):
         config_path = make_synthetic_study(tmp_path, n_images=4)

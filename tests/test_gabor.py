@@ -66,19 +66,19 @@ def padded_kernel(image, bank, points):
 
 class TestBuildFilterBank:
     def test_default_bank_is_18_filters(self):
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         assert len(bank) == 18
-        assert bank.frequency_count == 3
-        assert bank.orientation_count == 6
+        assert len(bank.wavenumbers) == 3
+        assert len(bank.orientations) == 6
         assert bank.wavenumbers == (math.pi / 2, math.pi / 4, math.pi / 8)
         assert bank.sigma == math.pi
 
     def test_minimal_bank(self):
-        bank = gf.build_filter_bank([1.0], [0.0], 1.0)
+        bank = gf.FilterBank([1.0], [0.0], 1.0)
         assert len(bank) == 1
 
     def test_frequency_major_ordering(self):
-        bank = gf.build_filter_bank([math.pi / 2, math.pi / 4], [0.0, math.pi / 2], math.pi)
+        bank = gf.FilterBank([math.pi / 2, math.pi / 4], [0.0, math.pi / 2], math.pi)
         got = [(s.wavenumber, s.orientation) for s in bank.specs]
         assert got == [(math.pi / 2, 0.0), (math.pi / 2, math.pi / 2),
                        (math.pi / 4, 0.0), (math.pi / 4, math.pi / 2)]
@@ -99,12 +99,25 @@ class TestBuildFilterBank:
         defaults = dict(wavenumbers=[1.0], orientations=[0.0], sigma=1.0)
         defaults.update(kwargs)
         with pytest.raises(ParameterError):
-            gf.build_filter_bank(**defaults)
+            gf.FilterBank(**defaults)
+
+    @pytest.mark.parametrize("name,value", [
+        ("wavenumbers", [math.inf]), ("orientations", [math.pi]), ("sigma", -1.0)])
+    def test_out_of_range_parameter_is_named(self, name, value):
+        with pytest.raises(ParameterError, match=f"bank '{name}'"):
+            gf.FilterBank(**{name: value})
+
+    def test_document_takes_defaults_only_when_asked(self):
+        doc = {"wavenumbers": [2, 0.5], "sigma": 3}
+        with pytest.raises(FormatError, match="bank has no 'orientations'"):
+            gf.FilterBank.from_document(doc)
+        bank = gf.FilterBank.from_document(doc, defaults=True)
+        assert bank == gf.FilterBank((2.0, 0.5), gf.DEFAULT_ORIENTATIONS, 3.0)
 
     def test_equality_depends_on_parameters(self):
-        a = gf.build_filter_bank()
-        b = gf.build_filter_bank(sigma=3.0)
-        assert a == gf.build_filter_bank()
+        a = gf.FilterBank()
+        b = gf.FilterBank(sigma=3.0)
+        assert a == gf.FilterBank()
         assert a != b
 
 
@@ -156,7 +169,7 @@ class TestEvaluateKernel:
 class TestFilterResponse:
     def test_constant_image_rejected(self):
         img = gf.ImageRaster(96, 96, np.full(96 * 96, 128.0))
-        for spec in gf.build_filter_bank().specs:
+        for spec in gf.FilterBank().specs:
             even, odd = filter_response(img, spec, (48.0, 48.0))
             bound = 1e-6 * 128 * spec.wavenumber ** 2 / spec.sigma ** 2
             assert abs(even) < bound
@@ -185,7 +198,7 @@ class TestFilterResponse:
         # full-support oracle summation over the whole image
         for seed in range(3):
             img = smooth_image(seed)
-            for spec in gf.build_filter_bank().specs[::4]:
+            for spec in gf.FilterBank().specs[::4]:
                 et, ot = filter_response(img, spec, (64.3, 63.7))
                 ef, of = filter_response(img, spec, (64.3, 63.7), truncate=False)
                 assert math.hypot(et - ef, ot - of) < 1e-4 * math.hypot(ef, of)
@@ -238,20 +251,20 @@ class TestAmplitude:
 class TestComputeJet:
     def test_constant_image_gives_zero_jet(self):
         img = gf.ImageRaster(96, 96, np.full(96 * 96, 200.0))
-        jet = gf.compute_jet(img, gf.build_filter_bank(), (48.0, 48.0))
+        jet = gf.compute_jet(img, gf.FilterBank(), (48.0, 48.0))
         assert np.all(jet < 1e-6 * 200.0)
 
     def test_amplitude_homogeneity(self):
         img = smooth_image(3, size=96)
         scaled = gf.ImageRaster(96, 96, 7.0 * img.pixels)
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         jet = gf.compute_jet(img, bank, (48.0, 47.5))
         jet7 = gf.compute_jet(scaled, bank, (48.0, 47.5))
         np.testing.assert_allclose(jet7, 7.0 * jet, rtol=1e-9)
 
     def test_oriented_grating_peaks_at_matching_entry(self):
         # brute force across all 18 entries
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         img = grating(math.pi / 4, 0.0)
         jet = gf.compute_jet(img, bank, (128.0, 128.0))
         winner = bank.specs[int(np.argmax(jet))]
@@ -272,7 +285,7 @@ class TestComputeJets:
         rng = np.random.default_rng(width * height)
         img = gf.ImageRaster(width, height, 128 + 60 * gaussian_filter(
             rng.standard_normal((height, width)), 2))
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         w, h = width - 1e-9, height - 1e-9
         random_points = [tuple(p) for p in rng.uniform(0, 1, (12, 2)) * (w, h)]
         # exact .5 centres round half-to-even; window centres land on both parities
@@ -290,7 +303,7 @@ class TestComputeJets:
     def test_tiny_images_fold_the_window_many_times(self, width, height):
         rng = np.random.default_rng(width + 10 * height)
         img = gf.ImageRaster(width, height, rng.uniform(0, 255, (height, width)))
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         w, h = width - 1e-9, height - 1e-9  # these round onto the far edge
         points = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h), (width / 2, height / 2)]
         points += [tuple(p) for p in rng.uniform(0, 1, (4, 2)) * (w, h)]
@@ -311,7 +324,7 @@ class TestComputeJets:
         # same floating-point operations as one view into a mirror-padded copy
         rng = np.random.default_rng(width * height)
         img = gf.ImageRaster(width, height, rng.uniform(0, 255, (height, width)))
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         w, h = width - 1e-9, height - 1e-9  # these round onto the far edge
         points = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h), (width - 0.5, height - 0.5),
                   (width / 2, height / 2), (width / 2 - 0.5, height / 2 - 0.5)]
@@ -329,7 +342,7 @@ class TestComputeJets:
 
     def test_compute_jet_is_a_row_of_compute_jets(self):
         img = smooth_image(4, size=64)
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         points = [(10.25, 50.0), (33.5, 12.5)]
         jets = gf.compute_jets(img, bank, points)
         for point, row in zip(points, jets):
@@ -338,14 +351,14 @@ class TestComputeJets:
 
     def test_one_out_of_bounds_point_fails_the_batch(self):
         img = smooth_image(0, size=32)
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         for bad in [(-0.5, 5.0), (5.0, 32.0), (40.0, 5.0), (float("nan"), 3.0)]:
             with pytest.raises(OutOfBoundsError):
                 gf.compute_jets(img, bank, [(4.0, 4.0), bad, (8.0, 8.0)])
 
     def test_empty_point_list(self):
         img = smooth_image(0, size=32)
-        assert gf.compute_jets(img, gf.build_filter_bank(), []).shape == (0, 18)
+        assert gf.compute_jets(img, gf.FilterBank(), []).shape == (0, 18)
 
     @pytest.mark.parametrize("points", [
         [(10, 20, 30), (40, 50, 60)],
@@ -356,7 +369,7 @@ class TestComputeJets:
     def test_points_must_be_xy_pairs(self, points):
         img = smooth_image(0, size=64)
         with pytest.raises(ParameterError, match="points must be"):
-            gf.compute_jets(img, gf.build_filter_bank(), points)
+            gf.compute_jets(img, gf.FilterBank(), points)
 
 
 class TestImageRaster:
@@ -366,6 +379,12 @@ class TestImageRaster:
         b = gf.ImageRaster(4, 3, flat.reshape(3, 4))
         assert np.array_equal(a.pixels, b.pixels)
         assert np.array_equal(a.pixels.ravel(), flat)
+
+    def test_keeps_a_read_only_copy_of_the_pixels(self):
+        pixels = np.zeros((2, 3))
+        image = gf.ImageRaster(3, 2, pixels)
+        pixels[0, 0] = 5.0  # the caller's array stays writable
+        assert not image.pixels.any() and not image.pixels.flags.writeable
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
@@ -415,7 +434,7 @@ def coded_document(bank, size=64):
 
 class TestJetDocument:
     def test_round_trip(self):
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         doc, placement, jets = coded_document(bank)
         placement2, bank2, jets2 = gf.gabor.parse_jet_document(
             json.loads(json.dumps(doc)))
@@ -428,13 +447,13 @@ class TestJetDocument:
             gf.gabor.parse_jet_document({"image_id": "x"})
 
     def test_document_without_placement_asks_for_encode(self):
-        doc, _, _ = coded_document(gf.build_filter_bank([1.0], [0.0], 1.0))
+        doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
         del doc["source_size"], doc["nose_tip"]
         with pytest.raises(FormatError, match="re-run the encode stage"):
             gf.gabor.parse_jet_document(doc)
 
     def test_every_truncation_is_a_format_error(self, tmp_path):
-        doc, _, _ = coded_document(gf.build_filter_bank([1.0], [0.0], 1.0))
+        doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
         text = json.dumps(doc)
         path = tmp_path / "img1.json"
         for end in range(len(text)):
@@ -451,7 +470,7 @@ class TestJetDocument:
         {"name": "a", "x": 1.0, "y": 1.0, "amplitudes": [[1.0]]},
     ])
     def test_bad_values_are_format_errors(self, point):
-        doc, _, _ = coded_document(gf.build_filter_bank([1.0], [0.0], 1.0))
+        doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
         doc["points"][0] = point
         with pytest.raises(FormatError):
             gf.gabor.parse_jet_document(doc)

@@ -72,7 +72,7 @@ def documents(valid):
 
 PLACEMENT = default_template_placement(
     "img", np.random.default_rng(0).uniform(0, 63, (NODE_COUNT, 2)), (64, 64))
-BANK = gf.build_filter_bank([1.0], [0.0], 1.0)
+BANK = gf.FilterBank([1.0], [0.0], 1.0)
 GRID_DOC = grid_document(PLACEMENT)
 JET_DOC = gf.gabor.jet_document("img", BANK, PLACEMENT,
                                 np.ones((NODE_COUNT, len(BANK))))

@@ -228,6 +228,13 @@ class TestEmbed:
         with pytest.raises(ParameterError, match="iterations"):
             gf.Configuration(("a", "b"), [[0.0], [1.0]], 0.0, 1.0, iterations)
 
+    def test_configuration_keeps_a_read_only_copy_of_the_coordinates(self):
+        coords = np.array([[0.0], [1.0]])
+        config = gf.Configuration(("a", "b"), coords, 0.0, 1.0, 0)
+        coords[1, 0] = 5.0  # the caller's array stays writable
+        assert config.coordinates.tolist() == [[0.0], [1.0]]
+        assert not config.coordinates.flags.writeable
+
     def test_configuration_rejects_ids_that_are_not_strings(self):
         with pytest.raises(ParameterError, match="must be strings"):
             gf.Configuration((["a"], "b"), [[0.0], [1.0]], 0.0, 1.0, 0)

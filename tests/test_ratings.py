@@ -51,6 +51,15 @@ class TestLoadRatings:
         with pytest.raises(FormatError, match="row 4.*'a'"):
             gf.load_ratings(table)
 
+    @pytest.mark.parametrize("header,column", [
+        ("image_id,fear,fear,b,c,d", "column 3: adjective 'fear'"),
+        ("image_id,a,,b,c,d", "column 3: adjective ''"),
+    ], ids=["repeated", "empty"])
+    def test_repeated_or_empty_adjective(self, header, column):
+        # a second fear column would survive --no-fear, which drops the first
+        with pytest.raises(FormatError, match=column):
+            gf.load_ratings(header + "\na,1,2,3,4,5\n")
+
     def test_missing_image_id_header(self):
         with pytest.raises(FormatError):
             gf.load_ratings("id,a,b,c,d,e\nx,1,2,3,4,5\n")

@@ -188,12 +188,19 @@ class TestPairwiseMatrix:
         with pytest.raises(ParameterError):
             pairwise_matrix([], "colour")
 
+    def test_keeps_a_read_only_copy_of_the_values(self):
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        matrix = gf.PairMatrix(("a", "b"), values, "dissimilarity")
+        values[0, 1] = 5.0  # the caller's array stays writable
+        assert matrix.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert not matrix.values.flags.writeable
+
 
 class TestIlluminationInvariance:
     def test_recoding_scaled_image_preserves_similarity(self):
         from scipy.ndimage import gaussian_filter
         rng = np.random.default_rng(7)
-        bank = gf.build_filter_bank()
+        bank = gf.FilterBank()
         size = 96
 
         def code(pixels):
