@@ -886,7 +886,7 @@ class TestBatchedEncodeDrift:
         batched.out_dir = tmp_path / "batched"
         run_study(batched)
 
-        def per_filter_jets(image, bank, points):
+        def per_filter_jets(image, bank, points, work=None):
             return np.array([[amplitude(*filter_response(image, spec, p))
                               for spec in bank.specs] for p in points])
 

@@ -340,6 +340,27 @@ class TestComputeJets:
         jets = gf.compute_jets(img, bank, points)
         assert np.array_equal(jets, padded_kernel(img, bank, points))
 
+    def test_work_arrays_kept_between_calls_change_no_bit(self):
+        # one dict through images of many sizes (the tiny ones fold their
+        # windows many times), 0, 1 and 34 points, and two banks with the
+        # same half-widths but different orientation counts
+        rng = np.random.default_rng(16)
+        banks = [gf.FilterBank(),
+                 gf.FilterBank(orientations=gf.gabor.DEFAULT_ORIENTATIONS[::2])]
+        work, returned = {}, []
+        for width, height in [(1, 1), (2, 3), (5, 7), (140, 113), (64, 64)] * 2:
+            img = gf.ImageRaster(width, height, rng.uniform(0, 255, (height, width)))
+            for count in (0, 1, 34):
+                points = rng.uniform(0, 1, (count, 2)) * (width - 1e-9, height - 1e-9)
+                for bank in banks:
+                    jets = gf.compute_jets(img, bank, points, work=work)
+                    assert np.array_equal(jets, gf.compute_jets(img, bank, points))
+                    assert np.array_equal(jets, padded_kernel(img, bank, points))
+                    assert not any(np.shares_memory(jets, a) for a in work.values())
+                    returned.append((jets, jets.copy()))
+        # later calls wrote over no earlier result
+        assert all(np.array_equal(jets, kept) for jets, kept in returned)
+
     def test_compute_jet_is_a_row_of_compute_jets(self):
         img = smooth_image(4, size=64)
         bank = gf.FilterBank()

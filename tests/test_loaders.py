@@ -221,6 +221,19 @@ def test_integer_too_large_for_a_float_is_malformed(kind, change):
     assert isinstance(result, FormatError), result
 
 
+@pytest.mark.parametrize("kind", ["study", "jet"])
+@pytest.mark.parametrize("field,value", [
+    ("sigma", 10 ** 400),
+    ("wavenumbers", [1.0, 10 ** 400]),
+    ("orientations", [0.0, -10 ** 400]),
+])
+def test_bank_integer_too_large_for_a_float_names_its_field(kind, field, value):
+    result = read_bytes_as(kind, json.dumps(
+        edited(READERS[kind][1], set_at("bank", field, value))).encode())
+    assert isinstance(result, ValidationError), result
+    assert f"bank {field!r} must be finite" in str(result)
+
+
 # damage -> (new content from the valid bytes, what the error says)
 DAMAGE = {
     "utf-16": (lambda valid: valid.decode("latin-1").encode("utf-16"),
