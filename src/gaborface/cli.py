@@ -11,9 +11,10 @@ Stages (each reads the previous stage's files, enabling partial reruns):
   study      all of the above
 
 `encode` codes each image on its own; `run_stage` runs every other stage
-one expresser at a time.  A failing expresser is warned about, its outputs
-of that stage are removed and the others still run; then `correlate` writes
-a `failed` summary row, and every other stage raises its first failure.
+one expresser at a time.  It removes an expresser's files of the stage (as
+`_STAGES` names them) before its unit runs and again if the unit fails.  A
+failing expresser is warned about and the others still run; then `correlate`
+writes a `failed` summary row, and every other stage raises its first failure.
 """
 
 from __future__ import annotations
@@ -195,11 +196,10 @@ def _write_json(path, doc):
     _write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _write_matrix(stem, matrix):
-    """A pair matrix's JSON file and its CSV twin, `<stem>.json` and
-    `<stem>.csv`, streamed row by row from the one formatting pass of
-    PairMatrix.text_chunks."""
-    with _atomic(f"{stem}.json") as json_file, _atomic(f"{stem}.csv") as csv_file:
+def _write_matrix(json_path, csv_path, matrix):
+    """A pair matrix's JSON file and its CSV twin, streamed row by row from
+    the one formatting pass of PairMatrix.text_chunks."""
+    with _atomic(json_path) as json_file, _atomic(csv_path) as csv_file:
         for json_chunk, csv_chunk in matrix.text_chunks():
             json_file.write(json_chunk)
             csv_file.write(csv_chunk)
@@ -287,37 +287,44 @@ def _read(path, parse, form="json", stage=None):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _usable_groups(config):
-    usable = {}
-    for expresser, ids in config.groups().items():
-        if len(ids) < MIN_GROUP_SIZE:
-            warnings.warn(f"expresser {expresser!r} has only {len(ids)} images; "
-                          f"skipping (need >= {MIN_GROUP_SIZE})")
-            continue
-        usable[expresser] = ids
-    if not usable:
-        raise ValidationError(f"no expresser has >= {MIN_GROUP_SIZE} images, "
-                              "the fewest a significance test can use")
-    return usable
+def _outputs(config, stage, expresser):
+    """name -> path of each file that `stage` writes for `expresser`."""
+    _, directory, names = _STAGES[stage]
+    return {n: config.out_dir / directory / f"{expresser}{n}" for n in names}
+
+
+def _load(config, stage, expresser, name, parse):
+    """parse() of `expresser`'s `name` file of `stage`."""
+    return _read(_outputs(config, stage, expresser)[name], parse, stage=stage)
 
 
 def run_stage(config, name):
     """Run one stage; return its result per expresser (encode: the image
-    ids).  Failures follow the policy in the module docstring."""
+    ids).  Outputs and failures follow the module docstring."""
     if name == "encode":
         return run_encode(config)
-    factory, directory, suffixes = _STAGES[name]
-    unit = factory(config)
+    unit = _STAGES[name][0](config)
     results, failures = {}, []
-    for expresser, ids in _usable_groups(config).items():
+    for expresser, ids in config.groups().items():
+        out = _outputs(config, name, expresser)
+        for path in out.values():
+            path.unlink(missing_ok=True)
+        if len(ids) < MIN_GROUP_SIZE:
+            warnings.warn(f"expresser {expresser!r} has only {len(ids)} images; "
+                          f"skipping (need >= {MIN_GROUP_SIZE})")
+            continue
         try:
-            results[expresser] = unit(expresser, ids)
-        except (ValidationError, RuntimeFailure) as exc:
+            results[expresser] = unit(expresser, ids, out)
+        except BaseException as exc:
+            for path in out.values():
+                path.unlink(missing_ok=True)
+            if not isinstance(exc, (ValidationError, RuntimeFailure)):
+                raise
             warnings.warn(f"expresser {expresser!r} failed: {exc}")
             failures.append((expresser, exc))
-            for suffix in suffixes:
-                path = config.out_dir / directory / f"{expresser}{suffix}"
-                path.unlink(missing_ok=True)
+    if not (results or failures):
+        raise ValidationError(f"no expresser has >= {MIN_GROUP_SIZE} images, "
+                              "the fewest a significance test can use")
     if name == "correlate":
         _write_summary(config, results, [expresser for expresser, _ in failures])
     elif failures:
@@ -333,7 +340,7 @@ def run_study(config):
 
 
 # Stage units: a factory does its stage's one-off set-up and returns
-# unit(expresser, ids), which reads, computes and writes one group.
+# unit(expresser, ids, out), which computes one group and writes `out`'s paths.
 
 def _matrices(config):
     """Per expresser: Gabor similarity, geometry and semantic dissimilarity."""
@@ -352,7 +359,7 @@ def _matrices(config):
         _require_id(placement, image_id, "; re-run the encode stage")
         return placement, jets
 
-    def unit(expresser, ids):
+    def unit(expresser, ids, out):
         semantic = ratings.semantic_matrix(table, ids)
         placements, jets = zip(*(
             _read(config.out_dir / "jets" / f"{i}.json",
@@ -366,7 +373,7 @@ def _matrices(config):
             "semantic": semantic,
         }
         for name, matrix in matrices.items():
-            _write_matrix(config.out_dir / "matrices" / f"{expresser}_{name}", matrix)
+            _write_matrix(out[f"_{name}.json"], out[f"_{name}.csv"], matrix)
         return matrices
     return unit
 
@@ -380,18 +387,16 @@ def _correlate(config):
                               "from the average")
     opts = config.options
 
-    def unit(expresser, ids):
+    def unit(expresser, ids, out):
         semantic, *models = (
-            _read(config.out_dir / "matrices" / f"{expresser}_{m}.json",
-                  PairMatrix.from_document, stage="matrices")
+            _load(config, "matrices", expresser, f"_{m}.json", PairMatrix.from_document)
             for m in ("semantic", *MEASURES))
         results = rank_stats.correlate_model_with_ratings(
             models, semantic, permutations=opts.permutations, seed=opts.seed)
         for measure, result in zip(MEASURES, results):
-            _write_json(
-                config.out_dir / "correlations" / f"{expresser}_{measure}.json",
-                result.to_document(expresser_id=expresser, measure=measure,
-                                   seed=opts.seed))
+            _write_json(out[f"_{measure}.json"],
+                        result.to_document(expresser_id=expresser,
+                                           measure=measure, seed=opts.seed))
         return tuple(results)
     return unit
 
@@ -442,38 +447,34 @@ def _embed(config):
     fit = {"max_iterations": opts.max_iterations, "tolerance": opts.tolerance,
            "seed": opts.seed}
 
-    def unit(expresser, ids):
+    def unit(expresser, ids, out):
         configs = {}
         for measure in EMBEDDED:
-            matrix = _model_dissimilarity(_read(
-                config.out_dir / "matrices" / f"{expresser}_{measure}.json",
-                PairMatrix.from_document, stage="matrices"))
+            matrix = _model_dissimilarity(_load(
+                config, "matrices", expresser, f"_{measure}.json",
+                PairMatrix.from_document))
             n = len(matrix.item_ids)
             configs[measure] = nmds.embed(matrix, min(opts.dims, n - 1), **fit)
-            stem = f"{expresser}_{measure}"
-            _write_json(config.out_dir / "embeddings" / f"{stem}.json",
+            _write_json(out[f"_{measure}.json"],
                         configs[measure].to_document(options=fit))
-            scan = config.out_dir / "embeddings" / f"{stem}_scan.csv"
             if opts.scan_dims:
                 rows = nmds.scan_dimensions(matrix, min(opts.scan_dims, n - 1),
                                             **fit)
-                _write_atomic(scan, "d,stress,rsq\n" + "".join(
+                _write_atomic(out[f"_{measure}_scan.csv"], "d,stress,rsq\n" + "".join(
                     f"{d},{s!r},{r!r}\n" for d, s, r in rows))
-            else:
-                scan.unlink(missing_ok=True)  # it would scan another embedding
         return configs
     return unit
 
 
 def _align(config):
     """Procrustes-align each Gabor configuration onto the semantic one."""
-    def unit(expresser, ids):
+    def unit(expresser, ids, out):
         source, target = (
-            _read(config.out_dir / "embeddings" / f"{expresser}_{m}.json",
-                  nmds.Configuration.from_document, stage="embed")
+            _load(config, "embed", expresser, f"_{m}.json",
+                  nmds.Configuration.from_document)
             for m in EMBEDDED)
         aligned, residual = nmds.procrustes_align(source, target)
-        _write_json(config.out_dir / "align" / f"{expresser}.json",
+        _write_json(out[".json"],
                     aligned.to_document(residual=residual, target="semantic"))
         return residual
     return unit
@@ -520,23 +521,21 @@ def render_scatter(configuration, labels=None):
 
 def _plot(config):
     """SVG scatter for every stored 2-d configuration."""
-    def unit(expresser, ids):
+    def unit(expresser, ids, out):
         for measure in EMBEDDED:
-            configuration = _read(
-                config.out_dir / "embeddings" / f"{expresser}_{measure}.json",
-                nmds.Configuration.from_document, stage="embed")
-            path = config.out_dir / "plots" / f"{expresser}_{measure}.svg"
+            configuration = _load(config, "embed", expresser, f"_{measure}.json",
+                                  nmds.Configuration.from_document)
             if configuration.d != 2:
                 warnings.warn(f"{expresser}/{measure}: d={configuration.d}, "
                               "skipping plot")
-                path.unlink(missing_ok=True)  # it would depict another embedding
                 continue
-            _write_atomic(path, render_scatter(configuration, config.labels))
+            _write_atomic(out[f"_{measure}.svg"],
+                          render_scatter(configuration, config.labels))
     return unit
 
 
-# stage -> (factory(config) -> unit(expresser, ids), output directory, the
-# suffixes after the expresser id of every file the unit can write there)
+# stage -> (factory(config) -> unit(expresser, ids, out), output directory, the
+# names after the expresser id of all the unit's files): their one list
 _STAGES = {
     "matrices": (_matrices, "matrices", [f"_{m}.{x}" for m in (*MEASURES, "semantic")
                                          for x in ("json", "csv")]),

@@ -38,7 +38,8 @@ class Disparities:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        # a read-only copy: the caller's array stays writable
+        vals = np.array(self.values, dtype=float, order="C")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

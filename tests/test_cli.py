@@ -408,6 +408,79 @@ class TestMainCli:
         assert (out / "summary.csv").read_text().splitlines()[1:] == ["SY,failed,,,,"]
         assert not any(path.exists() for path in stale)
 
+    def test_skipped_expresser_keeps_no_earlier_outputs(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=8)
+        doc = json.loads(config_path.read_text())
+        ids = sorted(doc["expressers"])
+        doc["expressers"] = {i: "AA" if n < 4 else "ZZ" for n, i in enumerate(ids)}
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        stages = [out / directory for _, directory, _ in cli._STAGES.values()]
+        assert all(list(d.glob("AA*")) and list(d.glob("ZZ*")) for d in stages)
+        doc["expressers"][ids[0]] = "ZZ"  # AA keeps 3 images
+        config_path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="expresser 'AA' has only 3 images"):
+            assert main(["--config", str(config_path)]) == 0
+        assert not any(list(d.glob("AA*")) for d in stages)
+        assert all(list(d.glob("ZZ*")) for d in stages)
+        assert [line.split(",")[0] for line in
+                (out / "summary.csv").read_text().splitlines()] == [
+            "expresser", "ZZ", "Average"]
+
+    @pytest.mark.parametrize("stage,patched,fail_on_call,outputs", [
+        ("align", (gf.nmds, "procrustes_align"), 1, ["align/SY.json"]),
+        ("plot", (cli, "render_scatter"), 2,
+         ["plots/SY_gabor.svg", "plots/SY_semantic.svg"]),
+    ], ids=["align", "plot"])
+    def test_unit_error_outside_the_policy_leaves_none_of_its_files(
+            self, tmp_path, monkeypatch, stage, patched, fail_on_call, outputs):
+        # the unit raises after writing none or some of this run's files
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        assert all((out / name).exists() for name in outputs)
+        module, function = patched
+        original, calls = getattr(module, function), []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_on_call:
+                raise RuntimeError("not a validation error")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, function, failing)
+        with pytest.raises(RuntimeError, match="not a validation error"):
+            run_stage(load_config(config_path), stage)
+        assert len(calls) == fail_on_call
+        assert not any((out / name).exists() for name in outputs)
+
+    @pytest.mark.parametrize("stage,victim,writer", [
+        ("matrices", "jets/img00.json", "encode"),
+        ("correlate", "matrices/SY_semantic.json", "matrices"),
+        ("embed", "matrices/SY_gabor.json", "matrices"),
+        ("align", "embeddings/SY_semantic.json", "embed"),
+        ("plot", "embeddings/SY_gabor.json", "embed"),
+    ])
+    def test_missing_intermediate_names_the_stage_that_writes_it(
+            self, scanned_study, tmp_path, capsys, stage, victim, writer):
+        study = tmp_path / "study"
+        shutil.copytree(scanned_study.parent, study)
+        path = (study / "out" / victim).resolve()
+        path.unlink()
+        message = f"{path}: no such file; run the {writer} stage"
+        with pytest.warns(UserWarning) as caught:
+            code = main(["--config", str(study.resolve() / "study.json"),
+                         "--stage", stage])
+        assert [str(w.message) for w in caught] == [
+            f"expresser 'SY' failed: {message}"]
+        if stage == "correlate":  # the failure is its summary row
+            assert code == 0 and capsys.readouterr().err == ""
+            summary = (study / "out" / "summary.csv").read_text().splitlines()
+            assert summary[1:] == ["SY,failed,,,,"]
+        else:
+            assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+
     def test_jet_file_without_placement_exits_one(self, tmp_path, capsys):
         config_path = make_synthetic_study(tmp_path, n_images=4)
         assert main(["--config", str(config_path), "--stage", "encode"]) == 0
@@ -765,6 +838,14 @@ class TestOutputLayout:
             assert text == json.dumps(json.loads(text), sort_keys=True,
                                       separators=(",", ":")) + "\n", path
 
+    def test_stage_files_are_the_names_of_the_stage_table(self, scanned_study):
+        groups = load_config(scanned_study.parent / "study.json").groups()
+        usable = [e for e, ids in groups.items() if len(ids) >= cli.MIN_GROUP_SIZE]
+        assert usable
+        for stage, (_, directory, names) in cli._STAGES.items():
+            files = {p.name for p in (scanned_study / directory).iterdir()}
+            assert files == {f"{e}{name}" for e in usable for name in names}, stage
+
     def test_stages_read_indented_files(self, scanned_study, tmp_path):
         out = tmp_path / "out"
         shutil.copytree(scanned_study, out)
@@ -832,7 +913,7 @@ class TestMatrixWriter:
     def test_bytes_match_the_json_layout_and_the_csv_formula(self, tmp_path, n,
                                                              kind):
         matrix = awkward_matrix(n, kind)
-        cli._write_matrix(tmp_path / "m", matrix)
+        cli._write_matrix(tmp_path / "m.json", tmp_path / "m.csv", matrix)
         assert (tmp_path / "m.json").read_text(encoding="utf-8") == json.dumps(
             matrix_document(matrix), sort_keys=True, separators=(",", ":")) + "\n"
         csv = (tmp_path / "m.csv").read_text(encoding="utf-8")
@@ -843,13 +924,13 @@ class TestMatrixWriter:
         matrix = gf.PairMatrix.from_document(
             {"kind": "dissimilarity", "item_ids": ["a", "b"],
              "values": [[0, -0.0], [0.0, 0]]})
-        cli._write_matrix(tmp_path / "m", matrix)
+        cli._write_matrix(tmp_path / "m.json", tmp_path / "m.csv", matrix)
         first = (tmp_path / "m.json").read_bytes(), (tmp_path / "m.csv").read_bytes()
         assert first == (b'{"item_ids":["a","b"],"kind":"dissimilarity",'
                          b'"values":[[0.0,-0.0],[0.0,0.0]]}\n',
                          b",a,b\na,0.0,-0.0\nb,0.0,0.0\n")
         again = gf.PairMatrix.from_document(json.loads(first[0]))
-        cli._write_matrix(tmp_path / "m", again)
+        cli._write_matrix(tmp_path / "m.json", tmp_path / "m.csv", again)
         assert ((tmp_path / "m.json").read_bytes(),
                 (tmp_path / "m.csv").read_bytes()) == first
 
@@ -863,7 +944,7 @@ class TestMatrixWriter:
         for name in ("m.json", "m.csv"):
             (tmp_path / name).write_text(f"old {name}\n")
         with pytest.raises(OSError, match="disk full"):
-            cli._write_matrix(tmp_path / "m", Failing())
+            cli._write_matrix(tmp_path / "m.json", tmp_path / "m.csv", Failing())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.json"]
         for name in ("m.json", "m.csv"):
             assert (tmp_path / name).read_text() == f"old {name}\n"

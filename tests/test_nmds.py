@@ -120,6 +120,13 @@ class TestIsotonicFit:
         assert np.mean(out.values) == pytest.approx(np.mean(y), rel=1e-12)
         assert np.all(np.diff(out.values[order]) >= -1e-12)
 
+    def test_disparities_keep_a_read_only_copy_of_the_values(self):
+        values = np.array([1.0, 2.0])
+        disparities = Disparities(values)
+        values[1] = 5.0  # the caller's array stays writable
+        assert disparities.values.tolist() == [1.0, 2.0]
+        assert not disparities.values.flags.writeable
+
     def test_bad_order_rejected(self):
         y = np.array([1.0, 2.0, 3.0])
         for order in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1],
