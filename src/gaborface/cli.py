@@ -10,11 +10,11 @@ Stages (each reads the previous stage's files, enabling partial reruns):
   plot       configurations -> SVG scatter plots
   study      all of the above
 
-`encode` codes each image on its own; `run_stage` runs every other stage
-one expresser at a time.  It removes an expresser's files of the stage (as
-`_STAGES` names them) before its unit runs and again if the unit fails.  A
-failing expresser is warned about and the others still run; then `correlate`
-writes a `failed` summary row, and every other stage raises its first failure.
+`run_stage` runs `encode` one image at a time (on `--threads` threads) and
+every other stage one expresser at a time.  It removes a unit's files of the
+stage (as `_STAGES` names them) before the unit runs and again if it fails.
+A failure is warned about and the others still run; then `correlate` writes
+a `failed` summary row, and every other stage raises its first failure.
 """
 
 from __future__ import annotations
@@ -209,37 +209,25 @@ def _write_matrix(json_path, csv_path, matrix):
 # Stage: encode
 # ---------------------------------------------------------------------------
 
-def _encode_one(config, bank, image_id, placement, work):
-    image = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
-    if tuple(placement.source_size) != (image.width, image.height):
-        placement = grid.rescale_placement(placement, (image.width, image.height))
-    jets = gabor.compute_jets(image, bank, placement.points, work=work)
-    _write_json(config.out_dir / "jets" / f"{image_id}.json",
-                gabor.jet_document(image_id, bank, placement, jets))
-
-
-def run_encode(config):
-    """Code every study image: one jet JSON per image, deterministic bytes."""
+def _encode(config):
+    """unit(image_id, out): the image's jet JSON, deterministic bytes."""
     bank = config.bank()
-    ids = config.image_ids()
     # every grid is read first, so a bad or missing grid fails before any output
-    placements = [_read(config.grid_dir / f"{i}.json",
-                        lambda doc, i=i: _require_id(grid.load_grid(doc), i))
-                  for i in ids]
-    # each thread's compute_jets work arrays (~2 MB), kept from image to
-    # image and freed when the stage returns
+    placements = {i: _read(config.grid_dir / f"{i}.json",
+                           lambda doc, i=i: _require_id(grid.load_grid(doc), i))
+                  for i in config.image_ids()}
+    # each thread's compute_jets work arrays (~2 MB), kept for the stage
     local = threading.local()
 
-    def encode(image_id, placement):
-        _encode_one(config, bank, image_id, placement,
-                    vars(local).setdefault("work", {}))
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(encode, ids, placements))
-    else:
-        list(map(encode, ids, placements))
-    return ids
+    def unit(image_id, out):
+        image = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
+        placement = placements[image_id]
+        if tuple(placement.source_size) != (image.width, image.height):
+            placement = grid.rescale_placement(placement, (image.width, image.height))
+        jets = gabor.compute_jets(image, bank, placement.points,
+                                  work=vars(local).setdefault("work", {}))
+        _write_json(out[".json"], gabor.jet_document(image_id, bank, placement, jets))
+    return unit
 
 
 def _require_id(placement, image_id, hint=""):
@@ -252,7 +240,7 @@ def _require_id(placement, image_id, hint=""):
 
 
 # ---------------------------------------------------------------------------
-# Stage driver: matrices, correlate, embed, align and plot run per expresser
+# Stage driver: encode runs per image, every other stage per expresser
 # ---------------------------------------------------------------------------
 
 def _read(path, parse, form="json", stage=None):
@@ -287,55 +275,75 @@ def _read(path, parse, form="json", stage=None):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _outputs(config, stage, expresser):
-    """name -> path of each file that `stage` writes for `expresser`."""
+def _outputs(config, stage, key):
+    """name -> path of each file `stage` writes for `key`, an image or expresser id."""
     _, directory, names = _STAGES[stage]
-    return {n: config.out_dir / directory / f"{expresser}{n}" for n in names}
+    return {n: config.out_dir / directory / f"{key}{n}" for n in names}
 
 
-def _load(config, stage, expresser, name, parse):
-    """parse() of `expresser`'s `name` file of `stage`."""
-    return _read(_outputs(config, stage, expresser)[name], parse, stage=stage)
+def _load(config, stage, key, name, parse):
+    """parse() of `key`'s `name` file of `stage`."""
+    return _read(_outputs(config, stage, key)[name], parse, stage=stage)
+
+
+def _attempt(config, stage, key, run):
+    """run(out) with `out`, the files of `stage` for `key`, removed before it
+    runs and again if it fails; a ValidationError or RuntimeFailure is returned."""
+    out = _outputs(config, stage, key)
+    for path in out.values():
+        path.unlink(missing_ok=True)
+    try:
+        return run(out)
+    except BaseException as exc:
+        for path in out.values():
+            path.unlink(missing_ok=True)
+        if not isinstance(exc, (ValidationError, RuntimeFailure)):
+            raise
+        return exc
 
 
 def run_stage(config, name):
-    """Run one stage; return its result per expresser (encode: the image
-    ids).  Outputs and failures follow the module docstring."""
-    if name == "encode":
-        return run_encode(config)
+    """Run one stage (see the module docstring); return each unit's result."""
     unit = _STAGES[name][0](config)
-    results, failures = {}, []
-    for expresser, ids in config.groups().items():
-        out = _outputs(config, name, expresser)
-        for path in out.values():
-            path.unlink(missing_ok=True)
-        if len(ids) < MIN_GROUP_SIZE:
-            warnings.warn(f"expresser {expresser!r} has only {len(ids)} images; "
-                          f"skipping (need >= {MIN_GROUP_SIZE})")
-            continue
-        try:
-            results[expresser] = unit(expresser, ids, out)
-        except BaseException as exc:
-            for path in out.values():
-                path.unlink(missing_ok=True)
-            if not isinstance(exc, (ValidationError, RuntimeFailure)):
-                raise
-            warnings.warn(f"expresser {expresser!r} failed: {exc}")
-            failures.append((expresser, exc))
-    if not (results or failures):
-        raise ValidationError(f"no expresser has >= {MIN_GROUP_SIZE} images, "
-                              "the fewest a significance test can use")
+    if name == "encode":
+        kind, ids = "image", config.image_ids()
+
+        def encode(image_id):
+            return _attempt(config, name, image_id, lambda out: unit(image_id, out))
+
+        if config.threads > 1:
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                outcomes = dict(zip(ids, pool.map(encode, ids)))
+        else:
+            outcomes = dict(zip(ids, map(encode, ids)))
+    else:
+        kind, outcomes = "expresser", {}
+        for expresser, ids in config.groups().items():
+            if len(ids) < MIN_GROUP_SIZE:  # its files go, and it is skipped
+                _attempt(config, name, expresser, lambda out: warnings.warn(
+                    f"expresser {expresser!r} has only {len(ids)} images; "
+                    f"skipping (need >= {MIN_GROUP_SIZE})"))
+            else:
+                outcomes[expresser] = _attempt(
+                    config, name, expresser, lambda out: unit(expresser, ids, out))
+        if not outcomes:
+            raise ValidationError(f"no expresser has >= {MIN_GROUP_SIZE} images, "
+                                  "the fewest a significance test can use")
+    failures = {key: exc for key, exc in outcomes.items() if isinstance(exc, Exception)}
+    for key, exc in failures.items():
+        warnings.warn(f"{kind} {key!r} failed: {exc}")
+    results = {key: r for key, r in outcomes.items() if key not in failures}
     if name == "correlate":
-        _write_summary(config, results, [expresser for expresser, _ in failures])
+        _write_summary(config, results, list(failures))
     elif failures:
-        raise failures[0][1]
+        raise next(iter(failures.values()))
     return results
 
 
 def run_study(config):
     """Every stage in order; returns the correlate rows
     (expresser, gabor result, geometry result)."""
-    results = {name: run_stage(config, name) for name in STAGE_ORDER}
+    results = {name: run_stage(config, name) for name in _STAGES}
     return [(expresser, *pair) for expresser, pair in results["correlate"].items()]
 
 
@@ -362,8 +370,7 @@ def _matrices(config):
     def unit(expresser, ids, out):
         semantic = ratings.semantic_matrix(table, ids)
         placements, jets = zip(*(
-            _read(config.out_dir / "jets" / f"{i}.json",
-                  lambda doc, i=i: coded_image(doc, i), stage="encode")
+            _load(config, "encode", i, ".json", lambda doc, i=i: coded_image(doc, i))
             for i in ids))
         matrices = {
             "gabor": pairwise_matrix(list(zip(ids, jets)), "gabor"),
@@ -434,10 +441,7 @@ def _model_dissimilarity(matrix):
     """Similarity -> dissimilarity (1 - s) for embedding; rank-equivalent."""
     if matrix.kind == "dissimilarity":
         return matrix
-    values = 1.0 - matrix.values
-    np.fill_diagonal(values, 0.0)
-    values = np.maximum(values, 0.0)
-    values = (values + values.T) / 2.0
+    values = np.maximum(1.0 - matrix.values, 0.0)
     return PairMatrix(matrix.item_ids, values, "dissimilarity")
 
 
@@ -534,9 +538,10 @@ def _plot(config):
     return unit
 
 
-# stage -> (factory(config) -> unit(expresser, ids, out), output directory, the
-# names after the expresser id of all the unit's files): their one list
+# stage -> (factory(config) -> unit, output directory, the names after the
+# image or expresser id of all the unit's files): their one list, in run order
 _STAGES = {
+    "encode": (_encode, "jets", [".json"]),
     "matrices": (_matrices, "matrices", [f"_{m}.{x}" for m in (*MEASURES, "semantic")
                                          for x in ("json", "csv")]),
     "correlate": (_correlate, "correlations", [f"_{m}.json" for m in MEASURES]),
@@ -545,7 +550,6 @@ _STAGES = {
     "align": (_align, "align", [".json"]),
     "plot": (_plot, "plots", [f"_{m}.svg" for m in EMBEDDED]),
 }
-STAGE_ORDER = ("encode", *_STAGES)
 
 
 def main(argv=None):
@@ -554,7 +558,7 @@ def main(argv=None):
         description="Gabor-jet facial expression coding and analysis pipeline",
     )
     parser.add_argument("--config", required=True, help="study config JSON")
-    parser.add_argument("--stage", choices=sorted((*STAGE_ORDER, "study")),
+    parser.add_argument("--stage", choices=sorted((*_STAGES, "study")),
                         default="study")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--seed", type=int, help="override the study seed")
@@ -582,9 +586,7 @@ def main(argv=None):
             raise ValidationError(f"need --threads >= 1, got {args.threads}")
         config.threads = args.threads
         if args.exclude:
-            config.exclude_from_average = tuple(
-                e for e in args.exclude.split(",") if e
-            )
+            config.exclude_from_average = tuple(e for e in args.exclude.split(",") if e)
         if args.no_fear:
             config.drop_fear()
         if args.stage == "study":

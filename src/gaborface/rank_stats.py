@@ -3,10 +3,10 @@
 The series correlated are the pairs of one item set, taken from pair
 matrices in canonical order: the upper triangle, row by row, of the matrix
 with its items in sorted-id order.  Pairs that share an item are not
-independent; they share its errors.  The permutation test respects that by
+independent; they share its errors.  `significance` respects that by
 relabelling the items of the semantic rank matrix (the Mantel test; Mantel
-1967, Cancer Research 27:209), not by shuffling the pairs.  The default
-t-approximation treats the pairs as independent and is anti-conservative
+1967, Cancer Research 27:209), not by shuffling the pairs.
+`t_approximation` treats the pairs as independent and is anti-conservative
 on pair matrices, so it is a quick description, not an inference.
 """
 
@@ -70,65 +70,65 @@ def spearman_rho(x, y):
     return _rho_from_ranks(average_ranks(x), average_ranks(y))
 
 
-def significance(rho, n, permutations=None, x_ranks=None, y_ranks=None,
-                 seed=DEFAULT_PERMUTATION_SEED):
-    """Two-sided p-value for an observed rank correlation over `n` pairs.
+def t_approximation(rho, n):
+    """Two-sided p-value for a rank correlation `rho` over `n` pairs:
+    t = rho*sqrt((n-2)/(1-rho^2)) with n-2 degrees of freedom.
 
-    Default: t-approximation for one `rho`, t = rho*sqrt((n-2)/(1-rho^2))
-    with n-2 degrees of freedom.  It treats the pairs as independent, which
-    the pairs of one item set are not: on the distance matrices of two
-    unrelated configurations it rejects far more often than its level
-    (22.7% at alpha = .05 for 21 items), so use `permutations` for
-    inference on pair matrices.
-
-    With `permutations` (>= 1) set, a seeded Monte-Carlo permutation test
-    of item labels instead (the Mantel test).  `rho` holds one value per
-    row of `x_ranks`, the midranks of a series over the pairs (i, j),
-    i < j, of k items in row-major order; `y_ranks` is the symmetric
-    k x k item matrix whose cell (i, j) holds the midrank of y at that
-    pair.  Each draw relabels the items with one `rng.permutation` and
-    scores every series against that relabelled `y`, so a series gets the
-    p-value it would get alone.  Returns one p-value per series.
+    It treats the pairs as independent, which the pairs of one item set
+    are not: on the distance matrices of two unrelated configurations it
+    rejects far more often than its level (22.7% at alpha = .05 for 21
+    items), so use `significance` for inference on pair matrices.
     """
     if n < 4:
         raise ParameterError(f"need n >= 4 for a significance test, got {n}")
-    if permutations is None:
-        if abs(rho) >= 1.0:
-            warnings.warn("exact-extreme correlation; t-approximation p = 0")
-            return 0.0
-        t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-        return float(2.0 * special.stdtr(n - 2, -abs(t)))
+    if abs(rho) >= 1.0:
+        warnings.warn("exact-extreme correlation; t-approximation p = 0")
+        return 0.0
+    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+    return float(2.0 * special.stdtr(n - 2, -abs(t)))
+
+
+def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):
+    """Two-sided p-values of a seeded Monte-Carlo permutation test of item
+    labels (the Mantel test), one per row of `x_ranks`.
+
+    Each row holds the midranks of a series over the pairs (i, j), i < j,
+    of k items in row-major order; `y_ranks` is the symmetric k x k item
+    matrix whose cell (i, j) holds the midrank of y at that pair.  Each of
+    the `permutations` (>= 1) draws relabels the items with one
+    `rng.permutation` and scores every series against that relabelled y,
+    so a series gets the p-value it would get alone.
+    """
     permutations = int(permutations)
     if permutations < 1:
         raise ParameterError(f"need permutations >= 1, got {permutations}")
-    if x_ranks is None or y_ranks is None:
-        raise ParameterError("permutation test needs x_ranks and y_ranks")
-    thresholds = np.abs(np.asarray(rho, dtype=float)) - 1e-12
     rx = np.array(x_ranks, dtype=float)
-    if thresholds.ndim != 1 or not thresholds.size or len(rx) != thresholds.size:
-        raise ParameterError("permutation test needs one rho per series")
     y = np.asarray(y_ranks, dtype=float)
     items = len(y)
     upper_i, upper_j = np.triu_indices(items, 1)
+    m = upper_i.size
     if y.shape != (items, items) or not np.array_equal(y, y.T):
         raise ParameterError("y_ranks must be a symmetric square matrix")
-    if rx.shape[1:] != upper_i.shape:
-        raise ParameterError(f"each series must rank the {upper_i.size} pairs "
-                             f"of an item set of {items}, as y_ranks does")
-    rx -= rx.mean(axis=1, keepdims=True)
+    if rx.shape[1:] != (m,):
+        raise ParameterError(f"each series must rank the {m} pairs of an item "
+                             f"set of {items}, as y_ranks does")
+    if not len(rx):
+        raise ParameterError("permutation test needs one rho per series, and "
+                             "x_ranks has none")
+    if m < 4:
+        raise ParameterError(f"need n >= 4 for a significance test, got {m}")
     ry = y[upper_i, upper_j]
+    thresholds = np.abs([_rho_from_ranks(row, ry) for row in rx]) - 1e-12
+    rx -= rx.mean(axis=1, keepdims=True)
     centre = ry.mean()
     ry -= centre
     denom = np.sqrt(np.sum(rx * rx, axis=1) * np.sum(ry * ry))
-    if np.any(denom == 0.0):
-        raise UndefinedCorrelationError("constant series has no rank correlation")
     # relabelling the items reorders the same pair values, so the centred
     # ranks and the denominator hold for every draw; draw p gathers pair
     # (i, j) from cell (p[i], p[j]) of the centred rank matrix, never from
     # its diagonal.  The indices are in range by construction, and
     # mode="clip" spares take the copy of `out` that its default mode makes.
     ry_flat = (y - centre).ravel()
-    m = upper_i.size
     row_starts = np.empty(items, dtype=np.intp)
     cells, cols = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
     permuted = np.empty(m)
@@ -161,32 +161,29 @@ def correlate_model_with_ratings(models, semantic, permutations=None,
     Returns one CorrelationResult per model.  Each matrix is put in
     sorted-id order and its upper triangle ranked once.  Similarity-kind
     model values are negated first so that agreement with the human data
-    reads as positive rho.  Without `permutations`, the p-values are the
-    t-approximation's, which treats the pairs as independent and is
-    anti-conservative here.  With `permutations` set, they come from
-    permuting the item labels of the semantic matrix, whose midranks go to
-    `significance` as the symmetric item matrix, and all models are tested
-    against one stream of relabellings.
+    reads as positive rho.  Without `permutations`, the p-values are
+    `t_approximation`'s, which treats the pairs as independent.  With
+    `permutations` set, they are `significance`'s, which relabels the items
+    of the semantic rank matrix and tests all models against one stream of
+    relabellings.
     """
     rx = []
     for model in models:
         if set(model.item_ids) != set(semantic.item_ids):
             missing = set(model.item_ids) ^ set(semantic.item_ids)
-            raise AlignmentError(
-                f"item sets differ; unmatched ids: {sorted(missing)}"
-            )
+            raise AlignmentError(f"item sets differ; unmatched ids: "
+                                 f"{sorted(missing)}")
         x = matrix_series(model)
         rx.append(average_ranks(-x if model.kind == "similarity" else x))
     ry = average_ranks(matrix_series(semantic))
     rhos = [_rho_from_ranks(x, ry) for x in rx]
     n = ry.size
     if permutations is None:
-        return [CorrelationResult(rho, n, significance(rho, n), "t_approximation")
+        return [CorrelationResult(rho, n, t_approximation(rho, n), "t_approximation")
                 for rho in rhos]
     items = len(semantic.item_ids)
     y_ranks = np.zeros((items, items))
     y_ranks[np.triu_indices(items, 1)] = ry
-    ps = significance(rhos, n, permutations=permutations, x_ranks=rx,
-                      y_ranks=y_ranks + y_ranks.T, seed=seed)
+    ps = significance(rx, y_ranks + y_ranks.T, permutations=permutations, seed=seed)
     return [CorrelationResult(rho, n, p, "permutation")
             for rho, p in zip(rhos, ps)]

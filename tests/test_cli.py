@@ -15,7 +15,6 @@ from gaborface.cli import (
     StudyConfig,
     main,
     render_scatter,
-    run_encode,
     run_stage,
     run_study,
 )
@@ -93,7 +92,7 @@ def nan_coordinate(configuration_doc):
 class TestEncode:
     def test_jet_files_have_34x18_amplitudes(self, study):
         config = load_config(study)
-        run_encode(config)
+        run_stage(config, "encode")
         jet_dir = config.out_dir / "jets"
         files = sorted(jet_dir.glob("*.json"))
         assert len(files) == 6
@@ -107,14 +106,14 @@ class TestEncode:
         config.expressers = dict(config.expressers)
         config.expressers["ghost"] = "SY"
         with pytest.raises(ValidationError, match="ghost"):
-            run_encode(config)
+            run_stage(config, "encode")
         assert not (config.out_dir / "jets").exists()
 
     def test_rerun_is_byte_identical(self, study):
         config = load_config(study)
-        run_encode(config)
+        run_stage(config, "encode")
         first = tree_digest(config.out_dir / "jets")
-        run_encode(config)
+        run_stage(config, "encode")
         assert tree_digest(config.out_dir / "jets") == first
 
 
@@ -159,7 +158,7 @@ class TestStudyPipeline:
         # move one image into its own tiny group
         first = sorted(config.expressers)[0]
         config.expressers[first] = "LONE"
-        run_encode(config)
+        run_stage(config, "encode")
         with pytest.warns(UserWarning, match="LONE"):
             run_stage(config, "matrices")
 
@@ -247,6 +246,43 @@ class TestMainCli:
         assert main(["--config", str(config_path), "--stage", "encode",
                      "--out", str(tmp_path / "o2"), "--threads", "4"]) == 0
         assert tree_digest(tmp_path / "o1") == tree_digest(tmp_path / "o2")
+
+    def test_failed_image_keeps_no_stale_jet(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path)]) == 0
+        jet = (tmp_path / "out" / "jets" / "img01.json").resolve()
+        assert jet.exists()
+        image = tmp_path / "images" / "img01.pgm"
+        image.write_bytes(image.read_bytes()[:100])
+        with pytest.warns(UserWarning, match="image 'img01' failed"):
+            assert main(["--config", str(config_path), "--stage", "encode"]) == 1
+        assert "PGM raster too short" in capsys.readouterr().err
+        assert not jet.exists()
+        with pytest.warns(UserWarning, match="expresser 'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {jet}: no such file; run the encode stage\n")
+
+    def test_failed_images_leave_the_same_jets_on_any_thread_count(self, tmp_path,
+                                                                   capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        for victim in ("img01", "img03"):
+            (tmp_path / "images" / f"{victim}.pgm").write_bytes(b"P5\n")
+        trees = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"out{threads}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["--config", str(config_path), "--stage", "encode",
+                             "--out", str(out), "--threads", threads]) == 1
+            # every image is coded; the failures are warned in image order,
+            # and the first is raised
+            assert [str(w.message).split(":")[0] for w in caught] == [
+                "image 'img01' failed", "image 'img03' failed"]
+            assert "img01.pgm" in capsys.readouterr().err
+            trees.append(tree_digest(out))
+        assert sorted(trees[0]) == [f"jets/img0{k}.json" for k in (0, 2, 4, 5)]
+        assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("stage,victim", [("matrices", "jets/img00.json"),
                                               ("embed", "matrices/SY_gabor.json"),
@@ -416,7 +452,8 @@ class TestMainCli:
         config_path.write_text(json.dumps(doc))
         assert main(["--config", str(config_path)]) == 0
         out = tmp_path / "out"
-        stages = [out / directory for _, directory, _ in cli._STAGES.values()]
+        stages = [out / directory for stage, (_, directory, _) in cli._STAGES.items()
+                  if stage != "encode"]  # per image, not per expresser
         assert all(list(d.glob("AA*")) and list(d.glob("ZZ*")) for d in stages)
         doc["expressers"][ids[0]] = "ZZ"  # AA keeps 3 images
         config_path.write_text(json.dumps(doc))
@@ -627,7 +664,7 @@ class TestMainCli:
         # other expresser, every stage after encode has nothing to analyse
         config_path = make_synthetic_study(tmp_path, n_images=3)
         skipped = "expresser 'SY' has only 3 images; skipping (need >= 4)"
-        for stage in ("study", *cli.STAGE_ORDER[1:]):
+        for stage in ("study", *list(cli._STAGES)[1:]):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert main(["--config", str(config_path), "--stage", stage]) == 1
@@ -805,6 +842,7 @@ class TestInputFiles:
     malformed JSON or of the wrong schema."""
 
     @pytest.mark.filterwarnings("ignore:expresser 'SY' failed")
+    @pytest.mark.filterwarnings("ignore:image 'img00' failed")
     @pytest.mark.parametrize("kind,damage", [
         (kind, damage) for kind in INPUT_FILES
         for damage in ("missing", "directory", "not-utf-8", "malformed-json",
@@ -839,12 +877,14 @@ class TestOutputLayout:
                                       separators=(",", ":")) + "\n", path
 
     def test_stage_files_are_the_names_of_the_stage_table(self, scanned_study):
-        groups = load_config(scanned_study.parent / "study.json").groups()
-        usable = [e for e, ids in groups.items() if len(ids) >= cli.MIN_GROUP_SIZE]
+        config = load_config(scanned_study.parent / "study.json")
+        usable = [e for e, ids in config.groups().items()
+                  if len(ids) >= cli.MIN_GROUP_SIZE]
         assert usable
         for stage, (_, directory, names) in cli._STAGES.items():
             files = {p.name for p in (scanned_study / directory).iterdir()}
-            assert files == {f"{e}{name}" for e in usable for name in names}, stage
+            keys = config.image_ids() if stage == "encode" else usable
+            assert files == {f"{k}{name}" for k in keys for name in names}, stage
 
     def test_stages_read_indented_files(self, scanned_study, tmp_path):
         out = tmp_path / "out"
@@ -999,7 +1039,7 @@ class TestBatchedEncodeDrift:
 class TestModelDissimilarityConversion:
     def test_embed_stage_accepts_similarity_matrix(self, study):
         config = load_config(study)
-        run_encode(config)
+        run_stage(config, "encode")
         run_stage(config, "matrices")
         configs = run_stage(config, "embed")
         assert "gabor" in configs["SY"]

@@ -134,18 +134,18 @@ class TestSpearmanRho:
 
 class TestSignificance:
     def test_null_center(self):
-        assert gf.significance(0.0, 20) == pytest.approx(1.0, abs=1e-9)
+        assert gf.t_approximation(0.0, 20) == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_extreme(self):
         with pytest.warns(UserWarning, match="exact-extreme"):
-            assert gf.significance(1.0, 10) == 0.0
+            assert gf.t_approximation(1.0, 10) == 0.0
 
     def test_large_n_highly_significant(self):
         # independent t-CDF evaluation: n = C(22, 2) = 231 pairs
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         rho, n = 0.568, 231
-        p = gf.significance(rho, n)
+        p = gf.t_approximation(rho, n)
         assert p < 1e-15
         t = mp.mpf(rho) * mp.sqrt((n - 2) / (1 - mp.mpf(rho) ** 2))
         nu = n - 2
@@ -159,11 +159,11 @@ class TestSignificance:
         rng = np.random.default_rng(8)
         for rho, n in zip(rng.uniform(-0.999, 0.999, 500), rng.integers(4, 30000, 500)):
             t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-            assert gf.significance(rho, int(n)) == 2.0 * stats.t.sf(abs(t), n - 2)
+            assert gf.t_approximation(rho, int(n)) == 2.0 * stats.t.sf(abs(t), n - 2)
 
     def test_small_n_rejected(self):
         with pytest.raises(ParameterError):
-            gf.significance(0.5, 3)
+            gf.t_approximation(0.5, 3)
 
     def test_permutation_agrees_with_t_on_null_data(self):
         # pair values drawn independently carry no item effects, so the
@@ -171,37 +171,51 @@ class TestSignificance:
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal(66), rng.standard_normal(66)
         rho = gf.spearman_rho(x, y)
-        p_t = gf.significance(rho, 66)
-        [p_perm] = gf.significance([rho], 66, 20_000, *item_ranks([x], y), seed=9)
+        p_t = gf.t_approximation(rho, 66)
+        [p_perm] = gf.significance(*item_ranks([x], y), 20_000, seed=9)
         assert abs(p_t - p_perm) < 0.02
 
     def test_permutation_deterministic_for_seed(self):
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal(28), rng.standard_normal(28)
-        rho = gf.spearman_rho(x, y)
-        p1 = gf.significance([rho], 28, 2000, *item_ranks([x], y), seed=42)
-        p2 = gf.significance([rho], 28, 2000, *item_ranks([x], y), seed=42)
+        p1 = gf.significance(*item_ranks([x], y), 2000, seed=42)
+        p2 = gf.significance(*item_ranks([x], y), 2000, seed=42)
         assert p1 == p2
 
     @pytest.mark.parametrize("permutations", [-5, -1, 0])
     def test_fewer_than_one_permutation_rejected(self, permutations):
         ranks = item_ranks([np.arange(10.0)], np.arange(10.0) % 3)
         with pytest.raises(ParameterError, match="permutations >= 1"):
-            gf.significance([0.5], 10, permutations, *ranks)
+            gf.significance(*ranks, permutations)
 
     @pytest.mark.parametrize("m", [4, 5, 20, 189])
     def test_series_that_are_not_the_pairs_of_an_item_set_rejected(self, m):
         x_ranks = gf.average_ranks(np.arange(float(m)) % 3)[None]
         items = math.isqrt(2 * m) + 1  # the item set nearest in pair count
         with pytest.raises(ParameterError, match="pairs of an item set"):
-            gf.significance([0.5], m, 10, x_ranks, np.ones((items, items)))
+            gf.significance(x_ranks, np.ones((items, items)), 10)
 
     @pytest.mark.parametrize("y_ranks", [np.ones((5, 4)), np.triu(np.ones((5, 5)))],
                              ids=["not-square", "not-symmetric"])
     def test_rank_matrix_that_is_not_a_symmetric_item_matrix_rejected(self,
                                                                        y_ranks):
         with pytest.raises(ParameterError, match="symmetric square"):
-            gf.significance([0.5], 10, 10, np.ones((1, 10)), y_ranks)
+            gf.significance(np.ones((1, 10)), y_ranks, 10)
+
+    def test_permutation_test_of_fewer_than_four_pairs_rejected(self):
+        # 3 items have 3 pairs
+        with pytest.raises(ParameterError, match="n >= 4"):
+            gf.significance(*item_ranks([[1.0, 2.0, 3.0]], [3.0, 1.0, 2.0]), 10)
+
+    @pytest.mark.parametrize("constant", ["x", "y"])
+    def test_permutation_test_of_a_constant_series_rejected(self, constant):
+        x, y = np.arange(10.0), np.arange(10.0) % 4
+        if constant == "x":
+            x = np.ones(10)
+        else:
+            y = np.ones(10)
+        with pytest.raises(UndefinedCorrelationError):
+            gf.significance(*item_ranks([x], y), 10)
 
 
 def item_count(m):
@@ -254,9 +268,8 @@ def reference_relabel_hits(rho, x, y, permutations, seed):
     return hits
 
 
-def shared_stream_hits(rhos, xs, y, permutations, seed):
-    ps = gf.significance(rhos, len(y), permutations, *item_ranks(xs, y),
-                         seed=seed)
+def shared_stream_hits(xs, y, permutations, seed):
+    ps = gf.significance(*item_ranks(xs, y), permutations, seed=seed)
     return [round(p * (permutations + 1)) - 1 for p in ps]
 
 
@@ -269,7 +282,7 @@ class TestSharedPermutationStream:
         rhos = [gf.spearman_rho(x, y) for x in xs]
         expected = [reference_relabel_hits(r, x, y, permutations, seed)
                     for r, x in zip(rhos, xs)]
-        assert shared_stream_hits(rhos, xs, y, permutations, seed) == expected
+        assert shared_stream_hits(xs, y, permutations, seed) == expected
         return expected
 
     def test_random_series(self):
@@ -302,18 +315,14 @@ class TestSharedPermutationStream:
         rng = np.random.default_rng(14)
         y = rng.standard_normal(190)
         xs = [0.2 * y + rng.standard_normal(190), rng.integers(0, 5, 190)]
-        rhos = [gf.spearman_rho(x, y) for x in xs]
-        together = gf.significance(rhos, 190, 800, *item_ranks(xs, y), seed=3)
-        alone = [gf.significance([r], 190, 800, *item_ranks([x], y), seed=3)[0]
-                 for r, x in zip(rhos, xs)]
+        together = gf.significance(*item_ranks(xs, y), 800, seed=3)
+        alone = [gf.significance(*item_ranks([x], y), 800, seed=3)[0] for x in xs]
         assert together == alone
 
     def test_one_rho_per_series(self):
         ranks = item_ranks([np.arange(10.0)], np.arange(10.0) % 4)
         with pytest.raises(ParameterError, match="one rho per series"):
-            gf.significance([0.1, 0.2], 10, 10, *ranks)
-        with pytest.raises(ParameterError, match="one rho per series"):
-            gf.significance([], 10, 10, np.empty((0, 10)), ranks[1])
+            gf.significance(np.empty((0, 10)), ranks[1], 10)
 
 
 class TestItemLabelNull:
@@ -331,8 +340,7 @@ class TestItemLabelNull:
         for study in range(300):
             x = pdist(rng.standard_normal((21, 6)))
             y = pdist(rng.standard_normal((21, 6)))
-            [p] = gf.significance([gf.spearman_rho(x, y)], 210, 199,
-                                  *item_ranks([x], y), seed=study)
+            [p] = gf.significance(*item_ranks([x], y), 199, seed=study)
             rejected += p <= 0.05
         assert 0.01 <= rejected / 300 <= 0.09
 
@@ -349,11 +357,11 @@ class TestItemLabelNull:
         exact_p = extreme / 120
         assert 0 < extreme < 120
         draws = 20_000
-        [p] = gf.significance([rho], 10, draws, *item_ranks([x], y), seed=seed)
+        [p] = gf.significance(*item_ranks([x], y), draws, seed=seed)
         # the Monte Carlo p counts the observed labelling as one draw
         assert p == pytest.approx(exact_p, abs=4 * math.sqrt(0.25 / draws) + 1 / draws)
         # and the seeded draws are the brute-force relabelling's
-        assert (shared_stream_hits([rho], [x], y, 1000, seed)
+        assert (shared_stream_hits([x], y, 1000, seed)
                 == [reference_relabel_hits(rho, x, y, 1000, seed)])
 
 
