@@ -7,7 +7,6 @@ from .gabor import (
     DEFAULT_WAVENUMBERS,
     FilterBank,
     FilterSpec,
-    ImageRaster,
     compute_jet,
     compute_jets,
     read_pgm,

@@ -123,6 +123,9 @@ class StudyConfig:
                 raise ValidationError(
                     f"bad id {item!r}: an image or expresser id must not be "
                     "empty, '.' or '..', nor hold '/', NUL, ',', '\"', CR or LF")
+        if "Average" in expressers.values():  # the summaries' mean row
+            raise ValidationError("bad id 'Average': an expresser id must not be "
+                                  "'Average', the label of the summaries' mean row")
         exclude = doc.get("exclude_from_average", [])
         if not (isinstance(exclude, list) and all(isinstance(e, str) for e in exclude)):
             raise ValidationError("'exclude_from_average' must be a list of "
@@ -220,11 +223,11 @@ def _encode(config):
     local = threading.local()
 
     def unit(image_id, out):
-        image = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
+        pixels = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
         placement = placements[image_id]
-        if tuple(placement.source_size) != (image.width, image.height):
-            placement = grid.rescale_placement(placement, (image.width, image.height))
-        jets = gabor.compute_jets(image, bank, placement.points,
+        if tuple(placement.source_size) != pixels.shape[::-1]:
+            placement = grid.rescale_placement(placement, pixels.shape[::-1])
+        jets = gabor.compute_jets(pixels, bank, placement.points,
                                   work=vars(local).setdefault("work", {}))
         _write_json(out[".json"], gabor.jet_document(image_id, bank, placement, jets))
     return unit

@@ -121,34 +121,6 @@ class FilterBank:
         return cls(**fields)
 
 
-class ImageRaster:
-    """Grayscale image; intensities are finite reals in row-major order."""
-
-    def __init__(self, width, height, intensities):
-        width, height = int(width), int(height)
-        if width < 1 or height < 1:
-            raise ParameterError(f"image size must be >= 1x1, got {width}x{height}")
-        # a read-only copy: the caller's array stays writable
-        pixels = np.array(intensities, dtype=float, order="C")
-        if pixels.ndim == 1:
-            if pixels.size != width * height:
-                raise ParameterError(
-                    f"expected {width * height} intensities, got {pixels.size}"
-                )
-            pixels = pixels.reshape(height, width)
-        elif pixels.shape != (height, width):
-            raise ParameterError(
-                f"intensity array shape {pixels.shape} != ({height}, {width})"
-            )
-        if not np.all(np.isfinite(pixels)):
-            raise ParameterError("image intensities must all be finite")
-        pixels.setflags(write=False)
-        self.width = width
-        self.height = height
-        self.pixels = pixels
-
-
-
 def _reflect_indices(idx, n):
     # mirror about the image edge (edge pixel repeated once per fold)
     idx = np.mod(idx, 2 * n)
@@ -179,7 +151,10 @@ def _bank_groups(bank):
 def compute_jets(image, bank, points, work=None):
     """Jets at many image points: a (len(points), len(bank)) amplitude array.
 
-    `points` is (n, 2), (x, y) centres; another shape is a ParameterError.
+    `image` is a 2-D array-like of intensities, indexed [y, x]; its shape
+    is its (height, width).  An image that is not 2-D, is empty or holds a
+    non-finite value is a ParameterError.  `points` is (n, 2), (x, y)
+    centres; another shape is a ParameterError.
     Each kernel is summed over a square window of half-width
     spec.window_half_width() around the rounded centre; pixels past the
     image edge are mirrored.  Kernel offsets use the exact (possibly
@@ -200,18 +175,20 @@ def compute_jets(image, bank, points, work=None):
     same time must not share one dict; with `work` None every call
     allocates its own arrays.
     """
+    pixels = np.asarray(image, dtype=float)
+    if pixels.ndim != 2 or not pixels.size or not np.all(np.isfinite(pixels)):
+        raise ParameterError("image must be a non-empty 2-D array of finite "
+                             f"intensities, got shape {pixels.shape}")
+    height, width = pixels.shape
     pts = np.asarray(points, dtype=float) if len(points) else np.empty((0, 2))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ParameterError(f"points must be (x, y) pairs, got shape {pts.shape}")
-    outside = ~np.all((pts >= 0) & (pts < (image.width, image.height)), axis=1)
+    outside = ~np.all((pts >= 0) & (pts < (width, height)), axis=1)
     if np.any(outside):
         bx, by = pts[np.argmax(outside)]
-        raise OutOfBoundsError(
-            f"center ({bx}, {by}) outside {image.width}x{image.height} image"
-        )
+        raise OutOfBoundsError(f"center ({bx}, {by}) outside {width}x{height} image")
     rounded = np.round(pts).astype(int)  # half-to-even
     fraction = (pts - rounded).T  # (2, points): f along x and y
-    pixels, width, height = image.pixels, image.width, image.height
     work = {} if work is None else work
     jets = np.empty((len(pts), len(bank)))
     sigma = bank.sigma
@@ -255,7 +232,9 @@ _PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]+|#[^\n]*\n?)*([^ \t\r\n#]+)")
 
 
 def read_pgm(data):
-    """Decode the bytes of a binary (P5) 8-bit grayscale PGM file."""
+    """Decode the bytes of a binary (P5) 8-bit grayscale PGM file into a
+    (height, width) float64 array of its samples.  A malformed header, a
+    short raster or a sample above maxval is a FormatError."""
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -272,13 +251,18 @@ def read_pgm(data):
         raise FormatError(f"non-numeric PGM header field: {exc}") from exc
     if maxval <= 0 or maxval > 255:
         raise FormatError(f"only 8-bit PGM supported, maxval {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"PGM size must be >= 1x1, got {width}x{height}")
     pos += 1  # exactly one whitespace byte separates maxval from the raster
     raster = data[pos: pos + width * height]
     if len(raster) < width * height:
         raise FormatError(
             f"PGM raster too short: {len(raster)} bytes for {width}x{height}"
         )
-    return ImageRaster(width, height, np.frombuffer(raster, dtype=np.uint8))
+    samples = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if maxval < 255 and samples.max() > maxval:  # no uint8 exceeds 255
+        raise FormatError(f"PGM sample {samples.max()} above maxval {maxval}")
+    return samples.astype(float)
 
 
 def jet_document(image_id, bank, placement, jets):

@@ -81,6 +81,8 @@ def t_approximation(rho, n):
     """
     if n < 4:
         raise ParameterError(f"need n >= 4 for a significance test, got {n}")
+    if not np.isfinite(rho):
+        raise ParameterError(f"rho must be finite, got {rho}")
     if abs(rho) >= 1.0:
         warnings.warn("exact-extreme correlation; t-approximation p = 0")
         return 0.0
@@ -104,6 +106,8 @@ def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):
         raise ParameterError(f"need permutations >= 1, got {permutations}")
     rx = np.array(x_ranks, dtype=float)
     y = np.asarray(y_ranks, dtype=float)
+    if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(y))):
+        raise ParameterError("x_ranks and y_ranks must be finite")
     items = len(y)
     upper_i, upper_j = np.triu_indices(items, 1)
     m = upper_i.size

@@ -106,23 +106,19 @@ def filter_response(image, spec, center, truncate=True):
     any image interpolation.  With truncate=False the sum runs over the
     whole image instead (reference path for truncation-error checks).
     """
+    height, width = image.shape
     cx, cy = float(center[0]), float(center[1])
-    if not (0 <= cx < image.width and 0 <= cy < image.height):
-        raise OutOfBoundsError(
-            f"center ({cx}, {cy}) outside {image.width}x{image.height} image"
-        )
+    if not (0 <= cx < width and 0 <= cy < height):
+        raise OutOfBoundsError(f"center ({cx}, {cy}) outside {width}x{height} image")
     if truncate:
         h = spec.window_half_width()
         xs = np.arange(round(cx) - h, round(cx) + h + 1)
         ys = np.arange(round(cy) - h, round(cy) + h + 1)
-        patch = image.pixels[
-            np.ix_(_reflect_indices(ys, image.height),
-                   _reflect_indices(xs, image.width))
-        ]
+        patch = image[np.ix_(_reflect_indices(ys, height), _reflect_indices(xs, width))]
     else:
-        xs = np.arange(image.width)
-        ys = np.arange(image.height)
-        patch = image.pixels
+        xs = np.arange(width)
+        ys = np.arange(height)
+        patch = image
 
     k, sigma = spec.wavenumber, spec.sigma
     kx, ky = spec.wave_vector
@@ -147,10 +143,12 @@ def amplitude(even, odd):
 
 
 def write_pgm(path, image):
-    """Write a binary (P5) 8-bit PGM; intensities are clipped to [0, 255]."""
-    pixels = np.clip(np.rint(image.pixels), 0, 255).astype(np.uint8)
+    """Write a (height, width) array as a binary (P5) 8-bit PGM;
+    intensities are clipped to [0, 255]."""
+    height, width = np.shape(image)
+    pixels = np.clip(np.rint(image), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode())
+        fh.write(f"P5\n{width} {height}\n255\n".encode())
         fh.write(pixels.tobytes())
 
 

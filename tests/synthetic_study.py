@@ -13,7 +13,6 @@ import math
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
-from gaborface import ImageRaster
 from gaborface.grid import NODE_COUNT
 from oracles import default_template_placement, grid_document, write_pgm
 
@@ -79,8 +78,7 @@ def make_synthetic_study(root, n_images=10, size=IMAGE_SIZE, seed=7):
         image_id = f"img{i:02d}"
         warped = map_coordinates(base, [yy + t * dy, xx + t * dx],
                                  order=1, mode="reflect")
-        write_pgm(image_dir / f"{image_id}.pgm",
-                  ImageRaster(size, size, warped))
+        write_pgm(image_dir / f"{image_id}.pgm", warped)
         coords = np.clip(layout + t * node_offsets, 0, size - 1e-6)
         placement = default_template_placement(image_id, coords, (size, size))
         (grid_dir / f"{image_id}.json").write_text(

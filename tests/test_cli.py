@@ -695,6 +695,24 @@ class TestMainCli:
         assert err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_expresser_id_average_is_refused_and_image_id_average_is_not(
+            self, tmp_path, capsys):
+        # the summaries label their mean row "Average"
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        doc = json.loads(config_path.read_text())
+        first = sorted(doc["expressers"])[0]
+        doc["expressers"]["Average"] = doc["expressers"].pop(first)
+        config_path.write_text(json.dumps(doc))
+        assert "Average" in StudyConfig.from_file(config_path).expressers
+        doc["expressers"] = dict.fromkeys(doc["expressers"], "Average")
+        config_path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: bad id 'Average'")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("options,message", [
         ({"dims": True}, "dims must be"), ({"seed": 1.5}, "seed must be"),
         ({"dims": "2"}, "dims must be"), ({"tolerance": "1e-3"}, "tolerance must be"),

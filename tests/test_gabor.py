@@ -20,15 +20,13 @@ from oracles import (
 def smooth_image(seed, size=128, scale=60.0):
     from scipy.ndimage import gaussian_filter
     rng = np.random.default_rng(seed)
-    return gf.ImageRaster(
-        size, size, 128 + scale * gaussian_filter(rng.standard_normal((size, size)), 2)
-    )
+    return 128 + scale * gaussian_filter(rng.standard_normal((size, size)), 2)
 
 
 def grating(k, theta, size=256, mean=128.0, contrast=100.0, phase=0.0):
     yy, xx = np.mgrid[0:size, 0:size].astype(float)
     arg = k * (math.cos(theta) * xx + math.sin(theta) * yy) + phase
-    return gf.ImageRaster(size, size, mean + contrast * np.cos(arg))
+    return mean + contrast * np.cos(arg)
 
 
 def padded_kernel(image, bank, points):
@@ -39,7 +37,7 @@ def padded_kernel(image, bank, points):
     rounded = np.round(pts).astype(int)
     fraction = (pts - rounded).T
     pad = max(spec.window_half_width() for spec in bank.specs)
-    padded = np.pad(image.pixels, (pad, pad + 1), mode="symmetric")
+    padded = np.pad(image, (pad, pad + 1), mode="symmetric")
     jets = np.empty((len(pts), len(bank)))
     groups = {}
     for i, spec in enumerate(bank.specs):
@@ -168,7 +166,7 @@ class TestEvaluateKernel:
 
 class TestFilterResponse:
     def test_constant_image_rejected(self):
-        img = gf.ImageRaster(96, 96, np.full(96 * 96, 128.0))
+        img = np.full((96, 96), 128.0)
         for spec in gf.FilterBank().specs:
             even, odd = filter_response(img, spec, (48.0, 48.0))
             bound = 1e-6 * 128 * spec.wavenumber ** 2 / spec.sigma ** 2
@@ -206,7 +204,7 @@ class TestFilterResponse:
     def test_linearity(self):
         a = smooth_image(1, size=64)
         b = smooth_image(2, size=64)
-        combo = gf.ImageRaster(64, 64, 2.5 * a.pixels + 0.75 * b.pixels)
+        combo = 2.5 * a + 0.75 * b
         spec = gf.FilterSpec(math.pi / 4, math.pi / 6, math.pi)
         center = (31.0, 30.0)
         ea, oa = filter_response(a, spec, center)
@@ -250,13 +248,13 @@ class TestAmplitude:
 
 class TestComputeJet:
     def test_constant_image_gives_zero_jet(self):
-        img = gf.ImageRaster(96, 96, np.full(96 * 96, 200.0))
+        img = np.full((96, 96), 200.0)
         jet = gf.compute_jet(img, gf.FilterBank(), (48.0, 48.0))
         assert np.all(jet < 1e-6 * 200.0)
 
     def test_amplitude_homogeneity(self):
         img = smooth_image(3, size=96)
-        scaled = gf.ImageRaster(96, 96, 7.0 * img.pixels)
+        scaled = 7.0 * img
         bank = gf.FilterBank()
         jet = gf.compute_jet(img, bank, (48.0, 47.5))
         jet7 = gf.compute_jet(scaled, bank, (48.0, 47.5))
@@ -283,8 +281,7 @@ class TestComputeJets:
     def test_matches_per_filter_oracle(self, width, height):
         from scipy.ndimage import gaussian_filter
         rng = np.random.default_rng(width * height)
-        img = gf.ImageRaster(width, height, 128 + 60 * gaussian_filter(
-            rng.standard_normal((height, width)), 2))
+        img = 128 + 60 * gaussian_filter(rng.standard_normal((height, width)), 2)
         bank = gf.FilterBank()
         w, h = width - 1e-9, height - 1e-9
         random_points = [tuple(p) for p in rng.uniform(0, 1, (12, 2)) * (w, h)]
@@ -302,7 +299,7 @@ class TestComputeJets:
     @pytest.mark.parametrize("width,height", [(1, 1), (2, 3), (5, 7)])
     def test_tiny_images_fold_the_window_many_times(self, width, height):
         rng = np.random.default_rng(width + 10 * height)
-        img = gf.ImageRaster(width, height, rng.uniform(0, 255, (height, width)))
+        img = rng.uniform(0, 255, (height, width))
         bank = gf.FilterBank()
         w, h = width - 1e-9, height - 1e-9  # these round onto the far edge
         points = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h), (width / 2, height / 2)]
@@ -313,7 +310,7 @@ class TestComputeJets:
         # 2*pi times the largest pixel.  Neither this kernel nor the
         # per-filter oracle gets those to 1e-12 relative, so they are held
         # to 1e-14 of that scale; the others to rtol.
-        atol = 1e-14 * 2 * math.pi * img.pixels.max()
+        atol = 1e-14 * 2 * math.pi * img.max()
         np.testing.assert_allclose(gf.compute_jets(img, bank, points),
                                    self.oracle(img, bank, points),
                                    rtol=1e-12, atol=atol)
@@ -323,7 +320,7 @@ class TestComputeJets:
         # every window, inside the image or gathered at an edge, gives the
         # same floating-point operations as one view into a mirror-padded copy
         rng = np.random.default_rng(width * height)
-        img = gf.ImageRaster(width, height, rng.uniform(0, 255, (height, width)))
+        img = rng.uniform(0, 255, (height, width))
         bank = gf.FilterBank()
         w, h = width - 1e-9, height - 1e-9  # these round onto the far edge
         points = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h), (width - 0.5, height - 0.5),
@@ -349,7 +346,7 @@ class TestComputeJets:
                  gf.FilterBank(orientations=gf.gabor.DEFAULT_ORIENTATIONS[::2])]
         work, returned = {}, []
         for width, height in [(1, 1), (2, 3), (5, 7), (140, 113), (64, 64)] * 2:
-            img = gf.ImageRaster(width, height, rng.uniform(0, 255, (height, width)))
+            img = rng.uniform(0, 255, (height, width))
             for count in (0, 1, 34):
                 points = rng.uniform(0, 1, (count, 2)) * (width - 1e-9, height - 1e-9)
                 for bank in banks:
@@ -392,44 +389,35 @@ class TestComputeJets:
         with pytest.raises(ParameterError, match="points must be"):
             gf.compute_jets(img, gf.FilterBank(), points)
 
+    def test_any_2d_array_like_is_an_image(self):
+        img = smooth_image(5, size=16)
+        bank, points = gf.FilterBank(), [(3.5, 8.0), (12.0, 2.25)]
+        assert np.array_equal(gf.compute_jets(img.tolist(), bank, points),
+                              gf.compute_jets(img, bank, points))
 
-class TestImageRaster:
-    def test_flat_and_2d_agree(self):
-        flat = np.arange(12.0)
-        a = gf.ImageRaster(4, 3, flat)
-        b = gf.ImageRaster(4, 3, flat.reshape(3, 4))
-        assert np.array_equal(a.pixels, b.pixels)
-        assert np.array_equal(a.pixels.ravel(), flat)
-
-    def test_keeps_a_read_only_copy_of_the_pixels(self):
-        pixels = np.zeros((2, 3))
-        image = gf.ImageRaster(3, 2, pixels)
-        pixels[0, 0] = 5.0  # the caller's array stays writable
-        assert not image.pixels.any() and not image.pixels.flags.writeable
-
-    def test_bad_inputs(self):
-        with pytest.raises(ParameterError):
-            gf.ImageRaster(0, 4, [])
-        with pytest.raises(ParameterError):
-            gf.ImageRaster(2, 2, [1.0, 2.0, 3.0])
-        with pytest.raises(ParameterError):
-            gf.ImageRaster(2, 2, [1.0, 2.0, 3.0, float("inf")])
+    def test_bad_images(self):
+        # 1-D, 3-D, empty, holding inf, holding NaN; the point lies inside
+        # every image that has pixels, so only the image is at fault
+        for image in (np.ones(16), np.ones((4, 4, 1)), np.empty((0, 4)),
+                      [[1.0, 2.0], [3.0, math.inf]], [[math.nan]]):
+            with pytest.raises(ParameterError, match="image must be"):
+                gf.compute_jets(image, gf.FilterBank(), [(0.0, 0.0)])
 
 
 class TestPgmIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        img = gf.ImageRaster(7, 5, rng.integers(0, 256, size=35).astype(float))
+        img = np.reshape(rng.integers(0, 256, size=35).astype(float), (5, 7))
         path = tmp_path / "x.pgm"
         write_pgm(path, img)
         back = gf.read_pgm(path.read_bytes())
-        assert back.width == 7 and back.height == 5
-        np.testing.assert_array_equal(back.pixels, img.pixels)
+        assert back.shape == (5, 7) and back.dtype == np.float64
+        np.testing.assert_array_equal(back, img)
 
     def test_header_comments(self):
         data = b"P5\n# a comment\n2 2\n# another\n255\n\x00\x40\x80\xff"
         img = gf.read_pgm(data)
-        np.testing.assert_array_equal(img.pixels, [[0, 64], [128, 255]])
+        np.testing.assert_array_equal(img, [[0, 64], [128, 255]])
 
     def test_rejects_non_p5(self):
         with pytest.raises(FormatError):
@@ -442,6 +430,18 @@ class TestPgmIO:
     def test_rejects_16_bit(self):
         with pytest.raises(FormatError):
             gf.read_pgm(b"P5\n1 1\n65535\n\x00\x00")
+
+    @pytest.mark.parametrize("header", [b"P5\n0 4\n255\n", b"P5\n3 0\n255\n"],
+                             ids=["0-wide", "0-high"])
+    def test_rejects_an_empty_size(self, header):
+        with pytest.raises(FormatError, match="PGM size must be >= 1x1"):
+            gf.read_pgm(header + b"\x00" * 12)
+
+    def test_rejects_a_sample_above_maxval(self):
+        # netpbm bounds every sample by maxval; a sample at maxval is valid
+        with pytest.raises(FormatError, match="above maxval 15"):
+            gf.read_pgm(b"P5\n2 1\n15\n\x00\xff")
+        np.testing.assert_array_equal(gf.read_pgm(b"P5\n2 1\n15\n\x00\x0f"), [[0, 15]])
 
 
 def coded_document(bank, size=64):

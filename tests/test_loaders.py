@@ -130,7 +130,7 @@ def valid_bytes(kind):
 
 def test_valid_documents_load():
     image = read_bytes_as("pgm", valid_bytes("pgm"))
-    np.testing.assert_array_equal(image.pixels, [[0, 64], [128, 255]])
+    np.testing.assert_array_equal(image, [[0, 64], [128, 255]])
     assert grid_document(read_bytes_as("grid", valid_bytes("grid"))) == GRID_DOC
     placement = read_bytes_as("jet", valid_bytes("jet"))[0]
     assert grid_document(placement) == GRID_DOC

@@ -165,6 +165,11 @@ class TestSignificance:
         with pytest.raises(ParameterError):
             gf.t_approximation(0.5, 3)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(ParameterError, match="rho must be finite"):
+            gf.t_approximation(rho, 10)
+
     def test_permutation_agrees_with_t_on_null_data(self):
         # pair values drawn independently carry no item effects, so the
         # item-label null has the spread the t-approximation assumes
@@ -216,6 +221,17 @@ class TestSignificance:
             y = np.ones(10)
         with pytest.raises(UndefinedCorrelationError):
             gf.significance(*item_ranks([x], y), 10)
+
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_permutation_test_of_non_finite_ranks_rejected(self, where, value):
+        x_ranks, y_ranks = item_ranks([np.arange(10.0)], np.arange(10.0) % 4)
+        if where == "x":
+            x_ranks[0, 3] = value
+        else:
+            y_ranks[1, 3] = y_ranks[3, 1] = value  # still symmetric
+        with pytest.raises(ParameterError, match="must be finite"):
+            gf.significance(x_ranks, y_ranks, 99)
 
 
 def item_count(m):

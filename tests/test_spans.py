@@ -1,9 +1,13 @@
 """The benchmark's spans wrap module attributes by name (perfbench/spans.py):
-installing them fails when a wrapped function is renamed or removed."""
+installing them fails when a wrapped function is renamed or removed.  Its
+runner (perfbench/runner.py) calls into the package outside any stage too."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from synthetic_study import make_synthetic_study
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +48,19 @@ print([(s["name"], s.get("permutations")) for s in tracer.spans])
     assert out.stdout.strip() == str([
         ("rank_stats.correlate", None), ("rank_stats.significance", 50),
         ("rank_stats.correlate", None)])
+
+
+def test_benchmark_runner_set_up(tmp_path):
+    # with no --pass the runner only loads the study config and reads the
+    # bank's filter windows for its kernel sample count
+    config_path = make_synthetic_study(tmp_path / "study", n_images=4)
+    report = tmp_path / "report.json"
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "runner.py"),
+                          "--src", str(ROOT / "src"), "--config", str(config_path),
+                          "--out", str(tmp_path / "out"), "--report", str(report)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(report.read_text())
+    assert doc["stages"] == [] and doc["pass_digests"] == []
+    # 6 orientations at window widths 25, 49 and 97 in the default bank
+    assert doc["kernel_samples_per_jet"] == 6 * (25**2 + 49**2 + 97**2) == 74610
