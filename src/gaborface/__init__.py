@@ -24,7 +24,6 @@ from .nmds import (
     embed,
     isotonic_fit,
     procrustes_align,
-    scan_dimensions,
     stress1,
 )
 from .rank_stats import (

@@ -465,10 +465,10 @@ def _embed(config):
             _write_json(out[f"_{measure}.json"],
                         configs[measure].to_document(options=fit))
             if opts.scan_dims:
-                rows = nmds.scan_dimensions(matrix, min(opts.scan_dims, n - 1),
-                                            **fit)
+                scan = (nmds.embed(matrix, d, **fit)
+                        for d in range(1, min(opts.scan_dims, n - 1) + 1))
                 _write_atomic(out[f"_{measure}_scan.csv"], "d,stress,rsq\n" + "".join(
-                    f"{d},{s!r},{r!r}\n" for d, s, r in rows))
+                    f"{c.d},{c.stress!r},{c.rsq!r}\n" for c in scan))
         return configs
     return unit
 

@@ -30,6 +30,9 @@ DEFAULT_SIGMA = math.pi
 # residual DC leakage of the truncated cosine kernel below 1e-6 even for
 # the widest default filter (k = pi/8); four is not enough for that bound.
 KERNEL_HALF_WIDTH_SIGMAS = 6.0
+# The widest kernel half-width h a bank may ask for, in pixels: compute_jets'
+# reflected window gather holds (2h+1)^2 floats, ~34 MB at 1,024 (default 48).
+MAX_KERNEL_HALF_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,10 @@ class FilterBank:
     orientations at pi/6 steps, sigma = pi.  The constructor refuses with a
     ParameterError, naming the field, wavenumbers or orientations that are
     empty or repeat a value, a wavenumber or sigma that is not finite and
-    > 0, an orientation outside [0, pi) and an integer too large for a
-    float.  `specs` lists the filters frequency-major, then
-    orientation-minor: the order of a jet's amplitudes.
+    > 0, an orientation outside [0, pi), a kernel half-width 6 sigma/k above
+    MAX_KERNEL_HALF_WIDTH and an integer too large for a float.  `specs`
+    lists the filters frequency-major, then orientation-minor: the order of
+    a jet's amplitudes.
     """
 
     wavenumbers: tuple = DEFAULT_WAVENUMBERS
@@ -91,6 +95,12 @@ class FilterBank:
                                  f"got {orientations}")
         if not 0 < sigma < math.inf:
             raise ParameterError(f"bank 'sigma' must be finite and > 0, got {sigma}")
+        # the widest filter's 6 sigma/k, compared before a ceil can overflow
+        widest = KERNEL_HALF_WIDTH_SIGMAS * sigma / min(wavenumbers)
+        if widest > MAX_KERNEL_HALF_WIDTH:
+            raise ParameterError("bank 'sigma' and 'wavenumbers' give a kernel "
+                                 f"half-width 6 sigma/k of {widest:.4g} pixels, "
+                                 f"above {MAX_KERNEL_HALF_WIDTH}")
         specs = tuple(FilterSpec(k, theta, sigma)
                       for k in wavenumbers for theta in orientations)
         for name, value in (("wavenumbers", wavenumbers), ("orientations", orientations),

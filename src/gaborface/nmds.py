@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
@@ -104,20 +105,19 @@ class Configuration:
             raise FormatError(f"malformed configuration: {exc}") from exc
 
 
-def _check_dissimilarity(matrix):
-    if matrix.kind != "dissimilarity":
-        raise ParameterError(f"need a dissimilarity matrix, got {matrix.kind!r}")
-
-
 def classical_init(dissimilarity, d, seed=0):
     """Torgerson classical-scaling start: double-centered squared
     dissimilarities, top-d spectral coordinates.
 
     Deterministic: each coordinate column is signed so its largest-magnitude
     entry is positive.  Columns beyond the positive-eigenvalue count fall
-    back to small seeded random coordinates (flagged with a warning).
+    back to small seeded random coordinates (flagged with a warning).  The
+    stress-1 and RSQ are embed's at 0 iterations, by its rules: tie blocks
+    fitted in the order of their current distances, RSQ 1.0 at stress 0,
+    and coincident points (only a matrix of zeros gives them) fit exactly.
     """
-    _check_dissimilarity(dissimilarity)
+    if dissimilarity.kind != "dissimilarity":
+        raise ParameterError(f"need a dissimilarity matrix, got {dissimilarity.kind!r}")
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     D = dissimilarity.values
@@ -143,21 +143,9 @@ def classical_init(dissimilarity, d, seed=0):
         scale = 1e-3 * max(1.0, float(D.max()))
         coords[:, usable:] = scale * rng.standard_normal((n, d - usable))
     coords -= coords.mean(axis=0)
-    distances = pdist(coords)
-    if np.all(distances == 0.0):
-        stress, rsq = 0.0, 1.0
-    else:
-        disp = isotonic_fit(distances, np.lexsort(
-            (distances, squareform(D, checks=False))))
-        stress = stress1(distances, disp)
-        rsq = _rsq(distances, disp.values)
-    return Configuration(dissimilarity.item_ids, coords, stress, rsq, 0)
-
-
-def _dissimilarity_order(matrix):
-    # stable: tied dissimilarities keep their pair-index order here; embed
-    # re-sorts each tie block by the current distances (primary approach)
-    return np.argsort(squareform(matrix.values, checks=False), kind="stable")
+    evaluate = _evaluator(squareform(D, checks=False))
+    return Configuration(dissimilarity.item_ids, coords,
+                         *_diagnostics(evaluate(coords)), 0)
 
 
 def isotonic_fit(distances, order):
@@ -188,17 +176,48 @@ def stress1(distances, disparities):
     return float(np.sqrt(np.sum((d - dhat) ** 2) / denom))
 
 
-def _rsq(distances, disparities):
+_Evaluation = namedtuple("_Evaluation", "coords distances disparities stress")
+
+
+def _evaluator(off_diag):
+    """The evaluation of a configuration against the dissimilarities
+    `off_diag`: its distances, their disparities (monotone in `off_diag`)
+    and stress-1, or None when its points coincide, where stress-1 is 0/0.
+    A tie block takes the order of its current distances, the order of
+    least stress (Kruskal's primary approach); an untied matrix keeps one."""
+    order = np.argsort(off_diag, kind="stable")
+    tied = np.any(np.diff(off_diag[order]) == 0)
+
+    def evaluate(coords):
+        distances = pdist(coords)
+        if not np.any(distances):
+            return None
+        disparities = isotonic_fit(distances, np.lexsort((distances, off_diag))
+                                   if tied else order).values
+        return _Evaluation(coords, distances, disparities,
+                           stress1(distances, disparities))
+    return evaluate
+
+
+def _diagnostics(evaluation):
+    """(stress-1, RSQ): RSQ is 1.0 at stress 0 and for coincident points,
+    else the squared correlation of distances and disparities."""
+    if evaluation is None or evaluation.stress == 0.0:
+        return 0.0, 1.0
+    _, distances, disparities, stress = evaluation
     if np.all(disparities == disparities[0]) or np.all(distances == distances[0]):
-        return 1.0 if np.allclose(distances, disparities) else 0.0
+        return stress, 1.0 if np.allclose(distances, disparities) else 0.0
     r = np.corrcoef(distances, disparities)[0, 1]
-    return float(min(1.0, r * r))
+    return stress, float(min(1.0, r * r))
 
 
-def _guttman_update(coords, disparities, distances):
+def _guttman_update(evaluation):
+    coords, distances, disparities, _ = evaluation
     n = coords.shape[0]
+    # > 0: a monotone fit keeps the sum of the distances, and they are not all 0
+    scale = np.sqrt(np.sum(distances ** 2) / np.sum(disparities ** 2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(distances > 0, disparities / distances, 0.0)
+        ratio = np.where(distances > 0, disparities * scale / distances, 0.0)
     W = squareform(ratio)
     B = -W
     np.fill_diagonal(B, W.sum(axis=1))
@@ -212,12 +231,13 @@ def embed(dissimilarity, d, max_iterations=DEFAULT_MAX_ITERATIONS,
 
     Alternates a monotone disparity fit with a Guttman-transform update
     from the classical-scaling start, until the stress-1 improvement drops
-    below `tolerance` or `max_iterations` is hit.  An update that would
-    increase stress-1 is rejected, so the recorded stress sequence is
-    non-increasing.  `on_iteration(iteration, stress)` is invoked once per
-    evaluated configuration.
+    below `tolerance` or `max_iterations` is hit.  A tie block is fitted in
+    the order of its current distances (Kruskal's primary approach).  An
+    update whose points coincide or whose stress-1 is higher is rejected
+    and ends the loop, so the recorded stress sequence is non-increasing.
+    RSQ is 1.0 at stress 0.  `on_iteration(iteration, stress)` is invoked
+    once per accepted configuration, the start as iteration 0.
     """
-    _check_dissimilarity(dissimilarity)
     n = len(dissimilarity.item_ids)
     if not 1 <= d <= n - 1:
         raise ParameterError(f"need 1 <= d <= n-1, got d={d} for n={n}")
@@ -227,53 +247,22 @@ def embed(dissimilarity, d, max_iterations=DEFAULT_MAX_ITERATIONS,
         warnings.warn("degenerate dissimilarity matrix (all pairs equal); "
                       "returning the initialization")
         return init
-    order = _dissimilarity_order(dissimilarity)
-    # Kruskal's primary approach: a tie block is fitted in the order of its
-    # current distances, the order of least stress among its orders
-    tied = np.any(np.diff(off_diag[order]) == 0)
-
-    def fit(distances):
-        return isotonic_fit(distances, np.lexsort((distances, off_diag))
-                            if tied else order).values
-
-    coords = np.array(init.coordinates)
-    distances = pdist(coords)
-    disparities = fit(distances)
-    stress = stress1(distances, disparities)
-    if on_iteration is not None:
-        on_iteration(0, stress)
-    iterations = 0
-    for iteration in range(1, max_iterations + 1):
-        scale = np.sqrt(np.sum(distances ** 2) / np.sum(disparities ** 2)) \
-            if np.any(disparities > 0) else 1.0
-        new_coords = _guttman_update(coords, disparities * scale, distances)
-        new_distances = pdist(new_coords)
-        if np.all(new_distances == 0.0):
-            break
-        new_disparities = fit(new_distances)
-        new_stress = stress1(new_distances, new_disparities)
-        if new_stress > stress:
-            break  # never accept an uphill step
-        improvement = stress - new_stress
-        coords, distances, disparities, stress = (
-            new_coords, new_distances, new_disparities, new_stress)
-        iterations = iteration
+    evaluate = _evaluator(off_diag)
+    # classical_init's points coincide only for a matrix of zeros
+    current, iterations, improvement = evaluate(init.coordinates), 0, np.inf
+    while True:
         if on_iteration is not None:
-            on_iteration(iteration, stress)
-        if improvement < tolerance:
+            on_iteration(iterations, current.stress)
+        if iterations == max_iterations or improvement < tolerance:
             break
-    rsq = 1.0 if stress == 0.0 else _rsq(distances, disparities)
-    coords = coords - coords.mean(axis=0)
-    return Configuration(dissimilarity.item_ids, coords, stress, rsq, iterations)
-
-
-def scan_dimensions(dissimilarity, d_max, **options):
-    """Stress/RSQ curve of embed over d = 1..d_max."""
-    rows = []
-    for d in range(1, d_max + 1):
-        config = embed(dissimilarity, d, **options)
-        rows.append((d, config.stress, config.rsq))
-    return rows
+        new = evaluate(_guttman_update(current))
+        if new is None or new.stress > current.stress:
+            break  # never accept a collapse or an uphill step
+        improvement = current.stress - new.stress
+        current, iterations = new, iterations + 1
+    coords = current.coords - current.coords.mean(axis=0)
+    return Configuration(dissimilarity.item_ids, coords, *_diagnostics(current),
+                         iterations)
 
 
 def procrustes_align(source, target, allow_scaling=False, allow_reflection=True):

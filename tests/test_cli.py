@@ -646,6 +646,35 @@ class TestMainCli:
         assert err.startswith(f"error: {config_path}: ") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize("bank", [
+        {"wavenumbers": [1e-300]}, {"sigma": 1e300}, {"wavenumbers": [1e-3]}],
+        ids=["tiny-wavenumber", "huge-sigma", "small-wavenumber"])
+    def test_bank_of_too_wide_a_kernel_exits_one(self, tmp_path, capsys, bank):
+        doc = {"image_dir": "images", "grid_dir": "grids",
+               "ratings": "ratings.csv", "out_dir": "out",
+               "expressers": {"img00": "SY"}, "bank": bank}
+        config_path = tmp_path / "study.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: bank 'sigma' and "
+                              "'wavenumbers' give a kernel half-width")
+        assert err.count("\n") == 1
+
+    def test_jet_file_of_too_wide_a_kernel_exits_one(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 0
+        path = tmp_path / "out" / "jets" / "img02.json"
+        doc = json.loads(path.read_text())
+        doc["bank"]["wavenumbers"] = [1e-300]
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="expresser 'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed jet document: bank "
+                              "'sigma' and 'wavenumbers' give a kernel half-width")
+        assert err.count("\n") == 1
+
     def test_bank_of_json_numbers_loads(self, tmp_path):
         doc = {"image_dir": "images", "grid_dir": "grids",
                "ratings": "ratings.csv", "out_dir": "out",
@@ -756,6 +785,18 @@ class TestMainCli:
         assert main(["--config", str(config_path), "--stage", "embed"]) == 0
         assert sorted(p.name for p in embeddings.iterdir()) == [
             "SY_gabor.json", "SY_semantic.json"]
+
+    @pytest.mark.parametrize("measure", cli.EMBEDDED)
+    def test_scan_row_of_the_embedded_dimension_is_the_embedding(
+            self, scanned_study, measure):
+        embeddings = scanned_study / "embeddings"
+        config = json.loads((embeddings / f"SY_{measure}.json").read_text())
+        lines = (embeddings / f"SY_{measure}_scan.csv").read_text().splitlines()
+        assert lines[0] == "d,stress,rsq"
+        rows = {int(d): (float(s), float(r))
+                for d, s, r in (line.split(",") for line in lines[1:])}
+        assert sorted(rows) == [1, 2] and config["d"] == 2
+        assert rows[config["d"]] == (config["stress"], config["rsq"])
 
     @pytest.mark.parametrize("options,flags", [
         ({"seed": -1, "permutations": 20}, []),

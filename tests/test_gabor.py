@@ -92,6 +92,11 @@ class TestBuildFilterBank:
         dict(wavenumbers=[-1.0]),
         dict(sigma=0.0),
         dict(wavenumbers=[float("nan")]),
+        # kernel half-widths 6 sigma/k of 6e300, 6e300, 6,000 and 1,025 pixels
+        dict(wavenumbers=[1e-300]),
+        dict(sigma=1e300),
+        dict(wavenumbers=[1e-3]),
+        dict(wavenumbers=[3.0], sigma=512.5),
     ])
     def test_invalid_parameters(self, kwargs):
         defaults = dict(wavenumbers=[1.0], orientations=[0.0], sigma=1.0)
@@ -104,6 +109,10 @@ class TestBuildFilterBank:
     def test_out_of_range_parameter_is_named(self, name, value):
         with pytest.raises(ParameterError, match=f"bank '{name}'"):
             gf.FilterBank(**{name: value})
+
+    def test_kernel_window_at_the_limit_is_built(self):
+        bank = gf.FilterBank([3.0], [0.0], 512.0)
+        assert bank.specs[0].window_half_width() == gf.gabor.MAX_KERNEL_HALF_WIDTH
 
     def test_document_takes_defaults_only_when_asked(self):
         doc = {"wavenumbers": [2, 0.5], "sigma": 3}

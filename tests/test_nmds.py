@@ -14,7 +14,7 @@ from gaborface.errors import (
     FormatError,
     ParameterError,
 )
-from gaborface.nmds import Disparities, _dissimilarity_order
+from gaborface.nmds import Disparities
 
 
 def planted_matrix(rng, n, d, transform=None):
@@ -87,9 +87,25 @@ class TestClassicalInit:
         assert config.coordinates.shape == (4, 3)
 
     def test_rejects_similarity_matrix(self):
-        m = gf.PairMatrix(("a", "b"), np.ones((2, 2)), "similarity")
-        with pytest.raises(ParameterError):
-            gf.classical_init(m, 1)
+        m = gf.PairMatrix(("a", "b", "c"), np.ones((3, 3)), "similarity")
+        for start in (gf.classical_init, gf.embed):
+            with pytest.raises(ParameterError, match="need a dissimilarity matrix"):
+                start(m, 1)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["exact-fit", "tied"])
+    def test_diagnostics_are_embeds_at_zero_iterations(self, tied):
+        pts = np.random.default_rng(0).uniform(-1, 1, (12, 2))
+        dist = squareform(pdist(pts))
+        if tied:
+            dist = np.round(2.0 * dist) / 2.0  # 66 pairs on 6 values
+        m = gf.PairMatrix(tuple(f"p{i:02d}" for i in range(12)), dist,
+                          "dissimilarity")
+        start = gf.classical_init(m, 2)
+        embedded = gf.embed(m, 2, max_iterations=0)
+        assert (start.stress, start.rsq) == (embedded.stress, embedded.rsq)
+        assert start.iterations == embedded.iterations == 0
+        if not tied:
+            assert (start.stress, start.rsq) == (0.0, 1.0)
 
 
 class TestIsotonicFit:
@@ -226,8 +242,7 @@ class TestEmbed:
 
     def test_scan_dimensions_stress_decreases(self):
         m, _ = planted_matrix(np.random.default_rng(12), 10, 3)
-        rows = gf.scan_dimensions(m, 4)
-        stresses = [s for _, s, _ in rows]
+        stresses = [gf.embed(m, d).stress for d in range(1, 5)]
         assert stresses[2] <= stresses[0] + 1e-9
 
     @pytest.mark.parametrize("iterations", ["many", -1, True, 2.5, None])
@@ -358,14 +373,6 @@ class TestProcrustesAlign:
 
 
 class TestTieHandling:
-    def test_stable_order_for_ties(self):
-        vals = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
-        m = gf.PairMatrix(("a", "b", "c"), vals, "dissimilarity")
-        order = _dissimilarity_order(m)
-        # pairs in squareform order: (a,b)=1, (a,c)=1, (b,c)=2; ties keep
-        # their original relative order (stable sort)
-        np.testing.assert_array_equal(order, [0, 1, 2])
-
     @pytest.mark.parametrize("seed", range(5))
     def test_stress_is_minimal_over_orders_within_tie_blocks(self, seed):
         # 10 pairs in four tie blocks (3, 3, 2, 2 pairs): 144 block orders
