@@ -461,14 +461,16 @@ def _embed(config):
                 config, "matrices", expresser, f"_{measure}.json",
                 PairMatrix.from_document))
             n = len(matrix.item_ids)
-            configs[measure] = nmds.embed(matrix, min(opts.dims, n - 1), **fit)
-            _write_json(out[f"_{measure}.json"],
-                        configs[measure].to_document(options=fit))
+            dims = min(opts.dims, n - 1)
+            scan = range(1, min(opts.scan_dims or 0, n - 1) + 1)
+            # each d is fitted once, also when the scan covers dims
+            fits = {d: nmds.embed(matrix, d, **fit)
+                    for d in dict.fromkeys((dims, *scan))}
+            configs[measure] = fits[dims]
+            _write_json(out[f"_{measure}.json"], fits[dims].to_document(options=fit))
             if opts.scan_dims:
-                scan = (nmds.embed(matrix, d, **fit)
-                        for d in range(1, min(opts.scan_dims, n - 1) + 1))
                 _write_atomic(out[f"_{measure}_scan.csv"], "d,stress,rsq\n" + "".join(
-                    f"{c.d},{c.stress!r},{c.rsq!r}\n" for c in scan))
+                    f"{d},{fits[d].stress!r},{fits[d].rsq!r}\n" for d in scan))
         return configs
     return unit
 

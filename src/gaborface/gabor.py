@@ -239,6 +239,7 @@ def compute_jet(image, bank, point):
 
 # one PGM header token, after any whitespace and "#" comment lines
 _PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]+|#[^\n]*\n?)*([^ \t\r\n#]+)")
+_PGM_COMMENTS = re.compile(rb"(?:#[^\n]*\n?)*")
 
 
 def read_pgm(data):
@@ -263,7 +264,10 @@ def read_pgm(data):
         raise FormatError(f"only 8-bit PGM supported, maxval {maxval}")
     if width < 1 or height < 1:
         raise FormatError(f"PGM size must be >= 1x1, got {width}x{height}")
-    pos += 1  # exactly one whitespace byte separates maxval from the raster
+    # comments may follow maxval; then one whitespace byte starts the raster
+    pos = _PGM_COMMENTS.match(data, pos).end() + 1
+    if data[pos - 1: pos] not in (b" ", b"\t", b"\r", b"\n"):
+        raise FormatError("PGM header must end in one whitespace byte")
     raster = data[pos: pos + width * height]
     if len(raster) < width * height:
         raise FormatError(

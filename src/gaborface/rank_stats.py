@@ -4,14 +4,16 @@ The series correlated are the pairs of one item set, taken from pair
 matrices in canonical order: the upper triangle, row by row, of the matrix
 with its items in sorted-id order.  Pairs that share an item are not
 independent; they share its errors.  `significance` respects that by
-relabelling the items of the semantic rank matrix (the Mantel test; Mantel
-1967, Cancer Research 27:209), not by shuffling the pairs.
+relabelling the items behind the semantic ranks (the Mantel test; Mantel
+1967, Cancer Research 27:209), not by shuffling the pairs.  It takes every
+series in that pair order, so no caller builds an item matrix for it.
 `t_approximation` treats the pairs as independent and is anti-conservative
 on pair matrices, so it is a quick description, not an inference.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -94,45 +96,42 @@ def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):
     """Two-sided p-values of a seeded Monte-Carlo permutation test of item
     labels (the Mantel test), one per row of `x_ranks`.
 
-    Each row holds the midranks of a series over the pairs (i, j), i < j,
-    of k items in row-major order; `y_ranks` is the symmetric k x k item
-    matrix whose cell (i, j) holds the midrank of y at that pair.  Each of
-    the `permutations` (>= 1) draws relabels the items with one
-    `rng.permutation` and scores every series against that relabelled y,
-    so a series gets the p-value it would get alone.
+    `y_ranks` and each row of `x_ranks` hold the midranks of a series over
+    the pairs (i, j), i < j, of k items in row-major order; k follows from
+    their length, k(k-1)/2.  Each of the `permutations` (>= 1) draws
+    relabels the items with one `rng.permutation` and scores every series
+    against y relabelled, so a series gets the p-value it would get alone.
     """
     permutations = int(permutations)
     if permutations < 1:
         raise ParameterError(f"need permutations >= 1, got {permutations}")
     rx = np.array(x_ranks, dtype=float)
-    y = np.asarray(y_ranks, dtype=float)
-    if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(y))):
+    ry = np.array(y_ranks, dtype=float)
+    if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(ry))):
         raise ParameterError("x_ranks and y_ranks must be finite")
-    items = len(y)
-    upper_i, upper_j = np.triu_indices(items, 1)
-    m = upper_i.size
-    if y.shape != (items, items) or not np.array_equal(y, y.T):
-        raise ParameterError("y_ranks must be a symmetric square matrix")
-    if rx.shape[1:] != (m,):
-        raise ParameterError(f"each series must rank the {m} pairs of an item "
-                             f"set of {items}, as y_ranks does")
+    m = ry.size
+    items = math.isqrt(2 * m) + 1  # the k of m = k(k-1)/2, if m is one
+    if ry.shape != (items * (items - 1) // 2,) or rx.shape[1:] != ry.shape:
+        raise ParameterError(f"y_ranks {ry.shape} and each row of x_ranks "
+                             f"{rx.shape[1:]} must rank the pairs of an item set")
     if not len(rx):
         raise ParameterError("permutation test needs one rho per series, and "
                              "x_ranks has none")
     if m < 4:
         raise ParameterError(f"need n >= 4 for a significance test, got {m}")
-    ry = y[upper_i, upper_j]
     thresholds = np.abs([_rho_from_ranks(row, ry) for row in rx]) - 1e-12
     rx -= rx.mean(axis=1, keepdims=True)
-    centre = ry.mean()
-    ry -= centre
+    ry -= ry.mean()
     denom = np.sqrt(np.sum(rx * rx, axis=1) * np.sum(ry * ry))
     # relabelling the items reorders the same pair values, so the centred
     # ranks and the denominator hold for every draw; draw p gathers pair
-    # (i, j) from cell (p[i], p[j]) of the centred rank matrix, never from
-    # its diagonal.  The indices are in range by construction, and
-    # mode="clip" spares take the copy of `out` that its default mode makes.
-    ry_flat = (y - centre).ravel()
+    # (i, j) from cell (p[i], p[j]) of the symmetric matrix of centred ranks,
+    # never from its diagonal.  The indices are in range by construction,
+    # and mode="clip" spares take the copy of `out` that its default makes.
+    upper_i, upper_j = np.triu_indices(items, 1)
+    centred = np.zeros((items, items))
+    centred[upper_i, upper_j] = centred[upper_j, upper_i] = ry
+    ry_flat = centred.ravel()
     row_starts = np.empty(items, dtype=np.intp)
     cells, cols = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
     permuted = np.empty(m)
@@ -168,7 +167,7 @@ def correlate_model_with_ratings(models, semantic, permutations=None,
     reads as positive rho.  Without `permutations`, the p-values are
     `t_approximation`'s, which treats the pairs as independent.  With
     `permutations` set, they are `significance`'s, which relabels the items
-    of the semantic rank matrix and tests all models against one stream of
+    behind the semantic ranks and tests all models against one stream of
     relabellings.
     """
     rx = []
@@ -185,9 +184,6 @@ def correlate_model_with_ratings(models, semantic, permutations=None,
     if permutations is None:
         return [CorrelationResult(rho, n, t_approximation(rho, n), "t_approximation")
                 for rho in rhos]
-    items = len(semantic.item_ids)
-    y_ranks = np.zeros((items, items))
-    y_ranks[np.triu_indices(items, 1)] = ry
-    ps = significance(rx, y_ranks + y_ranks.T, permutations=permutations, seed=seed)
+    ps = significance(rx, ry, permutations=permutations, seed=seed)
     return [CorrelationResult(rho, n, p, "permutation")
             for rho, p in zip(rhos, ps)]

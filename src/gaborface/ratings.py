@@ -26,9 +26,10 @@ class RatingTable(NamedTuple):
 
 def load_ratings(table):
     """Parse the text of a ratings CSV (header: image_id plus 5 or 6
-    adjective columns) into a RatingTable."""
+    adjective columns) into a RatingTable.  One leading byte-order mark,
+    which spreadsheets write into a UTF-8 CSV, is dropped."""
     try:
-        rows = list(csv.reader(io.StringIO(table)))
+        rows = list(csv.reader(io.StringIO(table.removeprefix("\ufeff"))))
     except csv.Error as exc:
         raise FormatError(f"malformed ratings table: {exc}") from exc
     if not rows:

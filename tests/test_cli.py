@@ -18,7 +18,7 @@ from gaborface.cli import (
     run_stage,
     run_study,
 )
-from gaborface import cli, gabor, rank_stats, ratings
+from gaborface import cli, gabor, nmds, rank_stats, ratings
 from gaborface.errors import ValidationError
 from oracles import (
     amplitude,
@@ -797,6 +797,25 @@ class TestMainCli:
                 for d, s, r in (line.split(",") for line in lines[1:])}
         assert sorted(rows) == [1, 2] and config["d"] == 2
         assert rows[config["d"]] == (config["stress"], config["rsq"])
+
+    def test_embed_fits_each_dimension_once(self, scanned_study, tmp_path,
+                                            monkeypatch):
+        # dims 2 and scan_dims 2: d = 1 and d = 2 for each of the 2 measures;
+        # the scan takes its d = 2 row from the embedding's own fit
+        study = tmp_path / "study"
+        shutil.copytree(scanned_study.parent, study)
+        fitted = []
+        embed = nmds.embed
+
+        def counted(matrix, d, **kwargs):
+            fitted.append(d)
+            return embed(matrix, d, **kwargs)
+
+        monkeypatch.setattr(nmds, "embed", counted)
+        assert main(["--config", str(study / "study.json"), "--stage", "embed"]) == 0
+        assert sorted(fitted) == [1, 1, 2, 2]
+        assert (tree_digest(study / "out" / "embeddings")
+                == tree_digest(scanned_study / "embeddings"))
 
     @pytest.mark.parametrize("options,flags", [
         ({"seed": -1, "permutations": 20}, []),

@@ -428,6 +428,21 @@ class TestPgmIO:
         img = gf.read_pgm(data)
         np.testing.assert_array_equal(img, [[0, 64], [128, 255]])
 
+    def test_comment_after_maxval(self):
+        # netpbm allows a comment between maxval and the one whitespace byte
+        # that delimits the raster; the raster's own bytes are never one
+        data = b"P5 2 2 255#hi\n\n" + bytes([10, 20, 30, 40])
+        np.testing.assert_array_equal(gf.read_pgm(data), [[10, 20], [30, 40]])
+        data = b"P5 2 2 255\n" + bytes([35, 20, 30, 40])
+        np.testing.assert_array_equal(gf.read_pgm(data), [[35, 20], [30, 40]])
+
+    @pytest.mark.parametrize("data", [b"P5 2 2 255#hi\nABCD", b"P5 2 2 255",
+                                      b"P5 2 2 255#hi"],
+                             ids=["raster-after-comment", "end", "end-in-comment"])
+    def test_rejects_a_raster_without_its_whitespace_byte(self, data):
+        with pytest.raises(FormatError, match="one whitespace byte"):
+            gf.read_pgm(data)
+
     def test_rejects_non_p5(self):
         with pytest.raises(FormatError):
             gf.read_pgm(b"P2\n2 2\n255\n0 0 0 0")

@@ -196,16 +196,31 @@ class TestSignificance:
     @pytest.mark.parametrize("m", [4, 5, 20, 189])
     def test_series_that_are_not_the_pairs_of_an_item_set_rejected(self, m):
         x_ranks = gf.average_ranks(np.arange(float(m)) % 3)[None]
-        items = math.isqrt(2 * m) + 1  # the item set nearest in pair count
         with pytest.raises(ParameterError, match="pairs of an item set"):
-            gf.significance(x_ranks, np.ones((items, items)), 10)
+            gf.significance(x_ranks, x_ranks[0], 10)
 
-    @pytest.mark.parametrize("y_ranks", [np.ones((5, 4)), np.triu(np.ones((5, 5)))],
-                             ids=["not-square", "not-symmetric"])
+    @pytest.mark.parametrize("y_ranks", [np.ones((5, 4))], ids=["not-square"])
     def test_rank_matrix_that_is_not_a_symmetric_item_matrix_rejected(self,
                                                                        y_ranks):
-        with pytest.raises(ParameterError, match="symmetric square"):
+        # y_ranks is a series; any 2-D y_ranks is refused
+        with pytest.raises(ParameterError, match="pairs of an item set"):
             gf.significance(np.ones((1, 10)), y_ranks, 10)
+
+    def test_item_matrix_of_y_ranks_rejected(self):
+        # the symmetric k x k matrix that once carried y is refused, also
+        # where its k * k cells number the pairs of another item set: 6 * 6
+        # cells, the 36 pairs of 9 items
+        matrix = np.array(pair_matrix(gf.average_ranks(np.arange(15.0) % 4).tolist()))
+        for pairs in (15, 36):
+            x_ranks = gf.average_ranks(np.arange(float(pairs)))[None]
+            with pytest.raises(ParameterError, match="pairs of an item set"):
+                gf.significance(x_ranks, matrix, 10)
+
+    def test_series_of_another_item_set_rejected(self):
+        # x over the 10 pairs of 5 items, y over the 15 pairs of 6
+        x_ranks, y_ranks = item_ranks([np.arange(10.0)], np.arange(15.0) % 4)
+        with pytest.raises(ParameterError, match="pairs of an item set"):
+            gf.significance(x_ranks, y_ranks, 10)
 
     def test_permutation_test_of_fewer_than_four_pairs_rejected(self):
         # 3 items have 3 pairs
@@ -229,7 +244,7 @@ class TestSignificance:
         if where == "x":
             x_ranks[0, 3] = value
         else:
-            y_ranks[1, 3] = y_ranks[3, 1] = value  # still symmetric
+            y_ranks[3] = value
         with pytest.raises(ParameterError, match="must be finite"):
             gf.significance(x_ranks, y_ranks, 99)
 
@@ -254,9 +269,8 @@ def pair_matrix(values):
 def item_ranks(xs, y):
     """significance's permutation-test inputs for the series `xs` against
     `y`, pair values over the canonical pairs of one item set: the midranks
-    of each x, and the symmetric item matrix of the midranks of y."""
-    return (np.array([gf.average_ranks(x) for x in xs]),
-            np.array(pair_matrix(gf.average_ranks(y).tolist())))
+    of each x, one row each, and the midranks of y."""
+    return np.array([gf.average_ranks(x) for x in xs]), gf.average_ranks(y)
 
 
 def relabelled(matrix, labels):

@@ -64,6 +64,14 @@ class TestLoadRatings:
         with pytest.raises(FormatError):
             gf.load_ratings("id,a,b,c,d,e\nx,1,2,3,4,5\n")
 
+    def test_byte_order_mark_dropped(self):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+        table = gf.load_ratings("\ufeffimage_id,a,b,c,d,e\nx,1,2,3,4,5\n")
+        assert table.image_ids == ("x",) and table.adjectives == tuple("abcde")
+        # only one: a second mark is part of the header's first cell
+        with pytest.raises(FormatError, match="first column must be image_id"):
+            gf.load_ratings("\ufeff\ufeffimage_id,a,b,c,d,e\nx,1,2,3,4,5\n")
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)
         rows = [SIX]
