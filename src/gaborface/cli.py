@@ -10,9 +10,9 @@ Stages (each reads the previous stage's files, enabling partial reruns):
   plot       configurations -> SVG scatter plots
   study      all of the above
 
-`run_stage` runs `encode` one image at a time (on `--threads` threads) and
-every other stage one expresser at a time.  It removes a unit's files of the
-stage (as `_STAGES` names them) before the unit runs and again if it fails.
+`run_stage` runs `encode` one image at a time and every other stage one
+expresser at a time.  It removes a unit's files of the stage (as `_STAGES`
+names them) before the unit runs and again if it fails.
 A failure is warned about and the others still run; then `correlate` writes
 a `failed` summary row, and every other stage raises its first failure.
 """
@@ -26,9 +26,7 @@ import math
 import numbers
 import os
 import sys
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -90,7 +88,6 @@ class StudyConfig:
     filter_bank: gabor.FilterBank = gabor.FilterBank()
     options: StudyOptions = field(default_factory=StudyOptions)
     exclude_from_average: tuple = ()
-    threads: int = 1
     no_fear: bool = False  # set by drop_fear()
 
     @classmethod
@@ -219,16 +216,14 @@ def _encode(config):
     placements = {i: _read(config.grid_dir / f"{i}.json",
                            lambda doc, i=i: _require_id(grid.load_grid(doc), i))
                   for i in config.image_ids()}
-    # each thread's compute_jets work arrays (~2 MB), kept for the stage
-    local = threading.local()
+    work = {}  # compute_jets' work arrays (~2 MB), kept for the stage
 
     def unit(image_id, out):
         pixels = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
         placement = placements[image_id]
         if tuple(placement.source_size) != pixels.shape[::-1]:
             placement = grid.rescale_placement(placement, pixels.shape[::-1])
-        jets = gabor.compute_jets(pixels, bank, placement.points,
-                                  work=vars(local).setdefault("work", {}))
+        jets = gabor.compute_jets(pixels, bank, placement.points, work=work)
         _write_json(out[".json"], gabor.jet_document(image_id, bank, placement, jets))
     return unit
 
@@ -309,16 +304,9 @@ def run_stage(config, name):
     """Run one stage (see the module docstring); return each unit's result."""
     unit = _STAGES[name][0](config)
     if name == "encode":
-        kind, ids = "image", config.image_ids()
-
-        def encode(image_id):
-            return _attempt(config, name, image_id, lambda out: unit(image_id, out))
-
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                outcomes = dict(zip(ids, pool.map(encode, ids)))
-        else:
-            outcomes = dict(zip(ids, map(encode, ids)))
+        kind = "image"
+        outcomes = {i: _attempt(config, name, i, lambda out: unit(i, out))
+                    for i in config.image_ids()}
     else:
         kind, outcomes = "expresser", {}
         for expresser, ids in config.groups().items():
@@ -568,12 +556,9 @@ def main(argv=None):
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--seed", type=int, help="override the study seed")
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="encode images on N >= 1 threads, each holding ~2 MB of work "
-             "arrays while the stage runs; the jet kernel's matrix products "
-             "release the GIL, but its per-point loop does not, so 2 threads "
-             "encode no faster than 1 on 2 cores (0.96-1.06x); outputs are "
-             "byte-identical for any N")
+        "--threads", type=int, default=1, metavar="N",
+        help="accepted for N >= 1 and changes nothing: every stage runs on "
+             "one thread")
     parser.add_argument("--exclude", default="",
                         help="comma-separated expressers excluded from averages")
     parser.add_argument("--no-fear", action="store_true",
@@ -589,7 +574,6 @@ def main(argv=None):
             config.options = replace(config.options, seed=args.seed)
         if args.threads < 1:
             raise ValidationError(f"need --threads >= 1, got {args.threads}")
-        config.threads = args.threads
         if args.exclude:
             config.exclude_from_average = tuple(e for e in args.exclude.split(",") if e)
         if args.no_fear:

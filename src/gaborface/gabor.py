@@ -237,9 +237,10 @@ def compute_jet(image, bank, point):
 # I/O: binary 8-bit PGM decoding and jet-set JSON documents
 # ---------------------------------------------------------------------------
 
-# one PGM header token, after any whitespace and "#" comment lines
-_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]+|#[^\n]*\n?)*([^ \t\r\n#]+)")
-_PGM_COMMENTS = re.compile(rb"(?:#[^\n]*\n?)*")
+# one PGM header token, after any whitespace and "#" comments; a comment
+# runs through the next CR or LF
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]+|#[^\r\n]*[\r\n]?)*([^ \t\r\n#]+)")
+_PGM_COMMENTS = re.compile(rb"(?:#[^\r\n]*[\r\n]?)*")
 
 
 def read_pgm(data):

@@ -27,14 +27,15 @@ class RatingTable(NamedTuple):
 def load_ratings(table):
     """Parse the text of a ratings CSV (header: image_id plus 5 or 6
     adjective columns) into a RatingTable.  One leading byte-order mark,
-    which spreadsheets write into a UTF-8 CSV, is dropped."""
+    which spreadsheets write into a UTF-8 CSV, and the whitespace around
+    each header cell are dropped."""
     try:
         rows = list(csv.reader(io.StringIO(table.removeprefix("\ufeff"))))
     except csv.Error as exc:
         raise FormatError(f"malformed ratings table: {exc}") from exc
     if not rows:
         raise FormatError("empty ratings table")
-    header = rows[0]
+    header = [cell.strip() for cell in rows[0]]
     if not header or header[0] != "image_id":
         raise FormatError("first column must be image_id")
     adjectives = tuple(header[1:])

@@ -2,9 +2,11 @@
 
 Generates a family of textured blob images under a parametric smooth
 warp, grid placements whose nodes track the warp, and ratings whose
-first adjective grows linearly with the warp parameter.  Semantic
-distance is then exactly proportional to the parameter difference, so a
-faithful image code should rank-correlate strongly with it.
+first adjective grows linearly with the warp parameter.  Without fear,
+semantic distance is then exactly proportional to the parameter
+difference, so a faithful image code should rank-correlate strongly with
+it.  The first image alone is rated 5.0 on fear, so a `--no-fear` run
+that kept the fear column would change the semantic matrix.
 """
 
 import json
@@ -84,7 +86,8 @@ def make_synthetic_study(root, n_images=10, size=IMAGE_SIZE, seed=7):
         (grid_dir / f"{image_id}.json").write_text(
             json.dumps(grid_document(placement)))
         first = 1.0 + 4.0 * float(t)
-        ratings_rows.append(f"{image_id},{first!r},3.0,3.0,3.0,3.0,3.0")
+        fear = 5.0 if i == 0 else 3.0
+        ratings_rows.append(f"{image_id},{first!r},3.0,3.0,3.0,3.0,{fear!r}")
         expressers[image_id] = "SY"
         labels[image_id] = "NE"
     (root / "ratings.csv").write_text("\n".join(ratings_rows) + "\n")

@@ -19,7 +19,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.spatial.distance import pdist, squareform
 
 import gaborface as gf
-from gaborface.cli import StudyConfig, run_study
+from gaborface.cli import StudyConfig, main, run_study
 from gaborface.grid import NODE_COUNT
 from oracles import amplitude, filter_response, gabor_image_similarity
 from synthetic_study import make_synthetic_study
@@ -291,11 +291,9 @@ def test_criterion_10_determinism_across_thread_counts(tmp_path):
 
     trees = {}
     for threads, name in ((1, "o1"), (8, "o8")):
-        config = StudyConfig.from_file(config_path)
-        config.out_dir = tmp_path / name
-        config.threads = threads
-        run_study(config)
-        trees[name] = digest_tree(config.out_dir)
+        assert main(["--config", str(config_path), "--out", str(tmp_path / name),
+                     "--threads", str(threads)]) == 0
+        trees[name] = digest_tree(tmp_path / name)
     assert trees["o1"] == trees["o8"]
     elapsed = budget.check()
     report(10, f"--threads 1 and --threads 8 runs are byte-identical "

@@ -594,6 +594,25 @@ class TestMainCli:
         assert semantic(rewritten, "--no-fear") == semantic(original, "--no-fear")
         assert semantic(rewritten) != semantic(original)
 
+    def test_no_fear_drops_a_fear_column_named_with_spaces(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=5)
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 0
+        ratings_path = tmp_path / "ratings.csv"
+        plain = ratings_path.read_text()
+        header, rows = plain.split("\n", 1)
+        spaced = header.replace(",", ", ") + "\n" + rows
+        matrix = tmp_path / "out" / "matrices" / "SY_semantic.json"
+
+        def semantic(table, *flags):
+            ratings_path.write_text(table)
+            assert main(["--config", str(config_path), "--stage", "matrices",
+                         *flags]) == 0
+            return matrix.read_bytes()
+
+        # the fixture's fear ratings are not all equal, so dropping them shows
+        assert semantic(plain, "--no-fear") != semantic(plain)
+        assert semantic(spaced, "--no-fear") == semantic(plain, "--no-fear")
+
     @pytest.mark.parametrize("change", [
         {"options": {"dims": "x"}},
         {"options": {"permutations": "abc"}},

@@ -436,6 +436,14 @@ class TestPgmIO:
         data = b"P5 2 2 255\n" + bytes([35, 20, 30, 40])
         np.testing.assert_array_equal(gf.read_pgm(data), [[35, 20], [30, 40]])
 
+    def test_comment_ends_at_a_carriage_return(self):
+        # netpbm ends a comment at the next CR or LF; after maxval the comment
+        # runs through its CR, and the LF is the raster's whitespace byte
+        np.testing.assert_array_equal(gf.read_pgm(b"P5\n#c\r2 2\n255\n" + bytes(4)),
+                                      np.zeros((2, 2)))
+        data = b"P5 2 2 255#c\r\n" + bytes([10, 20, 30, 40])
+        np.testing.assert_array_equal(gf.read_pgm(data), [[10, 20], [30, 40]])
+
     @pytest.mark.parametrize("data", [b"P5 2 2 255#hi\nABCD", b"P5 2 2 255",
                                       b"P5 2 2 255#hi"],
                              ids=["raster-after-comment", "end", "end-in-comment"])

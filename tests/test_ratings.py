@@ -60,6 +60,13 @@ class TestLoadRatings:
         with pytest.raises(FormatError, match=column):
             gf.load_ratings(header + "\na,1,2,3,4,5\n")
 
+    def test_spaces_around_header_cells_dropped(self):
+        # else --no-fear looks for "fear", finds " fear" and keeps the column
+        table = gf.load_ratings(
+            "image_id, happiness, sadness, surprise, anger, disgust, fear\n"
+            "a,1,2,3,4,5,1\n")
+        assert table.adjectives == tuple(SIX.split(",")[1:])
+
     def test_missing_image_id_header(self):
         with pytest.raises(FormatError):
             gf.load_ratings("id,a,b,c,d,e\nx,1,2,3,4,5\n")

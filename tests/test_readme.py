@@ -1,12 +1,15 @@
 """The README's library example stays in step with the package's exports,
-and every public function and class of the package has a use outside the
-tests."""
+its CLI synopsis with the parser, and every public function and class of
+the package has a use outside the tests."""
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import gaborface as gf
+from gaborface.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -25,6 +28,17 @@ def test_library_example_uses_only_exported_names():
     names = library_names()
     assert len(names) > 10
     assert sorted(name for name in names if not hasattr(gf, name)) == []
+
+
+def test_cli_synopsis_names_the_parser_options(capsys):
+    [synopsis] = re.findall(r"^```sh\n(gaborface --config .*?)^```",
+                            README.read_text(encoding="utf-8"), re.M | re.S)
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    long_options = re.compile(r"--[a-z][a-z-]*")
+    assert sorted(long_options.findall(synopsis)) == sorted(long_options.findall(usage))
 
 
 def test_every_public_definition_has_a_caller():
