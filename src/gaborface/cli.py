@@ -112,6 +112,7 @@ class StudyConfig:
             raise ValidationError("must be a JSON object")
         opts = section("options")
         expressers = section("expressers")
+        labels = section("labels")
         if not all(isinstance(e, str) for e in expressers.values()):
             raise ValidationError("expresser ids must be strings")
         for item in (*expressers, *expressers.values()):
@@ -120,6 +121,11 @@ class StudyConfig:
                 raise ValidationError(
                     f"bad id {item!r}: an image or expresser id must not be "
                     "empty, '.' or '..', nor hold '/', NUL, ',', '\"', CR or LF")
+        for text in (*expressers, *expressers.values(), *labels.values()):
+            # a JSON escape such as "\ud800" gives a lone surrogate, which the
+            # UTF-8 of a file name, CSV cell or SVG label cannot encode
+            if isinstance(text, str) and any("\ud800" <= c <= "\udfff" for c in text):
+                raise ValidationError(f"bad id or label {text!r}: holds a lone surrogate")
         if "Average" in expressers.values():  # the summaries' mean row
             raise ValidationError("bad id 'Average': an expresser id must not be "
                                   "'Average', the label of the summaries' mean row")
@@ -134,7 +140,7 @@ class StudyConfig:
                 ratings_path=resolve("ratings"),
                 out_dir=resolve("out_dir"),
                 expressers=dict(expressers),
-                labels=dict(section("labels")),
+                labels=dict(labels),
                 filter_bank=gabor.FilterBank.from_document(section("bank"),
                                                            defaults=True),
                 options=StudyOptions(**opts),
@@ -147,6 +153,8 @@ class StudyConfig:
         return config
 
     def bank(self):
+        """Only the benchmark calls this: it stays until ROADMAP item 1e,
+        and item 2 then deletes it."""
         return self.filter_bank
 
     def image_ids(self):
@@ -211,7 +219,7 @@ def _write_matrix(json_path, csv_path, matrix):
 
 def _encode(config):
     """unit(image_id, out): the image's jet JSON, deterministic bytes."""
-    bank = config.bank()
+    bank = config.filter_bank
     # every grid is read first, so a bad or missing grid fails before any output
     placements = {i: _read(config.grid_dir / f"{i}.json",
                            lambda doc, i=i: _require_id(grid.load_grid(doc), i))
@@ -343,7 +351,6 @@ def run_study(config):
 
 def _matrices(config):
     """Per expresser: Gabor similarity, geometry and semantic dissimilarity."""
-    bank = config.bank()
     table = _read(config.ratings_path, ratings.load_ratings, "text")
     if config.no_fear and FEAR_ADJECTIVE in table.adjectives:
         fear = table.adjectives.index(FEAR_ADJECTIVE)
@@ -353,7 +360,7 @@ def _matrices(config):
 
     def coded_image(doc, image_id):
         placement, loaded_bank, jets = gabor.parse_jet_document(doc)
-        if loaded_bank != bank:
+        if loaded_bank != config.filter_bank:
             raise ValidationError("coded with a different filter bank")
         _require_id(placement, image_id, "; re-run the encode stage")
         return placement, jets

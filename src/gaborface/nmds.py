@@ -106,15 +106,13 @@ class Configuration:
 
 
 def classical_init(dissimilarity, d, seed=0):
-    """Torgerson classical-scaling start: double-centered squared
-    dissimilarities, top-d spectral coordinates.
+    """Torgerson classical-scaling start: the centred (n, d) array of the
+    top-d spectral coordinates of the double-centered squared dissimilarities.
 
     Deterministic: each coordinate column is signed so its largest-magnitude
     entry is positive.  Columns beyond the positive-eigenvalue count fall
-    back to small seeded random coordinates (flagged with a warning).  The
-    stress-1 and RSQ are embed's at 0 iterations, by its rules: tie blocks
-    fitted in the order of their current distances, RSQ 1.0 at stress 0,
-    and coincident points (only a matrix of zeros gives them) fit exactly.
+    back to small seeded random coordinates (flagged with a warning).  Only
+    a matrix of zeros gives coincident points.  embed evaluates the start.
     """
     if dissimilarity.kind != "dissimilarity":
         raise ParameterError(f"need a dissimilarity matrix, got {dissimilarity.kind!r}")
@@ -142,10 +140,7 @@ def classical_init(dissimilarity, d, seed=0):
         rng = np.random.default_rng(seed)
         scale = 1e-3 * max(1.0, float(D.max()))
         coords[:, usable:] = scale * rng.standard_normal((n, d - usable))
-    coords -= coords.mean(axis=0)
-    evaluate = _evaluator(squareform(D, checks=False))
-    return Configuration(dissimilarity.item_ids, coords,
-                         *_diagnostics(evaluate(coords)), 0)
+    return coords - coords.mean(axis=0)
 
 
 def isotonic_fit(distances, order):
@@ -230,26 +225,29 @@ def embed(dissimilarity, d, max_iterations=DEFAULT_MAX_ITERATIONS,
     """Non-metric embedding of a dissimilarity matrix into d dimensions.
 
     Alternates a monotone disparity fit with a Guttman-transform update
-    from the classical-scaling start, until the stress-1 improvement drops
-    below `tolerance` or `max_iterations` is hit.  A tie block is fitted in
-    the order of its current distances (Kruskal's primary approach).  An
-    update whose points coincide or whose stress-1 is higher is rejected
-    and ends the loop, so the recorded stress sequence is non-increasing.
-    RSQ is 1.0 at stress 0.  `on_iteration(iteration, stress)` is invoked
-    once per accepted configuration, the start as iteration 0.
+    from the classical_init coordinates, evaluated once as iteration 0,
+    until the stress-1 improvement drops below `tolerance` or
+    `max_iterations` is hit.  A tie block is fitted in the order of its
+    current distances (Kruskal's primary approach).  An update whose points
+    coincide or whose stress-1 is higher is rejected and ends the loop, so
+    the recorded stress sequence is non-increasing.  RSQ is 1.0 at stress 0.
+    A matrix whose pairs are all equal returns the start at 0 iterations,
+    with a warning (a matrix of zeros: coincident points, which fit
+    exactly).  Otherwise `on_iteration(iteration, stress)` is invoked once
+    per accepted configuration, the start as iteration 0.
     """
     n = len(dissimilarity.item_ids)
     if not 1 <= d <= n - 1:
         raise ParameterError(f"need 1 <= d <= n-1, got d={d} for n={n}")
     off_diag = squareform(dissimilarity.values, checks=False)
-    init = classical_init(dissimilarity, d, seed=seed)
+    start = classical_init(dissimilarity, d, seed=seed)
+    evaluate = _evaluator(off_diag)
+    current = evaluate(start)  # None only for a matrix of zeros
     if np.all(off_diag == off_diag[0]):
         warnings.warn("degenerate dissimilarity matrix (all pairs equal); "
                       "returning the initialization")
-        return init
-    evaluate = _evaluator(off_diag)
-    # classical_init's points coincide only for a matrix of zeros
-    current, iterations, improvement = evaluate(init.coordinates), 0, np.inf
+        return Configuration(dissimilarity.item_ids, start, *_diagnostics(current), 0)
+    iterations, improvement = 0, np.inf
     while True:
         if on_iteration is not None:
             on_iteration(iterations, current.stress)
@@ -265,13 +263,13 @@ def embed(dissimilarity, d, max_iterations=DEFAULT_MAX_ITERATIONS,
                          iterations)
 
 
-def procrustes_align(source, target, allow_scaling=False, allow_reflection=True):
+def procrustes_align(source, target, allow_scaling=False):
     """Least-squares alignment of `source` onto `target`.
 
-    Finds the translation plus orthogonal transform (improper, i.e. with
-    reflection, only when allow_reflection) and optionally a uniform scale
-    minimizing the summed squared point distances.  Returns the aligned
-    configuration and the root-mean-square residual.
+    Finds the translation plus orthogonal transform (reflection included,
+    since an nMDS map is defined only up to one) and optionally a uniform
+    scale minimizing the summed squared point distances.  Returns the
+    aligned configuration and the root-mean-square residual.
     """
     if source.item_ids != target.item_ids:
         raise AlignmentError("configurations must share item_ids in order")
@@ -288,14 +286,8 @@ def procrustes_align(source, target, allow_scaling=False, allow_reflection=True)
     Xc = X - mu_x
     Yc = Y - mu_y
     U, S, Vt = np.linalg.svd(Xc.T @ Yc)
-    signs = np.ones(S.size)
-    if not allow_reflection and np.linalg.det(U @ Vt) < 0:
-        signs[-1] = -1.0  # constrain to a proper rotation
-    R = (U * signs) @ Vt
-    if allow_scaling:
-        scale = float(np.sum(S * signs) / np.sum(Xc * Xc))
-    else:
-        scale = 1.0
+    R = U @ Vt
+    scale = float(np.sum(S) / np.sum(Xc * Xc)) if allow_scaling else 1.0
     aligned = scale * Xc @ R + mu_y
     residual = float(np.sqrt(np.mean(np.sum((aligned - Y) ** 2, axis=1))))
     config = Configuration(source.item_ids, aligned, source.stress,

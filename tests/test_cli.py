@@ -702,7 +702,7 @@ class TestMainCli:
                         "sigma": 3}}
         config_path = tmp_path / "study.json"
         config_path.write_text(json.dumps(doc))
-        bank = StudyConfig.from_file(config_path).bank()
+        bank = StudyConfig.from_file(config_path).filter_bank
         assert (bank.wavenumbers, bank.orientations, bank.sigma) == (
             (2.0, 0.5), (0.0, 1.0), 3.0)
 
@@ -740,6 +740,29 @@ class TestMainCli:
         assert main(["--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config_path}: bad id {item_id!r}")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("role,text,stage", [
+        ("image", "img\ud800", "encode"), ("expresser", "K\udc00", "study"),
+        ("label", "N\ud800", "study")])
+    def test_id_or_label_that_utf8_cannot_encode_is_refused(
+            self, tmp_path, capsys, role, text, stage):
+        # a lone surrogate, from a JSON escape, names no file and writes no text
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        doc = json.loads(config_path.read_text())
+        first = sorted(doc["expressers"])[0]
+        if role == "image":
+            doc["expressers"][text] = doc["expressers"].pop(first)
+        elif role == "expresser":
+            doc["expressers"] = dict.fromkeys(doc["expressers"], text)
+        else:
+            doc["labels"][first] = text
+        config_path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--config", str(config_path), "--stage", stage]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: bad id or label {text!r}")
         assert err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 

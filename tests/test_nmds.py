@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 import gaborface as gf
+from gaborface import nmds
 from gaborface.cli import _read
 from gaborface.errors import (
     AlignmentError,
@@ -55,27 +56,27 @@ class TestClassicalInit:
         pts = np.array([[0.0], [2.0], [7.0]])
         dist = squareform(pdist(pts))
         m = gf.PairMatrix(("a", "b", "c"), dist, "dissimilarity")
-        config = gf.classical_init(m, 1)
-        got = pdist(config.coordinates)
+        coords = gf.classical_init(m, 1)
+        got = pdist(coords)
         np.testing.assert_allclose(sorted(got), sorted(pdist(pts)), atol=1e-6)
 
     def test_all_zero_dissimilarity(self):
         m = gf.PairMatrix(("a", "b", "c"), np.zeros((3, 3)), "dissimilarity")
-        config = gf.classical_init(m, 2)
-        np.testing.assert_array_equal(config.coordinates, np.zeros((3, 2)))
+        coords = gf.classical_init(m, 2)
+        np.testing.assert_array_equal(coords, np.zeros((3, 2)))
 
     def test_planted_2d_recovery(self):
         m, pts = planted_matrix(np.random.default_rng(0), 12, 2)
-        config = gf.classical_init(m, 2)
-        np.testing.assert_allclose(pdist(config.coordinates), pdist(pts),
+        coords = gf.classical_init(m, 2)
+        np.testing.assert_allclose(pdist(coords), pdist(pts),
                                    rtol=1e-6)
 
     def test_deterministic_and_sign_fixed(self):
         m, _ = planted_matrix(np.random.default_rng(1), 8, 2)
         c1 = gf.classical_init(m, 2)
         c2 = gf.classical_init(m, 2)
-        np.testing.assert_array_equal(c1.coordinates, c2.coordinates)
-        for col in c1.coordinates.T:
+        np.testing.assert_array_equal(c1, c2)
+        for col in c1.T:
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_deficient_dimension_falls_back_flagged(self):
@@ -83,8 +84,8 @@ class TestClassicalInit:
         dist = squareform(pdist(pts))
         m = gf.PairMatrix(tuple("abcd"), dist, "dissimilarity")
         with pytest.warns(UserWarning, match="positive eigenvalues"):
-            config = gf.classical_init(m, 3)
-        assert config.coordinates.shape == (4, 3)
+            coords = gf.classical_init(m, 3)
+        assert coords.shape == (4, 3)
 
     def test_rejects_similarity_matrix(self):
         m = gf.PairMatrix(("a", "b", "c"), np.ones((3, 3)), "similarity")
@@ -93,7 +94,7 @@ class TestClassicalInit:
                 start(m, 1)
 
     @pytest.mark.parametrize("tied", [False, True], ids=["exact-fit", "tied"])
-    def test_diagnostics_are_embeds_at_zero_iterations(self, tied):
+    def test_embed_at_zero_iterations_is_the_start(self, tied):
         pts = np.random.default_rng(0).uniform(-1, 1, (12, 2))
         dist = squareform(pdist(pts))
         if tied:
@@ -102,10 +103,29 @@ class TestClassicalInit:
                           "dissimilarity")
         start = gf.classical_init(m, 2)
         embedded = gf.embed(m, 2, max_iterations=0)
-        assert (start.stress, start.rsq) == (embedded.stress, embedded.rsq)
-        assert start.iterations == embedded.iterations == 0
+        assert embedded.iterations == 0
+        # embed re-centres its result; the start is centred already
+        np.testing.assert_allclose(embedded.coordinates, start, rtol=0, atol=1e-12)
         if not tied:
-            assert (start.stress, start.rsq) == (0.0, 1.0)
+            assert (embedded.stress, embedded.rsq) == (0.0, 1.0)
+        else:
+            # Kruskal's primary approach: a tie block in start-distance order
+            distances = pdist(start)
+            fit = gf.isotonic_fit(distances, np.lexsort((distances, squareform(dist))))
+            assert embedded.stress == gf.stress1(distances, fit)
+
+    def test_embed_evaluates_its_start_once(self, monkeypatch):
+        # one disparity fit for the start and one per Guttman step; the loop
+        # ends at max_iterations, so it evaluates no rejected step
+        fits = []
+        fit = nmds.isotonic_fit
+        monkeypatch.setattr(nmds, "isotonic_fit",
+                            lambda *args: fits.append(args) or fit(*args))
+        m, _ = planted_matrix(np.random.default_rng(6), 20, 2,
+                              transform=lambda d: d ** 2)
+        config = gf.embed(m, 2, max_iterations=5)
+        assert config.iterations == 5
+        assert len(fits) == config.iterations + 1
 
 
 class TestIsotonicFit:
@@ -294,14 +314,13 @@ def rotation(theta):
                      [math.sin(theta), math.cos(theta)]])
 
 
-def grid_search_residual(X, Y, allow_reflection=True, steps=3600):
-    """Best RMS residual over rotations (optionally times reflection) and
-    optimal translation."""
+def grid_search_residual(X, Y, steps=3600):
+    """Best RMS residual over rotations, each with and without a reflection,
+    and optimal translation."""
     Xc = X - X.mean(axis=0)
     Yc = Y - Y.mean(axis=0)
     best = math.inf
-    flips = [1.0, -1.0] if allow_reflection else [1.0]
-    for flip in flips:
+    for flip in (1.0, -1.0):
         F = np.diag([1.0, flip])
         for i in range(steps):
             R = rotation(2 * math.pi * i / steps)
@@ -326,18 +345,14 @@ class TestProcrustesAlign:
                                           config_from_points(moved))
         assert residual < 1e-9
 
-    def test_reflection_only_when_permitted(self):
+    def test_reflection_recovered(self):
+        # an nMDS map is defined only up to reflection
         rng = np.random.default_rng(2)
         pts = rng.uniform(-3, 3, (7, 2))
         reflected = pts @ np.diag([-1.0, 1.0])
-        src = config_from_points(pts)
-        tgt = config_from_points(reflected)
-        _, with_refl = gf.procrustes_align(src, tgt, allow_reflection=True)
-        assert with_refl < 1e-9
-        _, without = gf.procrustes_align(src, tgt, allow_reflection=False)
-        oracle = grid_search_residual(pts, reflected, allow_reflection=False)
-        assert without <= oracle + 1e-9
-        assert without == pytest.approx(oracle, rel=1e-3)
+        _, residual = gf.procrustes_align(config_from_points(pts),
+                                          config_from_points(reflected))
+        assert residual < 1e-9
 
     def test_beats_grid_search(self):
         rng = np.random.default_rng(3)
