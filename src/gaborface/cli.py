@@ -28,13 +28,13 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import gabor, grid, nmds, rank_stats, ratings
-from .errors import FormatError, RuntimeFailure, ValidationError
+from .errors import FormatError, RuntimeFailure, ValidationError, require_known_keys
 from .similarity import PairMatrix, pairwise_matrix
 
 FEAR_LABEL = "FE"
@@ -110,7 +110,11 @@ class StudyConfig:
 
         if not isinstance(doc, dict):
             raise ValidationError("must be a JSON object")
+        require_known_keys(doc, ("image_dir", "grid_dir", "ratings", "out_dir",
+                                 "expressers", "labels", "bank", "options",
+                                 "exclude_from_average"), "top-level")
         opts = section("options")
+        require_known_keys(opts, [f.name for f in fields(StudyOptions)], "options")
         expressers = section("expressers")
         labels = section("labels")
         if not all(isinstance(e, str) for e in expressers.values()):
@@ -561,13 +565,10 @@ def main(argv=None):
     parser.add_argument("--stage", choices=sorted((*_STAGES, "study")),
                         default="study")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--seed", type=int, help="override the study seed")
     parser.add_argument(
         "--threads", type=int, default=1, metavar="N",
         help="accepted for N >= 1 and changes nothing: every stage runs on "
              "one thread")
-    parser.add_argument("--exclude", default="",
-                        help="comma-separated expressers excluded from averages")
     parser.add_argument("--no-fear", action="store_true",
                         help="drop fear-labelled images and the fear rating "
                              "column before analysis")
@@ -577,12 +578,8 @@ def main(argv=None):
         config = StudyConfig.from_file(args.config)
         if args.out:
             config.out_dir = Path(args.out).resolve()
-        if args.seed is not None:
-            config.options = replace(config.options, seed=args.seed)
         if args.threads < 1:
             raise ValidationError(f"need --threads >= 1, got {args.threads}")
-        if args.exclude:
-            config.exclude_from_average = tuple(e for e in args.exclude.split(",") if e)
         if args.no_fear:
             config.drop_fear()
         if args.stage == "study":

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the number check of
-every document loader.
+"""Exception types shared across the toolkit, and the number and key
+checks of the document loaders.
 
 Everything derives from ValidationError (bad inputs, exit code 1 in the
 CLI) or RuntimeFailure (a computation that could not proceed, exit code 2).
@@ -47,3 +47,11 @@ def require_numbers(values, what):
     for kind in set(map(type, values)):
         if kind is bool or not issubclass(kind, numbers.Real):
             raise FormatError(f"{what} must be numbers, got {kind.__name__}")
+
+
+def require_known_keys(doc, known, section):
+    """Raise FormatError if the dict `doc` has a key outside `known`, so
+    that a misspelled key is refused, not ignored for its default."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise FormatError(f"unknown {section} key {unknown[0]!r}")

@@ -18,7 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, OutOfBoundsError, ParameterError, require_numbers
+from .errors import (FormatError, OutOfBoundsError, ParameterError, require_known_keys,
+                     require_numbers)
 from .grid import load_grid
 
 DEFAULT_WAVENUMBERS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -115,11 +116,13 @@ class FilterBank:
         """The FilterBank of a bank document: JSON lists of numbers
         "wavenumbers" and "orientations" and a number "sigma".  With
         `defaults` a missing field takes the default bank's value; without,
-        it is an error.  Every error names its field."""
+        it is an error, and so is any other key.  Every error names its field."""
         if not isinstance(doc, dict):
             raise FormatError("bank must be an object")
+        names = ("wavenumbers", "orientations", "sigma")
+        require_known_keys(doc, names, "bank")
         fields = {}
-        for name in ("wavenumbers", "orientations", "sigma"):
+        for name in names:
             if name not in doc:
                 if defaults:
                     continue
@@ -257,10 +260,13 @@ def read_pgm(data):
         pos = m.end()
     if tokens[0] != b"P5":
         raise FormatError(f"not a binary PGM (magic {tokens[0]!r}, expected P5)")
+    for name, token in zip(("width", "height", "maxval"), tokens[1:]):
+        if not token.isdigit():  # int() would also take b"+2" and b"2_0"
+            raise FormatError(f"PGM {name} must be decimal digits, got {token!r}")
     try:
         width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise FormatError(f"non-numeric PGM header field: {exc}") from exc
+    except ValueError as exc:  # over int()'s 4,300-digit limit
+        raise FormatError(f"PGM header field too long: {exc}") from exc
     if maxval <= 0 or maxval > 255:
         raise FormatError(f"only 8-bit PGM supported, maxval {maxval}")
     if width < 1 or height < 1:

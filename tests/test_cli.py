@@ -552,20 +552,14 @@ class TestMainCli:
             f"error: {path}: holds image_id 'other', not 'img01'\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flags,excluded", [
-        (["--exclude", "SY,NOPE"], []), ([], ["NOPE", "SY", "ZZ"])],
-        ids=["flag", "config"])
-    def test_unknown_excluded_expresser_exits_one(self, matrices_study, capsys,
-                                                  flags, excluded):
+    def test_unknown_excluded_expresser_exits_one(self, matrices_study, capsys):
         doc = json.loads(matrices_study.read_text())
-        doc["exclude_from_average"] = excluded
+        doc["exclude_from_average"] = ["NOPE", "SY", "ZZ"]
         config_path = matrices_study.with_name("unknown_excluded.json")
         config_path.write_text(json.dumps(doc))
-        unknown = ["NOPE", "ZZ"] if excluded else ["NOPE"]
-        assert main(["--config", str(config_path), "--stage", "correlate",
-                     *flags]) == 1
+        assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
         assert capsys.readouterr().err == (
-            f"error: cannot exclude unknown expressers {unknown} from the "
+            "error: cannot exclude unknown expressers ['NOPE', 'ZZ'] from the "
             "average\n")
 
     def test_unknown_excluded_expresser_fails_library_callers(self, study):
@@ -859,31 +853,48 @@ class TestMainCli:
         assert (tree_digest(study / "out" / "embeddings")
                 == tree_digest(scanned_study / "embeddings"))
 
-    @pytest.mark.parametrize("options,flags", [
-        ({"seed": -1, "permutations": 20}, []),
-        ({"permutations": 20}, ["--seed", "-5"]),
-        ({}, ["--threads", "0"]),
-        ({}, ["--threads", "-2"]),
-        ({"tolerance": math.nan}, []),
-        ({"tolerance": math.inf}, []),
-        ({"tolerance": -1e-6}, []),
-        ({"max_iterations": -1}, []),
-        ({"scan_dims": -2}, []),
-        ({"scan_dims": 0}, []),
-        ({"dims": 0}, []),
-        ({"permutation": 1000}, []),
-    ], ids=["seed", "seed-flag", "threads-0", "threads-negative", "tolerance-nan",
+    @pytest.mark.parametrize("change,flags,message", [
+        ({"options": {"seed": -1, "permutations": 20}}, [], "need seed >= 0, got -1"),
+        ({}, ["--threads", "0"], "need --threads >= 1, got 0"),
+        ({}, ["--threads", "-2"], "need --threads >= 1, got -2"),
+        ({"options": {"tolerance": math.nan}}, [], "need a finite tolerance >= 0, got nan"),
+        ({"options": {"tolerance": math.inf}}, [], "need a finite tolerance >= 0, got inf"),
+        ({"options": {"tolerance": -1e-6}}, [],
+         "need a finite tolerance >= 0, got -1e-06"),
+        ({"options": {"max_iterations": -1}}, [], "need max_iterations >= 0, got -1"),
+        ({"options": {"scan_dims": -2}}, [], "need scan_dims >= 1, got -2"),
+        ({"options": {"scan_dims": 0}}, [], "need scan_dims >= 1, got 0"),
+        ({"options": {"dims": 0}}, [], "need dims >= 1, got 0"),
+        ({"options": {"permutation": 1000}}, [], "unknown options key 'permutation'"),
+        ({"option": {"dims": 3}}, [], "unknown top-level key 'option'"),
+        ({"bank": {"sigmas": 2.0}}, [], "unknown bank key 'sigmas'"),
+    ], ids=["seed", "threads-0", "threads-negative", "tolerance-nan",
             "tolerance-inf", "tolerance-negative", "max-iterations",
-            "scan-dims-negative", "scan-dims-0", "dims-0", "unknown-option"])
-    def test_bad_option_exits_one(self, matrices_study, capsys, options, flags):
+            "scan-dims-negative", "scan-dims-0", "dims-0", "unknown-option",
+            "top-level", "bank"])
+    def test_bad_option_exits_one(self, matrices_study, capsys, change, flags,
+                                  message):
         doc = json.loads(matrices_study.read_text())
-        doc["options"].update(options)
+        for key, value in change.items():
+            doc[key] = {**doc.get(key, {}), **value}
         config_path = matrices_study.with_name("bad_options.json")
         config_path.write_text(json.dumps(doc))
         assert main(["--config", str(config_path), "--stage", "correlate",
                      *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.endswith(f": {message}\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--exclude", "KA"]],
+                             ids=["seed", "exclude"])
+    def test_seed_and_exclude_flags_are_refused(self, tmp_path, capsys, flags):
+        # the config's options.seed and exclude_from_average set these values
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--config", str(config_path), *flags])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_permutation_test_shares_one_stream_per_expresser(self, tmp_path,
                                                               monkeypatch):

@@ -451,6 +451,17 @@ class TestPgmIO:
         with pytest.raises(FormatError, match="one whitespace byte"):
             gf.read_pgm(data)
 
+    @pytest.mark.parametrize("header,field", [
+        (b"P5 +2 1 255\n", "width"), (b"P5 2_0 1 255\n", "width"),
+        (b"P5 2 -1 255\n", "height"), (b"P5 2 1 +255\n", "maxval"),
+        (b"P5 2 1 2_55\n", "maxval")],
+        ids=["width-sign", "width-underscore", "height-sign", "maxval-sign",
+             "maxval-underscore"])
+    def test_rejects_a_header_number_that_is_not_decimal_digits(self, header, field):
+        # netpbm header numbers are ASCII decimal digits; int() takes more
+        with pytest.raises(FormatError, match=f"PGM {field} must be decimal digits"):
+            gf.read_pgm(header + bytes(20))
+
     def test_rejects_non_p5(self):
         with pytest.raises(FormatError):
             gf.read_pgm(b"P2\n2 2\n255\n0 0 0 0")
