@@ -42,6 +42,8 @@ FEAR_ADJECTIVE = "fear"
 MIN_GROUP_SIZE = 4  # 6 pairs; significance needs at least 4
 MEASURES = ("gabor", "geometry")  # the models correlated with the ratings
 EMBEDDED = ("gabor", "semantic")  # the matrices embedded, aligned and plotted
+CONFIG_KEYS = ("image_dir", "grid_dir", "ratings", "out_dir", "expressers",
+               "labels", "bank", "options", "exclude_from_average", "no_fear")
 
 
 @dataclass
@@ -88,7 +90,7 @@ class StudyConfig:
     filter_bank: gabor.FilterBank = gabor.FilterBank()
     options: StudyOptions = field(default_factory=StudyOptions)
     exclude_from_average: tuple = ()
-    no_fear: bool = False  # set by drop_fear()
+    no_fear: bool = False  # from_file drops FE images; matrices the fear column
 
     @classmethod
     def from_file(cls, path):
@@ -110,15 +112,17 @@ class StudyConfig:
 
         if not isinstance(doc, dict):
             raise ValidationError("must be a JSON object")
-        require_known_keys(doc, ("image_dir", "grid_dir", "ratings", "out_dir",
-                                 "expressers", "labels", "bank", "options",
-                                 "exclude_from_average"), "top-level")
+        require_known_keys(doc, CONFIG_KEYS, "top-level")
         opts = section("options")
         require_known_keys(opts, [f.name for f in fields(StudyOptions)], "options")
         expressers = section("expressers")
         labels = section("labels")
         if not all(isinstance(e, str) for e in expressers.values()):
             raise ValidationError("expresser ids must be strings")
+        for image_id, label in labels.items():
+            if not isinstance(label, str):
+                raise ValidationError(f"the label of {image_id!r} must be a "
+                                      f"string, got {label!r}")
         for item in (*expressers, *expressers.values()):
             # ids name files under out/ and fill unquoted CSV cells
             if item in ("", ".", "..") or any(c in item for c in '/\0,"\r\n'):
@@ -128,15 +132,26 @@ class StudyConfig:
         for text in (*expressers, *expressers.values(), *labels.values()):
             # a JSON escape such as "\ud800" gives a lone surrogate, which the
             # UTF-8 of a file name, CSV cell or SVG label cannot encode
-            if isinstance(text, str) and any("\ud800" <= c <= "\udfff" for c in text):
+            if any("\ud800" <= c <= "\udfff" for c in text):
                 raise ValidationError(f"bad id or label {text!r}: holds a lone surrogate")
         if "Average" in expressers.values():  # the summaries' mean row
             raise ValidationError("bad id 'Average': an expresser id must not be "
                                   "'Average', the label of the summaries' mean row")
+        unknown = sorted(set(labels) - set(expressers))
+        if unknown:  # not refused: a slice of a study keeps its whole labels
+            warnings.warn(f"{len(unknown)} 'labels' id(s) name no image of "
+                          f"'expressers', first {unknown[0]!r}; their labels "
+                          "are ignored")
         exclude = doc.get("exclude_from_average", [])
         if not (isinstance(exclude, list) and all(isinstance(e, str) for e in exclude)):
             raise ValidationError("'exclude_from_average' must be a list of "
                                   "expresser ids")
+        no_fear = doc.get("no_fear", False)
+        if not isinstance(no_fear, bool):
+            raise ValidationError(f"'no_fear' must be true or false, got {no_fear!r}")
+        if no_fear:
+            expressers = {i: e for i, e in expressers.items()
+                          if labels.get(i) != FEAR_LABEL}
         try:
             config = cls(
                 image_dir=resolve("image_dir"),
@@ -149,6 +164,7 @@ class StudyConfig:
                                                            defaults=True),
                 options=StudyOptions(**opts),
                 exclude_from_average=tuple(exclude),
+                no_fear=no_fear,
             )
         except ValidationError:
             raise
@@ -170,14 +186,6 @@ class StudyConfig:
         for image_id in self.image_ids():
             groups.setdefault(self.expressers[image_id], []).append(image_id)
         return dict(sorted(groups.items()))
-
-    def drop_fear(self):
-        """Remove fear-labelled images.  The fear rating column is dropped
-        by the matrices stage, which reads `no_fear`."""
-        keep = {i: e for i, e in self.expressers.items()
-                if self.labels.get(i) != FEAR_LABEL}
-        self.expressers = keep
-        self.no_fear = True
 
 
 @contextmanager
@@ -275,7 +283,7 @@ def _read(path, parse, form="json", stage=None):
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if form == "json":
         try:
-            data = json.loads(data)
+            data = json.loads(data, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, an integer of over 4,300 digits, deep nesting
             raise FormatError(f"{path}: malformed JSON: {exc}") from exc
@@ -283,6 +291,17 @@ def _read(path, parse, form="json", stage=None):
         return parse(data)
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _unique_keys(pairs):
+    """A JSON object's dict; a repeated key is a ValueError, where json.loads
+    alone would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"repeated key {repeated!r}")
+    return doc
 
 
 def _outputs(config, stage, key):
@@ -569,9 +588,6 @@ def main(argv=None):
         "--threads", type=int, default=1, metavar="N",
         help="accepted for N >= 1 and changes nothing: every stage runs on "
              "one thread")
-    parser.add_argument("--no-fear", action="store_true",
-                        help="drop fear-labelled images and the fear rating "
-                             "column before analysis")
     args = parser.parse_args(argv)
 
     try:
@@ -580,8 +596,6 @@ def main(argv=None):
             config.out_dir = Path(args.out).resolve()
         if args.threads < 1:
             raise ValidationError(f"need --threads >= 1, got {args.threads}")
-        if args.no_fear:
-            config.drop_fear()
         if args.stage == "study":
             run_study(config)
         else:

@@ -5,8 +5,8 @@ warp, grid placements whose nodes track the warp, and ratings whose
 first adjective grows linearly with the warp parameter.  Without fear,
 semantic distance is then exactly proportional to the parameter
 difference, so a faithful image code should rank-correlate strongly with
-it.  The first image alone is rated 5.0 on fear, so a `--no-fear` run
-that kept the fear column would change the semantic matrix.
+it.  The first image alone is rated 5.0 on fear, so a `"no_fear": true`
+study that kept the fear column would change the semantic matrix.
 """
 
 import json

@@ -12,6 +12,7 @@ import math
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.spatial.distance import pdist, squareform
 
 import gaborface as gf
-from gaborface.cli import StudyConfig, main, run_study
+from gaborface.cli import StudyConfig, _read, main, run_study
 from gaborface.grid import NODE_COUNT
 from oracles import amplitude, filter_response, gabor_image_similarity
 from synthetic_study import make_synthetic_study
@@ -235,23 +236,25 @@ def test_criterion_8_end_to_end_synthetic_study(tmp_path):
 
 
 def jaffe_config(path, no_fear):
-    """The study config of criterion 9; with `no_fear`, the fear-excluded
-    study that `--no-fear` runs: no fear-labelled image, no fear column."""
-    config = StudyConfig.from_file(path)
-    if no_fear:
-        config.drop_fear()
-    return config
+    """The study config of criterion 9 with its `no_fear` field set: with
+    true, the fear-excluded study, no fear-labelled image, no fear column."""
+    path = Path(path)
+    return _read(path, lambda doc: StudyConfig._from_document(
+        {**doc, "no_fear": no_fear}, path.parent))
 
 
 def test_jaffe_config_drops_fear_only_when_asked(tmp_path):
     config_path = make_synthetic_study(tmp_path / "study", n_images=5)
     doc = json.loads(config_path.read_text())
     doc["labels"]["img00"] = "FE"
+    doc["no_fear"] = True
     config_path.write_text(json.dumps(doc))
+    # GABORFACE_JAFFE_NO_FEAR, not the config file, sets the field
     everything = jaffe_config(config_path, no_fear=False)
     assert everything.image_ids()[0] == "img00" and not everything.no_fear
     fearless = jaffe_config(config_path, no_fear=True)
     assert fearless.image_ids() == everything.image_ids()[1:] and fearless.no_fear
+    assert fearless == StudyConfig.from_file(config_path)
 
 
 @pytest.mark.skipif("GABORFACE_JAFFE_STUDY" not in os.environ,

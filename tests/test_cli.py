@@ -81,6 +81,13 @@ def edit_json(change):
     return edit
 
 
+def set_no_fear(config_path, no_fear):
+    """Rewrite the study config at `config_path` with `no_fear` set."""
+    doc = json.loads(config_path.read_text())
+    doc["no_fear"] = no_fear
+    config_path.write_text(json.dumps(doc))
+
+
 def infinite_pair(matrix_doc):
     matrix_doc["values"][0][1] = matrix_doc["values"][1][0] = math.inf
 
@@ -232,9 +239,9 @@ class TestMainCli:
         doc = json.loads(config_path.read_text())
         victim = sorted(doc["labels"])[0]
         doc["labels"][victim] = "FE"
+        doc["no_fear"] = True
         config_path.write_text(json.dumps(doc))
-        assert main(["--config", str(config_path), "--stage", "encode",
-                     "--no-fear"]) == 0
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 0
         out = tmp_path / "out" / "jets"
         assert not (out / f"{victim}.json").exists()
         assert len(list(out.glob("*.json"))) == 4
@@ -578,14 +585,14 @@ class TestMainCli:
         assert rewritten != original
         matrix = tmp_path / "out" / "matrices" / "SY_semantic.json"
 
-        def semantic(table, *flags):
+        def semantic(table, no_fear=False):
             ratings_path.write_text(table)
+            set_no_fear(config_path, no_fear)
             for stage in ("encode", "matrices"):
-                assert main(["--config", str(config_path), "--stage", stage,
-                             *flags]) == 0
+                assert main(["--config", str(config_path), "--stage", stage]) == 0
             return matrix.read_bytes()
 
-        assert semantic(rewritten, "--no-fear") == semantic(original, "--no-fear")
+        assert semantic(rewritten, no_fear=True) == semantic(original, no_fear=True)
         assert semantic(rewritten) != semantic(original)
 
     def test_no_fear_drops_a_fear_column_named_with_spaces(self, tmp_path):
@@ -597,15 +604,34 @@ class TestMainCli:
         spaced = header.replace(",", ", ") + "\n" + rows
         matrix = tmp_path / "out" / "matrices" / "SY_semantic.json"
 
-        def semantic(table, *flags):
+        def semantic(table, no_fear=False):
             ratings_path.write_text(table)
-            assert main(["--config", str(config_path), "--stage", "matrices",
-                         *flags]) == 0
+            set_no_fear(config_path, no_fear)
+            assert main(["--config", str(config_path), "--stage", "matrices"]) == 0
             return matrix.read_bytes()
 
         # the fixture's fear ratings are not all equal, so dropping them shows
-        assert semantic(plain, "--no-fear") != semantic(plain)
-        assert semantic(spaced, "--no-fear") == semantic(plain, "--no-fear")
+        assert semantic(plain, no_fear=True) != semantic(plain)
+        assert semantic(spaced, no_fear=True) == semantic(plain, no_fear=True)
+
+    def test_no_fear_stage_by_stage_matches_study(self, tmp_path):
+        # every stage reads no_fear from the config, so separate calls
+        # cannot mix a fear-free matrix with a summary of every image
+        config_path = make_synthetic_study(tmp_path, n_images=8)
+        doc = json.loads(config_path.read_text())
+        for image_id in ("img02", "img05"):
+            doc["labels"][image_id] = "FE"
+        doc["no_fear"] = True
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path), "--out",
+                     str(tmp_path / "whole")]) == 0
+        for stage in ("encode", "matrices", "correlate"):
+            assert main(["--config", str(config_path), "--stage", stage,
+                         "--out", str(tmp_path / "staged")]) == 0
+        summary = (tmp_path / "staged" / "summary.csv").read_bytes()
+        assert summary == (tmp_path / "whole" / "summary.csv").read_bytes()
+        assert summary.splitlines()[1].endswith(b",15")  # 6 images, 15 pairs
+        assert not (tmp_path / "staged" / "jets" / "img02.json").exists()
 
     @pytest.mark.parametrize("change", [
         {"options": {"dims": "x"}},
@@ -767,6 +793,7 @@ class TestMainCli:
         doc = json.loads(config_path.read_text())
         first = sorted(doc["expressers"])[0]
         doc["expressers"]["Average"] = doc["expressers"].pop(first)
+        doc["labels"]["Average"] = doc["labels"].pop(first)
         config_path.write_text(json.dumps(doc))
         assert "Average" in StudyConfig.from_file(config_path).expressers
         doc["expressers"] = dict.fromkeys(doc["expressers"], "Average")
@@ -868,15 +895,18 @@ class TestMainCli:
         ({"options": {"permutation": 1000}}, [], "unknown options key 'permutation'"),
         ({"option": {"dims": 3}}, [], "unknown top-level key 'option'"),
         ({"bank": {"sigmas": 2.0}}, [], "unknown bank key 'sigmas'"),
+        ({"no_fear": "yes"}, [], "'no_fear' must be true or false, got 'yes'"),
+        ({"labels": {"img01": 3}}, [], "the label of 'img01' must be a string, got 3"),
     ], ids=["seed", "threads-0", "threads-negative", "tolerance-nan",
             "tolerance-inf", "tolerance-negative", "max-iterations",
             "scan-dims-negative", "scan-dims-0", "dims-0", "unknown-option",
-            "top-level", "bank"])
+            "top-level", "bank", "no-fear", "label"])
     def test_bad_option_exits_one(self, matrices_study, capsys, change, flags,
                                   message):
         doc = json.loads(matrices_study.read_text())
         for key, value in change.items():
-            doc[key] = {**doc.get(key, {}), **value}
+            doc[key] = ({**doc.get(key, {}), **value} if isinstance(value, dict)
+                        else value)
         config_path = matrices_study.with_name("bad_options.json")
         config_path.write_text(json.dumps(doc))
         assert main(["--config", str(config_path), "--stage", "correlate",
@@ -885,16 +915,48 @@ class TestMainCli:
         assert err.startswith("error: ") and err.endswith(f": {message}\n")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--exclude", "KA"]],
-                             ids=["seed", "exclude"])
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--exclude", "KA"],
+                                       ["--no-fear"]],
+                             ids=["seed", "exclude", "no-fear"])
     def test_seed_and_exclude_flags_are_refused(self, tmp_path, capsys, flags):
-        # the config's options.seed and exclude_from_average set these values
+        # the config's options.seed, exclude_from_average and no_fear set
+        # these values
         config_path = make_synthetic_study(tmp_path, n_images=4)
         with pytest.raises(SystemExit) as exit_:
             main(["--config", str(config_path), *flags])
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"options": {"dims": 2, "seed": 11}, "options": {"dims": 3, "seed": 5}',
+         "options"),
+        ('{"options": {"dims": 2, "seed": 11, "dims": 3}', "dims"),
+    ], ids=["top-level", "options"])
+    def test_repeated_config_key_exits_one(self, tmp_path, capsys, text, key):
+        # json.loads alone keeps the last value of a repeated key
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        doc = json.loads(config_path.read_text())
+        del doc["options"]
+        config_path.write_text(text + ", " + json.dumps(doc)[1:])
+        assert main(["--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: malformed JSON: "
+                              f"repeated key {key!r}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_label_of_an_unknown_image_warns(self, tmp_path):
+        # a misspelled id does not label the image meant, so no_fear keeps it
+        config_path = make_synthetic_study(tmp_path, n_images=5)
+        doc = json.loads(config_path.read_text())
+        doc["labels"]["img0"] = "FE"
+        doc["no_fear"] = True
+        config_path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match=r"1 'labels' id\(s\) name no image "
+                                             "of 'expressers', first 'img0'"):
+            assert main(["--config", str(config_path), "--stage", "encode"]) == 0
+        assert len(list((tmp_path / "out" / "jets").glob("*.json"))) == 5
 
     def test_permutation_test_shares_one_stream_per_expresser(self, tmp_path,
                                                               monkeypatch):

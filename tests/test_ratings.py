@@ -56,12 +56,12 @@ class TestLoadRatings:
         ("image_id,a,,b,c,d", "column 3: adjective ''"),
     ], ids=["repeated", "empty"])
     def test_repeated_or_empty_adjective(self, header, column):
-        # a second fear column would survive --no-fear, which drops the first
+        # a second fear column would survive no_fear, which drops the first
         with pytest.raises(FormatError, match=column):
             gf.load_ratings(header + "\na,1,2,3,4,5\n")
 
     def test_spaces_around_header_cells_dropped(self):
-        # else --no-fear looks for "fear", finds " fear" and keeps the column
+        # else no_fear looks for "fear", finds " fear" and keeps the column
         table = gf.load_ratings(
             "image_id, happiness, sadness, surprise, anger, disgust, fear\n"
             "a,1,2,3,4,5,1\n")

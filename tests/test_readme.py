@@ -1,6 +1,7 @@
 """The README's library example stays in step with the package's exports,
-its CLI synopsis with the parser, and every public function and class of
-the package has a use outside the tests."""
+its CLI synopsis with the parser, its config example with the config
+reader, and every public function and class of the package has a use
+outside the tests."""
 
 import ast
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gaborface as gf
-from gaborface.cli import main
+from gaborface.cli import CONFIG_KEYS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -39,6 +40,13 @@ def test_cli_synopsis_names_the_parser_options(capsys):
     usage = capsys.readouterr().out.split("\n\n")[0]
     long_options = re.compile(r"--[a-z][a-z-]*")
     assert sorted(long_options.findall(synopsis)) == sorted(long_options.findall(usage))
+
+
+def test_config_example_shows_every_top_level_key():
+    # a key the config reader accepts cannot go undocumented
+    [example] = re.findall(r'^```json\n(\{\n  "image_dir".*?)^```',
+                           README.read_text(encoding="utf-8"), re.M | re.S)
+    assert sorted(re.findall(r'^  "(\w+)":', example, re.M)) == sorted(CONFIG_KEYS)
 
 
 def test_every_public_definition_has_a_caller():
