@@ -90,7 +90,7 @@ class StudyConfig:
     filter_bank: gabor.FilterBank = gabor.FilterBank()
     options: StudyOptions = field(default_factory=StudyOptions)
     exclude_from_average: tuple = ()
-    no_fear: bool = False  # from_file drops FE images; matrices the fear column
+    no_fear: bool = False  # image_ids leaves out FE images; matrices the fear column
 
     @classmethod
     def from_file(cls, path):
@@ -149,9 +149,6 @@ class StudyConfig:
         no_fear = doc.get("no_fear", False)
         if not isinstance(no_fear, bool):
             raise ValidationError(f"'no_fear' must be true or false, got {no_fear!r}")
-        if no_fear:
-            expressers = {i: e for i, e in expressers.items()
-                          if labels.get(i) != FEAR_LABEL}
         try:
             config = cls(
                 image_dir=resolve("image_dir"),
@@ -178,7 +175,9 @@ class StudyConfig:
         return self.filter_bank
 
     def image_ids(self):
-        return sorted(self.expressers)
+        """Sorted image ids; with no_fear set, less the FE-labelled ones."""
+        return sorted(i for i in self.expressers
+                      if not (self.no_fear and self.labels.get(i) == FEAR_LABEL))
 
     def groups(self):
         """expresser_id -> sorted image ids."""
@@ -236,14 +235,13 @@ def _encode(config):
     placements = {i: _read(config.grid_dir / f"{i}.json",
                            lambda doc, i=i: _require_id(grid.load_grid(doc), i))
                   for i in config.image_ids()}
-    work = {}  # compute_jets' work arrays (~2 MB), kept for the stage
 
     def unit(image_id, out):
         pixels = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
         placement = placements[image_id]
         if tuple(placement.source_size) != pixels.shape[::-1]:
             placement = grid.rescale_placement(placement, pixels.shape[::-1])
-        jets = gabor.compute_jets(pixels, bank, placement.points, work=work)
+        jets = gabor.compute_jets(pixels, bank, placement.points)
         _write_json(out[".json"], gabor.jet_document(image_id, bank, placement, jets))
     return unit
 
@@ -310,9 +308,17 @@ def _outputs(config, stage, key):
     return {n: config.out_dir / directory / f"{key}{n}" for n in names}
 
 
-def _load(config, stage, key, name, parse):
-    """parse() of `key`'s `name` file of `stage`."""
-    return _read(_outputs(config, stage, key)[name], parse, stage=stage)
+def _load(config, stage, expresser, ids, name, parse):
+    """parse() of `expresser`'s `name` file of `stage`, a matrix or
+    configuration that must be of the items `ids`, the expresser's images."""
+    def of_ids(data):
+        loaded = parse(data)
+        if loaded.item_ids != tuple(ids):
+            raise ValidationError(
+                f"its {len(loaded.item_ids)} items are not the expresser's "
+                f"{len(ids)} images in the config; re-run the {stage} stage")
+        return loaded
+    return _read(_outputs(config, stage, expresser)[name], of_ids, stage=stage)
 
 
 def _attempt(config, stage, key, run):
@@ -391,7 +397,8 @@ def _matrices(config):
     def unit(expresser, ids, out):
         semantic = ratings.semantic_matrix(table, ids)
         placements, jets = zip(*(
-            _load(config, "encode", i, ".json", lambda doc, i=i: coded_image(doc, i))
+            _read(_outputs(config, "encode", i)[".json"],
+                  lambda doc, i=i: coded_image(doc, i), stage="encode")
             for i in ids))
         matrices = {
             "gabor": pairwise_matrix(list(zip(ids, jets)), "gabor"),
@@ -417,7 +424,8 @@ def _correlate(config):
 
     def unit(expresser, ids, out):
         semantic, *models = (
-            _load(config, "matrices", expresser, f"_{m}.json", PairMatrix.from_document)
+            _load(config, "matrices", expresser, ids, f"_{m}.json",
+                  PairMatrix.from_document)
             for m in ("semantic", *MEASURES))
         results = rank_stats.correlate_model_with_ratings(
             models, semantic, permutations=opts.permutations, seed=opts.seed)
@@ -476,7 +484,7 @@ def _embed(config):
         configs = {}
         for measure in EMBEDDED:
             matrix = _model_dissimilarity(_load(
-                config, "matrices", expresser, f"_{measure}.json",
+                config, "matrices", expresser, ids, f"_{measure}.json",
                 PairMatrix.from_document))
             n = len(matrix.item_ids)
             dims = min(opts.dims, n - 1)
@@ -497,7 +505,7 @@ def _align(config):
     """Procrustes-align each Gabor configuration onto the semantic one."""
     def unit(expresser, ids, out):
         source, target = (
-            _load(config, "embed", expresser, f"_{m}.json",
+            _load(config, "embed", expresser, ids, f"_{m}.json",
                   nmds.Configuration.from_document)
             for m in EMBEDDED)
         aligned, residual = nmds.procrustes_align(source, target)
@@ -550,7 +558,7 @@ def _plot(config):
     """SVG scatter for every stored 2-d configuration."""
     def unit(expresser, ids, out):
         for measure in EMBEDDED:
-            configuration = _load(config, "embed", expresser, f"_{measure}.json",
+            configuration = _load(config, "embed", expresser, ids, f"_{measure}.json",
                                   nmds.Configuration.from_document)
             if configuration.d != 2:
                 warnings.warn(f"{expresser}/{measure}: d={configuration.d}, "

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -33,6 +34,9 @@ DEFAULT_SIGMA = math.pi
 KERNEL_HALF_WIDTH_SIGMAS = 6.0
 # The widest kernel half-width h a bank may ask for, in pixels: compute_jets'
 # reflected window gather holds (2h+1)^2 floats, ~34 MB at 1,024 (default 48).
+# The work arrays each thread keeps take 48 x points x (2h+1) x (1 +
+# orientations) bytes per window: 23.4 MB for h = 1,024 at 34 points and 6
+# orientations, 41 MB for the default bank with sigma scaled up to that limit.
 MAX_KERNEL_HALF_WIDTH = 1024
 
 
@@ -161,7 +165,12 @@ def _bank_groups(bank):
     return tuple(setup)
 
 
-def compute_jets(image, bank, points, work=None):
+# compute_jets' work arrays, a store per thread: a carrier table's shape
+# (window, 1 + filters as re, im pairs) -> its arrays at the last point count
+_work = threading.local()
+
+
+def compute_jets(image, bank, points):
     """Jets at many image points: a (len(points), len(bank)) amplitude array.
 
     `image` is a 2-D array-like of intensities, indexed [y, x]; its shape
@@ -179,18 +188,14 @@ def compute_jets(image, bank, points, work=None):
     e^{-i k.f} rotates each point's sums.  P is a view into the image, or a
     _reflect_indices gather where the window crosses an edge.
 
-    `work`, a dict, keeps the call's work arrays for the next call: per
-    wavenumber the (u_x, u_y) pair and the window products P u_x, each
-    keyed by its full shape, which the number of points, the window and
-    the number of orientations set.  The arrays of the default bank at 34
-    points take ~2 MB.  A dict holds one set per shape it has seen, and
-    the returned jets never share memory with it.  Calls running at the
-    same time must not share one dict; with `work` None every call
-    allocates its own arrays.  Keeping them pays: arrays this large are
+    Each thread keeps its work arrays for its next call: per kernel window,
+    the (u_x, u_y) pair and the window products P u_x of the last number of
+    points, ~2 MB for the default bank at 34 points.  The returned jets
+    never share memory with them.  Keeping them pays: arrays this large are
     mapped fresh on each allocation and freed again, so every call would
     take new zeroed pages.  Coding the benchmark's 210 images in one fresh
-    process took ~400 minor page faults with one dict and ~89,000 without
-    it (0.33 s against 0.47 s of kernel time, 2-vCPU VM).
+    process took ~400 minor page faults with kept arrays and ~89,000
+    without (0.33 s against 0.47 s of kernel time, 2-vCPU VM).
     """
     pixels = np.asarray(image, dtype=float)
     if pixels.ndim != 2 or not pixels.size or not np.all(np.isfinite(pixels)):
@@ -206,19 +211,18 @@ def compute_jets(image, bank, points, work=None):
         raise OutOfBoundsError(f"center ({bx}, {by}) outside {width}x{height} image")
     rounded = np.round(pts).astype(int)  # half-to-even
     fraction = (pts - rounded).T  # (2, points): f along x and y
-    work = {} if work is None else work
+    store = _work.__dict__
     jets = np.empty((len(pts), len(bank)))
     sigma = bank.sigma
     for k, members, h, offsets, waves, carriers in _bank_groups(bank):
         d = offsets - fraction[:, :, None]
         gauss = np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))
         # (x or y, points, window, 1 + filters), complex as (re, im) pairs
-        shape = (2, len(pts), *carriers.shape[1:])
-        if ("v", shape) not in work:
-            work["v", shape] = np.empty(shape)
-            work["pvx", shape[1:]] = np.empty(shape[1:])
-        vx, vy = np.multiply(gauss[..., None], carriers[:, None], out=work["v", shape])
-        pvx = work["pvx", shape[1:]]
+        key = carriers.shape[1:]
+        if key not in store or len(store[key][1]) != len(pts):
+            store[key] = np.empty((2, len(pts), *key)), np.empty((len(pts), *key))
+        v, pvx = store[key]
+        vx, vy = np.multiply(gauss[..., None], carriers[:, None], out=v)
         # real window times complex columns: one real matmul per point
         for n, (x, y) in enumerate(rounded.tolist()):
             if h <= x < width - h and h <= y < height - h:

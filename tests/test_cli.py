@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -633,6 +634,50 @@ class TestMainCli:
         assert summary.splitlines()[1].endswith(b",15")  # 6 images, 15 pairs
         assert not (tmp_path / "staged" / "jets" / "img02.json").exists()
 
+    def test_no_fear_set_in_code_writes_the_tree_of_the_file_setting(self, tmp_path):
+        # image_ids(), not the config reader, leaves out the FE images, so a
+        # config changed in code drops them with the fear column
+        config_path = make_synthetic_study(tmp_path, n_images=5)
+        doc = json.loads(config_path.read_text())
+        doc["labels"]["img00"] = "FE"
+        config_path.write_text(json.dumps(doc))
+        run_study(dataclasses.replace(load_config(config_path), no_fear=True,
+                                      out_dir=tmp_path / "in_code"))
+        set_no_fear(config_path, True)
+        from_file = load_config(config_path)
+        from_file.out_dir = tmp_path / "from_file"
+        run_study(from_file)
+        tree = tree_digest(tmp_path / "from_file")
+        assert "jets/img01.json" in tree and "jets/img00.json" not in tree
+        assert tree_digest(tmp_path / "in_code") == tree
+
+    def test_intermediate_of_other_images_is_refused(self, tmp_path, capsys):
+        # the matrices and embeddings of all 6 images stay in out/ when
+        # no_fear then leaves img00 out; no later stage may read them
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        assert main(["--config", str(config_path)]) == 0
+        doc = json.loads(config_path.read_text())
+        doc["labels"]["img00"] = "FE"
+        doc["no_fear"] = True
+        config_path.write_text(json.dumps(doc))
+        out = (tmp_path / "out").resolve()
+
+        def stale(victim, writer):
+            return (f"{out / victim}: its 6 items are not the expresser's 5 "
+                    f"images in the config; re-run the {writer} stage")
+
+        with pytest.warns(UserWarning, match="expresser 'SY' failed") as caught:
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
+        assert stale("matrices/SY_semantic.json", "matrices") in str(caught[0].message)
+        assert (out / "summary.csv").read_text().splitlines()[1:] == ["SY,failed,,,,"]
+        # embed last: it removes the embeddings that align and plot read
+        for stage, victim, writer in [("align", "embeddings/SY_gabor.json", "embed"),
+                                      ("plot", "embeddings/SY_gabor.json", "embed"),
+                                      ("embed", "matrices/SY_gabor.json", "matrices")]:
+            with pytest.warns(UserWarning, match="expresser 'SY' failed"):
+                assert main(["--config", str(config_path), "--stage", stage]) == 1
+            assert capsys.readouterr().err == f"error: {stale(victim, writer)}\n"
+
     @pytest.mark.parametrize("change", [
         {"options": {"dims": "x"}},
         {"options": {"permutations": "abc"}},
@@ -1200,7 +1245,7 @@ class TestBatchedEncodeDrift:
         batched.out_dir = tmp_path / "batched"
         run_study(batched)
 
-        def per_filter_jets(image, bank, points, work=None):
+        def per_filter_jets(image, bank, points):
             return np.array([[amplitude(*filter_response(image, spec, p))
                               for spec in bank.specs] for p in points])
 

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +30,16 @@ def grating(k, theta, size=256, mean=128.0, contrast=100.0, phase=0.0):
     yy, xx = np.mgrid[0:size, 0:size].astype(float)
     arg = k * (math.cos(theta) * xx + math.sin(theta) * yy) + phase
     return mean + contrast * np.cos(arg)
+
+
+def on_fresh_thread(function, *args):
+    """function(*args) on a new thread, whose compute_jets store starts empty."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(function(*args)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
 
 
 def padded_kernel(image, bank, points):
@@ -347,25 +360,101 @@ class TestComputeJets:
         assert np.array_equal(jets, padded_kernel(img, bank, points))
 
     def test_work_arrays_kept_between_calls_change_no_bit(self):
-        # one dict through images of many sizes (the tiny ones fold their
-        # windows many times), 0, 1 and 34 points, and two banks with the
-        # same half-widths but different orientation counts
+        # one thread's store through images of many sizes (the tiny ones fold
+        # their windows many times), 0, 1 and 34 points, and two banks with the
+        # same half-widths but different orientation counts; each point count
+        # first replaces the arrays of the last, then reuses them
         rng = np.random.default_rng(16)
         banks = [gf.FilterBank(),
                  gf.FilterBank(orientations=gf.gabor.DEFAULT_ORIENTATIONS[::2])]
-        work, returned = {}, []
-        for width, height in [(1, 1), (2, 3), (5, 7), (140, 113), (64, 64)] * 2:
-            img = rng.uniform(0, 255, (height, width))
-            for count in (0, 1, 34):
+        returned = []
+        for count in (0, 1, 34):
+            for width, height in [(1, 1), (2, 3), (5, 7), (140, 113), (64, 64)] * 2:
+                img = rng.uniform(0, 255, (height, width))
                 points = rng.uniform(0, 1, (count, 2)) * (width - 1e-9, height - 1e-9)
                 for bank in banks:
-                    jets = gf.compute_jets(img, bank, points, work=work)
-                    assert np.array_equal(jets, gf.compute_jets(img, bank, points))
+                    jets = gf.compute_jets(img, bank, points)
+                    assert np.array_equal(
+                        jets, on_fresh_thread(gf.compute_jets, img, bank, points))
                     assert np.array_equal(jets, padded_kernel(img, bank, points))
-                    assert not any(np.shares_memory(jets, a) for a in work.values())
+                    kept = [a for arrays in vars(gf.gabor._work).values() for a in arrays]
+                    assert not any(np.shares_memory(jets, a) for a in kept)
                     returned.append((jets, jets.copy()))
         # later calls wrote over no earlier result
-        assert all(np.array_equal(jets, kept) for jets, kept in returned)
+        assert all(np.array_equal(jets, copy) for jets, copy in returned)
+
+    def test_a_repeated_call_allocates_no_work_arrays(self):
+        # the default bank's arrays at 34 points take ~2 MB; a call of the
+        # shapes of the last allocates under 1 MiB on top of what is held
+        img = smooth_image(5, size=256)
+        points = np.random.default_rng(5).uniform(0, 255, (34, 2))
+        gf.compute_jets(img, gf.FilterBank(), points)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gf.compute_jets(img, gf.FilterBank(), points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - held < 2**20
+
+    def test_store_holds_one_set_per_window(self):
+        # a call at another point count replaces its windows' arrays, so the
+        # store does not grow with the point counts seen
+        img = smooth_image(6)
+        bank = gf.FilterBank()
+        rng = np.random.default_rng(6)
+
+        def shapes_after_calls():
+            for count in (0, 1, 34, 100):
+                gf.compute_jets(img, bank, rng.uniform(0, 127, (count, 2)))
+            return {key: [a.shape for a in arrays]
+                    for key, arrays in vars(gf.gabor._work).items()}
+
+        columns = 2 * (1 + len(bank.orientations))  # the DC term, (re, im) pairs
+        windows = {2 * spec.window_half_width() + 1 for spec in bank.specs}
+        assert len(windows) == 3
+        assert on_fresh_thread(shapes_after_calls) == {
+            (w, columns): [(2, 100, w, columns), (100, w, columns)] for w in windows}
+
+    def test_threads_coding_at_once_match_serial_calls(self):
+        # each thread codes every image and point count in its own order, so
+        # the threads' shapes differ from call to call
+        rng = np.random.default_rng(17)
+        bank = gf.FilterBank()
+        tasks = [(smooth_image(seed, size=64 + 16 * seed),
+                  rng.uniform(0, 63, (count, 2)))
+                 for seed, count in enumerate((1, 34, 5, 100))]
+        serial = [gf.compute_jets(img, bank, points) for img, points in tasks]
+        start = threading.Barrier(len(tasks), timeout=60)
+        coded = [[] for _ in tasks]
+
+        def code(first):
+            start.wait()
+            for step in range(2 * len(tasks)):
+                task = (first + step) % len(tasks)
+                img, points = tasks[task]
+                coded[first].append((task, gf.compute_jets(img, bank, points)))
+
+        threads = [threading.Thread(target=code, args=(i,)) for i in range(len(tasks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(results) for results in coded] == [2 * len(tasks)] * len(tasks)
+        for results in coded:
+            for task, jets in results:
+                assert np.array_equal(jets, serial[task])
 
     def test_compute_jet_is_a_row_of_compute_jets(self):
         img = smooth_image(4, size=64)

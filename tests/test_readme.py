@@ -1,7 +1,7 @@
 """The README's library example stays in step with the package's exports,
 its CLI synopsis with the parser, its config example with the config
-reader, and every public function and class of the package has a use
-outside the tests."""
+reader, every public function and class of the package has a use
+outside the tests, and every name a package module imports is used there."""
 
 import ast
 import re
@@ -64,4 +64,24 @@ def test_every_public_definition_has_a_caller():
               for node in ast.parse(path.read_text(encoding="utf-8")).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
+    assert unused == []
+
+
+def test_every_import_is_used_in_its_module():
+    # a deletion leaves no orphaned import behind; __init__.py imports
+    # names to re-export them, so it is not scanned
+    unused = []
+    for path in sorted((ROOT / "src" / "gaborface").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert unused == []
