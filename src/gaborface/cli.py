@@ -10,9 +10,10 @@ Stages (each reads the previous stage's files, enabling partial reruns):
   plot       configurations -> SVG scatter plots
   study      all of the above
 
-`run_stage` runs `encode` one image at a time and every other stage one
-expresser at a time.  It removes a unit's files of the stage (as `_STAGES`
-names them) before the unit runs and again if it fails.
+`run_stage` runs a stage's unit of `_STAGES`, which reads its own inputs,
+on one image at a time for `encode` and one expresser at a time for every
+other stage.  It removes a unit's files of the stage (as `_STAGES` names
+them) before the unit runs and again if it fails.
 A failure is warned about and the others still run; then `correlate` writes
 a `failed` summary row, and every other stage raises its first failure.
 """
@@ -34,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gabor, grid, nmds, rank_stats, ratings
-from .errors import FormatError, RuntimeFailure, ValidationError, require_known_keys
+from .errors import (FormatError, RuntimeFailure, ValidationError, require_integer,
+                     require_known_keys)
 from .similarity import PairMatrix, pairwise_matrix
 
 FEAR_LABEL = "FE"
@@ -61,13 +63,8 @@ class StudyOptions:
         for name, least in (("dims", 1), ("max_iterations", 0), ("seed", 0),
                             ("permutations", 1), ("scan_dims", 1)):
             value = getattr(self, name)
-            if value is None and name in ("permutations", "scan_dims"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValidationError(f"need {name} >= {least}, got {value}")
-            setattr(self, name, int(value))
+            if value is not None or name not in ("permutations", "scan_dims"):
+                setattr(self, name, require_integer(value, name, least))
         tolerance = self.tolerance
         if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
             raise ValidationError(f"tolerance must be a number, got {tolerance!r}")
@@ -228,22 +225,16 @@ def _write_matrix(json_path, csv_path, matrix):
 # Stage: encode
 # ---------------------------------------------------------------------------
 
-def _encode(config):
-    """unit(image_id, out): the image's jet JSON, deterministic bytes."""
+def _encode(config, image_id, out):
+    """The image's jet JSON, deterministic bytes."""
     bank = config.filter_bank
-    # every grid is read first, so a bad or missing grid fails before any output
-    placements = {i: _read(config.grid_dir / f"{i}.json",
-                           lambda doc, i=i: _require_id(grid.load_grid(doc), i))
-                  for i in config.image_ids()}
-
-    def unit(image_id, out):
-        pixels = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
-        placement = placements[image_id]
-        if tuple(placement.source_size) != pixels.shape[::-1]:
-            placement = grid.rescale_placement(placement, pixels.shape[::-1])
-        jets = gabor.compute_jets(pixels, bank, placement.points)
-        _write_json(out[".json"], gabor.jet_document(image_id, bank, placement, jets))
-    return unit
+    placement = _read(config.grid_dir / f"{image_id}.json",
+                      lambda doc: _require_id(grid.load_grid(doc), image_id))
+    pixels = _read(config.image_dir / f"{image_id}.pgm", gabor.read_pgm, "bytes")
+    if tuple(placement.source_size) != pixels.shape[::-1]:
+        placement = grid.rescale_placement(placement, pixels.shape[::-1])
+    jets = gabor.compute_jets(pixels, bank, placement.points)
+    _write_json(out[".json"], gabor.jet_document(image_id, bank, placement, jets))
 
 
 def _require_id(placement, image_id, hint=""):
@@ -339,10 +330,10 @@ def _attempt(config, stage, key, run):
 
 def run_stage(config, name):
     """Run one stage (see the module docstring); return each unit's result."""
-    unit = _STAGES[name][0](config)
+    unit = _STAGES[name][0]
     if name == "encode":
         kind = "image"
-        outcomes = {i: _attempt(config, name, i, lambda out: unit(i, out))
+        outcomes = {i: _attempt(config, name, i, lambda out: unit(config, i, out))
                     for i in config.image_ids()}
     else:
         kind, outcomes = "expresser", {}
@@ -353,7 +344,8 @@ def run_stage(config, name):
                     f"skipping (need >= {MIN_GROUP_SIZE})"))
             else:
                 outcomes[expresser] = _attempt(
-                    config, name, expresser, lambda out: unit(expresser, ids, out))
+                    config, name, expresser,
+                    lambda out: unit(config, expresser, ids, out))
         if not outcomes:
             raise ValidationError(f"no expresser has >= {MIN_GROUP_SIZE} images, "
                                   "the fewest a significance test can use")
@@ -375,70 +367,67 @@ def run_study(config):
     return [(expresser, *pair) for expresser, pair in results["correlate"].items()]
 
 
-# Stage units: a factory does its stage's one-off set-up and returns
-# unit(expresser, ids, out), which computes one group and writes `out`'s paths.
+# The units of the later stages: unit(config, expresser, ids, out) computes
+# the group of `expresser`, its images `ids`, and writes `out`'s paths.
 
-def _matrices(config):
-    """Per expresser: Gabor similarity, geometry and semantic dissimilarity."""
+def _matrices(config, expresser, ids, out):
+    """Gabor similarity, geometry and semantic dissimilarity."""
     table = _read(config.ratings_path, ratings.load_ratings, "text")
     if config.no_fear and FEAR_ADJECTIVE in table.adjectives:
         fear = table.adjectives.index(FEAR_ADJECTIVE)
         table = table._replace(
             adjectives=table.adjectives[:fear] + table.adjectives[fear + 1:],
             values=np.delete(table.values, fear, axis=1))
-
-    def coded_image(doc, image_id):
-        placement, loaded_bank, jets = gabor.parse_jet_document(doc)
-        if loaded_bank != config.filter_bank:
-            raise ValidationError("coded with a different filter bank")
-        _require_id(placement, image_id, "; re-run the encode stage")
-        return placement, jets
-
-    def unit(expresser, ids, out):
-        semantic = ratings.semantic_matrix(table, ids)
-        placements, jets = zip(*(
-            _read(_outputs(config, "encode", i)[".json"],
-                  lambda doc, i=i: coded_image(doc, i), stage="encode")
-            for i in ids))
-        matrices = {
-            "gabor": pairwise_matrix(list(zip(ids, jets)), "gabor"),
-            "geometry": pairwise_matrix(
-                [(i, grid.geometry_vector(p)) for i, p in zip(ids, placements)],
-                "geometry"),
-            "semantic": semantic,
-        }
-        for name, matrix in matrices.items():
-            _write_matrix(out[f"_{name}.json"], out[f"_{name}.csv"], matrix)
-        return matrices
-    return unit
+    semantic = ratings.semantic_matrix(table, ids)
+    placements, jets = zip(*(
+        _read(_outputs(config, "encode", i)[".json"],
+              lambda doc, i=i: _coded_image(config, doc, i), stage="encode")
+        for i in ids))
+    matrices = {
+        "gabor": pairwise_matrix(list(zip(ids, jets)), "gabor"),
+        "geometry": pairwise_matrix(
+            [(i, grid.geometry_vector(p)) for i, p in zip(ids, placements)],
+            "geometry"),
+        "semantic": semantic,
+    }
+    for name, matrix in matrices.items():
+        _write_matrix(out[f"_{name}.json"], out[f"_{name}.csv"], matrix)
+    return matrices
 
 
-def _correlate(config):
+def _coded_image(config, doc, image_id):
+    """The placement and jets of `image_id`'s jet document `doc`."""
+    placement, loaded_bank, jets = gabor.parse_jet_document(doc)
+    if loaded_bank != config.filter_bank:
+        raise ValidationError("coded with a different filter bank")
+    _require_id(placement, image_id, "; re-run the encode stage")
+    return placement, jets
+
+
+def _correlate(config, expresser, ids, out):
     """Rank-correlate the model matrices against the semantic matrix."""
+    opts = config.options
+    semantic, *models = (
+        _load(config, "matrices", expresser, ids, f"_{m}.json",
+              PairMatrix.from_document)
+        for m in ("semantic", *MEASURES))
+    results = rank_stats.correlate_model_with_ratings(
+        models, semantic, permutations=opts.permutations, seed=opts.seed)
+    for measure, result in zip(MEASURES, results):
+        _write_json(out[f"_{measure}.json"],
+                    result.to_document(expresser_id=expresser,
+                                       measure=measure, seed=opts.seed))
+    return tuple(results)
+
+
+def _write_summary(config, results, failures):
+    """Summary tables; `results` maps expresser -> (gabor, geometry) result.
+    An excluded id that names no expresser is refused before they are written."""
     unknown = sorted(set(config.exclude_from_average)
                      - set(config.expressers.values()))
     if unknown:
         raise ValidationError(f"cannot exclude unknown expressers {unknown} "
                               "from the average")
-    opts = config.options
-
-    def unit(expresser, ids, out):
-        semantic, *models = (
-            _load(config, "matrices", expresser, ids, f"_{m}.json",
-                  PairMatrix.from_document)
-            for m in ("semantic", *MEASURES))
-        results = rank_stats.correlate_model_with_ratings(
-            models, semantic, permutations=opts.permutations, seed=opts.seed)
-        for measure, result in zip(MEASURES, results):
-            _write_json(out[f"_{measure}.json"],
-                        result.to_document(expresser_id=expresser,
-                                           measure=measure, seed=opts.seed))
-        return tuple(results)
-    return unit
-
-
-def _write_summary(config, results, failures):
-    """Summary tables; `results` maps expresser -> (gabor, geometry) result."""
     averaged = [pair for expresser, pair in results.items()
                 if expresser not in config.exclude_from_average]
     csv_lines = ["expresser,gabor_rho,gabor_p,geometry_rho,geometry_p,n_pairs"]
@@ -474,45 +463,40 @@ def _model_dissimilarity(matrix):
     return PairMatrix(matrix.item_ids, values, "dissimilarity")
 
 
-def _embed(config):
-    """nMDS embedding of the Gabor and semantic matrices per expresser."""
+def _embed(config, expresser, ids, out):
+    """nMDS embedding of the Gabor and semantic matrices."""
     opts = config.options
     fit = {"max_iterations": opts.max_iterations, "tolerance": opts.tolerance,
            "seed": opts.seed}
-
-    def unit(expresser, ids, out):
-        configs = {}
-        for measure in EMBEDDED:
-            matrix = _model_dissimilarity(_load(
-                config, "matrices", expresser, ids, f"_{measure}.json",
-                PairMatrix.from_document))
-            n = len(matrix.item_ids)
-            dims = min(opts.dims, n - 1)
-            scan = range(1, min(opts.scan_dims or 0, n - 1) + 1)
-            # each d is fitted once, also when the scan covers dims
-            fits = {d: nmds.embed(matrix, d, **fit)
-                    for d in dict.fromkeys((dims, *scan))}
-            configs[measure] = fits[dims]
-            _write_json(out[f"_{measure}.json"], fits[dims].to_document(options=fit))
-            if opts.scan_dims:
-                _write_atomic(out[f"_{measure}_scan.csv"], "d,stress,rsq\n" + "".join(
-                    f"{d},{fits[d].stress!r},{fits[d].rsq!r}\n" for d in scan))
-        return configs
-    return unit
+    configs = {}
+    for measure in EMBEDDED:
+        matrix = _model_dissimilarity(_load(
+            config, "matrices", expresser, ids, f"_{measure}.json",
+            PairMatrix.from_document))
+        n = len(matrix.item_ids)
+        dims = min(opts.dims, n - 1)
+        scan = range(1, min(opts.scan_dims or 0, n - 1) + 1)
+        # each d is fitted once, also when the scan covers dims
+        fits = {d: nmds.embed(matrix, d, **fit)
+                for d in dict.fromkeys((dims, *scan))}
+        configs[measure] = fits[dims]
+        _write_json(out[f"_{measure}.json"], fits[dims].to_document(options=fit))
+        if opts.scan_dims:
+            _write_atomic(out[f"_{measure}_scan.csv"], "d,stress,rsq\n" + "".join(
+                f"{d},{fits[d].stress!r},{fits[d].rsq!r}\n" for d in scan))
+    return configs
 
 
-def _align(config):
-    """Procrustes-align each Gabor configuration onto the semantic one."""
-    def unit(expresser, ids, out):
-        source, target = (
-            _load(config, "embed", expresser, ids, f"_{m}.json",
-                  nmds.Configuration.from_document)
-            for m in EMBEDDED)
-        aligned, residual = nmds.procrustes_align(source, target)
-        _write_json(out[".json"],
-                    aligned.to_document(residual=residual, target="semantic"))
-        return residual
-    return unit
+def _align(config, expresser, ids, out):
+    """Procrustes-align the Gabor configuration onto the semantic one."""
+    source, target = (
+        _load(config, "embed", expresser, ids, f"_{m}.json",
+              nmds.Configuration.from_document)
+        for m in EMBEDDED)
+    aligned, residual = nmds.procrustes_align(source, target)
+    _write_json(out[".json"],
+                aligned.to_document(residual=residual, target="semantic"))
+    return residual
 
 
 def render_scatter(configuration, labels=None):
@@ -554,23 +538,22 @@ def render_scatter(configuration, labels=None):
     return "\n".join(parts) + "\n"
 
 
-def _plot(config):
+def _plot(config, expresser, ids, out):
     """SVG scatter for every stored 2-d configuration."""
-    def unit(expresser, ids, out):
-        for measure in EMBEDDED:
-            configuration = _load(config, "embed", expresser, ids, f"_{measure}.json",
-                                  nmds.Configuration.from_document)
-            if configuration.d != 2:
-                warnings.warn(f"{expresser}/{measure}: d={configuration.d}, "
-                              "skipping plot")
-                continue
-            _write_atomic(out[f"_{measure}.svg"],
-                          render_scatter(configuration, config.labels))
-    return unit
+    for measure in EMBEDDED:
+        configuration = _load(config, "embed", expresser, ids, f"_{measure}.json",
+                              nmds.Configuration.from_document)
+        if configuration.d != 2:
+            warnings.warn(f"{expresser}/{measure}: d={configuration.d}, "
+                          "skipping plot")
+            continue
+        _write_atomic(out[f"_{measure}.svg"],
+                      render_scatter(configuration, config.labels))
 
 
-# stage -> (factory(config) -> unit, output directory, the names after the
-# image or expresser id of all the unit's files): their one list, in run order
+# stage -> (unit, output directory, the names after the image or expresser
+# id of all the unit's files): their one list, in run order.  Each unit is a
+# module-level function, so that it can be pickled.
 _STAGES = {
     "encode": (_encode, "jets", [".json"]),
     "matrices": (_matrices, "matrices", [f"_{m}.{x}" for m in (*MEASURES, "semantic")

@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, and the number and key
-checks of the document loaders.
+checks of the document loaders and parameters.
 
 Everything derives from ValidationError (bad inputs, exit code 1 in the
 CLI) or RuntimeFailure (a computation that could not proceed, exit code 2).
@@ -47,6 +47,16 @@ def require_numbers(values, what):
     for kind in set(map(type, values)):
         if kind is bool or not issubclass(kind, numbers.Real):
             raise FormatError(f"{what} must be numbers, got {kind.__name__}")
+
+
+def require_integer(value, name, least):
+    """`value` as an int; raise ParameterError unless it is an integer of at
+    least `least`.  A boolean or a float is not one, though int() takes it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"need {name} >= {least}, got {value}")
+    return int(value)
 
 
 def require_known_keys(doc, known, section):

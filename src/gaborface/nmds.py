@@ -25,6 +25,7 @@ from .errors import (
     DegenerateConfigurationError,
     FormatError,
     ParameterError,
+    require_integer,
     require_numbers,
 )
 
@@ -68,9 +69,7 @@ class Configuration:
         if not (np.all(np.isfinite(coords))
                 and np.isfinite(self.stress) and np.isfinite(self.rsq)):
             raise ParameterError("coordinates, stress and rsq must be finite")
-        it = self.iterations
-        if isinstance(it, bool) or not (isinstance(it, numbers.Integral) and it >= 0):
-            raise ParameterError(f"iterations must be an integer >= 0, got {it!r}")
+        require_integer(self.iterations, "iterations", 0)
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
@@ -116,8 +115,7 @@ def classical_init(dissimilarity, d, seed=0):
     """
     if dissimilarity.kind != "dissimilarity":
         raise ParameterError(f"need a dissimilarity matrix, got {dissimilarity.kind!r}")
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    d = require_integer(d, "d", 1)
     D = dissimilarity.values
     n = D.shape[0]
     J = np.eye(n) - np.ones((n, n)) / n
@@ -237,8 +235,13 @@ def embed(dissimilarity, d, max_iterations=DEFAULT_MAX_ITERATIONS,
     per accepted configuration, the start as iteration 0.
     """
     n = len(dissimilarity.item_ids)
-    if not 1 <= d <= n - 1:
+    d = require_integer(d, "d", 1)
+    if d > n - 1:
         raise ParameterError(f"need 1 <= d <= n-1, got d={d} for n={n}")
+    max_iterations = require_integer(max_iterations, "max_iterations", 0)
+    if isinstance(tolerance, bool) or not (isinstance(tolerance, numbers.Real)
+                                           and tolerance >= 0):
+        raise ParameterError(f"need a tolerance >= 0, got {tolerance!r}")
     off_diag = squareform(dissimilarity.values, checks=False)
     start = classical_init(dissimilarity, d, seed=seed)
     evaluate = _evaluator(off_diag)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import AlignmentError, ParameterError, UndefinedCorrelationError
+from .errors import (AlignmentError, ParameterError, UndefinedCorrelationError,
+                     require_integer)
 
 DEFAULT_PERMUTATION_SEED = 20230
 
@@ -41,6 +42,8 @@ class CorrelationResult:
 def average_ranks(values):
     """Midranks 1..n; tied values share the mean of the ranks they span."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ParameterError(f"can only rank a 1-d array, got shape {values.shape}")
     if values.size == 0:
         raise ParameterError("cannot rank an empty array")
     if not np.all(np.isfinite(values)):
@@ -102,9 +105,7 @@ def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):
     relabels the items with one `rng.permutation` and scores every series
     against y relabelled, so a series gets the p-value it would get alone.
     """
-    permutations = int(permutations)
-    if permutations < 1:
-        raise ParameterError(f"need permutations >= 1, got {permutations}")
+    permutations = require_integer(permutations, "permutations", 1)
     rx = np.array(x_ranks, dtype=float)
     ry = np.array(y_ranks, dtype=float)
     if not (np.all(np.isfinite(rx)) and np.all(np.isfinite(ry))):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import shutil
 import subprocess
 import sys
@@ -108,14 +109,58 @@ class TestEncode:
         assert len(doc["points"]) == 34
         assert all(len(p["amplitudes"]) == 18 for p in doc["points"])
 
-    def test_missing_grid_fails_before_output(self, study, tmp_path):
+    def test_missing_grid_fails_its_image_alone(self, study, tmp_path, capsys):
+        doc = json.loads(study.read_text())
+        doc["expressers"]["ghost"] = "SY"
+        doc["out_dir"] = str(tmp_path / "out")
+        config_path = study.with_name("ghost.json")
+        config_path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="image 'ghost' failed"):
+            assert main(["--config", str(config_path), "--stage", "encode"]) == 1
+        grid_path = load_config(study).grid_dir / "ghost.json"
+        assert capsys.readouterr().err == f"error: {grid_path}: no such file\n"
+        assert sorted(p.name for p in (tmp_path / "out" / "jets").iterdir()) == [
+            f"img{i:02d}.json" for i in range(6)]
+
+    def test_bad_grid_removes_the_old_jet(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        assert main(["--config", str(config_path)]) == 0
+        (tmp_path / "grids" / "img00.json").write_text("{not json")
+        with pytest.warns(UserWarning, match="image 'img00' failed"):
+            assert main(["--config", str(config_path), "--stage", "encode"]) == 1
+        assert not (tmp_path / "out" / "jets" / "img00.json").exists()
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="expresser 'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
+        assert "run the encode stage" in capsys.readouterr().err
+
+    def test_grids_of_twice_the_image_size_give_the_same_jets(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 0
+        jets = tree_digest(tmp_path / "out" / "jets")
+
+        def doubled(doc):
+            doc["source_size"] = [2 * v for v in doc["source_size"]]
+            for node in doc["nodes"]:
+                node["x"], node["y"] = 2 * node["x"], 2 * node["y"]
+
+        for path in (tmp_path / "grids").iterdir():
+            path.write_bytes(edit_json(doubled)(path.read_bytes()))
+        assert main(["--config", str(config_path), "--stage", "encode"]) == 0
+        assert tree_digest(tmp_path / "out" / "jets") == jets
+
+    def test_unit_survives_a_pickle_round_trip(self, study, tmp_path):
+        """A worker process started by spawn or forkserver gets a stage's
+        unit and config by pickle."""
         config = load_config(study)
-        config.out_dir = tmp_path / "out"
-        config.expressers = dict(config.expressers)
-        config.expressers["ghost"] = "SY"
-        with pytest.raises(ValidationError, match="ghost"):
-            run_stage(config, "encode")
-        assert not (config.out_dir / "jets").exists()
+        config.out_dir = tmp_path / "direct"
+        run_stage(config, "encode")
+        unit, config = pickle.loads(pickle.dumps(
+            (cli._STAGES["encode"][0], StudyConfig.from_file(study))))
+        out = {".json": tmp_path / "img03.json"}
+        unit(config, "img03", out)
+        assert out[".json"].read_bytes() == (
+            tmp_path / "direct" / "jets" / "img03.json").read_bytes()
 
     def test_rerun_is_byte_identical(self, study):
         config = load_config(study)
@@ -555,10 +600,25 @@ class TestMainCli:
         doc = json.loads(path.read_text())
         doc["image_id"] = "other"
         path.write_text(json.dumps(doc))
-        assert main(["--config", str(config_path), "--stage", "encode"]) == 1
+        with pytest.warns(UserWarning, match="image 'img01' failed"):
+            assert main(["--config", str(config_path), "--stage", "encode"]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: holds image_id 'other', not 'img01'\n")
-        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in (tmp_path / "out" / "jets").iterdir()) == [
+            "img00.json", "img02.json", "img03.json"]
+
+    def test_bad_ratings_table_removes_the_old_matrices(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        assert main(["--config", str(config_path)]) == 0
+        (tmp_path / "ratings.csv").write_text("garbage")
+        with pytest.warns(UserWarning, match="expresser 'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
+        assert f"error: {tmp_path / 'ratings.csv'}: " in capsys.readouterr().err
+        assert list((tmp_path / "out" / "matrices").iterdir()) == []
+        with pytest.warns(UserWarning, match="run the matrices stage"):
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert summary[1:] == ["SY,failed,,,,"]
 
     def test_unknown_excluded_expresser_exits_one(self, matrices_study, capsys):
         doc = json.loads(matrices_study.read_text())
@@ -570,11 +630,16 @@ class TestMainCli:
             "error: cannot exclude unknown expressers ['NOPE', 'ZZ'] from the "
             "average\n")
 
-    def test_unknown_excluded_expresser_fails_library_callers(self, study):
-        config = load_config(study)
+    def test_unknown_excluded_expresser_fails_library_callers(self, matrices_study):
+        config = load_config(matrices_study)
         config.exclude_from_average = ("SY", "NOPE")
+        correlations = config.out_dir / "correlations"
+        shutil.rmtree(correlations, ignore_errors=True)
         with pytest.raises(ValidationError, match=r"\['NOPE'\]"):
             run_stage(config, "correlate")
+        # the check comes when the summary is written, after the units ran
+        assert sorted(p.name for p in correlations.iterdir()) == [
+            "SY_gabor.json", "SY_geometry.json"]
 
     def test_no_fear_semantic_matrix_ignores_fear_column(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=5)

@@ -260,6 +260,31 @@ class TestEmbed:
         with pytest.raises(ParameterError):
             gf.embed(m, 5)
 
+    @pytest.mark.parametrize("start", [gf.classical_init, gf.embed])
+    @pytest.mark.parametrize("d", [2.0, True, "2", None])
+    def test_non_integer_dimension_rejected(self, start, d):
+        m, _ = planted_matrix(np.random.default_rng(11), 5, 2)
+        with pytest.raises(ParameterError, match="d must be an integer"):
+            start(m, d)
+
+    @staticmethod
+    def _loop_ran(iteration, stress):
+        raise AssertionError("embed started its loop")
+
+    @pytest.mark.parametrize("max_iterations", [-1, 2.5, None, True, "5"])
+    def test_bad_iteration_cap_rejected(self, max_iterations):
+        # -1, 2.5 and None never equal an iteration count, so they would
+        # leave the loop uncapped: the test checks the raise, not the loop
+        m, _ = planted_matrix(np.random.default_rng(11), 8, 2)
+        with pytest.raises(ParameterError, match="max_iterations"):
+            gf.embed(m, 2, max_iterations=max_iterations, on_iteration=self._loop_ran)
+
+    @pytest.mark.parametrize("tolerance", [None, -1e-6, math.nan, True, "0"])
+    def test_bad_tolerance_rejected(self, tolerance):
+        m, _ = planted_matrix(np.random.default_rng(11), 8, 2)
+        with pytest.raises(ParameterError, match="tolerance"):
+            gf.embed(m, 2, tolerance=tolerance, on_iteration=self._loop_ran)
+
     def test_scan_dimensions_stress_decreases(self):
         m, _ = planted_matrix(np.random.default_rng(12), 10, 3)
         stresses = [gf.embed(m, d).stress for d in range(1, 5)]

@@ -66,6 +66,10 @@ class TestAverageRanks:
         with pytest.raises(ParameterError):
             gf.average_ranks([1.0, float("nan")])
 
+    def test_two_dimensional_array_rejected(self):
+        with pytest.raises(ParameterError, match="1-d array"):
+            gf.average_ranks([[3, 1], [2, 4]])
+
     def test_bit_identical_to_run_scan(self):
         def scanned(values):
             order = np.argsort(values, kind="stable")
@@ -191,6 +195,12 @@ class TestSignificance:
     def test_fewer_than_one_permutation_rejected(self, permutations):
         ranks = item_ranks([np.arange(10.0)], np.arange(10.0) % 3)
         with pytest.raises(ParameterError, match="permutations >= 1"):
+            gf.significance(*ranks, permutations)
+
+    @pytest.mark.parametrize("permutations", [2.5, "7", True, None])
+    def test_non_integer_permutations_rejected(self, permutations):
+        ranks = item_ranks([np.arange(10.0)], np.arange(10.0) % 3)
+        with pytest.raises(ParameterError, match="permutations must be an integer"):
             gf.significance(*ranks, permutations)
 
     @pytest.mark.parametrize("m", [4, 5, 20, 189])
