@@ -4,18 +4,18 @@ Stages (each reads the previous stage's files, enabling partial reruns):
 
   encode     images + grids -> per-image jet JSON (jets and placement)
   matrices   jets/ratings -> per-expresser pair matrices
-  correlate  matrices -> per-expresser correlation results + summary table
+  correlate  matrices -> per-expresser correlation results -> summary table
   embed      matrices -> per-expresser nMDS configurations
   align      configurations -> Procrustes residuals (model vs semantic)
   plot       configurations -> SVG scatter plots
   study      all of the above
 
-`run_stage` runs a stage's unit of `_STAGES`, which reads its own inputs,
-on one image at a time for `encode` and one expresser at a time for every
-other stage.  It removes a unit's files of the stage (as `_STAGES` names
-them) before the unit runs and again if it fails.
-A failure is warned about and the others still run; then `correlate` writes
-a `failed` summary row, and every other stage raises its first failure.
+`run_stage` runs each step of a stage in `_STAGES`, a unit that reads its
+own inputs, per image, per expresser or once for the study (the summary).
+It removes a unit's files before the unit runs and again if it fails.
+Every failure is warned about and the others still run; then the stage
+raises the first failure of its last step, so an expresser that fails in
+`correlate` is a `failed` summary row, and a failed summary exits 1.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 import argparse
 import html
 import json
-import math
-import numbers
 import os
 import sys
 import warnings
@@ -36,7 +34,7 @@ import numpy as np
 
 from . import gabor, grid, nmds, rank_stats, ratings
 from .errors import (FormatError, RuntimeFailure, ValidationError, require_integer,
-                     require_known_keys)
+                     require_known_keys, require_real)
 from .similarity import PairMatrix, pairwise_matrix
 
 FEAR_LABEL = "FE"
@@ -65,15 +63,7 @@ class StudyOptions:
             value = getattr(self, name)
             if value is not None or name not in ("permutations", "scan_dims"):
                 setattr(self, name, require_integer(value, name, least))
-        tolerance = self.tolerance
-        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
-            raise ValidationError(f"tolerance must be a number, got {tolerance!r}")
-        try:
-            self.tolerance = float(tolerance)
-        except OverflowError:
-            self.tolerance = math.inf  # an integer too large for a float
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValidationError(f"need a finite tolerance >= 0, got {tolerance!r}")
+        self.tolerance = require_real(self.tolerance, "tolerance", 0)
 
 
 @dataclass
@@ -293,9 +283,9 @@ def _unique_keys(pairs):
     return doc
 
 
-def _outputs(config, stage, key):
-    """name -> path of each file `stage` writes for `key`, an image or expresser id."""
-    _, directory, names = _STAGES[stage]
+def _outputs(config, stage, key, step=0):
+    """name -> path of each file of step `step` of `stage` for `key`."""
+    _, _, directory, names = _STAGES[stage][step]
     return {n: config.out_dir / directory / f"{key}{n}" for n in names}
 
 
@@ -312,10 +302,9 @@ def _load(config, stage, expresser, ids, name, parse):
     return _read(_outputs(config, stage, expresser)[name], of_ids, stage=stage)
 
 
-def _attempt(config, stage, key, run):
-    """run(out) with `out`, the files of `stage` for `key`, removed before it
-    runs and again if it fails; a ValidationError or RuntimeFailure is returned."""
-    out = _outputs(config, stage, key)
+def _attempt(out, run):
+    """run(out) with `out`'s files removed before it runs and again if it
+    fails; a ValidationError or RuntimeFailure is returned."""
     for path in out.values():
         path.unlink(missing_ok=True)
     try:
@@ -329,42 +318,39 @@ def _attempt(config, stage, key, run):
 
 
 def run_stage(config, name):
-    """Run one stage (see the module docstring); return each unit's result."""
-    unit = _STAGES[name][0]
-    if name == "encode":
-        kind = "image"
-        outcomes = {i: _attempt(config, name, i, lambda out: unit(config, i, out))
-                    for i in config.image_ids()}
-    else:
-        kind, outcomes = "expresser", {}
-        for expresser, ids in config.groups().items():
-            if len(ids) < MIN_GROUP_SIZE:  # its files go, and it is skipped
-                _attempt(config, name, expresser, lambda out: warnings.warn(
-                    f"expresser {expresser!r} has only {len(ids)} images; "
-                    f"skipping (need >= {MIN_GROUP_SIZE})"))
+    """Run one stage (see the module docstring); return its last step's results."""
+    groups = config.groups()
+    usable = {e: (e, ids) for e, ids in groups.items() if len(ids) >= MIN_GROUP_SIZE}
+    # scope -> key -> the unit's arguments after config, None if it is skipped
+    units = {"image": {i: (i,) for i in config.image_ids()},
+             "expresser": {e: usable.get(e) for e in groups},
+             "study": {"summary": (list(usable),) if usable else None}}
+    for step, (scope, unit, _, _) in enumerate(_STAGES[name]):
+        outcomes = {}
+        for key, args in units[scope].items():
+            out = _outputs(config, name, key, step)
+            if args is None:  # its files go, and it is skipped
+                _attempt(out, lambda out: None)
+                if scope == "expresser":
+                    warnings.warn(f"expresser {key!r} has only {len(groups[key])} "
+                                  f"images; skipping (need >= {MIN_GROUP_SIZE})")
             else:
-                outcomes[expresser] = _attempt(
-                    config, name, expresser,
-                    lambda out: unit(config, expresser, ids, out))
-        if not outcomes:
-            raise ValidationError(f"no expresser has >= {MIN_GROUP_SIZE} images, "
-                                  "the fewest a significance test can use")
-    failures = {key: exc for key, exc in outcomes.items() if isinstance(exc, Exception)}
-    for key, exc in failures.items():
-        warnings.warn(f"{kind} {key!r} failed: {exc}")
-    results = {key: r for key, r in outcomes.items() if key not in failures}
-    if name == "correlate":
-        _write_summary(config, results, list(failures))
-    elif failures:
+                outcomes[key] = _attempt(out, lambda out: unit(config, *args, out))
+        failures = {k: r for k, r in outcomes.items() if isinstance(r, Exception)}
+        for key, exc in failures.items():
+            warnings.warn(f"{scope} {key!r} failed: {exc}")
+    if scope != "image" and not usable:
+        raise ValidationError(f"no expresser has >= {MIN_GROUP_SIZE} images, "
+                              "the fewest a significance test can use")
+    if failures:
         raise next(iter(failures.values()))
-    return results
+    return {key: r for key, r in outcomes.items() if key not in failures}
 
 
 def run_study(config):
-    """Every stage in order; returns the correlate rows
-    (expresser, gabor result, geometry result)."""
+    """Every stage in order; returns the summary's rows (see _write_summary)."""
     results = {name: run_stage(config, name) for name in _STAGES}
-    return [(expresser, *pair) for expresser, pair in results["correlate"].items()]
+    return results["correlate"]["summary"]
 
 
 # The units of the later stages: unit(config, expresser, ids, out) computes
@@ -420,18 +406,28 @@ def _correlate(config, expresser, ids, out):
     return tuple(results)
 
 
-def _write_summary(config, results, failures):
-    """Summary tables; `results` maps expresser -> (gabor, geometry) result.
-    An excluded id that names no expresser is refused before they are written."""
+def _write_summary(config, expressers, out):
+    """Summary tables of the correlation files of `expressers` (those of at
+    least MIN_GROUP_SIZE images), `failed` for one that has none, and their
+    rows (expresser, gabor, geometry result).  An unknown excluded id is refused."""
     unknown = sorted(set(config.exclude_from_average)
                      - set(config.expressers.values()))
     if unknown:
         raise ValidationError(f"cannot exclude unknown expressers {unknown} "
                               "from the average")
-    averaged = [pair for expresser, pair in results.items()
+    rows, failures = [], []
+    for expresser in expressers:
+        paths = _outputs(config, "correlate", expresser)
+        if not any(path.exists() for path in paths.values()):
+            failures.append(expresser)
+            continue
+        rows.append((expresser, *(
+            _read(paths[f"_{m}.json"], rank_stats.CorrelationResult.from_document,
+                  stage="correlate") for m in MEASURES)))
+    averaged = [(gab, geo) for expresser, gab, geo in rows
                 if expresser not in config.exclude_from_average]
     csv_lines = ["expresser,gabor_rho,gabor_p,geometry_rho,geometry_p,n_pairs"]
-    for expresser, (gab, geo) in results.items():
+    for expresser, gab, geo in rows:
         csv_lines.append(
             f"{expresser},{gab.rho!r},{gab.p_two_sided!r},"
             f"{geo.rho!r},{geo.p_two_sided!r},{gab.n}"
@@ -442,17 +438,18 @@ def _write_summary(config, results, failures):
         avg_gabor = float(np.mean([gab.rho for gab, _ in averaged]))
         avg_geo = float(np.mean([geo.rho for _, geo in averaged]))
         csv_lines.append(f"Average,{avg_gabor!r},,{avg_geo!r},,")
-    _write_atomic(config.out_dir / "summary.csv", "\n".join(csv_lines) + "\n")
+    _write_atomic(out[".csv"], "\n".join(csv_lines) + "\n")
 
-    width = max(len(e) for e in ("Expresser", *results, *failures))
+    width = max(len(e) for e in ("Expresser", *(row[0] for row in rows), *failures))
     text = [f"{'Expresser':<{width}}  {'Gabor':>8}  {'Geometry':>8}"]
-    for expresser, (gab, geo) in results.items():
+    for expresser, gab, geo in rows:
         text.append(f"{expresser:<{width}}  {gab.rho:8.3f}  {geo.rho:8.3f}")
     for expresser in failures:
         text.append(f"{expresser:<{width}}  {'failed':>8}  {'failed':>8}")
     if averaged:
         text.append(f"{'Average':<{width}}  {avg_gabor:8.3f}  {avg_geo:8.3f}")
-    _write_atomic(config.out_dir / "summary.txt", "\n".join(text) + "\n")
+    _write_atomic(out[".txt"], "\n".join(text) + "\n")
+    return rows
 
 
 def _model_dissimilarity(matrix):
@@ -551,18 +548,21 @@ def _plot(config, expresser, ids, out):
                       render_scatter(configuration, config.labels))
 
 
-# stage -> (unit, output directory, the names after the image or expresser
-# id of all the unit's files): their one list, in run order.  Each unit is a
-# module-level function, so that it can be pickled.
+# stage -> its steps in run order, each (scope: "image", "expresser" or
+# "study", whose one key is `summary`; unit; output directory; the names after
+# the key of all the unit's files): the one list of the files under out/.
+# Each unit is a module-level function, so that it can be pickled.
 _STAGES = {
-    "encode": (_encode, "jets", [".json"]),
-    "matrices": (_matrices, "matrices", [f"_{m}.{x}" for m in (*MEASURES, "semantic")
-                                         for x in ("json", "csv")]),
-    "correlate": (_correlate, "correlations", [f"_{m}.json" for m in MEASURES]),
-    "embed": (_embed, "embeddings", [f"_{m}{x}" for m in EMBEDDED
-                                     for x in (".json", "_scan.csv")]),
-    "align": (_align, "align", [".json"]),
-    "plot": (_plot, "plots", [f"_{m}.svg" for m in EMBEDDED]),
+    "encode": (("image", _encode, "jets", [".json"]),),
+    "matrices": (("expresser", _matrices, "matrices", [
+        f"_{m}.{x}" for m in (*MEASURES, "semantic") for x in ("json", "csv")]),),
+    "correlate": (("expresser", _correlate, "correlations",
+                   [f"_{m}.json" for m in MEASURES]),
+                  ("study", _write_summary, "", [".csv", ".txt"])),
+    "embed": (("expresser", _embed, "embeddings", [
+        f"_{m}{x}" for m in EMBEDDED for x in (".json", "_scan.csv")]),),
+    "align": (("expresser", _align, "align", [".json"]),),
+    "plot": (("expresser", _plot, "plots", [f"_{m}.svg" for m in EMBEDDED]),),
 }
 
 

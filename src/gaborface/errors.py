@@ -6,6 +6,7 @@ CLI) or RuntimeFailure (a computation that could not proceed, exit code 2).
 """
 
 import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -57,6 +58,16 @@ def require_integer(value, name, least):
     if value < least:
         raise ParameterError(f"need {name} >= {least}, got {value}")
     return int(value)
+
+
+def require_real(value, name, least):
+    """`value` as a float; raise ParameterError unless it is a finite real
+    number of at least `least`: not a boolean, nor an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    if not (least <= value and abs(value) <= sys.float_info.max):
+        raise ParameterError(f"need a finite {name} >= {least}, got {value!r}")
+    return float(value)
 
 
 def require_known_keys(doc, known, section):

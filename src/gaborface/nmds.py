@@ -10,7 +10,6 @@ configurations.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .errors import (
     ParameterError,
     require_integer,
     require_numbers,
+    require_real,
 )
 
 DEFAULT_TOLERANCE = 1e-6
@@ -239,9 +239,7 @@ def embed(dissimilarity, d, max_iterations=DEFAULT_MAX_ITERATIONS,
     if d > n - 1:
         raise ParameterError(f"need 1 <= d <= n-1, got d={d} for n={n}")
     max_iterations = require_integer(max_iterations, "max_iterations", 0)
-    if isinstance(tolerance, bool) or not (isinstance(tolerance, numbers.Real)
-                                           and tolerance >= 0):
-        raise ParameterError(f"need a tolerance >= 0, got {tolerance!r}")
+    tolerance = require_real(tolerance, "tolerance", 0)
     off_diag = squareform(dissimilarity.values, checks=False)
     start = classical_init(dissimilarity, d, seed=seed)
     evaluate = _evaluator(off_diag)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import (AlignmentError, ParameterError, UndefinedCorrelationError,
-                     require_integer)
+from .errors import (AlignmentError, FormatError, ParameterError,
+                     UndefinedCorrelationError, require_integer, require_real)
 
 DEFAULT_PERMUTATION_SEED = 20230
 
@@ -37,6 +37,17 @@ class CorrelationResult:
         """The result as a JSON document, plus `extra` keys."""
         return {**extra, "rho": self.rho, "n_pairs": self.n,
                 "p_two_sided": self.p_two_sided, "method": self.method}
+
+    @classmethod
+    def from_document(cls, doc):
+        """The CorrelationResult of a JSON value that to_document wrote."""
+        if not (isinstance(doc, dict) and {"rho", "n_pairs", "p_two_sided"} <= set(doc)
+                and isinstance(doc.get("method"), str)):
+            raise FormatError("a correlation result must be an object of rho, "
+                              "n_pairs, p_two_sided and a string method")
+        return cls(require_real(doc["rho"], "rho", -math.inf),
+                   require_integer(doc["n_pairs"], "n_pairs", 1),
+                   require_real(doc["p_two_sided"], "p_two_sided", 0), doc["method"])
 
 
 def average_ranks(values):

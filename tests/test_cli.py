@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import pickle
+import re
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -156,7 +158,7 @@ class TestEncode:
         config.out_dir = tmp_path / "direct"
         run_stage(config, "encode")
         unit, config = pickle.loads(pickle.dumps(
-            (cli._STAGES["encode"][0], StudyConfig.from_file(study))))
+            (cli._STAGES["encode"][0][1], StudyConfig.from_file(study))))
         out = {".json": tmp_path / "img03.json"}
         unit(config, "img03", out)
         assert out[".json"].read_bytes() == (
@@ -214,6 +216,28 @@ class TestStudyPipeline:
         run_stage(config, "encode")
         with pytest.warns(UserWarning, match="LONE"):
             run_stage(config, "matrices")
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda doc: doc.pop("rho"), "must be an object of rho"),
+        (lambda doc: doc.update(rho="0.9"), "rho must be a number, got '0.9'"),
+        (lambda doc: doc.update(p_two_sided=math.nan), "need a finite p_two_sided >= 0"),
+        (lambda doc: doc.update(rho=10**400), "need a finite rho >= -inf"),
+        (lambda doc: doc.update(n_pairs=6.0), "n_pairs must be an integer"),
+        (lambda doc: doc.update(method=None), "and a string method"),
+    ], ids=["no-rho", "string-rho", "nan-p", "huge-rho", "float-n-pairs",
+            "no-method"])
+    def test_summary_refuses_a_malformed_correlation_file(self, tmp_path, change,
+                                                          message):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        for stage in ("encode", "matrices", "correlate"):
+            assert main(["--config", str(config_path), "--stage", stage]) == 0
+        config = load_config(config_path)
+        path = config.out_dir / "correlations" / "SY_geometry.json"
+        path.write_bytes(edit_json(change)(path.read_bytes()))
+        out = cli._outputs(config, "correlate", "summary", 1)
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            cli._write_summary(config, ["SY"], out)
 
     def test_exclusion_changes_only_average(self, study, tmp_path):
         config = load_config(study)
@@ -505,8 +529,8 @@ class TestMainCli:
         config_path.write_text(json.dumps(doc))
         assert main(["--config", str(config_path)]) == 0
         out = tmp_path / "out"
-        stages = [out / directory for stage, (_, directory, _) in cli._STAGES.items()
-                  if stage != "encode"]  # per image, not per expresser
+        stages = [out / directory for steps in cli._STAGES.values()
+                  for scope, _, directory, _ in steps if scope == "expresser"]
         assert all(list(d.glob("AA*")) and list(d.glob("ZZ*")) for d in stages)
         doc["expressers"][ids[0]] = "ZZ"  # AA keeps 3 images
         config_path.write_text(json.dumps(doc))
@@ -640,6 +664,39 @@ class TestMainCli:
         # the check comes when the summary is written, after the units ran
         assert sorted(p.name for p in correlations.iterdir()) == [
             "SY_gabor.json", "SY_geometry.json"]
+
+    def test_refused_exclusion_leaves_no_summary(self, tmp_path, capsys):
+        # the correlation files are rewritten with permutation p-values, so
+        # an old summary left beside them would disagree with them
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        assert main(["--config", str(config_path)]) == 0
+        doc = json.loads(config_path.read_text())
+        doc["exclude_from_average"] = ["NOPE"]
+        doc["options"]["permutations"] = 50
+        config_path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="study 'summary' failed"):
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot exclude unknown expressers ['NOPE'] from the average\n")
+        out = tmp_path / "out"
+        assert list(out.glob("summary.*")) == []
+        assert json.loads((out / "correlations" / "SY_gabor.json").read_text())[
+            "method"] == "permutation"
+
+    def test_last_group_shrunk_below_four_images_leaves_no_summary(self, tmp_path,
+                                                                   capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        assert main(["--config", str(config_path)]) == 0
+        doc = json.loads(config_path.read_text())
+        for image_id in sorted(doc["expressers"])[:3]:
+            del doc["expressers"][image_id], doc["labels"][image_id]
+        config_path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="expresser 'SY' has only 3 images"):
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
+        assert capsys.readouterr().err.startswith("error: no expresser has >= 4 images")
+        out = tmp_path / "out"
+        assert list(out.glob("summary.*")) == []
+        assert list((out / "correlations").iterdir()) == []
 
     def test_no_fear_semantic_matrix_ignores_fear_column(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=5)
@@ -1184,10 +1241,14 @@ class TestOutputLayout:
         usable = [e for e, ids in config.groups().items()
                   if len(ids) >= cli.MIN_GROUP_SIZE]
         assert usable
-        for stage, (_, directory, names) in cli._STAGES.items():
-            files = {p.name for p in (scanned_study / directory).iterdir()}
-            keys = config.image_ids() if stage == "encode" else usable
-            assert files == {f"{k}{name}" for k in keys for name in names}, stage
+        keys = {"image": config.image_ids(), "expresser": usable, "study": ["summary"]}
+        named = {Path(directory, f"{key}{name}")
+                 for steps in cli._STAGES.values()
+                 for scope, _, directory, names in steps
+                 for key in keys[scope] for name in names}
+        files = {p.relative_to(scanned_study) for p in scanned_study.rglob("*")
+                 if p.is_file()}
+        assert files == named
 
     def test_stages_read_indented_files(self, scanned_study, tmp_path):
         out = tmp_path / "out"

@@ -279,7 +279,7 @@ class TestEmbed:
         with pytest.raises(ParameterError, match="max_iterations"):
             gf.embed(m, 2, max_iterations=max_iterations, on_iteration=self._loop_ran)
 
-    @pytest.mark.parametrize("tolerance", [None, -1e-6, math.nan, True, "0"])
+    @pytest.mark.parametrize("tolerance", [None, -1e-6, math.nan, math.inf, True, "0"])
     def test_bad_tolerance_rejected(self, tolerance):
         m, _ = planted_matrix(np.random.default_rng(11), 8, 2)
         with pytest.raises(ParameterError, match="tolerance"):

@@ -1,7 +1,8 @@
 """The README's library example stays in step with the package's exports,
 its CLI synopsis with the parser, its config example with the config
-reader, every public function and class of the package has a use
-outside the tests, and every name a package module imports is used there."""
+reader, its outputs paragraph with the stage table, every public function
+and class of the package has a use outside the tests, and every name a
+package module imports is used there."""
 
 import ast
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaborface as gf
-from gaborface.cli import CONFIG_KEYS, main
+from gaborface.cli import _STAGES, CONFIG_KEYS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -47,6 +48,20 @@ def test_config_example_shows_every_top_level_key():
     [example] = re.findall(r'^```json\n(\{\n  "image_dir".*?)^```',
                            README.read_text(encoding="utf-8"), re.M | re.S)
     assert sorted(re.findall(r'^  "(\w+)":', example, re.M)) == sorted(CONFIG_KEYS)
+
+
+def test_outputs_paragraph_names_every_stage_directory_and_summary_file():
+    # a stage's output directory or a study-level file cannot go undocumented
+    [paragraph] = re.findall(r"^Outputs per run: .*?\n\n",
+                             README.read_text(encoding="utf-8"), re.M | re.S)
+    named = re.findall(r"`([^`]+)`", paragraph)
+    directories = {directory for steps in _STAGES.values()
+                   for _, _, directory, _ in steps if directory}
+    assert {name.split("/")[0] for name in named if "/" in name} == directories
+    summaries = {f"summary{name}" for steps in _STAGES.values()
+                 for scope, _, _, names in steps if scope == "study"
+                 for name in names}
+    assert summaries and summaries <= set(named)
 
 
 def test_every_public_definition_has_a_caller():
