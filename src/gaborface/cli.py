@@ -10,9 +10,11 @@ Stages (each reads the previous stage's files, enabling partial reruns):
   plot       configurations -> SVG scatter plots
   study      all of the above
 
-`run_stage` runs each step of a stage in `_STAGES`, a unit that reads its
-own inputs, per image, per expresser or once for the study (the summary).
-It removes a unit's files before the unit runs and again if it fails.
+`run_stage` runs each step of a stage in `_STAGES`, per image, per
+expresser or once for the study (the summary).  A unit reads its own
+inputs, writes its files and returns only its failure: the files are the
+one data path between stages, and `run_stage` and `run_study` return
+nothing.  A unit's files are removed before it runs and again if it fails.
 Every failure is warned about and the others still run; then the stage
 raises the first failure of its last step, so an expresser that fails in
 `correlate` is a `failed` summary row, and a failed summary exits 1.
@@ -304,11 +306,12 @@ def _load(config, stage, expresser, ids, name, parse):
 
 def _attempt(out, run):
     """run(out) with `out`'s files removed before it runs and again if it
-    fails; a ValidationError or RuntimeFailure is returned."""
+    fails.  A unit writes its files and returns only its failure: the
+    ValidationError or RuntimeFailure it raised is returned, else None."""
     for path in out.values():
         path.unlink(missing_ok=True)
     try:
-        return run(out)
+        run(out)
     except BaseException as exc:
         for path in out.values():
             path.unlink(missing_ok=True)
@@ -318,7 +321,7 @@ def _attempt(out, run):
 
 
 def run_stage(config, name):
-    """Run one stage (see the module docstring); return its last step's results."""
+    """Run one stage (see the module docstring)."""
     groups = config.groups()
     usable = {e: (e, ids) for e, ids in groups.items() if len(ids) >= MIN_GROUP_SIZE}
     # scope -> key -> the unit's arguments after config, None if it is skipped
@@ -326,7 +329,7 @@ def run_stage(config, name):
              "expresser": {e: usable.get(e) for e in groups},
              "study": {"summary": (list(usable),) if usable else None}}
     for step, (scope, unit, _, _) in enumerate(_STAGES[name]):
-        outcomes = {}
+        failures = {}
         for key, args in units[scope].items():
             out = _outputs(config, name, key, step)
             if args is None:  # its files go, and it is skipped
@@ -334,9 +337,8 @@ def run_stage(config, name):
                 if scope == "expresser":
                     warnings.warn(f"expresser {key!r} has only {len(groups[key])} "
                                   f"images; skipping (need >= {MIN_GROUP_SIZE})")
-            else:
-                outcomes[key] = _attempt(out, lambda out: unit(config, *args, out))
-        failures = {k: r for k, r in outcomes.items() if isinstance(r, Exception)}
+            elif failure := _attempt(out, lambda out: unit(config, *args, out)):
+                failures[key] = failure
         for key, exc in failures.items():
             warnings.warn(f"{scope} {key!r} failed: {exc}")
     if scope != "image" and not usable:
@@ -344,13 +346,12 @@ def run_stage(config, name):
                               "the fewest a significance test can use")
     if failures:
         raise next(iter(failures.values()))
-    return {key: r for key, r in outcomes.items() if key not in failures}
 
 
 def run_study(config):
-    """Every stage in order; returns the summary's rows (see _write_summary)."""
-    results = {name: run_stage(config, name) for name in _STAGES}
-    return results["correlate"]["summary"]
+    """Every stage in order."""
+    for name in _STAGES:
+        run_stage(config, name)
 
 
 # The units of the later stages: unit(config, expresser, ids, out) computes
@@ -378,7 +379,6 @@ def _matrices(config, expresser, ids, out):
     }
     for name, matrix in matrices.items():
         _write_matrix(out[f"_{name}.json"], out[f"_{name}.csv"], matrix)
-    return matrices
 
 
 def _coded_image(config, doc, image_id):
@@ -403,53 +403,47 @@ def _correlate(config, expresser, ids, out):
         _write_json(out[f"_{measure}.json"],
                     result.to_document(expresser_id=expresser,
                                        measure=measure, seed=opts.seed))
-    return tuple(results)
 
 
 def _write_summary(config, expressers, out):
     """Summary tables of the correlation files of `expressers` (those of at
-    least MIN_GROUP_SIZE images), `failed` for one that has none, and their
-    rows (expresser, gabor, geometry result).  An unknown excluded id is refused."""
+    least MIN_GROUP_SIZE images): one row per result, a `failed` row for an
+    expresser that has none, then `Average`.  An unknown excluded id is refused."""
     unknown = sorted(set(config.exclude_from_average)
                      - set(config.expressers.values()))
     if unknown:
         raise ValidationError(f"cannot exclude unknown expressers {unknown} "
                               "from the average")
-    rows, failures = [], []
+    # rows: (label, its five CSV values, None for an empty cell; None if failed)
+    rows, failed = [], []
     for expresser in expressers:
         paths = _outputs(config, "correlate", expresser)
         if not any(path.exists() for path in paths.values()):
-            failures.append(expresser)
+            failed.append((expresser, None))
             continue
-        rows.append((expresser, *(
-            _read(paths[f"_{m}.json"], rank_stats.CorrelationResult.from_document,
-                  stage="correlate") for m in MEASURES)))
-    averaged = [(gab, geo) for expresser, gab, geo in rows
+        gab, geo = (_read(paths[f"_{m}.json"], rank_stats.CorrelationResult.from_document,
+                          stage="correlate") for m in MEASURES)
+        rows.append((expresser,
+                     (gab.rho, gab.p_two_sided, geo.rho, geo.p_two_sided, gab.n)))
+    averaged = [values for expresser, values in rows
                 if expresser not in config.exclude_from_average]
+    rows += failed
+    if averaged:
+        avg_gabor, avg_geo = (float(np.mean([v[i] for v in averaged])) for i in (0, 2))
+        rows.append(("Average", (avg_gabor, None, avg_geo, None, None)))
+    width = max(len(label) for label in ["Expresser", *(label for label, _ in rows)])
     csv_lines = ["expresser,gabor_rho,gabor_p,geometry_rho,geometry_p,n_pairs"]
-    for expresser, gab, geo in rows:
-        csv_lines.append(
-            f"{expresser},{gab.rho!r},{gab.p_two_sided!r},"
-            f"{geo.rho!r},{geo.p_two_sided!r},{gab.n}"
-        )
-    for expresser in failures:
-        csv_lines.append(f"{expresser},failed,,,,")
-    if averaged:
-        avg_gabor = float(np.mean([gab.rho for gab, _ in averaged]))
-        avg_geo = float(np.mean([geo.rho for _, geo in averaged]))
-        csv_lines.append(f"Average,{avg_gabor!r},,{avg_geo!r},,")
-    _write_atomic(out[".csv"], "\n".join(csv_lines) + "\n")
-
-    width = max(len(e) for e in ("Expresser", *(row[0] for row in rows), *failures))
     text = [f"{'Expresser':<{width}}  {'Gabor':>8}  {'Geometry':>8}"]
-    for expresser, gab, geo in rows:
-        text.append(f"{expresser:<{width}}  {gab.rho:8.3f}  {geo.rho:8.3f}")
-    for expresser in failures:
-        text.append(f"{expresser:<{width}}  {'failed':>8}  {'failed':>8}")
-    if averaged:
-        text.append(f"{'Average':<{width}}  {avg_gabor:8.3f}  {avg_geo:8.3f}")
+    for label, values in rows:
+        if values is None:
+            csv_lines.append(f"{label},failed,,,,")
+            text.append(f"{label:<{width}}  {'failed':>8}  {'failed':>8}")
+        else:
+            csv_lines.append(",".join([label, *("" if v is None else repr(v)
+                                                for v in values)]))
+            text.append(f"{label:<{width}}  {values[0]:8.3f}  {values[2]:8.3f}")
+    _write_atomic(out[".csv"], "\n".join(csv_lines) + "\n")
     _write_atomic(out[".txt"], "\n".join(text) + "\n")
-    return rows
 
 
 def _model_dissimilarity(matrix):
@@ -465,7 +459,6 @@ def _embed(config, expresser, ids, out):
     opts = config.options
     fit = {"max_iterations": opts.max_iterations, "tolerance": opts.tolerance,
            "seed": opts.seed}
-    configs = {}
     for measure in EMBEDDED:
         matrix = _model_dissimilarity(_load(
             config, "matrices", expresser, ids, f"_{measure}.json",
@@ -476,12 +469,10 @@ def _embed(config, expresser, ids, out):
         # each d is fitted once, also when the scan covers dims
         fits = {d: nmds.embed(matrix, d, **fit)
                 for d in dict.fromkeys((dims, *scan))}
-        configs[measure] = fits[dims]
         _write_json(out[f"_{measure}.json"], fits[dims].to_document(options=fit))
         if opts.scan_dims:
             _write_atomic(out[f"_{measure}_scan.csv"], "d,stress,rsq\n" + "".join(
                 f"{d},{fits[d].stress!r},{fits[d].rsq!r}\n" for d in scan))
-    return configs
 
 
 def _align(config, expresser, ids, out):
@@ -493,7 +484,6 @@ def _align(config, expresser, ids, out):
     aligned, residual = nmds.procrustes_align(source, target)
     _write_json(out[".json"],
                 aligned.to_document(residual=residual, target="semantic"))
-    return residual
 
 
 def render_scatter(configuration, labels=None):
@@ -551,7 +541,8 @@ def _plot(config, expresser, ids, out):
 # stage -> its steps in run order, each (scope: "image", "expresser" or
 # "study", whose one key is `summary`; unit; output directory; the names after
 # the key of all the unit's files): the one list of the files under out/.
-# Each unit is a module-level function, so that it can be pickled.
+# Each unit is a module-level function, so that it can be pickled; it writes
+# its files and returns only its failure (see _attempt).
 _STAGES = {
     "encode": (("image", _encode, "jets", [".json"]),),
     "matrices": (("expresser", _matrices, "matrices", [

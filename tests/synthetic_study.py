@@ -11,6 +11,7 @@ study that kept the fear column would change the semantic matrix.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
@@ -104,3 +105,20 @@ def make_synthetic_study(root, n_images=10, size=IMAGE_SIZE, seed=7):
     config_path = root / "study.json"
     config_path.write_text(json.dumps(config, indent=2))
     return config_path
+
+
+def read_summary(out_dir):
+    """The rows of `out_dir`/summary.csv, expresser (or "Average") -> its
+    cells by column name: a number is a float, an empty cell None, and a
+    failed expresser's gabor_rho the string "failed"."""
+    header, *lines = (Path(out_dir) / "summary.csv").read_text().splitlines()
+    columns = header.split(",")[1:]
+
+    def value(cell):
+        return None if cell == "" else cell if cell == "failed" else float(cell)
+
+    rows = {}
+    for line in lines:
+        label, *cells = line.split(",")
+        rows[label] = dict(zip(columns, map(value, cells), strict=True))
+    return rows

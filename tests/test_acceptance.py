@@ -23,7 +23,7 @@ import gaborface as gf
 from gaborface.cli import StudyConfig, _read, main, run_study
 from gaborface.grid import NODE_COUNT
 from oracles import amplitude, filter_response, gabor_image_similarity
-from synthetic_study import make_synthetic_study
+from synthetic_study import make_synthetic_study, read_summary
 
 
 def report(number, text):
@@ -224,15 +224,16 @@ def test_criterion_7_procrustes_optimality():
 
 def test_criterion_8_end_to_end_synthetic_study(tmp_path):
     budget = Budget(60.0)
-    config_path = make_synthetic_study(tmp_path / "study")
-    rows = run_study(StudyConfig.from_file(config_path))
-    assert len(rows) == 1
-    _, gab, _ = rows[0]
-    assert gab.rho > 0.8
-    assert gab.p_two_sided < 0.01
+    config = StudyConfig.from_file(make_synthetic_study(tmp_path / "study"))
+    run_study(config)
+    rows = read_summary(config.out_dir)
+    assert list(rows) == ["SY", "Average"]
+    rho, p = rows["SY"]["gabor_rho"], rows["SY"]["gabor_p"]
+    assert rho > 0.8
+    assert p < 0.01
     elapsed = budget.check()
-    report(8, f"synthetic study: Gabor rho {gab.rho:.3f} > 0.8, "
-              f"p {gab.p_two_sided:.1e} < 0.01 ({elapsed:.1f}s)")
+    report(8, f"synthetic study: Gabor rho {rho:.3f} > 0.8, "
+              f"p {p:.1e} < 0.01 ({elapsed:.1f}s)")
 
 
 def jaffe_config(path, no_fear):
@@ -263,15 +264,16 @@ def test_jaffe_config_drops_fear_only_when_asked(tmp_path):
 def test_criterion_9_paper_number_reproduction():
     no_fear = bool(os.environ.get("GABORFACE_JAFFE_NO_FEAR"))
     config = jaffe_config(os.environ["GABORFACE_JAFFE_STUDY"], no_fear)
-    rows = run_study(config)
-    assert rows, "no expresser groups produced results"
-    gabor_rhos = {e: g.rho for e, g, _ in rows}
-    geometry_rhos = {e: geo.rho for e, _, geo in rows}
-    for expresser in gabor_rhos:
-        assert gabor_rhos[expresser] > geometry_rhos[expresser]
-    keep = [e for e in gabor_rhos if e not in config.exclude_from_average]
-    avg_gabor = np.mean([gabor_rhos[e] for e in keep])
-    avg_geometry = np.mean([geometry_rhos[e] for e in keep])
+    run_study(config)
+    rows = read_summary(config.out_dir)
+    results = {e: row for e, row in rows.items()
+               if e != "Average" and row["gabor_rho"] != "failed"}
+    assert results, "no expresser groups produced results"
+    for row in results.values():
+        assert row["gabor_rho"] > row["geometry_rho"]
+    # the Average row leaves out the config's exclude_from_average expressers
+    avg_gabor = rows["Average"]["gabor_rho"]
+    avg_geometry = rows["Average"]["geometry_rho"]
     # table targets: all-expression study vs fear-excluded study
     expected_gabor, expected_geometry = (0.679, 0.462) if no_fear else (0.568, 0.366)
     assert abs(avg_gabor - expected_gabor) < 0.05

@@ -31,7 +31,7 @@ from oracles import (
     matrix_csv,
     matrix_document,
 )
-from synthetic_study import make_synthetic_study
+from synthetic_study import make_synthetic_study, read_summary
 
 
 @pytest.fixture(scope="module")
@@ -175,13 +175,12 @@ class TestEncode:
 class TestStudyPipeline:
     def test_full_study(self, study):
         config = load_config(study)
-        rows = run_study(config)
-        assert len(rows) == 1
-        expresser, gab, geo = rows[0]
-        assert expresser == "SY"
-        assert gab.rho > 0.8
-        assert gab.p_two_sided < 0.01
+        run_study(config)
         out = config.out_dir
+        rows = read_summary(out)
+        assert list(rows) == ["SY", "Average"]
+        assert rows["SY"]["gabor_rho"] > 0.8
+        assert rows["SY"]["gabor_p"] < 0.01
         for name in ["SY_gabor", "SY_geometry", "SY_semantic"]:
             assert (out / "matrices" / f"{name}.json").exists()
             assert (out / "matrices" / f"{name}.csv").exists()
@@ -303,6 +302,15 @@ class TestMainCli:
 
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_out_naming_a_regular_file_exits_two(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path / "study", n_images=4)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["--config", str(config_path), "--out", str(taken)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("failure: ") and "Not a directory" in line
+        assert str(taken / "jets" / "img00.json") in line
 
     def test_no_fear_drops_labelled_images(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=5)
@@ -1405,9 +1413,10 @@ class TestModelDissimilarityConversion:
         config = load_config(study)
         run_stage(config, "encode")
         run_stage(config, "matrices")
-        configs = run_stage(config, "embed")
-        assert "gabor" in configs["SY"]
-        assert configs["SY"]["gabor"].d == 2
+        run_stage(config, "embed")
+        embedding = cli._read(config.out_dir / "embeddings" / "SY_gabor.json",
+                              nmds.Configuration.from_document)
+        assert embedding.d == 2
 
 
 class TestArrayPathDrift:

@@ -551,6 +551,11 @@ class TestPgmIO:
         with pytest.raises(FormatError, match=f"PGM {field} must be decimal digits"):
             gf.read_pgm(header + bytes(20))
 
+    def test_rejects_a_header_field_too_long_for_int(self):
+        # int() refuses a decimal string of over 4,300 digits
+        with pytest.raises(FormatError, match="header field too long"):
+            gf.read_pgm(b"P5 " + b"1" * 5000 + b" 1 255\n" + bytes(4))
+
     def test_rejects_non_p5(self):
         with pytest.raises(FormatError):
             gf.read_pgm(b"P2\n2 2\n255\n0 0 0 0")
@@ -603,6 +608,19 @@ class TestJetDocument:
         doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
         del doc["source_size"], doc["nose_tip"]
         with pytest.raises(FormatError, match="re-run the encode stage"):
+            gf.gabor.parse_jet_document(doc)
+
+    def test_document_without_its_bank_names_it(self):
+        doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
+        del doc["bank"]
+        with pytest.raises(FormatError, match="missing 'bank'"):
+            gf.gabor.parse_jet_document(doc)
+
+    def test_amplitudes_of_another_bank_size_are_refused(self):
+        doc, _, _ = coded_document(gf.FilterBank())
+        for point in doc["points"]:
+            point["amplitudes"] = point["amplitudes"][:17]
+        with pytest.raises(FormatError, match=r"amplitudes of shape \(34, 17\)"):
             gf.gabor.parse_jet_document(doc)
 
     def test_every_truncation_is_a_format_error(self, tmp_path):

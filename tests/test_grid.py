@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -65,6 +66,20 @@ class TestLoadGrid:
             doc[field] = value
         with pytest.raises(FormatError):
             gf.load_grid(doc)
+
+    def test_json_nan_coordinate_is_non_finite(self, tmp_path):
+        doc = grid_document(square_layout())
+        doc["nodes"][5]["x"] = math.nan
+        path = tmp_path / "img.json"
+        path.write_text(json.dumps(doc))
+        assert '"x": NaN' in path.read_text()
+        with pytest.raises(FormatError, match=f"node {doc['nodes'][5]['name']!r} "
+                                              "has non-finite coordinates"):
+            _read(path, gf.load_grid)
+
+    def test_points_that_are_not_xy_pairs(self):
+        with pytest.raises(FormatError, match=r"\(34, 2\) array, got shape \(34, 3\)"):
+            dataclasses.replace(square_layout(), points=np.zeros((34, 3)))
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "img.json"

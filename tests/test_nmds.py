@@ -192,6 +192,10 @@ class TestStress1:
         with pytest.raises(DegenerateConfigurationError):
             gf.stress1(np.zeros(3), Disparities(np.zeros(3)))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ParameterError, match="length mismatch: 3 vs 2"):
+            gf.stress1(np.ones(3), np.ones(2))
+
 
 class TestEmbed:
     def test_planted_exact_distances(self):
@@ -215,6 +219,39 @@ class TestEmbed:
             config = gf.embed(m, 2)
         # all pairs equal: the init already is the (degenerate-flagged) answer
         assert config.coordinates.shape == (4, 2)
+
+    def test_matrix_of_zeros_fits_at_coincident_points(self):
+        m = gf.PairMatrix(tuple("abcd"), np.zeros((4, 4)), "dissimilarity")
+        with pytest.warns(UserWarning, match="degenerate"):
+            config = gf.embed(m, 2)
+        assert (config.stress, config.rsq, config.iterations) == (0.0, 1.0, 0)
+        assert not np.any(config.coordinates)
+
+    @pytest.mark.parametrize("update", [
+        lambda evaluation: np.zeros_like(evaluation.coords),
+        lambda evaluation: evaluation.coords[::-1],
+    ], ids=["coincident", "reversed"])
+    def test_rejected_first_step_returns_the_classical_start(self, monkeypatch, update):
+        # coincident points are a collapse; the reversed points, here, an
+        # uphill step: embed accepts neither
+        rng = np.random.default_rng(3)
+        vals = rng.uniform(1, 2, (6, 6))
+        vals = (vals + vals.T) / 2
+        np.fill_diagonal(vals, 0.0)
+        m = gf.PairMatrix(tuple("abcdef"), vals, "dissimilarity")
+        monkeypatch.setattr(nmds, "_guttman_update", update)
+        calls = []
+        config = gf.embed(m, 2, on_iteration=lambda i, stress: calls.append(i))
+        assert config.iterations == 0 and calls == [0]
+        np.testing.assert_allclose(config.coordinates, gf.classical_init(m, 2),
+                                   rtol=0, atol=1e-15)
+
+    def test_disparities_pooled_into_one_block_have_rsq_zero(self):
+        distances = np.array([1.0, 2.0, 3.0])
+        disparities = np.full(3, 2.0)  # their mean: one pooled block
+        evaluation = nmds._Evaluation(None, distances, disparities,
+                                      gf.stress1(distances, disparities))
+        assert nmds._diagnostics(evaluation) == (evaluation.stress, 0.0)
 
     def test_near_equilateral(self):
         rng = np.random.default_rng(7)
@@ -403,6 +440,13 @@ class TestProcrustesAlign:
         c = config_from_points(np.zeros((3, 2)))
         with pytest.raises(DegenerateConfigurationError):
             gf.procrustes_align(c, c)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(5)
+        a = config_from_points(rng.uniform(-1, 1, (4, 2)))
+        b = config_from_points(rng.uniform(-1, 1, (4, 3)))
+        with pytest.raises(AlignmentError, match="dimension mismatch: 2 vs 3"):
+            gf.procrustes_align(a, b)
 
     def test_item_mismatch(self):
         rng = np.random.default_rng(5)

@@ -66,6 +66,10 @@ class TestAverageRanks:
         with pytest.raises(ParameterError):
             gf.average_ranks([1.0, float("nan")])
 
+    def test_empty_array_rejected(self):
+        with pytest.raises(ParameterError, match="empty"):
+            gf.average_ranks([])
+
     def test_two_dimensional_array_rejected(self):
         with pytest.raises(ParameterError, match="1-d array"):
             gf.average_ranks([[3, 1], [2, 4]])
@@ -101,6 +105,10 @@ class TestSpearmanRho:
     def test_constant_series_raises(self):
         with pytest.raises(UndefinedCorrelationError):
             gf.spearman_rho([1, 1, 1, 1], [1, 2, 3, 4])
+
+    def test_series_of_unequal_lengths_rejected(self):
+        with pytest.raises(ParameterError, match="series lengths differ: 3 vs 2"):
+            gf.spearman_rho([1, 2, 3], [1, 2])
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)

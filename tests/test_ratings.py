@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ class TestLoadRatings:
             "image_id, happiness, sadness, surprise, anger, disgust, fear\n"
             "a,1,2,3,4,5,1\n")
         assert table.adjectives == tuple(SIX.split(",")[1:])
+
+    def test_blank_line_between_rows_skipped(self):
+        ratings = gf.load_ratings(SIX + "\na,1,2,3,4,5,1\n\nb,2,2,2,2,2,2\n")
+        assert ratings.image_ids == ("a", "b")
+        np.testing.assert_array_equal(ratings.values[1], [2] * 6)
+
+    def test_cell_over_the_csv_field_limit(self):
+        cell = "1" * (csv.field_size_limit() + 1)
+        with pytest.raises(FormatError, match="malformed ratings table"):
+            gf.load_ratings(f"{SIX}\na,{cell},2,3,4,5,1\n")
 
     def test_missing_image_id_header(self):
         with pytest.raises(FormatError):
