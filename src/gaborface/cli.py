@@ -26,6 +26,7 @@ import argparse
 import html
 import json
 import os
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -46,6 +47,11 @@ MEASURES = ("gabor", "geometry")  # the models correlated with the ratings
 EMBEDDED = ("gabor", "semantic")  # the matrices embedded, aligned and plotted
 CONFIG_KEYS = ("image_dir", "grid_dir", "ratings", "out_dir", "expressers",
                "labels", "bank", "options", "exclude_from_average", "no_fear")
+# what no id or label may hold: a C0 control character but tab (NUL ends a
+# file name, CR and LF a CSV line) or U+FFFE or U+FFFF; XML text, such as an
+# SVG label, can hold none of them
+BAD_TEXT = re.compile("[\x00-\x08\x0a-\x1f\ufffe\uffff]")
+NAME_MAX = 255  # UTF-8 bytes in a file name under out/
 
 
 @dataclass
@@ -54,16 +60,15 @@ class StudyOptions:
     tolerance: float = nmds.DEFAULT_TOLERANCE
     max_iterations: int = nmds.DEFAULT_MAX_ITERATIONS
     seed: int = 0
-    permutations: int | None = None
+    permutations: int = rank_stats.DEFAULT_PERMUTATIONS
     scan_dims: int | None = None
 
     def __post_init__(self):
-        """Type and range checks; permutations and scan_dims may be None
-        (the t-approximation, no dimension scan)."""
+        """Type and range checks; scan_dims may be None (no dimension scan)."""
         for name, least in (("dims", 1), ("max_iterations", 0), ("seed", 0),
                             ("permutations", 1), ("scan_dims", 1)):
             value = getattr(self, name)
-            if value is not None or name not in ("permutations", "scan_dims"):
+            if value is not None or name != "scan_dims":
                 setattr(self, name, require_integer(value, name, least))
         self.tolerance = require_real(self.tolerance, "tolerance", 0)
 
@@ -112,17 +117,32 @@ class StudyConfig:
             if not isinstance(label, str):
                 raise ValidationError(f"the label of {image_id!r} must be a "
                                       f"string, got {label!r}")
+            if BAD_TEXT.search(label):
+                raise ValidationError(f"bad label {label!r} of {image_id!r}: holds a "
+                                      "control character but tab, U+FFFE or U+FFFF")
         for item in (*expressers, *expressers.values()):
             # ids name files under out/ and fill unquoted CSV cells
-            if item in ("", ".", "..") or any(c in item for c in '/\0,"\r\n'):
+            if (item in ("", ".", "..") or any(c in item for c in '/,"')
+                    or BAD_TEXT.search(item)):
                 raise ValidationError(
                     f"bad id {item!r}: an image or expresser id must not be "
-                    "empty, '.' or '..', nor hold '/', NUL, ',', '\"', CR or LF")
+                    "empty, '.' or '..', nor hold '/', ',', '\"', a control "
+                    "character but tab, U+FFFE or U+FFFF")
         for text in (*expressers, *expressers.values(), *labels.values()):
             # a JSON escape such as "\ud800" gives a lone surrogate, which the
             # UTF-8 of a file name, CSV cell or SVG label cannot encode
             if any("\ud800" <= c <= "\udfff" for c in text):
                 raise ValidationError(f"bad id or label {text!r}: holds a lone surrogate")
+        for scope, ids in (("image", expressers), ("expresser", expressers.values())):
+            # the longest file name of an id is its key, a name of _STAGES, .tmp
+            suffix = max(len(f"{name}.tmp".encode()) for steps in _STAGES.values()
+                         for unit_scope, _, _, names in steps if unit_scope == scope
+                         for name in names)
+            for item in ids:
+                if len(item.encode()) + suffix > NAME_MAX:
+                    raise ValidationError(
+                        f"bad id {item!r}: an {scope} id of over {NAME_MAX - suffix} "
+                        f"UTF-8 bytes makes a file name under out/ of over {NAME_MAX}")
         if "Average" in expressers.values():  # the summaries' mean row
             raise ValidationError("bad id 'Average': an expresser id must not be "
                                   "'Average', the label of the summaries' mean row")
@@ -322,6 +342,13 @@ def _attempt(out, run):
 
 def run_stage(config, name):
     """Run one stage (see the module docstring)."""
+    for _, _, directory, _ in _STAGES[name]:
+        # the nearest existing ancestor of each output directory must be one
+        path = config.out_dir / directory
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValidationError(f"{existing}: not a directory; the {name} stage "
+                                  f"writes in {path}")
     groups = config.groups()
     usable = {e: (e, ids) for e, ids in groups.items() if len(ids) >= MIN_GROUP_SIZE}
     # scope -> key -> the unit's arguments after config, None if it is skipped

@@ -1,4 +1,4 @@
-"""Spearman rank correlation with t-approximation or permutation p-values.
+"""Spearman rank correlation with item-label permutation p-values.
 
 The series correlated are the pairs of one item set, taken from pair
 matrices in canonical order: the upper triangle, row by row, of the matrix
@@ -24,6 +24,8 @@ from .errors import (AlignmentError, FormatError, ParameterError,
                      UndefinedCorrelationError, require_integer, require_real)
 
 DEFAULT_PERMUTATION_SEED = 20230
+DEFAULT_PERMUTATIONS = 999  # p-values from 1/1000 up
+CHUNK_PAIR_DRAWS = 2 ** 16  # pair values per chunk of draws: 312 at 21 items
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class CorrelationResult:
     rho: float
     n: int
     p_two_sided: float
-    method: str  # "t_approximation" or "permutation"
+    method: str  # "permutation", the one test of correlate_model_with_ratings
 
     def to_document(self, **extra):
         """The result as a JSON document, plus `extra` keys."""
@@ -114,7 +116,8 @@ def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):
     the pairs (i, j), i < j, of k items in row-major order; k follows from
     their length, k(k-1)/2.  Each of the `permutations` (>= 1) draws
     relabels the items with one `rng.permutation` and scores every series
-    against y relabelled, so a series gets the p-value it would get alone.
+    against y relabelled, so a series gets the p-value it would get alone;
+    the draws are scored a chunk of CHUNK_PAIR_DRAWS pair values at a time.
     """
     permutations = require_integer(permutations, "permutations", 1)
     rx = np.array(x_ranks, dtype=float)
@@ -131,32 +134,36 @@ def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):
                              "x_ranks has none")
     if m < 4:
         raise ParameterError(f"need n >= 4 for a significance test, got {m}")
-    thresholds = np.abs([_rho_from_ranks(row, ry) for row in rx]) - 1e-12
+    thresholds = np.abs([_rho_from_ranks(row, ry) for row in rx])[:, None] - 1e-12
     rx -= rx.mean(axis=1, keepdims=True)
     ry -= ry.mean()
-    denom = np.sqrt(np.sum(rx * rx, axis=1) * np.sum(ry * ry))
+    denom = np.sqrt(np.sum(rx * rx, axis=1, keepdims=True) * np.sum(ry * ry))
     # relabelling the items reorders the same pair values, so the centred
-    # ranks and the denominator hold for every draw; draw p gathers pair
-    # (i, j) from cell (p[i], p[j]) of the symmetric matrix of centred ranks,
-    # never from its diagonal.  The indices are in range by construction,
-    # and mode="clip" spares take the copy of `out` that its default makes.
+    # ranks and the denominator hold for every draw.  Column p of a chunk's
+    # labels is the stream's next rng.permutation(items), as rng.permuted
+    # shuffles the columns in turn; pair (i, j) takes cell (p[i], p[j]) of
+    # the symmetric matrix of centred ranks.  The indices are in range, and
+    # mode="clip" spares take the copy of `out` that its default makes.
     upper_i, upper_j = np.triu_indices(items, 1)
     centred = np.zeros((items, items))
     centred[upper_i, upper_j] = centred[upper_j, upper_i] = ry
     ry_flat = centred.ravel()
-    row_starts = np.empty(items, dtype=np.intp)
-    cells, cols = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
-    permuted = np.empty(m)
+    chunk = min(permutations, max(1, CHUNK_PAIR_DRAWS // m))
     rng = np.random.default_rng(seed)
     hits = np.zeros(len(rx), dtype=int)
-    for _ in range(permutations):
-        labels = rng.permutation(items)
-        np.multiply(labels, items, out=row_starts)
-        np.take(row_starts, upper_i, out=cells, mode="clip")
-        np.take(labels, upper_j, out=cols, mode="clip")
+    for done in range(0, permutations, chunk):
+        draws = min(chunk, permutations - done)
+        if done == 0 or draws < chunk:  # the first chunk's buffers, or the last's
+            table = np.repeat(np.arange(items), draws).reshape(items, draws)
+            labels = np.empty((items, draws), dtype=np.intp)
+            cells, cols = np.empty((2, m, draws), dtype=np.intp)
+            permuted = np.empty((m, draws))
+        rng.permuted(table, axis=0, out=labels)
+        np.take(labels * items, upper_i, axis=0, out=cells, mode="clip")
+        np.take(labels, upper_j, axis=0, out=cols, mode="clip")
         cells += cols
         np.take(ry_flat, cells, out=permuted, mode="clip")
-        hits += np.abs(rx @ permuted) / denom >= thresholds
+        hits += np.sum(np.abs(rx @ permuted) / denom >= thresholds, axis=1)
     return [(h + 1) / (permutations + 1) for h in hits.tolist()]
 
 
@@ -169,18 +176,16 @@ def matrix_series(matrix):
     return matrix.values[np.ix_(order, order)][np.triu_indices(len(ids), 1)]
 
 
-def correlate_model_with_ratings(models, semantic, permutations=None,
+def correlate_model_with_ratings(models, semantic, permutations=DEFAULT_PERMUTATIONS,
                                  seed=DEFAULT_PERMUTATION_SEED):
     """Spearman correlation of each model matrix with semantic dissimilarity.
 
     Returns one CorrelationResult per model.  Each matrix is put in
     sorted-id order and its upper triangle ranked once.  Similarity-kind
     model values are negated first so that agreement with the human data
-    reads as positive rho.  Without `permutations`, the p-values are
-    `t_approximation`'s, which treats the pairs as independent.  With
-    `permutations` set, they are `significance`'s, which relabels the items
-    behind the semantic ranks and tests all models against one stream of
-    relabellings.
+    reads as positive rho.  The p-values are `significance`'s, which
+    relabels the items behind the semantic ranks and tests all models
+    against one stream of `permutations` relabellings.
     """
     rx = []
     for model in models:
@@ -191,11 +196,6 @@ def correlate_model_with_ratings(models, semantic, permutations=None,
         x = matrix_series(model)
         rx.append(average_ranks(-x if model.kind == "similarity" else x))
     ry = average_ranks(matrix_series(semantic))
-    rhos = [_rho_from_ranks(x, ry) for x in rx]
-    n = ry.size
-    if permutations is None:
-        return [CorrelationResult(rho, n, t_approximation(rho, n), "t_approximation")
-                for rho in rhos]
     ps = significance(rx, ry, permutations=permutations, seed=seed)
-    return [CorrelationResult(rho, n, p, "permutation")
-            for rho, p in zip(rhos, ps)]
+    return [CorrelationResult(_rho_from_ranks(x, ry), ry.size, p, "permutation")
+            for x, p in zip(rx, ps)]

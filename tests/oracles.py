@@ -2,10 +2,11 @@
 
 The package computes each step once, with whole-array kernels: the jets of
 many points with gabor.compute_jets, the pair matrices with
-similarity.pairwise_matrix.  Here are the references they are held to,
-one point or one pair at a time (the closed-form kernel, a direct
-windowed sum, the jet similarity), and the writers that make the files and
-documents the loaders read back.
+similarity.pairwise_matrix, the permutation test's draws a chunk at a
+time with rank_stats.significance.  Here are the references they are held
+to, one point, one pair or one draw at a time (the closed-form kernel, a
+direct windowed sum, the jet similarity, the per-draw Mantel loop), and the
+writers that make the files and documents the loaders read back.
 """
 
 import math
@@ -189,6 +190,35 @@ def gabor_image_similarity(a, b):
             warnings.warn(f"zero jet at node {i}; counting similarity 0 for "
                           "that node")
     return total / NODE_COUNT
+
+
+def mantel_per_draw(x_ranks, y_ranks, permutations, seed):
+    """significance's p-values, one draw at a time: per draw, one
+    rng.permutation of the items, the centred y ranks gathered from the
+    relabelled item matrix and every series scored against them (the
+    reference for significance's chunked draws, which must equal it)."""
+    rx = np.array(x_ranks, dtype=float)
+    ry = np.array(y_ranks, dtype=float)
+    m = ry.size
+    items = math.isqrt(2 * m) + 1
+    thresholds = []
+    for row in rx:
+        a, b = row - row.mean(), ry - ry.mean()
+        thresholds.append(abs(np.dot(a, b) / np.sqrt(np.sum(a * a) * np.sum(b * b))))
+    thresholds = np.array(thresholds) - 1e-12
+    rx -= rx.mean(axis=1, keepdims=True)
+    ry -= ry.mean()
+    denom = np.sqrt(np.sum(rx * rx, axis=1) * np.sum(ry * ry))
+    upper_i, upper_j = np.triu_indices(items, 1)
+    centred = np.zeros((items, items))
+    centred[upper_i, upper_j] = centred[upper_j, upper_i] = ry
+    rng = np.random.default_rng(seed)
+    hits = np.zeros(len(rx), dtype=int)
+    for _ in range(permutations):
+        labels = rng.permutation(items)
+        permuted = centred[labels[upper_i], labels[upper_j]]
+        hits += np.abs(rx @ permuted) / denom >= thresholds
+    return [(h + 1) / (permutations + 1) for h in hits.tolist()]
 
 
 # ---------------------------------------------------------------------------

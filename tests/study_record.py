@@ -14,7 +14,8 @@ A change that moves an output by design rewrites the record with
 
     PYTHONPATH=src python tests/study_record.py
 
-and names the files that changed, and why.
+which first prints each difference from the old record, so that the change
+can name every file and field it moved, and why.
 """
 
 import json
@@ -120,6 +121,10 @@ def write_record(record):
 
 
 if __name__ == "__main__":
+    old = json.loads(RECORD.read_text(encoding="utf-8")) if RECORD.exists() else {}
     with tempfile.TemporaryDirectory() as root:
-        write_record(run_studies(root))
-    print(f"wrote {RECORD}")
+        new = run_studies(root)
+    found = differences(old, new)
+    print("\n".join(found) if found else "no difference")
+    write_record(new)
+    print(f"wrote {RECORD} ({len(found)} difference(s))")

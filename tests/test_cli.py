@@ -303,14 +303,34 @@ class TestMainCli:
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json")]) == 1
 
-    def test_out_naming_a_regular_file_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_naming_a_regular_file_exits_one(self, tmp_path, capsys, under):
+        # refused before any unit runs, so no jet file is written and failed
         config_path = make_synthetic_study(tmp_path / "study", n_images=4)
         taken = tmp_path / "taken"
         taken.write_text("")
-        assert main(["--config", str(config_path), "--out", str(taken)]) == 2
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("failure: ") and "Not a directory" in line
-        assert str(taken / "jets" / "img00.json") in line
+        out = taken / "sub" if under else taken
+        assert main(["--config", str(config_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {taken}: not a directory; the "
+                                           f"encode stage writes in {out / 'jets'}\n")
+        assert taken.read_text() == ""
+
+    def test_output_directory_that_is_a_file_fails_library_callers(
+            self, matrices_study, tmp_path):
+        config = load_config(matrices_study)
+        config.out_dir = tmp_path / "out"
+        config.out_dir.mkdir()
+        (config.out_dir / "correlations").write_text("")
+        with pytest.raises(ValidationError, match="correlations: not a directory; "
+                                                  "the correlate stage writes in"):
+            run_stage(config, "correlate")
+        config.out_dir = tmp_path / "taken"
+        config.out_dir.write_text("")
+        with pytest.raises(ValidationError, match="taken: not a directory; "
+                                                  "the encode stage writes in"):
+            run_study(config)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "correlations", "out", "taken"]
 
     def test_no_fear_drops_labelled_images(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=5)
@@ -674,8 +694,8 @@ class TestMainCli:
             "SY_gabor.json", "SY_geometry.json"]
 
     def test_refused_exclusion_leaves_no_summary(self, tmp_path, capsys):
-        # the correlation files are rewritten with permutation p-values, so
-        # an old summary left beside them would disagree with them
+        # the correlation files are rewritten with 50-draw p-values, so an
+        # old summary left beside them would disagree with them
         config_path = make_synthetic_study(tmp_path, n_images=6)
         assert main(["--config", str(config_path)]) == 0
         doc = json.loads(config_path.read_text())
@@ -920,7 +940,8 @@ class TestMainCli:
 
     @pytest.mark.parametrize("role", ["image", "expresser"])
     @pytest.mark.parametrize("item_id", [
-        "", ".", "..", "../../LEAK", "a/b", "a\0b", "a,b", 'a"b', "a\rb", "a\nb"])
+        "", ".", "..", "../../LEAK", "a/b", "a\0b", "a,b", 'a"b', "a\rb", "a\nb",
+        "a\u0007b", "a\u001bb", "a\ufffeb", "a\uffffb"])
     def test_id_that_leaves_out_or_breaks_a_csv_is_refused(self, tmp_path, capsys,
                                                           role, item_id):
         config_path = make_synthetic_study(tmp_path, n_images=4)
@@ -937,6 +958,71 @@ class TestMainCli:
         assert err.startswith(f"error: {config_path}: bad id {item_id!r}")
         assert err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("label", ["A\u0007B", "A\u001bB", "A\ufffeB", "A\uffffB"],
+                             ids=["bel", "esc", "fffe", "ffff"])
+    def test_label_that_svg_text_cannot_hold_is_refused(self, tmp_path, capsys, label):
+        # a C0 control character but tab, U+FFFE or U+FFFF: XML has no such
+        # character, so the plots' labels would not be well-formed (ids keep
+        # to the same rule, in test_id_that_leaves_out_or_breaks_a_csv_is_refused)
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        doc = json.loads(config_path.read_text())
+        first = sorted(doc["expressers"])[0]
+        doc["labels"][first] = label
+        config_path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: bad label {label!r} of {first!r}: holds a "
+            "control character but tab, U+FFFE or U+FFFF\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_label_with_a_tab_plots_well_formed_svg(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        doc = json.loads(config_path.read_text())
+        doc["labels"] = dict.fromkeys(doc["labels"], "A\tB")
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path)]) == 0
+        for svg in (tmp_path / "out" / "plots").glob("*.svg"):
+            labels = [t.text for t in ElementTree.parse(svg).iter(
+                "{http://www.w3.org/2000/svg}text")]
+            assert labels == ["A\tB"] * 4
+
+    @pytest.mark.parametrize("role,longest", [("image", 246), ("expresser", 233)])
+    def test_id_whose_file_name_under_out_is_too_long_is_refused(
+            self, tmp_path, capsys, role, longest):
+        # the longest file name of an id under out/ is the id, its longest
+        # name in _STAGES and .tmp: img.json.tmp, or E_semantic_scan.csv.tmp
+        # (written with scan_dims set), at most 255 UTF-8 bytes
+        for item_id, code in (("a" * longest, 0), ("a" * (longest - 1) + "\u00e9", 1)):
+            root = tmp_path / str(code)
+            config_path = make_synthetic_study(root, n_images=4)
+            doc = json.loads(config_path.read_text())
+            first = sorted(doc["expressers"])[0]
+            if role == "image":  # the image's files and grid take the new id
+                doc["expressers"][item_id] = doc["expressers"].pop(first)
+                images = root / "images"
+                (images / f"{first}.pgm").rename(images / f"{item_id}.pgm")
+                grid_doc = json.loads((root / "grids" / f"{first}.json").read_text())
+                (root / "grids" / f"{first}.json").unlink()
+                (root / "grids" / f"{item_id}.json").write_text(
+                    json.dumps({**grid_doc, "image_id": item_id}))
+            else:
+                doc["expressers"] = dict.fromkeys(doc["expressers"], item_id)
+            doc["options"]["scan_dims"] = 1
+            config_path.write_text(json.dumps(doc))
+            stage = "encode" if role == "image" else "study"  # its longest name
+            assert main(["--config", str(config_path), "--stage", stage]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err == (f"error: {config_path}: bad id {item_id!r}: an {role} "
+                               f"id of over {longest} UTF-8 bytes makes a file name "
+                               "under out/ of over 255\n")
+                assert not (root / "out").exists()
+            else:
+                names = [p.name for p in (root / "out").rglob(f"{item_id}*")]
+                assert max(len(n.encode()) for n in names) == longest + (
+                    len(".json") if role == "image" else len("_semantic_scan.csv"))
 
     @pytest.mark.parametrize("role,text,stage", [
         ("image", "img\ud800", "encode"), ("expresser", "K\udc00", "study"),
@@ -1164,6 +1250,65 @@ class TestMainCli:
             assert stored["method"] == "permutation"
             assert (stored["rho"], stored["p_two_sided"]) == (alone.rho,
                                                               alone.p_two_sided)
+
+    def test_default_p_values_are_the_item_label_test(self, matrices_study):
+        # with no options.permutations, DEFAULT_PERMUTATIONS relabellings
+        config = load_config(matrices_study)
+        assert config.options.permutations == rank_stats.DEFAULT_PERMUTATIONS == 999
+        assert main(["--config", str(matrices_study), "--stage", "correlate"]) == 0
+        semantic, *models = (gf.PairMatrix.from_document(json.loads(
+            (config.out_dir / "matrices" / f"SY_{m}.json").read_text()))
+            for m in ("semantic", "gabor", "geometry"))
+        expected = gf.correlate_model_with_ratings(models, semantic,
+                                                   permutations=999, seed=11)
+        for measure, result in zip(("gabor", "geometry"), expected):
+            stored = json.loads(
+                (config.out_dir / "correlations" / f"SY_{measure}.json").read_text())
+            assert stored["method"] == "permutation"
+            assert (stored["rho"], stored["p_two_sided"]) == (result.rho,
+                                                              result.p_two_sided)
+
+    def test_null_permutations_exits_one_naming_the_field(self, tmp_path, capsys):
+        # null once chose the t-approximation; the study has one p-value method
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        doc = json.loads(config_path.read_text())
+        doc["options"]["permutations"] = None
+        config_path.write_text(json.dumps(doc))
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: permutations must be an integer, got None\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_default_correlate_holds_alpha_on_null_studies(self, tmp_path):
+        # 300 seeded null studies of 21 items, one per expresser, through the
+        # correlate stage with default options: semantic, gabor and geometry
+        # matrices are the distances of three unrelated random 6-d
+        # configurations.  Pairs that share an item are dependent, so the
+        # t-approximation rejected ~23% of them at .05; the item-label test
+        # must stay near 5% (binomial sd 1.3%).
+        from scipy.spatial.distance import pdist, squareform
+        rng = np.random.default_rng(2033)
+        expressers = {f"N{e:03d}i{k:02d}": f"N{e:03d}" for e in range(300)
+                      for k in range(21)}
+        for e in range(300):
+            ids = [f"N{e:03d}i{k:02d}" for k in range(21)]
+            for measure in ("semantic", "gabor", "geometry"):
+                matrix = gf.PairMatrix(ids, squareform(pdist(
+                    rng.standard_normal((21, 6)))), "dissimilarity")
+                path = tmp_path / "out" / "matrices" / f"N{e:03d}_{measure}.json"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps(matrix_document(matrix)))
+        config_path = tmp_path / "study.json"
+        config_path.write_text(json.dumps({
+            "image_dir": "images", "grid_dir": "grids", "ratings": "ratings.csv",
+            "out_dir": "out", "expressers": expressers}))
+        assert main(["--config", str(config_path), "--stage", "correlate"]) == 0
+        rows = read_summary(tmp_path / "out")
+        del rows["Average"]
+        assert len(rows) == 300
+        for measure in ("gabor", "geometry"):
+            rejected = sum(row[f"{measure}_p"] <= 0.05 for row in rows.values())
+            assert 0.01 <= rejected / 300 <= 0.09, (measure, rejected)
 
     def test_import_leaves_out_scipy_stats(self):
         code = "import sys, gaborface.cli; print('scipy.stats' in sys.modules)"

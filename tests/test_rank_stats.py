@@ -13,6 +13,7 @@ from gaborface.errors import (
 )
 from gaborface import rank_stats
 from gaborface.rank_stats import matrix_series
+from oracles import mantel_per_draw
 
 
 def oracle_midranks(values):
@@ -373,6 +374,27 @@ class TestSharedPermutationStream:
             gf.significance(np.empty((0, 10)), ranks[1], 10)
 
 
+class TestChunkedDraws:
+    """significance draws and scores its relabellings a chunk at a time; its
+    p-values must be those of one rng.permutation and one score per draw."""
+
+    @pytest.mark.parametrize("items", [4, 21, 210])
+    @pytest.mark.parametrize("draws", ["one", "default", "chunk-and-one"])
+    def test_p_values_equal_the_per_draw_loop(self, items, draws):
+        from scipy.spatial.distance import pdist
+        chunk = rank_stats.CHUNK_PAIR_DRAWS // (items * (items - 1) // 2)
+        permutations = {"one": 1, "default": rank_stats.DEFAULT_PERMUTATIONS,
+                        "chunk-and-one": chunk + 1}[draws]
+        rng = np.random.default_rng(items)
+        y = pdist(rng.standard_normal((items, 3)))
+        # a weak, a tied and an unrelated series
+        xs = [0.2 * y + pdist(rng.standard_normal((items, 3))), np.round(2 * y),
+              pdist(rng.standard_normal((items, 3)))]
+        ranks = item_ranks(xs, y)
+        assert (gf.significance(*ranks, permutations, seed=items)
+                == mantel_per_draw(*ranks, permutations, seed=items))
+
+
 class TestItemLabelNull:
     """The permutation test's null: the items are exchangeable, not the
     pairs (Mantel 1967)."""
@@ -440,7 +462,7 @@ class TestCorrelateModelWithRatings:
         semantic = matrix_from_pairs(ids, semantic_pairs)
         [result] = gf.correlate_model_with_ratings([model], semantic)
         assert result.rho == pytest.approx(1.0)
-        assert result.method == "t_approximation"
+        assert result.method == "permutation"
         assert result.n == 15
 
     def test_geometry_dissimilarity_used_as_is(self):
@@ -512,12 +534,10 @@ class TestCorrelateModelWithRatings:
         semantic = matrix_from_pairs(ids, rng.uniform(0, 1, 28))
         models = [matrix_from_pairs(ids, rng.uniform(0, 1, 28), "similarity"),
                   matrix_from_pairs(ids, rng.uniform(0, 1, 28))]
-        for permutations in (None, 300):
-            together = gf.correlate_model_with_ratings(
-                models, semantic, permutations=permutations, seed=2)
-            alone = [gf.correlate_model_with_ratings(
-                [m], semantic, permutations=permutations, seed=2)[0]
-                for m in models]
+        for draws in ({}, {"permutations": 300}):  # the default, and 300
+            together = gf.correlate_model_with_ratings(models, semantic, seed=2, **draws)
+            alone = [gf.correlate_model_with_ratings([m], semantic, seed=2, **draws)[0]
+                     for m in models]
             assert together == alone
 
     def test_item_set_mismatch_in_any_model(self):
@@ -542,10 +562,9 @@ class TestCorrelateModelWithRatings:
             return average_ranks(values)
 
         monkeypatch.setattr(rank_stats, "average_ranks", counted)
-        for permutations in (None, 50):
+        for draws in ({}, {"permutations": 50}):
             calls.clear()
-            gf.correlate_model_with_ratings(models, semantic,
-                                            permutations=permutations)
+            gf.correlate_model_with_ratings(models, semantic, **draws)
             assert calls == [21, 21, 21]
 
 
@@ -569,18 +588,20 @@ def pinned_case():
             gf.PairMatrix(ids, semantic, "dissimilarity"))
 
 
-@pytest.mark.parametrize("permutations,expected", [
-    (None, [(0.11533316316226472, 0.01610275786341664),
-            (0.021349744459352348, 0.6570038358011397)]),
-    (500, [(0.11533316316226472, 0.011976047904191617),
-           (0.021349744459352348, 0.654690618762475)]),
-], ids=["t-approximation", "permutations"])
-def test_correlate_numbers_are_pinned(permutations, expected):
-    # the literals are the repr floats of an earlier implementation, which
-    # ranked PairedSeries built from the pair labels; every bit must hold
+@pytest.mark.parametrize("draws,expected", [
+    ({}, [(0.11533316316226472, 0.017), (0.021349744459352348, 0.638)]),
+    ({"permutations": 500}, [(0.11533316316226472, 0.011976047904191617),
+                             (0.021349744459352348, 0.654690618762475)]),
+], ids=["default-permutations", "permutations"])
+def test_correlate_numbers_are_pinned(draws, expected):
+    # the literals are the repr floats of earlier implementations, which
+    # ranked PairedSeries built from the pair labels or drew one relabelling
+    # at a time; every bit must hold
     models, semantic = pinned_case()
     assert len(np.unique(matrix_series(semantic))) == 6
-    results = gf.correlate_model_with_ratings(models, semantic,
-                                              permutations=permutations, seed=5)
+    results = gf.correlate_model_with_ratings(models, semantic, seed=5, **draws)
     assert [(r.rho, r.p_two_sided) for r in results] == expected
     assert [r.n for r in results] == [435, 435]
+    # the t-approximation of the same rhos, once the study's p-values
+    assert ([gf.t_approximation(r.rho, r.n) for r in results]
+            == [0.01610275786341664, 0.6570038358011397])

@@ -24,7 +24,7 @@ def test_benchmark_spans_install():
 
 def test_permutation_count_reads_the_wrapped_significance_call():
     # rank_stats.permutations sums the `permutations` argument of each
-    # traced significance call; the t-approximation makes none
+    # traced significance call, the default included
     code = """
 import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import numpy as np
@@ -37,9 +37,8 @@ rng = np.random.default_rng(0)
 ids = tuple(f"i{k}" for k in range(6))
 model, semantic = (PairMatrix(ids, squareform(pdist(rng.standard_normal((6, 2)))),
                               "dissimilarity") for _ in range(2))
-for permutations in (50, None):
-    rank_stats.correlate_model_with_ratings([model], semantic,
-                                            permutations=permutations)
+for draws in ({"permutations": 50}, {}):
+    rank_stats.correlate_model_with_ratings([model], semantic, **draws)
 print([(s["name"], s.get("permutations")) for s in tracer.spans])
 """
     out = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"),
@@ -47,7 +46,7 @@ print([(s["name"], s.get("permutations")) for s in tracer.spans])
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == str([
         ("rank_stats.correlate", None), ("rank_stats.significance", 50),
-        ("rank_stats.correlate", None)])
+        ("rank_stats.correlate", None), ("rank_stats.significance", 999)])
 
 
 def test_benchmark_runner_set_up(tmp_path):
