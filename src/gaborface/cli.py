@@ -48,9 +48,11 @@ EMBEDDED = ("gabor", "semantic")  # the matrices embedded, aligned and plotted
 CONFIG_KEYS = ("image_dir", "grid_dir", "ratings", "out_dir", "expressers",
                "labels", "bank", "options", "exclude_from_average", "no_fear")
 # what no id or label may hold: a C0 control character but tab (NUL ends a
-# file name, CR and LF a CSV line) or U+FFFE or U+FFFF; XML text, such as an
-# SVG label, can hold none of them
-BAD_TEXT = re.compile("[\x00-\x08\x0a-\x1f\ufffe\uffff]")
+# file name, CR and LF a CSV line), U+FFFE or U+FFFF, which XML text such as
+# an SVG label cannot hold, or a lone surrogate (from a JSON escape such as
+# "\ud800"), which UTF-8 cannot encode
+BAD_TEXT = re.compile("[\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]")
+BAD_TEXT_NAMES = "a control character but tab, a lone surrogate, U+FFFE or U+FFFF"
 NAME_MAX = 255  # UTF-8 bytes in a file name under out/
 
 
@@ -86,6 +88,47 @@ class StudyConfig:
     exclude_from_average: tuple = ()
     no_fear: bool = False  # image_ids leaves out FE images; matrices the fear column
 
+    def __post_init__(self):
+        """The id and label rules (README, config section), for a config read
+        or built in code; unpickling skips them and their warning."""
+        for scope, ids in (("image", self.expressers),
+                           ("expresser", self.expressers.values())):
+            # ids name files under out/ and fill unquoted CSV cells; an id's
+            # longest file name is the id, a name of _STAGES and .tmp
+            longest = NAME_MAX - max(
+                len(f"{name}.tmp".encode()) for steps in _STAGES.values()
+                for unit_scope, _, _, names in steps if unit_scope == scope
+                for name in names)
+            for item in ids:
+                if (not isinstance(item, str) or item in ("", ".", "..")
+                        or any(c in item for c in '/,"') or BAD_TEXT.search(item)):
+                    raise ValidationError(
+                        f"bad id {item!r}: an image or expresser id must be a "
+                        "string, not empty, '.' or '..', nor hold '/', ',', "
+                        f"'\"', {BAD_TEXT_NAMES}")
+                if len(item.encode()) > longest:
+                    raise ValidationError(
+                        f"bad id {item!r}: an {scope} id of over {longest} UTF-8 "
+                        f"bytes makes a file name under out/ of over {NAME_MAX}")
+                if scope == "expresser" and item == "Average":
+                    raise ValidationError(
+                        "bad id 'Average': an expresser id must not be "
+                        "'Average', the label of the summaries' mean row")
+        for image_id, label in self.labels.items():
+            if not isinstance(label, str) or BAD_TEXT.search(label):
+                raise ValidationError(f"bad label {label!r} of {image_id!r}: a label "
+                                      f"must be a string without {BAD_TEXT_NAMES}")
+        unknown = sorted(set(self.labels) - set(self.expressers))
+        if unknown:  # not refused: a slice of a study keeps its whole labels
+            warnings.warn(f"{len(unknown)} 'labels' id(s) name no image of "
+                          f"'expressers', first {unknown[0]!r}; their labels "
+                          "are ignored")
+        if not all(isinstance(e, str) for e in self.exclude_from_average):
+            raise ValidationError("'exclude_from_average' must be a list of "
+                                  "expresser ids")
+        if not isinstance(self.no_fear, bool):
+            raise ValidationError(f"'no_fear' must be true or false, got {self.no_fear!r}")
+
     @classmethod
     def from_file(cls, path):
         path = Path(path)
@@ -93,6 +136,7 @@ class StudyConfig:
 
     @classmethod
     def _from_document(cls, doc, base):
+        """The config of the JSON value `doc`, whose shape alone this checks."""
         def section(key):
             value = doc.get(key, {})
             if not isinstance(value, dict):
@@ -102,81 +146,29 @@ class StudyConfig:
         def resolve(key):
             if key not in doc:
                 raise ValidationError(f"missing {key!r}")
-            return (base / doc[key]).resolve()
+            try:  # a TypeError if not a string; a NUL or lone surrogate, ValueError
+                return (base / doc[key]).resolve()
+            except (TypeError, ValueError):
+                raise ValidationError(f"{key!r} must be a path string, "
+                                      f"got {doc[key]!r}") from None
 
         if not isinstance(doc, dict):
             raise ValidationError("must be a JSON object")
         require_known_keys(doc, CONFIG_KEYS, "top-level")
         opts = section("options")
         require_known_keys(opts, [f.name for f in fields(StudyOptions)], "options")
-        expressers = section("expressers")
-        labels = section("labels")
-        if not all(isinstance(e, str) for e in expressers.values()):
-            raise ValidationError("expresser ids must be strings")
-        for image_id, label in labels.items():
-            if not isinstance(label, str):
-                raise ValidationError(f"the label of {image_id!r} must be a "
-                                      f"string, got {label!r}")
-            if BAD_TEXT.search(label):
-                raise ValidationError(f"bad label {label!r} of {image_id!r}: holds a "
-                                      "control character but tab, U+FFFE or U+FFFF")
-        for item in (*expressers, *expressers.values()):
-            # ids name files under out/ and fill unquoted CSV cells
-            if (item in ("", ".", "..") or any(c in item for c in '/,"')
-                    or BAD_TEXT.search(item)):
-                raise ValidationError(
-                    f"bad id {item!r}: an image or expresser id must not be "
-                    "empty, '.' or '..', nor hold '/', ',', '\"', a control "
-                    "character but tab, U+FFFE or U+FFFF")
-        for text in (*expressers, *expressers.values(), *labels.values()):
-            # a JSON escape such as "\ud800" gives a lone surrogate, which the
-            # UTF-8 of a file name, CSV cell or SVG label cannot encode
-            if any("\ud800" <= c <= "\udfff" for c in text):
-                raise ValidationError(f"bad id or label {text!r}: holds a lone surrogate")
-        for scope, ids in (("image", expressers), ("expresser", expressers.values())):
-            # the longest file name of an id is its key, a name of _STAGES, .tmp
-            suffix = max(len(f"{name}.tmp".encode()) for steps in _STAGES.values()
-                         for unit_scope, _, _, names in steps if unit_scope == scope
-                         for name in names)
-            for item in ids:
-                if len(item.encode()) + suffix > NAME_MAX:
-                    raise ValidationError(
-                        f"bad id {item!r}: an {scope} id of over {NAME_MAX - suffix} "
-                        f"UTF-8 bytes makes a file name under out/ of over {NAME_MAX}")
-        if "Average" in expressers.values():  # the summaries' mean row
-            raise ValidationError("bad id 'Average': an expresser id must not be "
-                                  "'Average', the label of the summaries' mean row")
-        unknown = sorted(set(labels) - set(expressers))
-        if unknown:  # not refused: a slice of a study keeps its whole labels
-            warnings.warn(f"{len(unknown)} 'labels' id(s) name no image of "
-                          f"'expressers', first {unknown[0]!r}; their labels "
-                          "are ignored")
         exclude = doc.get("exclude_from_average", [])
-        if not (isinstance(exclude, list) and all(isinstance(e, str) for e in exclude)):
+        if not isinstance(exclude, list):
             raise ValidationError("'exclude_from_average' must be a list of "
                                   "expresser ids")
-        no_fear = doc.get("no_fear", False)
-        if not isinstance(no_fear, bool):
-            raise ValidationError(f"'no_fear' must be true or false, got {no_fear!r}")
-        try:
-            config = cls(
-                image_dir=resolve("image_dir"),
-                grid_dir=resolve("grid_dir"),
-                ratings_path=resolve("ratings"),
-                out_dir=resolve("out_dir"),
-                expressers=dict(expressers),
-                labels=dict(labels),
-                filter_bank=gabor.FilterBank.from_document(section("bank"),
-                                                           defaults=True),
-                options=StudyOptions(**opts),
-                exclude_from_average=tuple(exclude),
-                no_fear=no_fear,
-            )
-        except ValidationError:
-            raise
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise ValidationError(f"bad field: {exc}") from exc
-        return config
+        return cls(image_dir=resolve("image_dir"), grid_dir=resolve("grid_dir"),
+                   ratings_path=resolve("ratings"), out_dir=resolve("out_dir"),
+                   expressers=dict(section("expressers")),
+                   labels=dict(section("labels")),
+                   filter_bank=gabor.FilterBank.from_document(section("bank"),
+                                                              defaults=True),
+                   options=StudyOptions(**opts), exclude_from_average=tuple(exclude),
+                   no_fear=doc.get("no_fear", False))
 
     def bank(self):
         """Only the benchmark calls this: it stays until ROADMAP item 1e,
@@ -340,15 +332,21 @@ def _attempt(out, run):
         return exc
 
 
+def _require_directories(config, stages):
+    """Refuse, before any unit of them runs, an output directory of the
+    `stages` whose nearest existing ancestor is not a directory."""
+    for name in stages:
+        for _, _, directory, _ in _STAGES[name]:
+            path = config.out_dir / directory
+            existing = next(p for p in (path, *path.parents) if p.exists())
+            if not existing.is_dir():
+                raise ValidationError(f"{existing}: not a directory; the {name} "
+                                      f"stage writes in {path}")
+
+
 def run_stage(config, name):
     """Run one stage (see the module docstring)."""
-    for _, _, directory, _ in _STAGES[name]:
-        # the nearest existing ancestor of each output directory must be one
-        path = config.out_dir / directory
-        existing = next(p for p in (path, *path.parents) if p.exists())
-        if not existing.is_dir():
-            raise ValidationError(f"{existing}: not a directory; the {name} stage "
-                                  f"writes in {path}")
+    _require_directories(config, [name])
     groups = config.groups()
     usable = {e: (e, ids) for e, ids in groups.items() if len(ids) >= MIN_GROUP_SIZE}
     # scope -> key -> the unit's arguments after config, None if it is skipped
@@ -376,7 +374,8 @@ def run_stage(config, name):
 
 
 def run_study(config):
-    """Every stage in order."""
+    """Every stage in order; none runs if one cannot write its directories."""
+    _require_directories(config, _STAGES)
     for name in _STAGES:
         run_stage(config, name)
 

@@ -85,6 +85,56 @@ def edit_json(change):
     return edit
 
 
+def changed_config(config_path, source, change):
+    """The study config at `config_path` with change(doc) made to its JSON
+    document: written to the file and read back (source "file"), or the
+    file's config given the changed ids, labels and options by
+    dataclasses.replace (source "code")."""
+    doc = json.loads(config_path.read_text())
+    change(doc)
+    if source == "code":
+        return dataclasses.replace(load_config(config_path),
+                                   expressers=doc["expressers"], labels=doc["labels"],
+                                   options=cli.StudyOptions(**doc["options"]))
+    config_path.write_text(json.dumps(doc))
+    return load_config(config_path)
+
+
+def run_changed(config_path, source, change, capsys, stage="study"):
+    """The exit code and error of `stage` run on the study at `config_path`
+    with change(doc) made to its config: main's, less the error line's
+    `error: <config path>: ` (source "file"); or 1 and the ValidationError
+    of changed_config or the stage, else 0 and None (source "code")."""
+    if source == "code":
+        try:
+            config = changed_config(config_path, source, change)
+            if stage == "study":
+                run_study(config)
+            else:
+                run_stage(config, stage)
+        except ValidationError as exc:
+            return 1, str(exc)
+        return 0, None
+    config_path.write_bytes(edit_json(change)(config_path.read_bytes()))
+    code = main(["--config", str(config_path), "--stage", stage])
+    err = capsys.readouterr().err
+    prefix = f"error: {config_path}: "
+    if code == 0:
+        assert err == ""
+        return code, None
+    assert err.startswith(prefix) and err.count("\n") == 1
+    return code, err[len(prefix):-1]
+
+
+def from_file_and_code(cases):
+    """pytest params of each case of the dict `cases`, id -> its argument
+    values: the values and then the config's source, "file" under the id
+    and "code" under the id and `-code` (see changed_config)."""
+    return [pytest.param(*values, source, id=case + suffix)
+            for case, values in cases.items()
+            for source, suffix in (("file", ""), ("code", "-code"))]
+
+
 def set_no_fear(config_path, no_fear):
     """Rewrite the study config at `config_path` with `no_fear` set."""
     doc = json.loads(config_path.read_text())
@@ -321,9 +371,11 @@ class TestMainCli:
         config.out_dir = tmp_path / "out"
         config.out_dir.mkdir()
         (config.out_dir / "correlations").write_text("")
-        with pytest.raises(ValidationError, match="correlations: not a directory; "
-                                                  "the correlate stage writes in"):
-            run_stage(config, "correlate")
+        # run_study checks every stage's directories before encode writes
+        for run in (lambda: run_stage(config, "correlate"), lambda: run_study(config)):
+            with pytest.raises(ValidationError, match="correlations: not a directory; "
+                                                      "the correlate stage writes in"):
+                run()
         config.out_dir = tmp_path / "taken"
         config.out_dir.write_text("")
         with pytest.raises(ValidationError, match="taken: not a directory; "
@@ -331,6 +383,19 @@ class TestMainCli:
             run_study(config)
         assert sorted(p.name for p in tmp_path.rglob("*")) == [
             "correlations", "out", "taken"]
+
+    @pytest.mark.parametrize("key", ["image_dir", "grid_dir", "ratings", "out_dir"])
+    @pytest.mark.parametrize("value", [5, None, ["out"], "a\0b"],
+                             ids=["int", "null", "list", "nul"])
+    def test_path_field_that_is_not_a_path_string_exits_one_naming_it(
+            self, tmp_path, capsys, key, value):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        config_path.write_bytes(edit_json(lambda doc: doc.update({key: value}))(
+            config_path.read_bytes()))
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (f"error: {config_path}: {key!r} must be "
+                                           f"a path string, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_no_fear_drops_labelled_images(self, tmp_path):
         config_path = make_synthetic_study(tmp_path, n_images=5)
@@ -837,6 +902,7 @@ class TestMainCli:
         {"exclude_from_average": "KA"},
         {"options": 3},
         {"expressers": ["img00", "img01"]},
+        {"expressers": {"img00": 7, "img01": "SY"}},
         {"bank": {"wavenumbers": ["k"]}},
         {"options": {"tolerance": "1e-3"}},
         {"options": {"tolerance": True}},
@@ -938,43 +1004,53 @@ class TestMainCli:
         out = tmp_path / "out"
         assert sorted(p.name for p in out.iterdir()) == ["jets"]
 
-    @pytest.mark.parametrize("role", ["image", "expresser"])
+    @pytest.mark.parametrize("role,source", from_file_and_code(
+        {"image": ("image",), "expresser": ("expresser",)}))
     @pytest.mark.parametrize("item_id", [
         "", ".", "..", "../../LEAK", "a/b", "a\0b", "a,b", 'a"b', "a\rb", "a\nb",
         "a\u0007b", "a\u001bb", "a\ufffeb", "a\uffffb"])
     def test_id_that_leaves_out_or_breaks_a_csv_is_refused(self, tmp_path, capsys,
-                                                          role, item_id):
+                                                          role, item_id, source):
         config_path = make_synthetic_study(tmp_path, n_images=4)
-        doc = json.loads(config_path.read_text())
-        if role == "image":
-            first = sorted(doc["expressers"])[0]
-            doc["expressers"][item_id] = doc["expressers"].pop(first)
-        else:
-            doc["expressers"] = dict.fromkeys(doc["expressers"], item_id)
-        config_path.write_text(json.dumps(doc))
+
+        def change(doc):
+            if role == "image":
+                first = sorted(doc["expressers"])[0]
+                doc["expressers"][item_id] = doc["expressers"].pop(first)
+            else:
+                doc["expressers"] = dict.fromkeys(doc["expressers"], item_id)
+
         before = sorted(tmp_path.rglob("*"))
-        assert main(["--config", str(config_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {config_path}: bad id {item_id!r}")
-        assert err.count("\n") == 1
+        code, error = run_changed(config_path, source, change, capsys)
+        assert code == 1 and error.startswith(f"bad id {item_id!r}")
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("label", ["A\u0007B", "A\u001bB", "A\ufffeB", "A\uffffB"],
-                             ids=["bel", "esc", "fffe", "ffff"])
-    def test_label_that_svg_text_cannot_hold_is_refused(self, tmp_path, capsys, label):
+    def test_id_that_is_not_a_string_is_refused(self, matrices_study):
+        # JSON gives a number as an expresser id (test_ill_typed_config_exits_one);
+        # code can give one as either id
+        config = load_config(matrices_study)
+        for expressers in ({**config.expressers, 7: "SY"},
+                           dict.fromkeys(config.expressers, 7)):
+            with pytest.raises(ValidationError, match="bad id 7: an image or "
+                                                      "expresser id must be a string"):
+                dataclasses.replace(config, expressers=expressers)
+
+    @pytest.mark.parametrize("label,source", from_file_and_code(
+        {"bel": ("A\u0007B",), "esc": ("A\u001bB",), "fffe": ("A\ufffeB",),
+         "ffff": ("A\uffffB",)}))
+    def test_label_that_svg_text_cannot_hold_is_refused(self, tmp_path, capsys, label,
+                                                        source):
         # a C0 control character but tab, U+FFFE or U+FFFF: XML has no such
         # character, so the plots' labels would not be well-formed (ids keep
         # to the same rule, in test_id_that_leaves_out_or_breaks_a_csv_is_refused)
         config_path = make_synthetic_study(tmp_path, n_images=4)
-        doc = json.loads(config_path.read_text())
-        first = sorted(doc["expressers"])[0]
-        doc["labels"][first] = label
-        config_path.write_text(json.dumps(doc))
+        first = sorted(load_config(config_path).expressers)[0]
         before = sorted(tmp_path.rglob("*"))
-        assert main(["--config", str(config_path)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {config_path}: bad label {label!r} of {first!r}: holds a "
-            "control character but tab, U+FFFE or U+FFFF\n")
+        assert run_changed(config_path, source,
+                           lambda doc: doc["labels"].update({first: label}),
+                           capsys) == (1, (
+            f"bad label {label!r} of {first!r}: a label must be a string without "
+            "a control character but tab, a lone surrogate, U+FFFE or U+FFFF"))
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_label_with_a_tab_plots_well_formed_svg(self, tmp_path):
@@ -988,83 +1064,91 @@ class TestMainCli:
                 "{http://www.w3.org/2000/svg}text")]
             assert labels == ["A\tB"] * 4
 
-    @pytest.mark.parametrize("role,longest", [("image", 246), ("expresser", 233)])
+    @pytest.mark.parametrize("role,longest,source", from_file_and_code(
+        {"image-246": ("image", 246), "expresser-233": ("expresser", 233)}))
     def test_id_whose_file_name_under_out_is_too_long_is_refused(
-            self, tmp_path, capsys, role, longest):
+            self, tmp_path, capsys, role, longest, source):
         # the longest file name of an id under out/ is the id, its longest
         # name in _STAGES and .tmp: img.json.tmp, or E_semantic_scan.csv.tmp
         # (written with scan_dims set), at most 255 UTF-8 bytes
         for item_id, code in (("a" * longest, 0), ("a" * (longest - 1) + "\u00e9", 1)):
             root = tmp_path / str(code)
             config_path = make_synthetic_study(root, n_images=4)
-            doc = json.loads(config_path.read_text())
-            first = sorted(doc["expressers"])[0]
+            first = sorted(load_config(config_path).expressers)[0]
             if role == "image":  # the image's files and grid take the new id
-                doc["expressers"][item_id] = doc["expressers"].pop(first)
                 images = root / "images"
                 (images / f"{first}.pgm").rename(images / f"{item_id}.pgm")
                 grid_doc = json.loads((root / "grids" / f"{first}.json").read_text())
                 (root / "grids" / f"{first}.json").unlink()
                 (root / "grids" / f"{item_id}.json").write_text(
                     json.dumps({**grid_doc, "image_id": item_id}))
-            else:
-                doc["expressers"] = dict.fromkeys(doc["expressers"], item_id)
-            doc["options"]["scan_dims"] = 1
-            config_path.write_text(json.dumps(doc))
+
+            def change(doc):
+                if role == "image":
+                    doc["expressers"][item_id] = doc["expressers"].pop(first)
+                else:
+                    doc["expressers"] = dict.fromkeys(doc["expressers"], item_id)
+                doc["options"]["scan_dims"] = 1
+
             stage = "encode" if role == "image" else "study"  # its longest name
-            assert main(["--config", str(config_path), "--stage", stage]) == code
-            err = capsys.readouterr().err
+            refusal = (f"bad id {item_id!r}: an {role} id of over {longest} UTF-8 "
+                       "bytes makes a file name under out/ of over 255")
+            assert run_changed(config_path, source, change, capsys, stage) == (
+                code, refusal if code else None)
             if code:
-                assert err == (f"error: {config_path}: bad id {item_id!r}: an {role} "
-                               f"id of over {longest} UTF-8 bytes makes a file name "
-                               "under out/ of over 255\n")
                 assert not (root / "out").exists()
             else:
                 names = [p.name for p in (root / "out").rglob(f"{item_id}*")]
                 assert max(len(n.encode()) for n in names) == longest + (
                     len(".json") if role == "image" else len("_semantic_scan.csv"))
 
-    @pytest.mark.parametrize("role,text,stage", [
-        ("image", "img\ud800", "encode"), ("expresser", "K\udc00", "study"),
-        ("label", "N\ud800", "study")])
+    @pytest.mark.parametrize("role,text,stage,source", from_file_and_code(
+        {f"{role}-{text}-{stage}": (role, text, stage) for role, text, stage in [
+            ("image", "img\ud800", "encode"), ("expresser", "K\udc00", "study"),
+            ("label", "N\ud800", "study")]}))
     def test_id_or_label_that_utf8_cannot_encode_is_refused(
-            self, tmp_path, capsys, role, text, stage):
+            self, tmp_path, capsys, role, text, stage, source):
         # a lone surrogate, from a JSON escape, names no file and writes no text
         config_path = make_synthetic_study(tmp_path, n_images=4)
-        doc = json.loads(config_path.read_text())
-        first = sorted(doc["expressers"])[0]
-        if role == "image":
-            doc["expressers"][text] = doc["expressers"].pop(first)
-        elif role == "expresser":
-            doc["expressers"] = dict.fromkeys(doc["expressers"], text)
-        else:
-            doc["labels"][first] = text
-        config_path.write_text(json.dumps(doc))
+        first = sorted(load_config(config_path).expressers)[0]
+
+        def change(doc):
+            if role == "image":
+                doc["expressers"][text] = doc["expressers"].pop(first)
+            elif role == "expresser":
+                doc["expressers"] = dict.fromkeys(doc["expressers"], text)
+            else:
+                doc["labels"][first] = text
+
         before = sorted(tmp_path.rglob("*"))
-        assert main(["--config", str(config_path), "--stage", stage]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {config_path}: bad id or label {text!r}")
-        assert err.count("\n") == 1
+        code, error = run_changed(config_path, source, change, capsys, stage)
+        assert code == 1 and error.startswith(
+            f"bad label {text!r} of {first!r}: " if role == "label"
+            else f"bad id {text!r}: ")
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_expresser_id_average_is_refused_and_image_id_average_is_not(
             self, tmp_path, capsys):
-        # the summaries label their mean row "Average"
-        config_path = make_synthetic_study(tmp_path, n_images=4)
-        doc = json.loads(config_path.read_text())
-        first = sorted(doc["expressers"])[0]
-        doc["expressers"]["Average"] = doc["expressers"].pop(first)
-        doc["labels"]["Average"] = doc["labels"].pop(first)
-        config_path.write_text(json.dumps(doc))
-        assert "Average" in StudyConfig.from_file(config_path).expressers
-        doc["expressers"] = dict.fromkeys(doc["expressers"], "Average")
-        config_path.write_text(json.dumps(doc))
-        before = sorted(tmp_path.rglob("*"))
-        assert main(["--config", str(config_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {config_path}: bad id 'Average'")
-        assert err.count("\n") == 1
-        assert sorted(tmp_path.rglob("*")) == before
+        # the summaries label their mean row "Average"; both sources of a
+        # config run in this one test, which keeps its name from before
+        for source in ("file", "code"):
+            config_path = make_synthetic_study(tmp_path / source, n_images=4)
+            first = sorted(load_config(config_path).expressers)[0]
+
+            def image_average(doc):
+                doc["expressers"]["Average"] = doc["expressers"].pop(first)
+                doc["labels"]["Average"] = doc["labels"].pop(first)
+
+            config = changed_config(config_path, source, image_average)
+            assert "Average" in config.expressers
+            before = sorted(tmp_path.rglob("*"))
+            code, error = run_changed(
+                config_path, source,
+                lambda doc: doc.update(expressers=dict.fromkeys(doc["expressers"],
+                                                                "Average")),
+                capsys)
+            assert code == 1 and error.startswith("bad id 'Average'")
+            assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("options,message", [
         ({"dims": True}, "dims must be"), ({"seed": 1.5}, "seed must be"),
@@ -1157,7 +1241,9 @@ class TestMainCli:
         ({"option": {"dims": 3}}, [], "unknown top-level key 'option'"),
         ({"bank": {"sigmas": 2.0}}, [], "unknown bank key 'sigmas'"),
         ({"no_fear": "yes"}, [], "'no_fear' must be true or false, got 'yes'"),
-        ({"labels": {"img01": 3}}, [], "the label of 'img01' must be a string, got 3"),
+        ({"labels": {"img01": 3}}, [], "bad label 3 of 'img01': a label must be a "
+         "string without a control character but tab, a lone surrogate, U+FFFE "
+         "or U+FFFF"),
     ], ids=["seed", "threads-0", "threads-negative", "tolerance-nan",
             "tolerance-inf", "tolerance-negative", "max-iterations",
             "scan-dims-negative", "scan-dims-0", "dims-0", "unknown-option",
@@ -1218,6 +1304,20 @@ class TestMainCli:
                                              "of 'expressers', first 'img0'"):
             assert main(["--config", str(config_path), "--stage", "encode"]) == 0
         assert len(list((tmp_path / "out" / "jets").glob("*.json"))) == 5
+
+    def test_unknown_labels_warn_once_at_load_and_not_when_unpickled(self, tmp_path):
+        # a worker process gets the config by pickle: it must not warn again
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        config_path.write_bytes(edit_json(
+            lambda doc: doc["labels"].update(img9="FE"))(config_path.read_bytes()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = load_config(config_path)
+            copy = pickle.loads(pickle.dumps(config))
+        assert [str(w.message) for w in caught] == [
+            "1 'labels' id(s) name no image of 'expressers', first 'img9'; "
+            "their labels are ignored"]
+        assert copy == config
 
     def test_permutation_test_shares_one_stream_per_expresser(self, tmp_path,
                                                               monkeypatch):

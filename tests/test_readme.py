@@ -1,8 +1,8 @@
 """The README's library example stays in step with the package's exports,
 its CLI synopsis with the parser, its config example with the config
-reader, its outputs paragraph with the stage table, every public function
-and class of the package has a use outside the tests, and every name a
-package module imports is used there."""
+reader, its outputs paragraph and id byte limits with the stage table,
+every public function and class of the package has a use outside the
+tests, and every name a package module imports is used there."""
 
 import ast
 import re
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaborface as gf
-from gaborface.cli import _STAGES, CONFIG_KEYS, main
+from gaborface.cli import _STAGES, CONFIG_KEYS, NAME_MAX, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -62,6 +62,18 @@ def test_outputs_paragraph_names_every_stage_directory_and_summary_file():
                  for scope, _, _, names in steps if scope == "study"
                  for name in names}
     assert summaries and summaries <= set(named)
+
+
+def test_id_byte_limits_are_name_max_less_the_longest_stage_file_name():
+    # a longer file name in the stage table must move the documented limits
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    documented = re.findall(r"(\d+) (?:bytes )?for an (image|expresser) id", text)
+    limits = [(str(NAME_MAX - max(len(f"{name}.tmp".encode())
+                                  for steps in _STAGES.values()
+                                  for unit_scope, _, _, names in steps
+                                  if unit_scope == scope for name in names)), scope)
+              for scope in ("image", "expresser")]
+    assert documented == limits
 
 
 def test_every_public_definition_has_a_caller():
