@@ -32,7 +32,6 @@ from .rank_stats import (
     correlate_model_with_ratings,
     significance,
     spearman_rho,
-    t_approximation,
 )
 from .ratings import RatingTable, load_ratings, semantic_matrix
 from .similarity import PairMatrix, pairwise_matrix

@@ -89,8 +89,29 @@ class StudyConfig:
     no_fear: bool = False  # image_ids leaves out FE images; matrices the fear column
 
     def __post_init__(self):
-        """The id and label rules (README, config section), for a config read
-        or built in code; unpickling skips them and their warning."""
+        """The field types and the id and label rules (README, config
+        section), for a config read or built in code; unpickling skips them
+        and their warning.  A path field given as a string becomes a Path."""
+        for name in ("image_dir", "grid_dir", "ratings_path", "out_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, os.PathLike)):
+                raise ValidationError(f"{name!r} must be a path, got {value!r}")
+            setattr(self, name, Path(value))
+        for name, kind, what in (
+                ("expressers", dict, "an object of image id to expresser id"),
+                ("labels", dict, "an object of image id to label"),
+                ("filter_bank", gabor.FilterBank, "a FilterBank"),
+                ("options", StudyOptions, "a StudyOptions"),
+                ("no_fear", bool, "true or false")):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"{name!r} must be {what}, got {value!r}")
+        exclude = self.exclude_from_average
+        if not (isinstance(exclude, (list, tuple))
+                and all(isinstance(e, str) for e in exclude)):
+            raise ValidationError("'exclude_from_average' must be a list of "
+                                  f"expresser ids, got {exclude!r}")
+        self.exclude_from_average = tuple(exclude)
         for scope, ids in (("image", self.expressers),
                            ("expresser", self.expressers.values())):
             # ids name files under out/ and fill unquoted CSV cells; an id's
@@ -123,11 +144,6 @@ class StudyConfig:
             warnings.warn(f"{len(unknown)} 'labels' id(s) name no image of "
                           f"'expressers', first {unknown[0]!r}; their labels "
                           "are ignored")
-        if not all(isinstance(e, str) for e in self.exclude_from_average):
-            raise ValidationError("'exclude_from_average' must be a list of "
-                                  "expresser ids")
-        if not isinstance(self.no_fear, bool):
-            raise ValidationError(f"'no_fear' must be true or false, got {self.no_fear!r}")
 
     @classmethod
     def from_file(cls, path):
@@ -137,12 +153,6 @@ class StudyConfig:
     @classmethod
     def _from_document(cls, doc, base):
         """The config of the JSON value `doc`, whose shape alone this checks."""
-        def section(key):
-            value = doc.get(key, {})
-            if not isinstance(value, dict):
-                raise ValidationError(f"{key!r} must be an object")
-            return value
-
         def resolve(key):
             if key not in doc:
                 raise ValidationError(f"missing {key!r}")
@@ -155,19 +165,17 @@ class StudyConfig:
         if not isinstance(doc, dict):
             raise ValidationError("must be a JSON object")
         require_known_keys(doc, CONFIG_KEYS, "top-level")
-        opts = section("options")
+        opts = doc.get("options", {})
+        if not isinstance(opts, dict):
+            raise ValidationError("'options' must be an object")
         require_known_keys(opts, [f.name for f in fields(StudyOptions)], "options")
-        exclude = doc.get("exclude_from_average", [])
-        if not isinstance(exclude, list):
-            raise ValidationError("'exclude_from_average' must be a list of "
-                                  "expresser ids")
         return cls(image_dir=resolve("image_dir"), grid_dir=resolve("grid_dir"),
                    ratings_path=resolve("ratings"), out_dir=resolve("out_dir"),
-                   expressers=dict(section("expressers")),
-                   labels=dict(section("labels")),
-                   filter_bank=gabor.FilterBank.from_document(section("bank"),
+                   expressers=doc.get("expressers", {}), labels=doc.get("labels", {}),
+                   filter_bank=gabor.FilterBank.from_document(doc.get("bank", {}),
                                                               defaults=True),
-                   options=StudyOptions(**opts), exclude_from_average=tuple(exclude),
+                   options=StudyOptions(**opts),
+                   exclude_from_average=doc.get("exclude_from_average", ()),
                    no_fear=doc.get("no_fear", False))
 
     def bank(self):

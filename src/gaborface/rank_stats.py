@@ -7,18 +7,14 @@ independent; they share its errors.  `significance` respects that by
 relabelling the items behind the semantic ranks (the Mantel test; Mantel
 1967, Cancer Research 27:209), not by shuffling the pairs.  It takes every
 series in that pair order, so no caller builds an item matrix for it.
-`t_approximation` treats the pairs as independent and is anti-conservative
-on pair matrices, so it is a quick description, not an inference.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (AlignmentError, FormatError, ParameterError,
                      UndefinedCorrelationError, require_integer, require_real)
@@ -86,26 +82,6 @@ def spearman_rho(x, y):
     if x.shape != y.shape:
         raise ParameterError(f"series lengths differ: {x.size} vs {y.size}")
     return _rho_from_ranks(average_ranks(x), average_ranks(y))
-
-
-def t_approximation(rho, n):
-    """Two-sided p-value for a rank correlation `rho` over `n` pairs:
-    t = rho*sqrt((n-2)/(1-rho^2)) with n-2 degrees of freedom.
-
-    It treats the pairs as independent, which the pairs of one item set
-    are not: on the distance matrices of two unrelated configurations it
-    rejects far more often than its level (22.7% at alpha = .05 for 21
-    items), so use `significance` for inference on pair matrices.
-    """
-    if n < 4:
-        raise ParameterError(f"need n >= 4 for a significance test, got {n}")
-    if not np.isfinite(rho):
-        raise ParameterError(f"rho must be finite, got {rho}")
-    if abs(rho) >= 1.0:
-        warnings.warn("exact-extreme correlation; t-approximation p = 0")
-        return 0.0
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return float(2.0 * special.stdtr(n - 2, -abs(t)))
 
 
 def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):

@@ -1035,6 +1035,29 @@ class TestMainCli:
                                                       "expresser id must be a string"):
                 dataclasses.replace(config, expressers=expressers)
 
+    @pytest.mark.parametrize("name,value", [
+        ("exclude_from_average", "SY"), ("exclude_from_average", {"SY": 1}),
+        ("expressers", ["img00"]), ("labels", ["NE"]), ("filter_bank", None),
+        ("options", {}), ("image_dir", None), ("out_dir", 7)],
+        ids=["exclude-str", "exclude-dict", "expressers-list", "labels-list",
+             "bank-none", "options-dict", "image-dir-none", "out-dir-int"])
+    def test_field_of_the_wrong_type_is_refused(self, matrices_study, name, value):
+        # JSON cannot give these (test_ill_typed_config_exits_one); in code,
+        # each would fail in a stage with a traceback, and "SY" would pass
+        # its characters as expresser ids
+        with pytest.raises(ValidationError, match=f"^'{name}' must be "):
+            dataclasses.replace(load_config(matrices_study), **{name: value})
+
+    def test_path_fields_given_as_strings_become_paths(self, tmp_path):
+        config = load_config(make_synthetic_study(tmp_path, n_images=4))
+        out = tmp_path / "in_code"
+        paths = {name: str(getattr(config, name))
+                 for name in ("image_dir", "grid_dir", "ratings_path")}
+        in_code = dataclasses.replace(config, out_dir=str(out), **paths)
+        assert in_code == dataclasses.replace(config, out_dir=out)
+        run_study(in_code)
+        assert list(read_summary(out)) == ["SY", "Average"]
+
     @pytest.mark.parametrize("label,source", from_file_and_code(
         {"bel": ("A\u0007B",), "esc": ("A\u001bB",), "fffe": ("A\ufffeB",),
          "ffff": ("A\uffffB",)}))
@@ -1369,7 +1392,7 @@ class TestMainCli:
                                                               result.p_two_sided)
 
     def test_null_permutations_exits_one_naming_the_field(self, tmp_path, capsys):
-        # null once chose the t-approximation; the study has one p-value method
+        # the study has one p-value method, so null is no choice of one
         config_path = make_synthetic_study(tmp_path, n_images=4)
         doc = json.loads(config_path.read_text())
         doc["options"]["permutations"] = None

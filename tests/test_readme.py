@@ -1,8 +1,9 @@
-"""The README's library example stays in step with the package's exports,
-its CLI synopsis with the parser, its config example with the config
-reader, its outputs paragraph and id byte limits with the stage table,
-every public function and class of the package has a use outside the
-tests, and every name a package module imports is used there."""
+"""The README's library example and prose stay in step with the package's
+exports, its CLI synopsis with the parser, its config example with the
+config reader, its outputs paragraph and id byte limits with the stage
+table, every public function and class of the package has a use outside
+the tests, every name a package module imports is used there, and
+rank_stats imports no SciPy."""
 
 import ast
 import re
@@ -27,9 +28,12 @@ def library_names():
 
 
 def test_library_example_uses_only_exported_names():
+    # and so does the prose, so that a deleted export cannot live on there
     names = library_names()
     assert len(names) > 10
-    assert sorted(name for name in names if not hasattr(gf, name)) == []
+    prose = set(re.findall(r"`gf\.(\w+)", README.read_text(encoding="utf-8")))
+    assert "FilterBank" in prose
+    assert sorted(name for name in names | prose if not hasattr(gf, name)) == []
 
 
 def test_cli_synopsis_names_the_parser_options(capsys):
@@ -112,3 +116,15 @@ def test_every_import_is_used_in_its_module():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_rank_stats_imports_no_scipy():
+    # StudyOptions' defaults read rank_stats, so it must stay cheap to import
+    tree = ast.parse((ROOT / "src" / "gaborface" / "rank_stats.py")
+                     .read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert "numpy" in modules
+    assert [name for name in modules if name.split(".")[0] == "scipy"] == []
