@@ -30,7 +30,7 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ BAD_TEXT_NAMES = "a control character but tab, a lone surrogate, U+FFFE or U+FFF
 NAME_MAX = 255  # UTF-8 bytes in a file name under out/
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyOptions:
     dims: int = 2
     tolerance: float = nmds.DEFAULT_TOLERANCE
@@ -71,11 +71,12 @@ class StudyOptions:
                             ("permutations", 1), ("scan_dims", 1)):
             value = getattr(self, name)
             if value is not None or name != "scan_dims":
-                setattr(self, name, require_integer(value, name, least))
-        self.tolerance = require_real(self.tolerance, "tolerance", 0)
+                object.__setattr__(self, name, require_integer(value, name, least))
+        object.__setattr__(self, "tolerance",
+                           require_real(self.tolerance, "tolerance", 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     image_dir: Path
     grid_dir: Path
@@ -91,12 +92,14 @@ class StudyConfig:
     def __post_init__(self):
         """The field types and the id and label rules (README, config
         section), for a config read or built in code; unpickling skips them
-        and their warning.  A path field given as a string becomes a Path."""
+        and their warning.  A path field given as a string becomes a Path.
+        The config is frozen, so a field changes only by dataclasses.replace,
+        which makes them hold for the new config too."""
         for name in ("image_dir", "grid_dir", "ratings_path", "out_dir"):
             value = getattr(self, name)
             if not isinstance(value, (str, os.PathLike)):
                 raise ValidationError(f"{name!r} must be a path, got {value!r}")
-            setattr(self, name, Path(value))
+            object.__setattr__(self, name, Path(value))
         for name, kind, what in (
                 ("expressers", dict, "an object of image id to expresser id"),
                 ("labels", dict, "an object of image id to label"),
@@ -111,7 +114,7 @@ class StudyConfig:
                 and all(isinstance(e, str) for e in exclude)):
             raise ValidationError("'exclude_from_average' must be a list of "
                                   f"expresser ids, got {exclude!r}")
-        self.exclude_from_average = tuple(exclude)
+        object.__setattr__(self, "exclude_from_average", tuple(exclude))
         for scope, ids in (("image", self.expressers),
                            ("expresser", self.expressers.values())):
             # ids name files under out/ and fill unquoted CSV cells; an id's
@@ -608,8 +611,10 @@ def main(argv=None):
 
     try:
         config = StudyConfig.from_file(args.config)
-        if args.out:
-            config.out_dir = Path(args.out).resolve()
+        if args.out:  # the load warned; the same fields would warn again
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                config = replace(config, out_dir=Path(args.out).resolve())
         if args.threads < 1:
             raise ValidationError(f"need --threads >= 1, got {args.threads}")
         if args.stage == "study":

@@ -34,9 +34,9 @@ DEFAULT_SIGMA = math.pi
 KERNEL_HALF_WIDTH_SIGMAS = 6.0
 # The widest kernel half-width h a bank may ask for, in pixels: compute_jets'
 # reflected window gather holds (2h+1)^2 floats, ~34 MB at 1,024 (default 48).
-# The work arrays each thread keeps take 48 x points x (2h+1) x (1 +
-# orientations) bytes per window: 23.4 MB for h = 1,024 at 34 points and 6
-# orientations, 41 MB for the default bank with sigma scaled up to that limit.
+# The work buffer each thread keeps takes 48 x points x (2h+1) x (1 +
+# orientations) bytes for the bank's widest window alone: 23.4 MB for
+# h = 1,024 at 34 points and 6 orientations.
 MAX_KERNEL_HALF_WIDTH = 1024
 
 
@@ -165,8 +165,8 @@ def _bank_groups(bank):
     return tuple(setup)
 
 
-# compute_jets' work arrays, a store per thread: a carrier table's shape
-# (window, 1 + filters as re, im pairs) -> its arrays at the last point count
+# compute_jets' work memory, a store per thread: "kernel" -> the arrays kept,
+# one flat float buffer sized for the last call's widest window and points
 _work = threading.local()
 
 
@@ -188,12 +188,13 @@ def compute_jets(image, bank, points):
     e^{-i k.f} rotates each point's sums.  P is a view into the image, or a
     _reflect_indices gather where the window crosses an edge.
 
-    Each thread keeps its work arrays for its next call: per kernel window,
-    the (u_x, u_y) pair and the window products P u_x of the last number of
-    points, ~2 MB for the default bank at 34 points.  The returned jets
-    never share memory with them.  Keeping them pays: arrays this large are
-    mapped fresh on each allocation and freed again, so every call would
-    take new zeroed pages.  Coding the benchmark's 210 images in one fresh
+    Each thread keeps one work buffer for its next call, sized for the
+    bank's widest window at the last number of points: each wavenumber's
+    (u_x, u_y) pair and window products P u_x are views of its front,
+    1.1 MB for the default bank at 34 points.  The returned jets never
+    share memory with it.  Keeping it pays: arrays this large are mapped
+    fresh on each allocation and freed again, so every call would take new
+    zeroed pages.  Coding the benchmark's 210 images in one fresh
     process took ~400 minor page faults with kept arrays and ~89,000
     without (0.33 s against 0.47 s of kernel time, 2-vCPU VM).
     """
@@ -211,17 +212,23 @@ def compute_jets(image, bank, points):
         raise OutOfBoundsError(f"center ({bx}, {by}) outside {width}x{height} image")
     rounded = np.round(pts).astype(int)  # half-to-even
     fraction = (pts - rounded).T  # (2, points): f along x and y
-    store = _work.__dict__
+    groups = _bank_groups(bank)
+    # a group's (u_x, u_y) and P u_x take 3 x points x window x columns floats
+    size = 3 * len(pts) * max(carriers[0].size for *_, carriers in groups)
+    kept = getattr(_work, "kernel", ())
+    if not kept or kept[0].size != size:
+        _work.kernel = kept = (np.empty(size),)
+    [buffer] = kept
     jets = np.empty((len(pts), len(bank)))
     sigma = bank.sigma
-    for k, members, h, offsets, waves, carriers in _bank_groups(bank):
+    for k, members, h, offsets, waves, carriers in groups:
         d = offsets - fraction[:, :, None]
         gauss = np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))
-        # (x or y, points, window, 1 + filters), complex as (re, im) pairs
-        key = carriers.shape[1:]
-        if key not in store or len(store[key][1]) != len(pts):
-            store[key] = np.empty((2, len(pts), *key)), np.empty((len(pts), *key))
-        v, pvx = store[key]
+        # (x or y, points, window, 1 + filters), complex as (re, im) pairs,
+        # then the window products: views of the front of the buffer
+        count = len(pts) * carriers[0].size
+        v = buffer[:2 * count].reshape(2, len(pts), *carriers.shape[1:])
+        pvx = buffer[2 * count:3 * count].reshape(v.shape[1:])
         vx, vy = np.multiply(gauss[..., None], carriers[:, None], out=v)
         # real window times complex columns: one real matmul per point
         for n, (x, y) in enumerate(rounded.tolist()):

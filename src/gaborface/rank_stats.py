@@ -119,7 +119,9 @@ def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):
     # labels is the stream's next rng.permutation(items), as rng.permuted
     # shuffles the columns in turn; pair (i, j) takes cell (p[i], p[j]) of
     # the symmetric matrix of centred ranks.  The indices are in range, and
-    # mode="clip" spares take the copy of `out` that its default makes.
+    # mode="clip" spares take the copy of `out` that its default makes.  The
+    # column labels p[j] are gathered into `permuted`'s memory (an intp is
+    # as wide as a float), which they leave before the ranks overwrite it.
     upper_i, upper_j = np.triu_indices(items, 1)
     centred = np.zeros((items, items))
     centred[upper_i, upper_j] = centred[upper_j, upper_i] = ry
@@ -132,8 +134,9 @@ def significance(x_ranks, y_ranks, permutations, seed=DEFAULT_PERMUTATION_SEED):
         if done == 0 or draws < chunk:  # the first chunk's buffers, or the last's
             table = np.repeat(np.arange(items), draws).reshape(items, draws)
             labels = np.empty((items, draws), dtype=np.intp)
-            cells, cols = np.empty((2, m, draws), dtype=np.intp)
+            cells = np.empty((m, draws), dtype=np.intp)
             permuted = np.empty((m, draws))
+            cols = permuted.view(np.intp)
         rng.permuted(table, axis=0, out=labels)
         np.take(labels * items, upper_i, axis=0, out=cells, mode="clip")
         np.take(labels, upper_j, axis=0, out=cols, mode="clip")

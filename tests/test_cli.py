@@ -204,8 +204,7 @@ class TestEncode:
     def test_unit_survives_a_pickle_round_trip(self, study, tmp_path):
         """A worker process started by spawn or forkserver gets a stage's
         unit and config by pickle."""
-        config = load_config(study)
-        config.out_dir = tmp_path / "direct"
+        config = dataclasses.replace(load_config(study), out_dir=tmp_path / "direct")
         run_stage(config, "encode")
         unit, config = pickle.loads(pickle.dumps(
             (cli._STAGES["encode"][0][1], StudyConfig.from_file(study))))
@@ -257,11 +256,10 @@ class TestStudyPipeline:
 
     def test_small_group_skipped_with_warning(self, study, tmp_path):
         config = load_config(study)
-        config.out_dir = tmp_path / "out"
-        config.expressers = dict(config.expressers)
         # move one image into its own tiny group
         first = sorted(config.expressers)[0]
-        config.expressers[first] = "LONE"
+        config = dataclasses.replace(config, out_dir=tmp_path / "out",
+                                     expressers={**config.expressers, first: "LONE"})
         run_stage(config, "encode")
         with pytest.warns(UserWarning, match="LONE"):
             run_stage(config, "matrices")
@@ -292,7 +290,7 @@ class TestStudyPipeline:
         config = load_config(study)
         run_study(config)
         with_avg = (config.out_dir / "summary.csv").read_text().splitlines()
-        config.exclude_from_average = ("SY",)
+        config = dataclasses.replace(config, exclude_from_average=("SY",))
         run_stage(config, "correlate")
         without_avg = (config.out_dir / "summary.csv").read_text().splitlines()
         assert with_avg[1] == without_avg[1]  # per-expresser row unchanged
@@ -367,8 +365,8 @@ class TestMainCli:
 
     def test_output_directory_that_is_a_file_fails_library_callers(
             self, matrices_study, tmp_path):
-        config = load_config(matrices_study)
-        config.out_dir = tmp_path / "out"
+        config = dataclasses.replace(load_config(matrices_study),
+                                     out_dir=tmp_path / "out")
         config.out_dir.mkdir()
         (config.out_dir / "correlations").write_text("")
         # run_study checks every stage's directories before encode writes
@@ -376,7 +374,7 @@ class TestMainCli:
             with pytest.raises(ValidationError, match="correlations: not a directory; "
                                                       "the correlate stage writes in"):
                 run()
-        config.out_dir = tmp_path / "taken"
+        config = dataclasses.replace(config, out_dir=tmp_path / "taken")
         config.out_dir.write_text("")
         with pytest.raises(ValidationError, match="taken: not a directory; "
                                                   "the encode stage writes in"):
@@ -748,8 +746,8 @@ class TestMainCli:
             "average\n")
 
     def test_unknown_excluded_expresser_fails_library_callers(self, matrices_study):
-        config = load_config(matrices_study)
-        config.exclude_from_average = ("SY", "NOPE")
+        config = dataclasses.replace(load_config(matrices_study),
+                                     exclude_from_average=("SY", "NOPE"))
         correlations = config.out_dir / "correlations"
         shutil.rmtree(correlations, ignore_errors=True)
         with pytest.raises(ValidationError, match=r"\['NOPE'\]"):
@@ -859,8 +857,8 @@ class TestMainCli:
         run_study(dataclasses.replace(load_config(config_path), no_fear=True,
                                       out_dir=tmp_path / "in_code"))
         set_no_fear(config_path, True)
-        from_file = load_config(config_path)
-        from_file.out_dir = tmp_path / "from_file"
+        from_file = dataclasses.replace(load_config(config_path),
+                                        out_dir=tmp_path / "from_file")
         run_study(from_file)
         tree = tree_digest(tmp_path / "from_file")
         assert "jets/img01.json" in tree and "jets/img00.json" not in tree
@@ -1342,6 +1340,35 @@ class TestMainCli:
             "their labels are ignored"]
         assert copy == config
 
+    def test_out_option_warns_of_unknown_labels_once(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        config_path.write_bytes(edit_json(
+            lambda doc: doc["labels"].update(img9="FE"))(config_path.read_bytes()))
+        out = tmp_path / "elsewhere"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(config_path), "--stage", "encode",
+                         "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == [
+            "1 'labels' id(s) name no image of 'expressers', first 'img9'; "
+            "their labels are ignored"]
+        assert len(list((out / "jets").glob("*.json"))) == 4
+        assert not (tmp_path / "out").exists()
+
+    def test_a_field_assigned_after_construction_is_refused(self, tmp_path):
+        # an assignment would skip __post_init__'s rules: the expresser id
+        # "../escape" would write files into out/ itself
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        config = load_config(config_path)
+        for target, name, value in (
+                (config, "expressers", dict.fromkeys(config.expressers, "../escape")),
+                (config, "out_dir", str(tmp_path / "elsewhere")),
+                (config, "exclude_from_average", "SY"),
+                (config.options, "permutations", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, value)
+        assert config == load_config(config_path)
+
     def test_permutation_test_shares_one_stream_per_expresser(self, tmp_path,
                                                               monkeypatch):
         config_path = make_synthetic_study(tmp_path, n_images=6)
@@ -1643,8 +1670,8 @@ class TestBatchedEncodeDrift:
 
     def test_study_outputs_match_per_filter_encode(self, tmp_path, monkeypatch):
         config_path = make_synthetic_study(tmp_path / "study")
-        batched = load_config(config_path)
-        batched.out_dir = tmp_path / "batched"
+        batched = dataclasses.replace(load_config(config_path),
+                                      out_dir=tmp_path / "batched")
         run_study(batched)
 
         def per_filter_jets(image, bank, points):
@@ -1652,8 +1679,8 @@ class TestBatchedEncodeDrift:
                               for spec in bank.specs] for p in points])
 
         monkeypatch.setattr(gabor, "compute_jets", per_filter_jets)
-        reference = load_config(config_path)
-        reference.out_dir = tmp_path / "reference"
+        reference = dataclasses.replace(load_config(config_path),
+                                        out_dir=tmp_path / "reference")
         run_study(reference)
 
         def read_json(config, name):
@@ -1694,8 +1721,8 @@ class TestArrayPathDrift:
 
     def test_study_outputs_match_per_pair_matrices(self, tmp_path, monkeypatch):
         config_path = make_synthetic_study(tmp_path / "study")
-        arrays = load_config(config_path)
-        arrays.out_dir = tmp_path / "arrays"
+        arrays = dataclasses.replace(load_config(config_path),
+                                     out_dir=tmp_path / "arrays")
         run_study(arrays)
 
         def per_pair(ids, payloads, compare, kind, diagonal):
@@ -1722,8 +1749,8 @@ class TestArrayPathDrift:
 
         monkeypatch.setattr(cli, "pairwise_matrix", pairwise_matrix)
         monkeypatch.setattr(ratings, "semantic_matrix", semantic_matrix)
-        reference = load_config(config_path)
-        reference.out_dir = tmp_path / "reference"
+        reference = dataclasses.replace(load_config(config_path),
+                                        out_dir=tmp_path / "reference")
         run_study(reference)
 
         for name in ("gabor", "geometry", "semantic"):

@@ -384,7 +384,7 @@ class TestComputeJets:
         assert all(np.array_equal(jets, copy) for jets, copy in returned)
 
     def test_a_repeated_call_allocates_no_work_arrays(self):
-        # the default bank's arrays at 34 points take ~2 MB; a call of the
+        # the default bank's buffer at 34 points takes 1.1 MB; a call of the
         # shapes of the last allocates under 1 MiB on top of what is held
         img = smooth_image(5, size=256)
         points = np.random.default_rng(5).uniform(0, 255, (34, 2))
@@ -402,24 +402,31 @@ class TestComputeJets:
                 tracemalloc.stop()
         assert peak - held < 2**20
 
-    def test_store_holds_one_set_per_window(self):
-        # a call at another point count replaces its windows' arrays, so the
-        # store does not grow with the point counts seen
+    def test_store_holds_one_buffer_for_the_widest_window(self):
+        # every window's arrays are views of one buffer, which a call of
+        # another bank or point count replaces, so the store holds what the
+        # last call's widest window needs, not the sum over the windows seen
         img = smooth_image(6)
-        bank = gf.FilterBank()
+        wide = gf.FilterBank()
+        narrow = gf.FilterBank(wavenumbers=gf.gabor.DEFAULT_WAVENUMBERS[:2])
         rng = np.random.default_rng(6)
 
-        def shapes_after_calls():
-            for count in (0, 1, 34, 100):
+        def shapes_after_calls(calls):
+            for bank, count in calls:
                 gf.compute_jets(img, bank, rng.uniform(0, 127, (count, 2)))
             return {key: [a.shape for a in arrays]
                     for key, arrays in vars(gf.gabor._work).items()}
 
-        columns = 2 * (1 + len(bank.orientations))  # the DC term, (re, im) pairs
-        windows = {2 * spec.window_half_width() + 1 for spec in bank.specs}
-        assert len(windows) == 3
-        assert on_fresh_thread(shapes_after_calls) == {
-            (w, columns): [(2, 100, w, columns), (100, w, columns)] for w in windows}
+        def buffer(bank, count):
+            # (u_x, u_y) and P u_x: the DC term and each filter as (re, im)
+            widest = max(2 * spec.window_half_width() + 1 for spec in bank.specs)
+            return {"kernel": [(3 * count * widest * 2 * (1 + len(bank.orientations)),)]}
+
+        calls = [(wide, count) for count in (0, 1, 34, 100)]
+        assert on_fresh_thread(shapes_after_calls, calls) == buffer(wide, 100)
+        calls = [(wide, 34), (narrow, 34)]
+        assert on_fresh_thread(shapes_after_calls, calls) == buffer(narrow, 34)
+        assert buffer(wide, 34) == {"kernel": [(3 * 34 * 97 * 14,)]}  # 1.1 MB
 
     def test_threads_coding_at_once_match_serial_calls(self):
         # each thread codes every image and point count in its own order, so

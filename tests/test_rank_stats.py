@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -357,6 +358,32 @@ class TestChunkedDraws:
         ranks = item_ranks(xs, y)
         assert (gf.significance(*ranks, permutations, seed=items)
                 == mantel_per_draw(*ranks, permutations, seed=items))
+
+    def test_a_chunk_holds_two_pair_by_draw_buffers(self):
+        # a chunk holds two pairs x draws buffers: the cell indices, and the
+        # permuted ranks, whose memory first holds the column labels.  The
+        # rest (the items x draws labels, and the last chunk's smaller
+        # buffers before the full ones go) stays under a third; with its own
+        # column-label buffer a chunk peaks at ~3.5 buffers.
+        from scipy.spatial.distance import pdist
+        items, permutations = 21, rank_stats.DEFAULT_PERMUTATIONS
+        m = items * (items - 1) // 2
+        buffer = m * (rank_stats.CHUNK_PAIR_DRAWS // m) * 8  # 312 draws of 210
+        rng = np.random.default_rng(items)
+        ranks = item_ranks([pdist(rng.standard_normal((items, 3)))],
+                           pdist(rng.standard_normal((items, 3))))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gf.significance(*ranks, permutations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - held < 3 * buffer
 
 
 class TestItemLabelNull:
