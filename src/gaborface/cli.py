@@ -76,6 +76,20 @@ class StudyOptions:
                            require_real(self.tolerance, "tolerance", 0))
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change, so a frozen config's mappings keep
+    its checks; it pickles (for a worker) as a copy, not item by item."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a StudyConfig dict is read-only; use dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     image_dir: Path
@@ -93,8 +107,8 @@ class StudyConfig:
         """The field types and the id and label rules (README, config
         section), for a config read or built in code; unpickling skips them
         and their warning.  A path field given as a string becomes a Path.
-        The config is frozen, so a field changes only by dataclasses.replace,
-        which makes them hold for the new config too."""
+        The config and its dicts, copied read-only, change only by
+        dataclasses.replace, which makes them hold for the new config too."""
         for name in ("image_dir", "grid_dir", "ratings_path", "out_dir"):
             value = getattr(self, name)
             if not isinstance(value, (str, os.PathLike)):
@@ -109,6 +123,8 @@ class StudyConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValidationError(f"{name!r} must be {what}, got {value!r}")
+            if kind is dict:
+                object.__setattr__(self, name, _ReadOnlyDict(value))
         exclude = self.exclude_from_average
         if not (isinstance(exclude, (list, tuple))
                 and all(isinstance(e, str) for e in exclude)):

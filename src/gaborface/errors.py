@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit, and the number and key
 checks of the document loaders and parameters.
 
-Everything derives from ValidationError (bad inputs, exit code 1 in the
-CLI) or RuntimeFailure (a computation that could not proceed, exit code 2).
+ValidationError is bad input (exit code 1 in the CLI), and so are its two
+kinds: FormatError, a document of the wrong shape, and ParameterError, a
+value or a pairing of items, dimensions or points that breaks its rule.
+RuntimeFailure is a computation that cannot proceed (exit code 2).
 """
 
 import numbers
@@ -21,24 +23,8 @@ class ParameterError(ValidationError):
     """A numeric or structural parameter violates its preconditions."""
 
 
-class OutOfBoundsError(ValidationError):
-    """A coordinate falls outside the valid image region."""
-
-
 class RuntimeFailure(RuntimeError):
     """A computation failed on otherwise well-formed inputs."""
-
-
-class UndefinedCorrelationError(RuntimeFailure):
-    """Rank correlation is undefined (a constant series)."""
-
-
-class AlignmentError(ValidationError):
-    """Two matrices or configurations cannot be paired item-by-item."""
-
-
-class DegenerateConfigurationError(RuntimeFailure):
-    """A configuration or distance set is degenerate (all zero)."""
 
 
 def require_numbers(values, what):

@@ -19,8 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (FormatError, OutOfBoundsError, ParameterError, require_known_keys,
-                     require_numbers)
+from .errors import FormatError, ParameterError, require_known_keys, require_numbers
 from .grid import load_grid
 
 DEFAULT_WAVENUMBERS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -209,7 +208,7 @@ def compute_jets(image, bank, points):
     outside = ~np.all((pts >= 0) & (pts < (width, height)), axis=1)
     if np.any(outside):
         bx, by = pts[np.argmax(outside)]
-        raise OutOfBoundsError(f"center ({bx}, {by}) outside {width}x{height} image")
+        raise ParameterError(f"center ({bx}, {by}) outside {width}x{height} image")
     rounded = np.round(pts).astype(int)  # half-to-even
     fraction = (pts - rounded).T  # (2, points): f along x and y
     groups = _bank_groups(bank)

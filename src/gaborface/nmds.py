@@ -20,10 +20,9 @@ from scipy.optimize import isotonic_regression
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
-    AlignmentError,
-    DegenerateConfigurationError,
     FormatError,
     ParameterError,
+    RuntimeFailure,
     require_integer,
     require_numbers,
     require_real,
@@ -165,7 +164,7 @@ def stress1(distances, disparities):
         raise ParameterError(f"length mismatch: {d.size} vs {dhat.size}")
     denom = np.sum(d * d)
     if denom == 0.0:
-        raise DegenerateConfigurationError("all configuration distances are zero")
+        raise RuntimeFailure("all configuration distances are zero")
     return float(np.sqrt(np.sum((d - dhat) ** 2) / denom))
 
 
@@ -273,15 +272,13 @@ def procrustes_align(source, target, allow_scaling=False):
     aligned configuration and the root-mean-square residual.
     """
     if source.item_ids != target.item_ids:
-        raise AlignmentError("configurations must share item_ids in order")
+        raise ParameterError("configurations must share item_ids in order")
     if source.d != target.d:
-        raise AlignmentError(f"dimension mismatch: {source.d} vs {target.d}")
+        raise ParameterError(f"dimension mismatch: {source.d} vs {target.d}")
     X = np.array(source.coordinates)
     Y = np.array(target.coordinates)
     if np.unique(X, axis=0).shape[0] < 2:
-        raise DegenerateConfigurationError(
-            "need at least 2 distinct points to align"
-        )
+        raise RuntimeFailure("need at least 2 distinct points to align")
     mu_x = X.mean(axis=0)
     mu_y = Y.mean(axis=0)
     Xc = X - mu_x

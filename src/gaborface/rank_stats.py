@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AlignmentError, FormatError, ParameterError,
-                     UndefinedCorrelationError, require_integer, require_real)
+from .errors import (FormatError, ParameterError, RuntimeFailure, require_integer,
+                     require_real)
 
 DEFAULT_PERMUTATION_SEED = 20230
 DEFAULT_PERMUTATIONS = 999  # p-values from 1/1000 up
@@ -29,23 +29,22 @@ class CorrelationResult:
     rho: float
     n: int
     p_two_sided: float
-    method: str  # "permutation", the one test of correlate_model_with_ratings
 
     def to_document(self, **extra):
         """The result as a JSON document, plus `extra` keys."""
         return {**extra, "rho": self.rho, "n_pairs": self.n,
-                "p_two_sided": self.p_two_sided, "method": self.method}
+                "p_two_sided": self.p_two_sided, "method": "permutation"}
 
     @classmethod
     def from_document(cls, doc):
         """The CorrelationResult of a JSON value that to_document wrote."""
         if not (isinstance(doc, dict) and {"rho", "n_pairs", "p_two_sided"} <= set(doc)
-                and isinstance(doc.get("method"), str)):
-            raise FormatError("a correlation result must be an object of rho, "
-                              "n_pairs, p_two_sided and a string method")
+                and doc.get("method") == "permutation"):
+            raise FormatError("a correlation result must be an object of rho, n_pairs, "
+                              "p_two_sided and a string method 'permutation'")
         return cls(require_real(doc["rho"], "rho", -math.inf),
                    require_integer(doc["n_pairs"], "n_pairs", 1),
-                   require_real(doc["p_two_sided"], "p_two_sided", 0), doc["method"])
+                   require_real(doc["p_two_sided"], "p_two_sided", 0))
 
 
 def average_ranks(values):
@@ -72,7 +71,7 @@ def _rho_from_ranks(rx, ry):
     ry = ry - ry.mean()
     denom = np.sqrt(np.sum(rx * rx) * np.sum(ry * ry))
     if denom == 0.0:
-        raise UndefinedCorrelationError("constant series has no rank correlation")
+        raise RuntimeFailure("constant series has no rank correlation")
     return float(np.dot(rx, ry) / denom)
 
 
@@ -170,11 +169,11 @@ def correlate_model_with_ratings(models, semantic, permutations=DEFAULT_PERMUTAT
     for model in models:
         if set(model.item_ids) != set(semantic.item_ids):
             missing = set(model.item_ids) ^ set(semantic.item_ids)
-            raise AlignmentError(f"item sets differ; unmatched ids: "
+            raise ParameterError(f"item sets differ; unmatched ids: "
                                  f"{sorted(missing)}")
         x = matrix_series(model)
         rx.append(average_ranks(-x if model.kind == "similarity" else x))
     ry = average_ranks(matrix_series(semantic))
     ps = significance(rx, ry, permutations=permutations, seed=seed)
-    return [CorrelationResult(_rho_from_ranks(x, ry), ry.size, p, "permutation")
+    return [CorrelationResult(_rho_from_ranks(x, ry), ry.size, p)
             for x, p in zip(rx, ps)]

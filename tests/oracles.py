@@ -15,7 +15,6 @@ import warnings
 import numpy as np
 
 from gaborface.errors import (
-    OutOfBoundsError,
     ParameterError,
     RuntimeFailure,
     ValidationError,
@@ -110,7 +109,7 @@ def filter_response(image, spec, center, truncate=True):
     height, width = image.shape
     cx, cy = float(center[0]), float(center[1])
     if not (0 <= cx < width and 0 <= cy < height):
-        raise OutOfBoundsError(f"center ({cx}, {cy}) outside {width}x{height} image")
+        raise ParameterError(f"center ({cx}, {cy}) outside {width}x{height} image")
     if truncate:
         h = spec.window_half_width()
         xs = np.arange(round(cx) - h, round(cx) + h + 1)

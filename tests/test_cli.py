@@ -271,8 +271,9 @@ class TestStudyPipeline:
         (lambda doc: doc.update(rho=10**400), "need a finite rho >= -inf"),
         (lambda doc: doc.update(n_pairs=6.0), "n_pairs must be an integer"),
         (lambda doc: doc.update(method=None), "and a string method"),
+        (lambda doc: doc.update(method="t-approximation"), "method 'permutation'"),
     ], ids=["no-rho", "string-rho", "nan-p", "huge-rho", "float-n-pairs",
-            "no-method"])
+            "no-method", "other-method"])
     def test_summary_refuses_a_malformed_correlation_file(self, tmp_path, change,
                                                           message):
         config_path = make_synthetic_study(tmp_path, n_images=4)
@@ -1368,6 +1369,33 @@ class TestMainCli:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(target, name, value)
         assert config == load_config(config_path)
+
+    def test_a_mapping_changed_in_place_is_refused(self, tmp_path):
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        config = load_config(config_path)
+        image_id = sorted(config.expressers)[0]
+        for mapping in (config.expressers, config.labels):
+            with pytest.raises(TypeError, match="read-only"):
+                mapping[image_id] = "../escape"
+            with pytest.raises(TypeError, match="read-only"):
+                mapping.update({image_id: "../escape"})
+        assert config == load_config(config_path)
+
+    def test_a_computation_that_cannot_proceed_exits_two(self, tmp_path, capsys):
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        assert main(["--config", str(config_path)]) == 0
+        out = load_config(config_path).out_dir
+        assert (out / "align" / "SY.json").exists()
+        path = out / "embeddings" / "SY_gabor.json"
+        doc = json.loads(path.read_text())
+        doc["coordinates"] = [doc["coordinates"][0]] * len(doc["coordinates"])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="expresser 'SY' failed"):
+            assert main(["--config", str(config_path), "--stage", "align"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "failure: need at least 2 distinct points to align"
+        assert list((out / "align").iterdir()) == []
 
     def test_permutation_test_shares_one_stream_per_expresser(self, tmp_path,
                                                               monkeypatch):

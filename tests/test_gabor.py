@@ -9,7 +9,7 @@ import pytest
 
 import gaborface as gf
 from gaborface.cli import _read
-from gaborface.errors import FormatError, OutOfBoundsError, ParameterError
+from gaborface.errors import FormatError, ParameterError
 from oracles import (
     amplitude,
     default_template_placement,
@@ -199,7 +199,7 @@ class TestFilterResponse:
         img = smooth_image(0, size=32)
         spec = gf.FilterSpec(math.pi / 2, 0.0, math.pi)
         for bad in [(-1.0, 5.0), (5.0, 32.0), (40.0, 5.0)]:
-            with pytest.raises(OutOfBoundsError):
+            with pytest.raises(ParameterError, match="outside 32x32 image"):
                 filter_response(img, spec, bad)
 
     def test_tuning_peak_at_filter_frequency(self):
@@ -476,7 +476,7 @@ class TestComputeJets:
         img = smooth_image(0, size=32)
         bank = gf.FilterBank()
         for bad in [(-0.5, 5.0), (5.0, 32.0), (40.0, 5.0), (float("nan"), 3.0)]:
-            with pytest.raises(OutOfBoundsError):
+            with pytest.raises(ParameterError, match="outside 32x32 image"):
                 gf.compute_jets(img, bank, [(4.0, 4.0), bad, (8.0, 8.0)])
 
     def test_empty_point_list(self):

@@ -9,12 +9,7 @@ from scipy.spatial.distance import pdist, squareform
 import gaborface as gf
 from gaborface import nmds
 from gaborface.cli import _read
-from gaborface.errors import (
-    AlignmentError,
-    DegenerateConfigurationError,
-    FormatError,
-    ParameterError,
-)
+from gaborface.errors import FormatError, ParameterError, RuntimeFailure
 from gaborface.nmds import Disparities
 
 
@@ -189,7 +184,7 @@ class TestStress1:
         assert gf.stress1(d, Disparities(dh)) == pytest.approx(expected, rel=1e-14)
 
     def test_all_zero_distances_degenerate(self):
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(RuntimeFailure, match="all configuration distances are zero"):
             gf.stress1(np.zeros(3), Disparities(np.zeros(3)))
 
     def test_unequal_lengths_rejected(self):
@@ -438,21 +433,23 @@ class TestProcrustesAlign:
 
     def test_underdetermined(self):
         c = config_from_points(np.zeros((3, 2)))
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(RuntimeFailure,
+                           match="need at least 2 distinct points to align"):
             gf.procrustes_align(c, c)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
         a = config_from_points(rng.uniform(-1, 1, (4, 2)))
         b = config_from_points(rng.uniform(-1, 1, (4, 3)))
-        with pytest.raises(AlignmentError, match="dimension mismatch: 2 vs 3"):
+        with pytest.raises(ParameterError, match="dimension mismatch: 2 vs 3"):
             gf.procrustes_align(a, b)
 
     def test_item_mismatch(self):
         rng = np.random.default_rng(5)
         a = config_from_points(rng.uniform(-1, 1, (4, 2)), tuple("abcd"))
         b = config_from_points(rng.uniform(-1, 1, (4, 2)), tuple("abce"))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ParameterError,
+                           match="configurations must share item_ids in order"):
             gf.procrustes_align(a, b)
 
 
