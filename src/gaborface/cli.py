@@ -411,27 +411,32 @@ def run_study(config):
 # the group of `expresser`, its images `ids`, and writes `out`'s paths.
 
 def _matrices(config, expresser, ids, out):
-    """Gabor similarity, geometry and semantic dissimilarity."""
+    """Semantic dissimilarity, Gabor similarity and geometry: each matrix is
+    computed, written and dropped before the next, and the ratings and the
+    jets go once their matrix is built."""
+    def write(name, matrix):
+        _write_matrix(out[f"_{name}.json"], out[f"_{name}.csv"], matrix)
+
     table = _read(config.ratings_path, ratings.load_ratings, "text")
     if config.no_fear and FEAR_ADJECTIVE in table.adjectives:
         fear = table.adjectives.index(FEAR_ADJECTIVE)
         table = table._replace(
             adjectives=table.adjectives[:fear] + table.adjectives[fear + 1:],
             values=np.delete(table.values, fear, axis=1))
-    semantic = ratings.semantic_matrix(table, ids)
-    placements, jets = zip(*(
-        _read(_outputs(config, "encode", i)[".json"],
-              lambda doc, i=i: _coded_image(config, doc, i), stage="encode")
-        for i in ids))
-    matrices = {
-        "gabor": pairwise_matrix(list(zip(ids, jets)), "gabor"),
-        "geometry": pairwise_matrix(
-            [(i, grid.geometry_vector(p)) for i, p in zip(ids, placements)],
-            "geometry"),
-        "semantic": semantic,
-    }
-    for name, matrix in matrices.items():
-        _write_matrix(out[f"_{name}.json"], out[f"_{name}.csv"], matrix)
+    write("semantic", ratings.semantic_matrix(table, ids))
+    del table
+    # one (images, 34, filters) stack: each image's jets have the config's
+    # bank (_coded_image) and 34 points (a GridPlacement's)
+    jets = np.empty((len(ids), grid.NODE_COUNT, len(config.filter_bank)))
+    vectors = []
+    for k, image_id in enumerate(ids):
+        placement, jets[k] = _read(
+            _outputs(config, "encode", image_id)[".json"],
+            lambda doc: _coded_image(config, doc, image_id), stage="encode")
+        vectors.append(grid.geometry_vector(placement))
+    write("gabor", pairwise_matrix(list(zip(ids, jets)), "gabor"))
+    del jets
+    write("geometry", pairwise_matrix(list(zip(ids, vectors)), "geometry"))
 
 
 def _coded_image(config, doc, image_id):
@@ -503,7 +508,8 @@ def _model_dissimilarity(matrix):
     """Similarity -> dissimilarity (1 - s) for embedding; rank-equivalent."""
     if matrix.kind == "dissimilarity":
         return matrix
-    values = np.maximum(1.0 - matrix.values, 0.0)
+    values = 1.0 - matrix.values
+    np.maximum(values, 0.0, out=values)
     return PairMatrix(matrix.item_ids, values, "dissimilarity")
 
 

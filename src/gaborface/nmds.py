@@ -117,11 +117,9 @@ def classical_init(dissimilarity, d, seed=0):
     d = require_integer(d, "d", 1)
     D = dissimilarity.values
     n = D.shape[0]
-    J = np.eye(n) - np.ones((n, n)) / n
-    B = -0.5 * J @ (D * D) @ J
-    evals, evecs = np.linalg.eigh(B)
+    evals, evecs = np.linalg.eigh(_double_centred(D))
     order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
+    evals, evecs = evals[order], evecs[:, order[:d]]
     coords = np.zeros((n, d))
     usable = min(d, int(np.sum(evals > 1e-12 * max(1.0, abs(evals[0])))))
     for col in range(usable):
@@ -138,6 +136,25 @@ def classical_init(dissimilarity, d, seed=0):
         scale = 1e-3 * max(1.0, float(D.max()))
         coords[:, usable:] = scale * rng.standard_normal((n, d - usable))
     return coords - coords.mean(axis=0)
+
+
+def _centring(out):
+    """The centring matrix J = I - 11'/n, written into the (n, n) array `out`."""
+    out.fill(0.0)
+    np.fill_diagonal(out, 1.0)
+    out -= 1.0 / len(out)
+    return out
+
+
+def _double_centred(D):
+    """B = -1/2 J (D o D) J, J the centring matrix: the product, left to
+    right, in three n x n buffers.  J is written twice, not kept, and B
+    takes the buffer of D o D once the first product has read it."""
+    B = D * D
+    half_J = _centring(np.empty_like(D))
+    half_J *= -0.5
+    product = half_J @ B
+    return np.matmul(product, _centring(half_J), out=B)
 
 
 def isotonic_fit(distances, order):

@@ -150,8 +150,10 @@ def matrix_series(matrix):
     upper triangle, row by row, of the matrix with its items in sorted-id
     order."""
     ids = matrix.item_ids
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    return matrix.values[np.ix_(order, order)][np.triu_indices(len(ids), 1)]
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    # the pair (a, b) of sorted positions is the cell (order[a], order[b])
+    rows, cols = np.triu_indices(len(ids), 1)
+    return matrix.values[order[rows], order[cols]]
 
 
 def correlate_model_with_ratings(models, semantic, permutations=DEFAULT_PERMUTATIONS,

@@ -67,7 +67,9 @@ class PairMatrix:
             if not isinstance(ids, list):
                 raise FormatError("item_ids must be a list")
             require_numbers(chain.from_iterable(values), "values")
-            return cls(tuple(ids), np.asarray(values), doc["kind"])
+            # the rows go to the constructor as parsed: its copy is the
+            # one array built
+            return cls(tuple(ids), values, doc["kind"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             # ragged values and the checks (FormatError, ParameterError) are
             # ValueErrors
@@ -141,15 +143,21 @@ def distance_matrix(item_ids, rows):
 def _gabor_matrix(item_ids, arrays):
     ids = tuple(item_ids)
     _check_item_ids(ids)
-    jets = _jet_stack(arrays)
-    norms = np.linalg.norm(jets, axis=2)
-    for i, node in zip(*np.nonzero(norms == 0.0)):
+    unit = _jet_stack(arrays)  # a copy: the caller's arrays never change
+    norms = np.linalg.norm(unit, axis=2)
+    zero = norms == 0.0
+    for i, node in zip(*np.nonzero(zero)):
         warnings.warn(f"zero jet at node {node} of image {ids[i]!r}; counting "
                       "similarity 0 for that node in all its pairs")
     # a zero row stays zero, so its node adds 0 to every pair's sum
-    unit = jets / np.where(norms == 0.0, 1.0, norms)[:, :, None]
-    # mirror the strict upper triangle so the matrix is exactly symmetric
-    upper = np.triu(np.einsum("ink,jnk->ij", unit, unit) / NODE_COUNT, 1)
-    values = upper + upper.T
+    norms[zero] = 1.0
+    unit /= norms[:, :, None]
+    values = np.einsum("ink,jnk->ij", unit, unit)
+    del unit
+    values /= NODE_COUNT
+    # keep the strict upper triangle and mirror it, so the matrix is
+    # exactly symmetric (numpy copies values.T before writing over it)
+    np.copyto(values, 0.0, where=np.tri(len(ids), dtype=bool))
+    values += values.T
     np.fill_diagonal(values, 1.0)
     return PairMatrix(ids, values, "similarity")

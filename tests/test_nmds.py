@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,26 @@ class TestClassicalInit:
         with pytest.warns(UserWarning, match="positive eigenvalues"):
             coords = gf.classical_init(m, 3)
         assert coords.shape == (4, 3)
+
+    def test_double_centring_at_210_items_holds_three_matrices(self):
+        # -J/2, D o D and their product, with J written again into -J/2's
+        # buffer and B into D o D's; eigh's vectors come after the three
+        # go.  Keeping J beside -J/2 makes four.
+        n = 210
+        m, _ = planted_matrix(np.random.default_rng(n), n, 3)
+        matrix = n * n * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gf.classical_init(m, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - held < 3.5 * matrix
 
     def test_rejects_similarity_matrix(self):
         m = gf.PairMatrix(("a", "b", "c"), np.ones((3, 3)), "similarity")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,6 +172,42 @@ class TestPairwiseMatrix:
             for j in (0, 2, 3):
                 expected = gabor_image_similarity(jets[1], jets[j])
                 assert m.values[1, j] == pytest.approx(expected, rel=1e-14)
+
+    def test_leaves_the_jet_arrays_unchanged(self):
+        # it normalises its own copy: the caller's jets, a zero jet and
+        # the rows of one stack among them, keep their values
+        rng = np.random.default_rng(7)
+        stack = rng.uniform(0.1, 5.0, (3, NODE_COUNT, 18))
+        stack[1, 4] = 0.0
+        jets = [*stack, random_jets(rng)]
+        before = [j.copy() for j in jets]
+        with pytest.warns(UserWarning, match="zero jet"):
+            pairwise_matrix([(f"i{k}", j) for k, j in enumerate(jets)], "gabor")
+        for got, want in zip(jets, before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gabor_matrix_at_210_images_copies_the_jets_once(self):
+        # past the caller's jets, a call holds its normalised copy of them,
+        # their squares while it takes the norms, then the n x n product
+        # and its mirror: under two stacks and one matrix.  A unit copy
+        # beside the stack, and the triangle and sum as new arrays, peak at
+        # over two stacks and three matrices.
+        n = 210
+        rng = np.random.default_rng(n)
+        items = [(f"i{k:03d}", random_jets(rng)) for k in range(n)]
+        stack, matrix = n * NODE_COUNT * 18 * 8, n * n * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pairwise_matrix(items, "gabor")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - held < 2 * stack + matrix
 
     def test_too_few_items(self):
         rng = np.random.default_rng(3)

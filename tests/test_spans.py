@@ -63,3 +63,38 @@ def test_benchmark_runner_set_up(tmp_path):
     assert doc["stages"] == [] and doc["pass_digests"] == []
     # 6 orientations at window widths 25, 49 and 97 in the default bank
     assert doc["kernel_samples_per_jet"] == 6 * (25**2 + 49**2 + 97**2) == 74610
+
+
+def test_every_wrapped_layer_records_a_span(tmp_path):
+    # every stage of the 6-image study, one CLI call each as the runner
+    # makes them: a stage that stops calling a layer through the name the
+    # tracer wraps would leave that layer's metrics at 0 in a traced run.
+    # The CLI calls compute_jets, not compute_jet, so that one records none.
+    config_path = make_synthetic_study(tmp_path / "study", n_images=6)
+    code = """
+import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+from checks import STAGES
+from gaborface import cli
+wrapped = []
+class Tracer(spans.Tracer):
+    def wrap(self, module, attr, name, label=None, after=None):
+        wrapped.append(name)
+        super().wrap(module, attr, name, label, after)
+tracer = Tracer("check")
+spans.install(tracer)
+for stage in STAGES:
+    argv = ["--config", sys.argv[3], "--stage", stage, "--out", sys.argv[4]]
+    assert cli.main(argv) == 0, stage
+recorded = {span["name"] for span in tracer.spans}
+print([name for name in wrapped if name not in recorded
+       and not any(r.startswith(name + ".") for r in recorded)])
+print(sorted(r for r in recorded if r.startswith("similarity.")))
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"),
+                          str(ROOT / "src"), str(config_path), str(tmp_path / "out")],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "['gabor.compute_jet']",
+        "['similarity.pairwise_matrix.gabor', 'similarity.pairwise_matrix.geometry']"]
