@@ -5,8 +5,14 @@ ValidationError is bad input (exit code 1 in the CLI), and so are its two
 kinds: FormatError, a document of the wrong shape, and ParameterError, a
 value or a pairing of items, dimensions or points that breaks its rule.
 RuntimeFailure is a computation that cannot proceed (exit code 2).
+
+malformed is the one document-walk rule: each reader of a JSON document
+that the pipeline writes and reads back walks it inside one malformed
+block, so a missing key, a value of the wrong type, a failed check or an
+integer too large for a float is a FormatError that names the kind.
 """
 
+import contextlib
 import numbers
 import sys
 
@@ -25,6 +31,19 @@ class ParameterError(ValidationError):
 
 class RuntimeFailure(RuntimeError):
     """A computation failed on otherwise well-formed inputs."""
+
+
+@contextlib.contextmanager
+def malformed(what):
+    """In this block, a KeyError becomes FormatError "malformed <what>:
+    missing <key>"; a TypeError, ValueError (a ValidationError is one) or
+    OverflowError (an integer too large for a float) "malformed <what>: <error>"."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"malformed {what}: missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed {what}: {exc}") from exc
 
 
 def require_numbers(values, what):

@@ -19,7 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, require_known_keys, require_numbers
+from .errors import (FormatError, ParameterError, malformed, require_known_keys,
+                     require_numbers)
 from .grid import load_grid
 
 DEFAULT_WAVENUMBERS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -328,7 +329,7 @@ def parse_jet_document(doc):
     """Parse a jet-set document, the JSON value of a jet file, into
     (GridPlacement, FilterBank, jets), with jets the (points, filters) array
     of finite, non-negative amplitudes."""
-    try:
+    with malformed("jet document"):
         if "source_size" not in doc or "nose_tip" not in doc:
             raise FormatError("jet document has no source_size or nose_tip, "
                               "so it predates placements in jet files; "
@@ -341,17 +342,9 @@ def parse_jet_document(doc):
         amplitudes = [p["amplitudes"] for p in doc["points"]]
         require_numbers(chain.from_iterable(amplitudes), "jet amplitudes")
         jets = np.array(amplitudes, dtype=float)
-    except KeyError as exc:
-        raise FormatError(f"malformed jet document: missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        # float() of a non-number, ragged amplitude lists and the bank
-        # checks (ParameterError) are all ValueErrors
-        raise FormatError(f"malformed jet document: {exc}") from exc
-    if jets.shape != (len(placement.names), len(bank)):
-        raise FormatError(f"malformed jet document: amplitudes of shape "
-                          f"{jets.shape}, expected {len(placement.names)} "
-                          f"points x {len(bank)} filters")
-    if not np.all(np.isfinite(jets)) or np.any(jets < 0):
-        raise FormatError("malformed jet document: jet amplitudes must be "
-                          "finite and non-negative")
+        if jets.shape != (len(placement.names), len(bank)):
+            raise FormatError(f"amplitudes of shape {jets.shape}, expected "
+                              f"{len(placement.names)} points x {len(bank)} filters")
+        if not np.all(np.isfinite(jets)) or np.any(jets < 0):
+            raise FormatError("jet amplitudes must be finite and non-negative")
     return placement, bank, jets

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, require_numbers
+from .errors import FormatError, ParameterError, malformed, require_numbers
 
 NODE_COUNT = 34
 
@@ -62,28 +63,13 @@ class GridPlacement:
 def load_grid(document):
     """Validate a grid document, the JSON value of a grid file, into a
     GridPlacement."""
-    try:
-        image_id = document["image_id"]
+    with malformed("grid document"):
+        nodes = document["nodes"]
         source_size = tuple(document["source_size"])
-        nose_tip = document["nose_tip"]
-        raw_nodes = document["nodes"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"grid document missing field: {exc}") from exc
-    if not isinstance(raw_nodes, list):
-        raise FormatError(f"grid nodes must be a list, got {type(raw_nodes).__name__}")
-    names, coordinates = [], []
-    for entry in raw_nodes:
-        try:
-            names.append(entry["name"])
-            coordinates += (entry["x"], entry["y"])
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"malformed grid node {entry!r}: {exc}") from exc
-    require_numbers((*source_size, *coordinates), "source_size and node x, y")
-    try:
-        points = np.array(coordinates, dtype=float).reshape(-1, 2)
-    except OverflowError as exc:
-        raise FormatError(f"malformed grid node coordinate: {exc}") from exc
-    return GridPlacement(image_id, names, points, nose_tip, source_size)
+        coordinates = [(node["x"], node["y"]) for node in nodes]
+        require_numbers(chain(source_size, *coordinates), "source_size and node x, y")
+        return GridPlacement(document["image_id"], [node["name"] for node in nodes],
+                             coordinates, document["nose_tip"], source_size)
 
 
 def rescale_placement(placement, target):

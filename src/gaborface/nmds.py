@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     ParameterError,
     RuntimeFailure,
+    malformed,
     require_integer,
     require_numbers,
     require_real,
@@ -60,14 +61,15 @@ class Configuration:
             raise ParameterError("item ids must be strings")
         # a read-only copy: the caller's array stays writable
         coords = np.array(self.coordinates, dtype=float, order="C")
-        if coords.ndim != 2 or coords.shape[0] != len(self.item_ids):
-            raise ParameterError(
-                f"coordinates shape {coords.shape} does not match "
-                f"{len(self.item_ids)} items"
-            )
-        if not (np.all(np.isfinite(coords))
-                and np.isfinite(self.stress) and np.isfinite(self.rsq)):
-            raise ParameterError("coordinates, stress and rsq must be finite")
+        n = len(self.item_ids)
+        if coords.ndim != 2 or coords.shape[0] != n or coords.shape[1] < 1:
+            raise ParameterError(f"coordinates shape {coords.shape} does not match "
+                                 f"{n} items in d >= 1 dimensions")
+        if not np.all(np.isfinite(coords)):
+            raise ParameterError("coordinates must be finite")
+        if not (0 <= self.stress <= 1 and 0 <= self.rsq <= 1):  # NaN is outside
+            raise ParameterError(f"stress and rsq must lie in [0, 1], got "
+                                 f"{self.stress!r} and {self.rsq!r}")
         require_integer(self.iterations, "iterations", 0)
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
@@ -86,7 +88,7 @@ class Configuration:
     @classmethod
     def from_document(cls, doc):
         """The Configuration of a JSON value that to_document wrote."""
-        try:
+        with malformed("configuration"):
             ids, coordinates = doc["item_ids"], doc["coordinates"]
             if not isinstance(ids, list):
                 raise FormatError("item_ids must be a list")
@@ -95,12 +97,6 @@ class Configuration:
                             "coordinates, stress and rsq")
             return cls(tuple(ids), np.asarray(coordinates),
                        doc["stress"], doc["rsq"], doc["iterations"])
-        except KeyError as exc:
-            raise FormatError(f"malformed configuration: missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            # FormatError and ParameterError are ValueErrors; an integer too
-            # large for a float overflows
-            raise FormatError(f"malformed configuration: {exc}") from exc
 
 
 def classical_init(dissimilarity, d, seed=0):
@@ -120,13 +116,11 @@ def classical_init(dissimilarity, d, seed=0):
     evals, evecs = np.linalg.eigh(_double_centred(D))
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order[:d]]
-    coords = np.zeros((n, d))
     usable = min(d, int(np.sum(evals > 1e-12 * max(1.0, abs(evals[0])))))
-    for col in range(usable):
-        v = evecs[:, col] * np.sqrt(evals[col])
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        coords[:, col] = v
+    coords = np.zeros((n, d))
+    coords[:, :usable] = evecs[:, :usable] * np.sqrt(evals[:usable])
+    largest = coords[np.argmax(np.abs(coords), axis=0), np.arange(d)]
+    coords[:, largest < 0] *= -1
     if usable < d and np.any(D != 0):
         warnings.warn(
             f"only {usable} positive eigenvalues for d={d}; filling the "

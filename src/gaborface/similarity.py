@@ -10,7 +10,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import FormatError, ParameterError, require_numbers
+from .errors import FormatError, ParameterError, malformed, require_numbers
 from .grid import NODE_COUNT
 
 
@@ -62,7 +62,7 @@ class PairMatrix:
     def from_document(cls, doc):
         """The PairMatrix of a matrix file's JSON value: its "kind", its
         "item_ids" list and its "values" rows."""
-        try:
+        with malformed("pair-matrix document"):
             ids, values = doc["item_ids"], doc["values"]
             if not isinstance(ids, list):
                 raise FormatError("item_ids must be a list")
@@ -70,10 +70,6 @@ class PairMatrix:
             # the rows go to the constructor as parsed: its copy is the
             # one array built
             return cls(tuple(ids), values, doc["kind"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # ragged values and the checks (FormatError, ParameterError) are
-            # ValueErrors
-            raise FormatError(f"malformed pair-matrix document: {exc}") from exc
 
     def text_chunks(self):
         """The JSON text that from_document reads back, laid out as every

@@ -5,8 +5,9 @@ many points with gabor.compute_jets, the pair matrices with
 similarity.pairwise_matrix, the permutation test's draws a chunk at a
 time with rank_stats.significance.  Here are the references they are held
 to, one point, one pair or one draw at a time (the closed-form kernel, a
-direct windowed sum, the jet similarity, the per-draw Mantel loop), and the
-writers that make the files and documents the loaders read back.
+direct windowed sum, the jet similarity, the per-draw Mantel loop, the
+column-at-a-time classical start), and the writers that make the files
+and documents the loaders read back.
 """
 
 import math
@@ -21,6 +22,7 @@ from gaborface.errors import (
 )
 from gaborface.gabor import _reflect_indices
 from gaborface.grid import NODE_COUNT, GridPlacement
+from gaborface.nmds import _double_centred
 from gaborface.similarity import _jet_stack
 
 # The default 34-node fiducial grid template.  Only the ordering and the
@@ -218,6 +220,31 @@ def mantel_per_draw(x_ranks, y_ranks, permutations, seed):
         permuted = centred[labels[upper_i], labels[upper_j]]
         hits += np.abs(rx @ permuted) / denom >= thresholds
     return [(h + 1) / (permutations + 1) for h in hits.tolist()]
+
+
+def classical_start(dissimilarity, d, seed=0):
+    """nmds.classical_init one column at a time: each of the top `usable`
+    eigenvectors scaled by its root eigenvalue and negated when its
+    largest-magnitude entry is negative, then the seeded random columns
+    (the reference for the vectorised scale and sign flip, which must equal
+    it bit for bit)."""
+    D = dissimilarity.values
+    n = D.shape[0]
+    evals, evecs = np.linalg.eigh(_double_centred(D))
+    order = np.argsort(evals)[::-1]
+    evals, evecs = evals[order], evecs[:, order[:d]]
+    coords = np.zeros((n, d))
+    usable = min(d, int(np.sum(evals > 1e-12 * max(1.0, abs(evals[0])))))
+    for col in range(usable):
+        v = evecs[:, col] * np.sqrt(evals[col])
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
+        coords[:, col] = v
+    if usable < d and np.any(D != 0):
+        rng = np.random.default_rng(seed)
+        scale = 1e-3 * max(1.0, float(D.max()))
+        coords[:, usable:] = scale * rng.standard_normal((n, d - usable))
+    return coords - coords.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,22 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and message in err
 
+    @pytest.mark.parametrize("change,message", [
+        (lambda doc: doc.update(stress=-4, rsq=9), "stress and rsq must lie in [0, 1]"),
+        (lambda doc: doc.update(coordinates=[[] for _ in doc["coordinates"]]),
+         "in d >= 1 dimensions"),
+    ], ids=["stress-and-rsq", "no-columns"])
+    def test_impossible_embedding_exits_one(self, tmp_path, capsys, change, message):
+        # embed writes neither; align must not carry them into align/
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        assert main(["--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "embeddings" / "SY_gabor.json"
+        path.write_bytes(edit_json(change)(path.read_bytes()))
+        assert main(["--config", str(config_path), "--stage", "align"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed configuration: ")
+        assert message in err
+
     @pytest.mark.parametrize("stage,victim,outputs", [
         ("embed", "matrices/{}_semantic.json",
          ["embeddings/{}_gabor.json", "embeddings/{}_semantic.json"]),

@@ -94,17 +94,21 @@ CONFIG_DOC = gf.Configuration(
 SIX = "image_id,happiness,sadness,surprise,anger,disgust,fear"
 RATINGS = SIX + "\nimg0,1,2,3,4,5,1\nimg1,2.5,2.5,2.5,2.5,2.5,2.5\n"
 
-# each kind of file: how the pipeline reads it, and a valid content
+# each kind of file: how the pipeline reads it, a valid content, and for a
+# document the pipeline writes and reads back, the kind its errors.malformed
+# messages name
 READERS = {
     "pgm": (lambda path: _read(path, gf.read_pgm, "bytes"),
-            b"P5\n2 2\n255\n\x00\x40\x80\xff"),
-    "grid": (lambda path: _read(path, gf.load_grid), GRID_DOC),
-    "jet": (lambda path: _read(path, gf.gabor.parse_jet_document), JET_DOC),
-    "matrix": (lambda path: _read(path, gf.PairMatrix.from_document), MATRIX_DOC),
+            b"P5\n2 2\n255\n\x00\x40\x80\xff", None),
+    "grid": (lambda path: _read(path, gf.load_grid), GRID_DOC, "grid document"),
+    "jet": (lambda path: _read(path, gf.gabor.parse_jet_document), JET_DOC,
+            "jet document"),
+    "matrix": (lambda path: _read(path, gf.PairMatrix.from_document), MATRIX_DOC,
+               "pair-matrix document"),
     "embedding": (lambda path: _read(path, gf.Configuration.from_document),
-                  CONFIG_DOC),
-    "study": (StudyConfig.from_file, STUDY_DOC),
-    "ratings": (lambda path: _read(path, gf.load_ratings, "text"), RATINGS),
+                  CONFIG_DOC, "configuration"),
+    "study": (StudyConfig.from_file, STUDY_DOC, None),
+    "ratings": (lambda path: _read(path, gf.load_ratings, "text"), RATINGS, None),
 }
 JSON_KINDS = ["grid", "jet", "matrix", "embedding", "study"]
 
@@ -207,6 +211,48 @@ def test_strings_and_booleans_are_not_numbers(kind, change):
     result = read_bytes_as(kind, json.dumps(doc).encode())
     assert isinstance(result, FormatError), result
     assert "must be numbers" in str(result) or "must be a list" in str(result)
+
+
+def delete_at(*path):
+    """A change that deletes the key at the end of a path of keys and indices."""
+    *path, key = path
+
+    def change(doc):
+        for step in path:
+            doc = doc[step]
+        del doc[key]
+    return change
+
+
+# kind -> (edit, what the message names) for a deleted key, a string where
+# a list is expected and an integer too large for a float: each edit makes
+# the document walk raise a Python error
+WALK_ERRORS = {
+    "grid": [(delete_at("nodes", 0, "x"), "missing 'x'"),
+             (set_at("nodes", "nodes"), ""),
+             (set_at("nodes", 0, "x", 10 ** 400), "")],
+    "jet": [(delete_at("points", 0, "amplitudes"), "missing 'amplitudes'"),
+            (set_at("points", "points"), ""),
+            (set_at("points", 0, "amplitudes", [10 ** 400] * len(BANK)), "")],
+    "matrix": [(delete_at("kind"), "missing 'kind'"),
+               (set_at("values", "values"), ""),
+               (set_at("values", 0, 1, 10 ** 400), "")],
+    "embedding": [(delete_at("iterations"), "missing 'iterations'"),
+                  (set_at("coordinates", "coordinates"), ""),
+                  (set_at("coordinates", 0, 0, 10 ** 400), "")],
+}
+
+
+@pytest.mark.parametrize("kind,edit,named", [
+    pytest.param(kind, edit, named, id=f"{kind}-{case}")
+    for kind, edits in WALK_ERRORS.items()
+    for case, (edit, named) in zip(("deleted", "string", "huge"), edits)])
+def test_a_document_walk_error_is_malformed_kind(kind, edit, named):
+    result = read_bytes_as(kind, json.dumps(edited(READERS[kind][1], edit)).encode())
+    assert isinstance(result, FormatError), result
+    # read_bytes_as checked that the message starts with the file's path
+    message = str(result).partition(": ")[2]
+    assert message.startswith(f"malformed {READERS[kind][2]}: ") and named in message
 
 
 @pytest.mark.parametrize("kind,change", [

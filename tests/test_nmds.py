@@ -12,6 +12,7 @@ from gaborface import nmds
 from gaborface.cli import _read
 from gaborface.errors import FormatError, ParameterError, RuntimeFailure
 from gaborface.nmds import Disparities
+from oracles import classical_start
 
 
 def planted_matrix(rng, n, d, transform=None):
@@ -74,6 +75,16 @@ class TestClassicalInit:
         np.testing.assert_array_equal(c1, c2)
         for col in c1.T:
             assert col[np.argmax(np.abs(col))] > 0
+
+    @pytest.mark.filterwarnings("ignore:only .* positive eigenvalues")
+    @pytest.mark.parametrize("dim,d", [(3, 2), (3, 4), (1, 3), (0, 2)],
+                             ids=["planted", "random-fill", "collinear", "zeros"])
+    def test_equals_the_column_at_a_time_start(self, dim, d):
+        pts = np.random.default_rng(dim + d).uniform(-5, 5, (9, max(dim, 1)))
+        dist = squareform(pdist(pts)) if dim else np.zeros((9, 9))
+        m = gf.PairMatrix(tuple(f"p{i}" for i in range(9)), dist, "dissimilarity")
+        coords = gf.classical_init(m, d, seed=5)
+        assert coords.tobytes() == classical_start(m, d, seed=5).tobytes()
 
     def test_deficient_dimension_falls_back_flagged(self):
         pts = np.array([[0.0], [1.0], [3.0], [6.0]])

@@ -128,3 +128,18 @@ def test_rank_stats_imports_no_scipy():
                 if isinstance(node, ast.ImportFrom) and node.module]
     assert "numpy" in modules
     assert [name for name in modules if name.split(".")[0] == "scipy"] == []
+
+
+def test_only_errors_py_catches_key_error():
+    # errors.malformed is the one rule for a KeyError in a document walk, so
+    # no reader grows its own ladder of excepts
+    catchers = []
+    for path in sorted((ROOT / "src" / "gaborface").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        catchers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.ExceptHandler) and node.type
+                     and any(isinstance(name, ast.Name) and name.id == "KeyError"
+                             for name in ast.walk(node.type))]
+    assert catchers == []
