@@ -103,22 +103,24 @@ def classical_init(dissimilarity, d, seed=0):
     """Torgerson classical-scaling start: the centred (n, d) array of the
     top-d spectral coordinates of the double-centered squared dissimilarities.
 
-    Deterministic: each coordinate column is signed so its largest-magnitude
-    entry is positive.  Columns beyond the positive-eigenvalue count fall
-    back to small seeded random coordinates (flagged with a warning).  Only
-    a matrix of zeros gives coincident points.  embed evaluates the start.
+    Deterministic, with the same bits at any BLAS thread count: the double
+    centring is elementwise and the top-d eigenpairs come from a block
+    subspace iteration whose n-sized products are einsum loops, so no
+    threaded BLAS or LAPACK routine sees an n-sized operand.  Each
+    coordinate column is signed so its largest-magnitude entry is positive.
+    Columns beyond the positive-eigenvalue count fall back to small seeded
+    random coordinates (flagged with a warning).  Only a matrix of zeros
+    gives coincident points.  embed evaluates the start.
     """
     if dissimilarity.kind != "dissimilarity":
         raise ParameterError(f"need a dissimilarity matrix, got {dissimilarity.kind!r}")
     d = require_integer(d, "d", 1)
     D = dissimilarity.values
     n = D.shape[0]
-    evals, evecs = np.linalg.eigh(_double_centred(D))
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order[:d]]
-    usable = min(d, int(np.sum(evals > 1e-12 * max(1.0, abs(evals[0])))))
+    evals, evecs = _leading_eigenpairs(_double_centred(D), d)
+    usable = len(evals)
     coords = np.zeros((n, d))
-    coords[:, :usable] = evecs[:, :usable] * np.sqrt(evals[:usable])
+    coords[:, :usable] = evecs.T * np.sqrt(evals)
     largest = coords[np.argmax(np.abs(coords), axis=0), np.arange(d)]
     coords[:, largest < 0] *= -1
     if usable < d and np.any(D != 0):
@@ -132,23 +134,74 @@ def classical_init(dissimilarity, d, seed=0):
     return coords - coords.mean(axis=0)
 
 
-def _centring(out):
-    """The centring matrix J = I - 11'/n, written into the (n, n) array `out`."""
-    out.fill(0.0)
-    np.fill_diagonal(out, 1.0)
-    out -= 1.0 / len(out)
-    return out
-
-
 def _double_centred(D):
-    """B = -1/2 J (D o D) J, J the centring matrix: the product, left to
-    right, in three n x n buffers.  J is written twice, not kept, and B
-    takes the buffer of D o D once the first product has read it."""
+    """B = -1/2 J (D o D) J, J the centring matrix, elementwise in one n x n
+    buffer: B_ij = -1/2 (S_ij - r_i - r_j + g), with S = D o D, r its row
+    means (its column means too, D being symmetric) and g their mean."""
     B = D * D
-    half_J = _centring(np.empty_like(D))
-    half_J *= -0.5
-    product = half_J @ B
-    return np.matmul(product, _centring(half_J), out=B)
+    means = B.mean(axis=1)
+    means -= 0.5 * means.mean()
+    B -= means[:, None]
+    B -= means
+    B *= -0.5
+    return B
+
+
+# The block subspace iteration of _leading_eigenpairs: the block has d +
+# _GUARD rows; it stops once every usable residual |Bx - theta x| is at most
+# _RESIDUAL times the largest |theta|, or after _SWEEPS sweeps, whose 600
+# products take a ratio of 0.95 between the d-th and the first unwanted
+# eigenvalue magnitude to that residual.
+_GUARD = 8
+_RESIDUAL = 1e-13
+_SWEEPS = 300
+
+
+def _leading_eigenpairs(B, d):
+    """The eigenpairs among the d largest of the symmetric B whose
+    eigenvalues exceed 1e-12 max(1, |largest|): those eigenvalues,
+    descending, and their unit eigenvectors as the rows of a (usable, n)
+    array.
+
+    Block subspace iteration (Rutishauser 1970) from a fixed seeded block,
+    or from the identity where the block spans the whole space.  Each sweep
+    takes the Ritz pairs of the block's span, orthonormalising it on the
+    way (SVQB, Stathopoulos & Wu 2002): the rows, scaled to unit length,
+    map to an orthonormal basis through the eigh of their Gram matrix,
+    whose eigenvalues are floored at eps times the largest, so that a
+    rank-deficient B divides by no zero.  The next block is
+    (B + shift)^2 X for the Ritz vectors X: two products per Rayleigh-Ritz
+    step, as in Rutishauser's ritzit.  The shift stays 0 until the most
+    negative Ritz value outweighs the d-th largest; then it keeps negative
+    eigenvalues from crowding the wanted ones out of the block.  The
+    n-sized products are einsum loops; the two eighs and the small matmuls
+    see (block, block) arrays only.
+    """
+    n = len(B)
+    p = min(n, d + _GUARD)
+    block = np.eye(n) if p == n else np.random.default_rng(0).standard_normal((p, n))
+    shift = 0.0
+    for _ in range(_SWEEPS):
+        product = np.einsum("ij,kj->ki", B, block, optimize=False)
+        gram = np.einsum("ki,li->kl", block, block, optimize=False)
+        scale = 1.0 / np.sqrt(gram.diagonal())
+        s, V = np.linalg.eigh(gram * scale * scale[:, None])
+        basis = scale[:, None] * V / np.sqrt(np.maximum(s, np.finfo(float).eps * s[-1]))
+        ritz = np.einsum("ki,li->kl", block, product, optimize=False)
+        theta, W = np.linalg.eigh(basis.T @ ritz @ basis)
+        theta, T = theta[::-1], basis @ W[:, ::-1]
+        X = np.einsum("lk,li->ki", T, block, optimize=False)
+        BX = np.einsum("lk,li->ki", T, product, optimize=False)
+        usable = min(d, int(np.sum(theta > 1e-12 * max(1.0, abs(theta[0])))))
+        residual = BX[:usable] - theta[:usable, None] * X[:usable]
+        bound = (_RESIDUAL * np.abs(theta).max()) ** 2
+        if p == n or np.all(np.einsum("ki,ki->k", residual, residual,
+                                      optimize=False) <= bound):
+            break
+        shift = max(shift, -theta[-1] - theta[min(d, p) - 1])
+        block = BX + shift * X
+        block = np.einsum("ij,kj->ki", B, block, optimize=False) + shift * block
+    return theta[:usable], X[:usable]
 
 
 def isotonic_fit(distances, order):
@@ -221,9 +274,11 @@ def _guttman_update(evaluation):
     scale = np.sqrt(np.sum(distances ** 2) / np.sum(disparities ** 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(distances > 0, disparities * scale / distances, 0.0)
-    W = squareform(ratio)
-    B = -W
-    np.fill_diagonal(B, W.sum(axis=1))
+    # B = diag(W 1) - W for W = squareform(ratio), built in W's buffer
+    B = squareform(ratio)
+    row_sums = B.sum(axis=1)
+    np.negative(B, out=B)
+    np.fill_diagonal(B, row_sums)
     out = B @ coords / n
     return out - out.mean(axis=0)
 

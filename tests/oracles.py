@@ -6,7 +6,7 @@ similarity.pairwise_matrix, the permutation test's draws a chunk at a
 time with rank_stats.significance.  Here are the references they are held
 to, one point, one pair or one draw at a time (the closed-form kernel, a
 direct windowed sum, the jet similarity, the per-draw Mantel loop, the
-column-at-a-time classical start), and the writers that make the files
+textbook classical start), and the writers that make the files
 and documents the loaders read back.
 """
 
@@ -22,7 +22,6 @@ from gaborface.errors import (
 )
 from gaborface.gabor import _reflect_indices
 from gaborface.grid import NODE_COUNT, GridPlacement
-from gaborface.nmds import _double_centred
 from gaborface.similarity import _jet_stack
 
 # The default 34-node fiducial grid template.  Only the ordering and the
@@ -223,14 +222,17 @@ def mantel_per_draw(x_ranks, y_ranks, permutations, seed):
 
 
 def classical_start(dissimilarity, d, seed=0):
-    """nmds.classical_init one column at a time: each of the top `usable`
+    """nmds.classical_init from the textbook formula, one column at a time:
+    B = -1/2 J (D o D) J from an explicit centring matrix J, all of its
+    eigenpairs from np.linalg.eigh, then each of the top `usable`
     eigenvectors scaled by its root eigenvalue and negated when its
     largest-magnitude entry is negative, then the seeded random columns
-    (the reference for the vectorised scale and sign flip, which must equal
-    it bit for bit)."""
+    (the reference for the elementwise centring, the subspace iteration
+    and the vectorised scale and sign flip)."""
     D = dissimilarity.values
     n = D.shape[0]
-    evals, evecs = np.linalg.eigh(_double_centred(D))
+    J = np.eye(n) - 1.0 / n
+    evals, evecs = np.linalg.eigh(-0.5 * J @ (D * D) @ J)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order[:d]]
     coords = np.zeros((n, d))

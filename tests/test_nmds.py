@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,22 @@ def config_from_points(pts, ids=None):
     return gf.Configuration(ids, np.asarray(pts, float), 0.0, 1.0, 0)
 
 
+def peak_allocation(call):
+    """The most bytes that `call()` holds at once beyond what was held
+    before it, as tracemalloc counts them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def oracle_isotonic(y):
     """Exhaustive least-squares monotone fit over all consecutive-block
     partitions (feasible for n <= 12)."""
@@ -46,6 +66,34 @@ def oracle_isotonic(y):
         if best is None or sse < best[0] - 1e-15:
             best = (sse, fit)
     return best[1]
+
+
+def _start_case(points):
+    dist = squareform(pdist(np.asarray(points, float)))
+    return gf.PairMatrix(tuple(f"p{i:02d}" for i in range(len(dist))), dist,
+                         "dissimilarity")
+
+
+def _non_euclidean():
+    vals = np.random.default_rng(30).uniform(1, 2, (30, 30))
+    vals = (vals + vals.T) / 2
+    np.fill_diagonal(vals, 0.0)
+    return gf.PairMatrix(tuple(f"p{i:02d}" for i in range(30)), vals, "dissimilarity")
+
+
+# (matrix, d) for the classical start: 16 items or more, so the block of
+# d + 8 rows is a proper subspace, except the square's 4 corners, where it
+# is all of it
+START_CASES = {
+    "planted": (lambda: _start_case(np.random.default_rng(5).uniform(-5, 5, (16, 3))), 2),
+    "random-fill": (lambda: _start_case(np.random.default_rng(7).uniform(-5, 5, (16, 3))), 4),
+    "collinear": (lambda: _start_case(np.random.default_rng(4).uniform(-5, 5, (16, 1))), 3),
+    "zeros": (lambda: _start_case(np.zeros((16, 1))), 2),
+    "square": (lambda: _start_case([[0, 0], [1, 0], [1, 1], [0, 1]]), 2),
+    "polygon": (lambda: _start_case(np.column_stack([
+        np.cos(np.arange(12) * np.pi / 6), np.sin(np.arange(12) * np.pi / 6)])), 2),
+    "non-euclidean": (_non_euclidean, 3),
+}
 
 
 class TestClassicalInit:
@@ -77,14 +125,33 @@ class TestClassicalInit:
             assert col[np.argmax(np.abs(col))] > 0
 
     @pytest.mark.filterwarnings("ignore:only .* positive eigenvalues")
-    @pytest.mark.parametrize("dim,d", [(3, 2), (3, 4), (1, 3), (0, 2)],
-                             ids=["planted", "random-fill", "collinear", "zeros"])
-    def test_equals_the_column_at_a_time_start(self, dim, d):
-        pts = np.random.default_rng(dim + d).uniform(-5, 5, (9, max(dim, 1)))
-        dist = squareform(pdist(pts)) if dim else np.zeros((9, 9))
-        m = gf.PairMatrix(tuple(f"p{i}" for i in range(9)), dist, "dissimilarity")
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_equals_the_column_at_a_time_start(self, case):
+        # the start against all eigenpairs of -1/2 J (D o D) J from eigh: the
+        # same map up to rotations within a repeated eigenvalue, which the
+        # square's corners and the regular 12-gon's vertices have
+        build, d = START_CASES[case]
+        m = build()
         coords = gf.classical_init(m, d, seed=5)
-        assert coords.tobytes() == classical_start(m, d, seed=5).tobytes()
+        np.testing.assert_allclose(pdist(coords), pdist(classical_start(m, d, seed=5)),
+                                   rtol=0, atol=1e-12)
+        for col in coords.T:
+            # the sign rule, up to ties between the largest magnitudes
+            assert col.max() >= -col.min() - 1e-12
+
+    def test_dominant_negative_eigenvalues_do_not_hide_the_largest(self):
+        # 15 eigenvalues near -10 outweigh the wanted 3, 2 and 1, more than
+        # the block's 8 spare rows hold: the shift keeps them out
+        rng = np.random.default_rng(15)
+        n = 40
+        vectors, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        values = np.zeros(n)
+        values[:18] = [3.0, 2.0, 1.0, *(-10.0 - rng.uniform(0, 1, 15))]
+        B = (vectors * values) @ vectors.T
+        evals, evecs = nmds._leading_eigenpairs(B, 3)
+        np.testing.assert_allclose(evals, [3.0, 2.0, 1.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(np.sum(evecs * vectors[:, :3].T, axis=1)),
+                                   1.0, rtol=0, atol=1e-12)
 
     def test_deficient_dimension_falls_back_flagged(self):
         pts = np.array([[0.0], [1.0], [3.0], [6.0]])
@@ -94,25 +161,40 @@ class TestClassicalInit:
             coords = gf.classical_init(m, 3)
         assert coords.shape == (4, 3)
 
-    def test_double_centring_at_210_items_holds_three_matrices(self):
-        # -J/2, D o D and their product, with J written again into -J/2's
-        # buffer and B into D o D's; eigh's vectors come after the three
-        # go.  Keeping J beside -J/2 makes four.
+    def test_double_centring_at_210_items_holds_one_matrix(self):
+        # D o D, centred in place into B; the subspace iteration's blocks
+        # are (d + 8, n).  The GEMM form -J/2 (D o D) J held three
         n = 210
         m, _ = planted_matrix(np.random.default_rng(n), n, 3)
         matrix = n * n * 8
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            gf.classical_init(m, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak - held < 3.5 * matrix
+        assert peak_allocation(lambda: gf.classical_init(m, 2)) < 1.5 * matrix
+
+    def test_embed_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a 210 x 210 matrix product or eigh between its
+        # threads, and the split sums round differently.  The start makes
+        # neither call, and the Guttman step's thin (n, n) @ (n, d) product
+        # rounds alike on 1 and 2 threads, so the coordinates do too
+        code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from scipy.spatial.distance import pdist, squareform
+import gaborface as gf
+points = np.random.default_rng(210).uniform(-5, 5, (210, 3))
+m = gf.PairMatrix(tuple(f"p{i:03d}" for i in range(210)),
+                  squareform(pdist(points) ** 1.5), "dissimilarity")
+print(gf.embed(m, 2, max_iterations=20).coordinates.tobytes().hex())
+"""
+        src = str(Path(gf.__file__).parents[1])
+        found = []
+        for threads in ("1", "2"):
+            env = {**os.environ, **dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+            out = subprocess.run([sys.executable, "-c", code, src], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            found.append(out.stdout)
+        assert found[0] == found[1]
 
     def test_rejects_similarity_matrix(self):
         m = gf.PairMatrix(("a", "b", "c"), np.ones((3, 3)), "similarity")
@@ -225,6 +307,16 @@ class TestStress1:
 
 
 class TestEmbed:
+    def test_guttman_step_at_210_items_holds_one_matrix(self):
+        # B = diag(W 1) - W is built in W's buffer, beside the half-matrix
+        # of ratios W is spread from; B kept beside W made two matrices
+        n = 210
+        m, pts = planted_matrix(np.random.default_rng(n), n, 2,
+                                transform=lambda d: d ** 1.5)
+        evaluation = nmds._evaluator(squareform(m.values, checks=False))(pts)
+        matrix = n * n * 8
+        assert peak_allocation(lambda: nmds._guttman_update(evaluation)) < 2 * matrix
+
     def test_planted_exact_distances(self):
         m, _ = planted_matrix(np.random.default_rng(5), 15, 2)
         history = []
