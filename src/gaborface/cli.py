@@ -154,7 +154,14 @@ class StudyConfig:
                     raise ValidationError(
                         "bad id 'Average': an expresser id must not be "
                         "'Average', the label of the summaries' mean row")
+        unknown = sorted(set(exclude) - set(self.expressers.values()))
+        if unknown:
+            raise ValidationError(f"cannot exclude unknown expressers {unknown} "
+                                  "from the average")
         for image_id, label in self.labels.items():
+            if not isinstance(image_id, str):
+                raise ValidationError(f"bad 'labels' id {image_id!r}: an image id "
+                                      "must be a string")
             if not isinstance(label, str) or BAD_TEXT.search(label):
                 raise ValidationError(f"bad label {label!r} of {image_id!r}: a label "
                                       f"must be a string without {BAD_TEXT_NAMES}")
@@ -268,12 +275,12 @@ def _encode(config, image_id, out):
     _write_json(out[".json"], gabor.jet_document(image_id, bank, placement, jets))
 
 
-def _require_id(placement, image_id, hint=""):
+def _require_id(placement, image_id):
     """`placement`, if it is of `image_id`: the grid or jet file of one
     image must not hold another image's placement."""
     if placement.image_id != image_id:
         raise ValidationError(f"holds image_id {placement.image_id!r}, not "
-                              f"{image_id!r}{hint}")
+                              f"{image_id!r}")
     return placement
 
 
@@ -283,11 +290,12 @@ def _require_id(placement, image_id, hint=""):
 
 def _read(path, parse, form="json", stage=None):
     """parse(content) of the file at `path`: the one place the pipeline
-    opens a file it reads.
+    opens a file it reads, and the one that words its refusal.
 
     content is the file's JSON value, its UTF-8 text (form "text") or its
-    bytes (form "bytes").  Every error names the file, and a missing
-    intermediate file names the `stage` that writes it.
+    bytes (form "bytes").  Every error names the file.  For an intermediate
+    file, one that the `stage` writes, a missing file asks for that stage
+    to be run, and any other refusal of its content for it to be re-run.
     """
     try:
         data = Path(path).read_bytes()
@@ -296,21 +304,21 @@ def _read(path, parse, form="json", stage=None):
         raise ValidationError(f"{path}: no such file{hint}") from None
     except OSError as exc:  # a directory in place of the file, say
         raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    if form != "bytes":
-        try:
+    hint = f"; re-run the {stage} stage" if stage else ""
+    try:
+        if form != "bytes":
             data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    if form == "json":
-        try:
+        if form == "json":
             data = json.loads(data, object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, an integer of over 4,300 digits, deep nesting
-            raise FormatError(f"{path}: malformed JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}{hint}") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer of over 4,300 digits, deep nesting
+        raise FormatError(f"{path}: malformed JSON: {exc}{hint}") from exc
     try:
         return parse(data)
     except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{path}: {exc}{hint}") from exc
 
 
 def _unique_keys(pairs):
@@ -338,7 +346,7 @@ def _load(config, stage, expresser, ids, name, parse):
         if loaded.item_ids != tuple(ids):
             raise ValidationError(
                 f"its {len(loaded.item_ids)} items are not the expresser's "
-                f"{len(ids)} images in the config; re-run the {stage} stage")
+                f"{len(ids)} images in the config")
         return loaded
     return _read(_outputs(config, stage, expresser)[name], of_ids, stage=stage)
 
@@ -444,8 +452,7 @@ def _coded_image(config, doc, image_id):
     placement, loaded_bank, jets = gabor.parse_jet_document(doc)
     if loaded_bank != config.filter_bank:
         raise ValidationError("coded with a different filter bank")
-    _require_id(placement, image_id, "; re-run the encode stage")
-    return placement, jets
+    return _require_id(placement, image_id), jets
 
 
 def _correlate(config, expresser, ids, out):
@@ -466,12 +473,8 @@ def _correlate(config, expresser, ids, out):
 def _write_summary(config, expressers, out):
     """Summary tables of the correlation files of `expressers` (those of at
     least MIN_GROUP_SIZE images): one row per result, a `failed` row for an
-    expresser that has none, then `Average`.  An unknown excluded id is refused."""
-    unknown = sorted(set(config.exclude_from_average)
-                     - set(config.expressers.values()))
-    if unknown:
-        raise ValidationError(f"cannot exclude unknown expressers {unknown} "
-                              "from the average")
+    expresser that has none, then `Average`, which leaves out the config's
+    `exclude_from_average` ids (StudyConfig refuses one that is no expresser's)."""
     # rows: (label, its five CSV values, None for an empty cell; None if failed)
     rows, failed = [], []
     for expresser in expressers:

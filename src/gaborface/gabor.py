@@ -330,10 +330,6 @@ def parse_jet_document(doc):
     (GridPlacement, FilterBank, jets), with jets the (points, filters) array
     of finite, non-negative amplitudes."""
     with malformed("jet document"):
-        if "source_size" not in doc or "nose_tip" not in doc:
-            raise FormatError("jet document has no source_size or nose_tip, "
-                              "so it predates placements in jet files; "
-                              "re-run the encode stage")
         bank = FilterBank.from_document(doc["bank"])
         placement = load_grid({"image_id": doc["image_id"],
                                "source_size": doc["source_size"],

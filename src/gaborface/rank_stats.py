@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FormatError, ParameterError, RuntimeFailure, require_integer,
-                     require_real)
+from .errors import (FormatError, ParameterError, RuntimeFailure, malformed,
+                     require_integer, require_real)
 
 DEFAULT_PERMUTATION_SEED = 20230
 DEFAULT_PERMUTATIONS = 999  # p-values from 1/1000 up
@@ -38,13 +38,12 @@ class CorrelationResult:
     @classmethod
     def from_document(cls, doc):
         """The CorrelationResult of a JSON value that to_document wrote."""
-        if not (isinstance(doc, dict) and {"rho", "n_pairs", "p_two_sided"} <= set(doc)
-                and doc.get("method") == "permutation"):
-            raise FormatError("a correlation result must be an object of rho, n_pairs, "
-                              "p_two_sided and a string method 'permutation'")
-        return cls(require_real(doc["rho"], "rho", -math.inf),
-                   require_integer(doc["n_pairs"], "n_pairs", 1),
-                   require_real(doc["p_two_sided"], "p_two_sided", 0))
+        with malformed("correlation result"):
+            if doc["method"] != "permutation":
+                raise FormatError(f"method {doc['method']!r} is not 'permutation'")
+            return cls(require_real(doc["rho"], "rho", -math.inf),
+                       require_integer(doc["n_pairs"], "n_pairs", 1),
+                       require_real(doc["p_two_sided"], "p_two_sided", 0))
 
 
 def average_ranks(values):

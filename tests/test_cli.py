@@ -265,13 +265,14 @@ class TestStudyPipeline:
             run_stage(config, "matrices")
 
     @pytest.mark.parametrize("change,message", [
-        (lambda doc: doc.pop("rho"), "must be an object of rho"),
+        (lambda doc: doc.pop("rho"), "missing 'rho'"),
         (lambda doc: doc.update(rho="0.9"), "rho must be a number, got '0.9'"),
         (lambda doc: doc.update(p_two_sided=math.nan), "need a finite p_two_sided >= 0"),
         (lambda doc: doc.update(rho=10**400), "need a finite rho >= -inf"),
         (lambda doc: doc.update(n_pairs=6.0), "n_pairs must be an integer"),
-        (lambda doc: doc.update(method=None), "and a string method"),
-        (lambda doc: doc.update(method="t-approximation"), "method 'permutation'"),
+        (lambda doc: doc.update(method=None), "method None is not 'permutation'"),
+        (lambda doc: doc.update(method="t-approximation"),
+         "method 't-approximation' is not 'permutation'"),
     ], ids=["no-rho", "string-rho", "nan-p", "huge-rho", "float-n-pairs",
             "no-method", "other-method"])
     def test_summary_refuses_a_malformed_correlation_file(self, tmp_path, change,
@@ -283,8 +284,9 @@ class TestStudyPipeline:
         path = config.out_dir / "correlations" / "SY_geometry.json"
         path.write_bytes(edit_json(change)(path.read_bytes()))
         out = cli._outputs(config, "correlate", "summary", 1)
-        with pytest.raises(ValidationError,
-                           match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(str(path))}: malformed correlation result: .*"
+                f"{re.escape(message)}.*; re-run the correlate stage$")):
             cli._write_summary(config, ["SY"], out)
 
     def test_exclusion_changes_only_average(self, study, tmp_path):
@@ -453,10 +455,15 @@ class TestMainCli:
         assert sorted(trees[0]) == [f"jets/img0{k}.json" for k in (0, 2, 4, 5)]
         assert trees[0] == trees[1]
 
-    @pytest.mark.parametrize("stage,victim", [("matrices", "jets/img00.json"),
-                                              ("embed", "matrices/SY_gabor.json"),
-                                              ("align", "embeddings/SY_gabor.json")])
-    def test_truncated_intermediate_exits_one(self, tmp_path, capsys, stage, victim):
+    @pytest.mark.parametrize("stage,victim,writer", [
+        pytest.param("matrices", "jets/img00.json", "encode",
+                     id="matrices-jets/img00.json"),
+        pytest.param("embed", "matrices/SY_gabor.json", "matrices",
+                     id="embed-matrices/SY_gabor.json"),
+        pytest.param("align", "embeddings/SY_gabor.json", "embed",
+                     id="align-embeddings/SY_gabor.json")])
+    def test_truncated_intermediate_exits_one(self, tmp_path, capsys, stage, victim,
+                                              writer):
         config_path = make_synthetic_study(tmp_path, n_images=4)
         assert main(["--config", str(config_path)]) == 0
         path = tmp_path / "out" / victim
@@ -465,42 +472,51 @@ class TestMainCli:
         assert main(["--config", str(config_path), "--stage", stage]) == 1
         err = capsys.readouterr().err
         assert "malformed" in err and str(path) in err
+        assert err.endswith(f"; re-run the {writer} stage\n")
 
-    @pytest.mark.parametrize("stage,victim,content,message", [
-        ("matrices", "jets/img00.json", b"\xff\xfe{", "not UTF-8 text"),
-        ("align", "embeddings/SY_gabor.json", None, "run the embed stage"),
+    @pytest.mark.parametrize("stage,victim,content,message,writer", [
+        ("matrices", "jets/img00.json", b"\xff\xfe{", "not UTF-8 text", "encode"),
+        ("align", "embeddings/SY_gabor.json", None, "run the embed stage", "embed"),
         ("embed", "matrices/SY_semantic.json", edit_json(infinite_pair),
-         "must be finite"),
+         "must be finite", "matrices"),
         ("align", "embeddings/SY_gabor.json", edit_json(nan_coordinate),
-         "must be finite"),
+         "must be finite", "embed"),
         ("plot", "embeddings/SY_gabor.json", edit_json(nan_coordinate),
-         "must be finite"),
+         "must be finite", "embed"),
         ("align", "embeddings/SY_gabor.json",
          edit_json(lambda doc: doc.update(iterations="many")),
-         "iterations must be an integer"),
+         "iterations must be an integer", "embed"),
         # numbers in intermediate files must be JSON numbers
         ("embed", "matrices/SY_semantic.json",
          edit_json(lambda doc: doc.update(values=[[repr(v) for v in row]
                                                   for row in doc["values"]])),
-         "values must be numbers, got str"),
+         "values must be numbers, got str", "matrices"),
         ("embed", "matrices/SY_gabor.json",
          edit_json(lambda doc: doc.update(item_ids="".join(doc["item_ids"]))),
-         "item_ids must be a list"),
+         "item_ids must be a list", "matrices"),
         ("matrices", "jets/img00.json",
          edit_json(lambda doc: doc["points"][0]["amplitudes"].__setitem__(0, "1.5")),
-         "jet amplitudes must be numbers, got str"),
+         "jet amplitudes must be numbers, got str", "encode"),
         ("matrices", "jets/img00.json",
          edit_json(lambda doc: doc["points"][0].update(x="10")),
-         "must be numbers, got str"),
+         "must be numbers, got str", "encode"),
         ("matrices", "jets/img00.json",
          edit_json(lambda doc: doc.update(image_id="imgXX")),
-         "holds image_id 'imgXX', not 'img00'; re-run the encode stage"),
+         "holds image_id 'imgXX', not 'img00'", "encode"),
         ("align", "embeddings/SY_gabor.json",
          edit_json(lambda doc: doc["coordinates"][0].__setitem__(0, True)),
-         "must be numbers, got bool"),
+         "must be numbers, got bool", "embed"),
+        ("matrices", "jets/img02.json",
+         edit_json(lambda doc: doc["bank"].update(sigma=doc["bank"]["sigma"] + 0.5)),
+         "coded with a different filter bank", "encode"),
+        ("matrices", "jets/img01.json", edit_json(lambda doc: doc.pop("source_size")),
+         "malformed jet document: missing 'source_size'", "encode"),
+        ("embed", "matrices/SY_gabor.json",
+         edit_json(lambda doc: doc["item_ids"].__setitem__(0, "aaa")),
+         "its 4 items are not the expresser's 4 images in the config", "matrices"),
     ])
     def test_unreadable_intermediate_exits_one(self, tmp_path, capsys, stage,
-                                               victim, content, message):
+                                               victim, content, message, writer):
         config_path = make_synthetic_study(tmp_path, n_images=4)
         assert main(["--config", str(config_path)]) == 0
         path = tmp_path / "out" / victim
@@ -513,6 +529,8 @@ class TestMainCli:
         assert main(["--config", str(config_path), "--stage", stage]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and message in err
+        run = "run" if content is None else "re-run"
+        assert err.endswith(f"; {run} the {writer} stage\n")
 
     @pytest.mark.parametrize("change,message", [
         (lambda doc: doc.update(stress=-4, rsq=9), "stress and rsq must lie in [0, 1]"),
@@ -711,8 +729,9 @@ class TestMainCli:
         del doc["source_size"], doc["nose_tip"]
         path.write_text(json.dumps(doc))
         assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
-        err = capsys.readouterr().err
-        assert "img01.json" in err and "re-run the encode stage" in err
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed jet document: missing 'source_size'; "
+            "re-run the encode stage\n")
 
     def test_jet_file_of_another_bank_exits_one(self, tmp_path, capsys):
         config_path = make_synthetic_study(tmp_path, n_images=4)
@@ -724,7 +743,8 @@ class TestMainCli:
         with pytest.warns(UserWarning, match="expresser 'SY' failed"):
             assert main(["--config", str(config_path), "--stage", "matrices"]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: coded with a different filter bank\n")
+            f"error: {path}: coded with a different filter bank; re-run the encode "
+            "stage\n")
 
     def test_grid_file_of_another_image_exits_one(self, tmp_path, capsys):
         config_path = make_synthetic_study(tmp_path, n_images=4)
@@ -759,37 +779,31 @@ class TestMainCli:
         config_path.write_text(json.dumps(doc))
         assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
         assert capsys.readouterr().err == (
-            "error: cannot exclude unknown expressers ['NOPE', 'ZZ'] from the "
-            "average\n")
+            f"error: {config_path}: cannot exclude unknown expressers ['NOPE', 'ZZ'] "
+            "from the average\n")
 
     def test_unknown_excluded_expresser_fails_library_callers(self, matrices_study):
-        config = dataclasses.replace(load_config(matrices_study),
-                                     exclude_from_average=("SY", "NOPE"))
-        correlations = config.out_dir / "correlations"
-        shutil.rmtree(correlations, ignore_errors=True)
-        with pytest.raises(ValidationError, match=r"\['NOPE'\]"):
-            run_stage(config, "correlate")
-        # the check comes when the summary is written, after the units ran
-        assert sorted(p.name for p in correlations.iterdir()) == [
-            "SY_gabor.json", "SY_geometry.json"]
+        # the config refuses it when it is made, before any stage runs
+        with pytest.raises(ValidationError, match=r"^cannot exclude unknown "
+                                                  r"expressers \['NOPE'\]"):
+            dataclasses.replace(load_config(matrices_study),
+                                exclude_from_average=("SY", "NOPE"))
 
     def test_refused_exclusion_leaves_no_summary(self, tmp_path, capsys):
-        # the correlation files are rewritten with 50-draw p-values, so an
-        # old summary left beside them would disagree with them
+        # no stage runs, so the summary and the correlation files it was
+        # made of stay as they were, 50-draw p-values not written
         config_path = make_synthetic_study(tmp_path, n_images=6)
         assert main(["--config", str(config_path)]) == 0
+        before = tree_digest(tmp_path / "out")
         doc = json.loads(config_path.read_text())
         doc["exclude_from_average"] = ["NOPE"]
         doc["options"]["permutations"] = 50
         config_path.write_text(json.dumps(doc))
-        with pytest.warns(UserWarning, match="study 'summary' failed"):
-            assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
+        assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
         assert capsys.readouterr().err == (
-            "error: cannot exclude unknown expressers ['NOPE'] from the average\n")
-        out = tmp_path / "out"
-        assert list(out.glob("summary.*")) == []
-        assert json.loads((out / "correlations" / "SY_gabor.json").read_text())[
-            "method"] == "permutation"
+            f"error: {config_path}: cannot exclude unknown expressers ['NOPE'] from "
+            "the average\n")
+        assert tree_digest(tmp_path / "out") == before
 
     def test_last_group_shrunk_below_four_images_leaves_no_summary(self, tmp_path,
                                                                    capsys):
@@ -1049,6 +1063,14 @@ class TestMainCli:
             with pytest.raises(ValidationError, match="bad id 7: an image or "
                                                       "expresser id must be a string"):
                 dataclasses.replace(config, expressers=expressers)
+
+    def test_labels_id_that_is_not_a_string_is_refused(self, matrices_study):
+        # JSON keys are strings; code can give a number, alone or among them
+        config = load_config(matrices_study)
+        for labels in ({1: "HA"}, {1: "HA", "zz": "NE"}):
+            with pytest.raises(ValidationError, match="^bad 'labels' id 1: an "
+                                                      "image id must be a string"):
+                dataclasses.replace(config, labels=labels)
 
     @pytest.mark.parametrize("name,value", [
         ("exclude_from_average", "SY"), ("exclude_from_average", {"SY": 1}),

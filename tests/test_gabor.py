@@ -611,12 +611,6 @@ class TestJetDocument:
         with pytest.raises(FormatError):
             gf.gabor.parse_jet_document({"image_id": "x"})
 
-    def test_document_without_placement_asks_for_encode(self):
-        doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
-        del doc["source_size"], doc["nose_tip"]
-        with pytest.raises(FormatError, match="re-run the encode stage"):
-            gf.gabor.parse_jet_document(doc)
-
     def test_document_without_its_bank_names_it(self):
         doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
         del doc["bank"]
