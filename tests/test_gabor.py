@@ -611,6 +611,16 @@ class TestJetDocument:
         with pytest.raises(FormatError):
             gf.gabor.parse_jet_document({"image_id": "x"})
 
+    def test_document_without_placement_asks_for_encode(self, tmp_path):
+        doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
+        del doc["source_size"], doc["nose_tip"]
+        with pytest.raises(FormatError, match="missing 'source_size'"):
+            gf.gabor.parse_jet_document(doc)
+        path = tmp_path / "img1.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="re-run the encode stage$"):
+            _read(path, gf.gabor.parse_jet_document, stage="encode")
+
     def test_document_without_its_bank_names_it(self):
         doc, _, _ = coded_document(gf.FilterBank([1.0], [0.0], 1.0))
         del doc["bank"]
