@@ -29,7 +29,7 @@ import os
 import re
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -45,6 +45,8 @@ FEAR_ADJECTIVE = "fear"
 MIN_GROUP_SIZE = 4  # 6 pairs; significance needs at least 4
 MEASURES = ("gabor", "geometry")  # the models correlated with the ratings
 EMBEDDED = ("gabor", "semantic")  # the matrices embedded, aligned and plotted
+# the kind of each matrix the matrices stage writes, and the later ones read
+KINDS = {"gabor": "similarity", "geometry": "dissimilarity", "semantic": "dissimilarity"}
 CONFIG_KEYS = ("image_dir", "grid_dir", "ratings", "out_dir", "expressers",
                "labels", "bank", "options", "exclude_from_average", "no_fear")
 # what no id or label may hold: a C0 control character but tab (NUL ends a
@@ -351,17 +353,36 @@ def _load(config, stage, expresser, ids, name, parse):
     return _read(_outputs(config, stage, expresser)[name], of_ids, stage=stage)
 
 
+def _load_matrix(config, expresser, ids, measure):
+    """_load() of `expresser`'s `measure` pair matrix, which must be of the
+    measure's kind: a relabelled matrix would flip a correlation's sign."""
+    def of_kind(doc):
+        matrix = PairMatrix.from_document(doc)
+        if matrix.kind != KINDS[measure]:
+            raise FormatError(f"a {matrix.kind} matrix, where the {measure} "
+                              f"matrix is a {KINDS[measure]} matrix")
+        return matrix
+    return _load(config, "matrices", expresser, ids, f"_{measure}.json", of_kind)
+
+
 def _attempt(out, run):
     """run(out) with `out`'s files removed before it runs and again if it
     fails.  A unit writes its files and returns only its failure: the
-    ValidationError or RuntimeFailure it raised is returned, else None."""
-    for path in out.values():
-        path.unlink(missing_ok=True)
+    ValidationError or RuntimeFailure it raised is returned, else None.  A
+    path that cannot be removed, a directory in place of the file, say, is
+    the unit's ValidationError."""
     try:
+        for path in out.values():
+            try:
+                path.unlink(missing_ok=True)
+            except OSError as exc:
+                raise ValidationError(f"{path}: cannot remove: "
+                                      f"{exc.strerror or exc}") from exc
         run(out)
     except BaseException as exc:
         for path in out.values():
-            path.unlink(missing_ok=True)
+            with suppress(OSError):  # the path that could not be removed
+                path.unlink(missing_ok=True)
         if not isinstance(exc, (ValidationError, RuntimeFailure)):
             raise
         return exc
@@ -392,12 +413,11 @@ def run_stage(config, name):
         failures = {}
         for key, args in units[scope].items():
             out = _outputs(config, name, key, step)
-            if args is None:  # its files go, and it is skipped
-                _attempt(out, lambda out: None)
-                if scope == "expresser":
-                    warnings.warn(f"expresser {key!r} has only {len(groups[key])} "
-                                  f"images; skipping (need >= {MIN_GROUP_SIZE})")
-            elif failure := _attempt(out, lambda out: unit(config, *args, out)):
+            if args is None and scope == "expresser":  # only its files go
+                warnings.warn(f"expresser {key!r} has only {len(groups[key])} "
+                              f"images; skipping (need >= {MIN_GROUP_SIZE})")
+            if failure := _attempt(
+                    out, lambda out: None if args is None else unit(config, *args, out)):
                 failures[key] = failure
         for key, exc in failures.items():
             warnings.warn(f"{scope} {key!r} failed: {exc}")
@@ -458,10 +478,8 @@ def _coded_image(config, doc, image_id):
 def _correlate(config, expresser, ids, out):
     """Rank-correlate the model matrices against the semantic matrix."""
     opts = config.options
-    semantic, *models = (
-        _load(config, "matrices", expresser, ids, f"_{m}.json",
-              PairMatrix.from_document)
-        for m in ("semantic", *MEASURES))
+    semantic, *models = (_load_matrix(config, expresser, ids, m)
+                         for m in ("semantic", *MEASURES))
     results = rank_stats.correlate_model_with_ratings(
         models, semantic, permutations=opts.permutations, seed=opts.seed)
     for measure, result in zip(MEASURES, results):
@@ -522,9 +540,7 @@ def _embed(config, expresser, ids, out):
     fit = {"max_iterations": opts.max_iterations, "tolerance": opts.tolerance,
            "seed": opts.seed}
     for measure in EMBEDDED:
-        matrix = _model_dissimilarity(_load(
-            config, "matrices", expresser, ids, f"_{measure}.json",
-            PairMatrix.from_document))
+        matrix = _model_dissimilarity(_load_matrix(config, expresser, ids, measure))
         n = len(matrix.item_ids)
         dims = min(opts.dims, n - 1)
         scan = range(1, min(opts.scan_dims or 0, n - 1) + 1)

@@ -34,10 +34,13 @@ DEFAULT_SIGMA = math.pi
 KERNEL_HALF_WIDTH_SIGMAS = 6.0
 # The widest kernel half-width h a bank may ask for, in pixels: compute_jets'
 # reflected window gather holds (2h+1)^2 floats, ~34 MB at 1,024 (default 48).
-# The work buffer each thread keeps takes 48 x points x (2h+1) x (1 +
-# orientations) bytes for the bank's widest window alone: 23.4 MB for
-# h = 1,024 at 34 points and 6 orientations.
 MAX_KERNEL_HALF_WIDTH = 1024
+# compute_jets fills its per-point kernel tables a batch of points at a
+# time: WINDOW_SAMPLES // (2h+1) points, or one for a wider window.  So the
+# work buffer each thread keeps takes at most 32 x max(WINDOW_SAMPLES, 2h+1)
+# x (1 + orientations) bytes at any number of points: 0.46 MB for the
+# default bank, and for h = 1,024 at 6 orientations.
+WINDOW_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ def _reflect_indices(idx, n):
 @functools.lru_cache(maxsize=16)
 def _bank_groups(bank):
     """compute_jets' set-up of one bank, per wavenumber: that row's slice
-    of the bank's filters and its kernel tables."""
+    of the bank's filters, its kernel tables and its points per batch."""
     setup = []
     row = len(bank.orientations)
     for i, k in enumerate(bank.wavenumbers):
@@ -161,12 +164,13 @@ def _bank_groups(bank):
         carriers = np.exp(1j * offsets[:, None] * waves[:, None, :]).view(float)
         for array in (offsets, waves, carriers):
             array.setflags(write=False)  # the cache hands them to every call
-        setup.append((k, members, h, offsets, waves, carriers))
+        batch = max(1, WINDOW_SAMPLES // len(offsets))
+        setup.append((k, members, h, offsets, waves, carriers, batch))
     return tuple(setup)
 
 
 # compute_jets' work memory, a store per thread: "kernel" -> the arrays kept,
-# one flat float buffer sized for the last call's widest window and points
+# one flat float buffer sized for the last call's largest batch
 _work = threading.local()
 
 
@@ -188,15 +192,18 @@ def compute_jets(image, bank, points):
     e^{-i k.f} rotates each point's sums.  P is a view into the image, or a
     _reflect_indices gather where the window crosses an edge.
 
-    Each thread keeps one work buffer for its next call, sized for the
-    bank's widest window at the last number of points: each wavenumber's
-    (u_x, u_y) pair and window products P u_x are views of its front,
-    1.1 MB for the default bank at 34 points.  The returned jets never
-    share memory with it.  Keeping it pays: arrays this large are mapped
-    fresh on each allocation and freed again, so every call would take new
-    zeroed pages.  Coding the benchmark's 210 images in one fresh
-    process took ~400 minor page faults with kept arrays and ~89,000
-    without (0.33 s against 0.47 s of kernel time, 2-vCPU VM).
+    Each wavenumber's points are taken in batches of at most
+    WINDOW_SAMPLES // (2h+1), and at least one.  Each thread keeps one work
+    buffer for its next call, sized for the last call's largest batch: a
+    batch's u_x table and its window products P u_x are views of its front,
+    and u_y is then written over u_x.  So it holds at most
+    2 x max(WINDOW_SAMPLES, 2h+1) x 2(1 + orientations) floats at any
+    number of points, 0.46 MB for the default bank.  The returned jets
+    never share memory with it.  Keeping it pays: arrays this large are
+    mapped fresh on each allocation and freed again, so every call would
+    take new zeroed pages.  Coding the benchmark's 210 images in one fresh
+    process took ~230 minor page faults with the kept buffer and ~39,000
+    without (0.27-0.30 s against 0.34-0.39 s of kernel time, 2-vCPU VM).
     """
     pixels = np.asarray(image, dtype=float)
     if pixels.ndim != 2 or not pixels.size or not np.all(np.isfinite(pixels)):
@@ -213,32 +220,38 @@ def compute_jets(image, bank, points):
     rounded = np.round(pts).astype(int)  # half-to-even
     fraction = (pts - rounded).T  # (2, points): f along x and y
     groups = _bank_groups(bank)
-    # a group's (u_x, u_y) and P u_x take 3 x points x window x columns floats
-    size = 3 * len(pts) * max(carriers[0].size for *_, carriers in groups)
+    # a batch's two tables take 2 x points x window x columns floats
+    size = 2 * max(min(len(pts), batch) * carriers[0].size
+                   for *_, carriers, batch in groups)
     kept = getattr(_work, "kernel", ())
     if not kept or kept[0].size != size:
         _work.kernel = kept = (np.empty(size),)
     [buffer] = kept
     jets = np.empty((len(pts), len(bank)))
     sigma = bank.sigma
-    for k, members, h, offsets, waves, carriers in groups:
+    for k, members, h, offsets, waves, carriers, batch in groups:
         d = offsets - fraction[:, :, None]
         gauss = np.exp(-(k * k) * d * d / (2.0 * sigma * sigma))
-        # (x or y, points, window, 1 + filters), complex as (re, im) pairs,
-        # then the window products: views of the front of the buffer
-        count = len(pts) * carriers[0].size
-        v = buffer[:2 * count].reshape(2, len(pts), *carriers.shape[1:])
-        pvx = buffer[2 * count:3 * count].reshape(v.shape[1:])
-        vx, vy = np.multiply(gauss[..., None], carriers[:, None], out=v)
-        # real window times complex columns: one real matmul per point
-        for n, (x, y) in enumerate(rounded.tolist()):
-            if h <= x < width - h and h <= y < height - h:
-                window = pixels[y - h:y + h + 1, x - h:x + h + 1]
-            else:  # near an edge, or a centre rounded onto the width or height
-                window = (pixels.take(_reflect_indices(offsets + y, height), axis=0)
-                          .take(_reflect_indices(offsets + x, width), axis=1))
-            np.matmul(window, vx[n], out=pvx[n])
-        sums = np.einsum("nac,nac->nc", vy.view(complex), pvx.view(complex))
+        sums = np.empty((len(pts), carriers.shape[2] // 2), dtype=complex)
+        for start in range(0, len(pts), batch):
+            part = slice(start, start + batch)
+            centres = rounded[part].tolist()
+            # (points, window, 1 + filters) tables, complex as (re, im)
+            # pairs, views of the front of the buffer: u_x and the window
+            # products P u_x, then u_y over u_x, which they no longer need
+            u, pu = buffer[:2 * len(centres) * carriers[0].size].reshape(
+                2, len(centres), *carriers.shape[1:])
+            np.multiply(gauss[0, part, :, None], carriers[0], out=u)
+            # real window times complex columns: one real matmul per point
+            for n, (x, y) in enumerate(centres):
+                if h <= x < width - h and h <= y < height - h:
+                    window = pixels[y - h:y + h + 1, x - h:x + h + 1]
+                else:  # near an edge, or a centre rounded onto the width or height
+                    window = (pixels.take(_reflect_indices(offsets + y, height), axis=0)
+                              .take(_reflect_indices(offsets + x, width), axis=1))
+                np.matmul(window, u[n], out=pu[n])
+            np.multiply(gauss[1, part, :, None], carriers[1], out=u)
+            np.einsum("nac,nac->nc", u.view(complex), pu.view(complex), out=sums[part])
         rotation = np.exp(-1j * (fraction.T @ waves[:, 1:]))  # e^{-i k.f}
         responses = (k * k / (sigma * sigma)) * (
             sums[:, 1:] * rotation - math.exp(-sigma * sigma / 2.0) * sums[:, :1].real)

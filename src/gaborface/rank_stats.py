@@ -30,6 +30,11 @@ class CorrelationResult:
     n: int
     p_two_sided: float
 
+    def __post_init__(self):
+        if not (-1 <= self.rho <= 1 and 0 < self.p_two_sided <= 1):  # NaN is outside
+            raise ParameterError(f"rho must lie in [-1, 1] and p_two_sided in "
+                                 f"(0, 1], got {self.rho!r} and {self.p_two_sided!r}")
+
     def to_document(self, **extra):
         """The result as a JSON document, plus `extra` keys."""
         return {**extra, "rho": self.rho, "n_pairs": self.n,

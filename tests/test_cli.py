@@ -273,8 +273,13 @@ class TestStudyPipeline:
         (lambda doc: doc.update(method=None), "method None is not 'permutation'"),
         (lambda doc: doc.update(method="t-approximation"),
          "method 't-approximation' is not 'permutation'"),
+        (lambda doc: doc.update(rho=3.0), "rho must lie in [-1, 1]"),
+        (lambda doc: doc.update(rho=-1.5), "rho must lie in [-1, 1]"),
+        (lambda doc: doc.update(p_two_sided=7.5), "p_two_sided in (0, 1]"),
+        (lambda doc: doc.update(p_two_sided=0), "p_two_sided in (0, 1]"),
     ], ids=["no-rho", "string-rho", "nan-p", "huge-rho", "float-n-pairs",
-            "no-method", "other-method"])
+            "no-method", "other-method", "rho-above-1", "rho-below-minus-1",
+            "p-above-1", "p-zero"])
     def test_summary_refuses_a_malformed_correlation_file(self, tmp_path, change,
                                                           message):
         config_path = make_synthetic_study(tmp_path, n_images=4)
@@ -531,6 +536,50 @@ class TestMainCli:
         assert err.startswith("error: ") and str(path) in err and message in err
         run = "run" if content is None else "re-run"
         assert err.endswith(f"; {run} the {writer} stage\n")
+
+    @pytest.mark.parametrize("measure,kind,stage", [
+        ("gabor", "dissimilarity", "correlate"), ("gabor", "dissimilarity", "embed"),
+        ("geometry", "similarity", "correlate"), ("semantic", "similarity", "embed")])
+    def test_matrix_of_another_kind_fails_its_unit(self, tmp_path, capsys, measure,
+                                                   kind, stage):
+        # relabelled, with the diagonal of its new kind, the gabor matrix
+        # would flip the sign of its correlation with the ratings; the unit
+        # fails instead, so its summary row reads failed, and embed exits 1
+        config_path = make_synthetic_study(tmp_path, n_images=6)
+        assert main(["--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "matrices" / f"SY_{measure}.json"
+
+        def relabel(doc):
+            doc["kind"] = kind
+            for i, row in enumerate(doc["values"]):
+                row[i] = 1.0 if kind == "similarity" else 0.0
+        path.write_bytes(edit_json(relabel)(path.read_bytes()))
+        message = (f"{path}: a {kind} matrix, where the {measure} matrix is a "
+                   f"{cli.KINDS[measure]} matrix; re-run the matrices stage")
+        failed = re.escape(f"expresser 'SY' failed: {message}")
+        with pytest.warns(UserWarning, match=failed):
+            code = main(["--config", str(config_path), "--stage", stage])
+        if stage == "correlate":
+            assert code == 0
+            assert read_summary(tmp_path / "out")["SY"]["gabor_rho"] == "failed"
+        else:
+            assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("stage,victim", [
+        ("encode", "jets/img00.json"), ("matrices", "matrices/SY_gabor.csv"),
+        ("correlate", "summary.txt")])
+    def test_directory_in_place_of_an_output_file_exits_one(self, tmp_path, capsys,
+                                                            stage, victim):
+        # the unit cannot remove its old file: a unit failure, not an OSError
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        assert main(["--config", str(config_path)]) == 0
+        path = tmp_path / "out" / victim
+        path.unlink()
+        path.mkdir()
+        with pytest.warns(UserWarning, match="failed"):
+            assert main(["--config", str(config_path), "--stage", stage]) == 1
+        assert capsys.readouterr().err == f"error: {path}: cannot remove: Is a directory\n"
+        assert path.is_dir()
 
     @pytest.mark.parametrize("change,message", [
         (lambda doc: doc.update(stress=-4, rsq=9), "stress and rsq must lie in [0, 1]"),
@@ -1499,9 +1548,10 @@ class TestMainCli:
         # 300 seeded null studies of 21 items, one per expresser, through the
         # correlate stage with default options: semantic, gabor and geometry
         # matrices are the distances of three unrelated random 6-d
-        # configurations.  Pairs that share an item are dependent, so the
-        # t-approximation rejected ~23% of them at .05; the item-label test
-        # must stay near 5% (binomial sd 1.3%).
+        # configurations, the gabor one as the similarity 1 - d / max d,
+        # which ranks its pairs as d does.  Pairs that share an item are
+        # dependent, so the t-approximation rejected ~23% of them at .05;
+        # the item-label test must stay near 5% (binomial sd 1.3%).
         from scipy.spatial.distance import pdist, squareform
         rng = np.random.default_rng(2033)
         expressers = {f"N{e:03d}i{k:02d}": f"N{e:03d}" for e in range(300)
@@ -1509,8 +1559,10 @@ class TestMainCli:
         for e in range(300):
             ids = [f"N{e:03d}i{k:02d}" for k in range(21)]
             for measure in ("semantic", "gabor", "geometry"):
-                matrix = gf.PairMatrix(ids, squareform(pdist(
-                    rng.standard_normal((21, 6)))), "dissimilarity")
+                d = squareform(pdist(rng.standard_normal((21, 6))))
+                matrix = (gf.PairMatrix(ids, 1 - d / d.max(), "similarity")
+                          if measure == "gabor" else
+                          gf.PairMatrix(ids, d, "dissimilarity"))
                 path = tmp_path / "out" / "matrices" / f"N{e:03d}_{measure}.json"
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(json.dumps(matrix_document(matrix)))

@@ -384,8 +384,8 @@ class TestComputeJets:
         assert all(np.array_equal(jets, copy) for jets, copy in returned)
 
     def test_a_repeated_call_allocates_no_work_arrays(self):
-        # the default bank's buffer at 34 points takes 1.1 MB; a call of the
-        # shapes of the last allocates under 1 MiB on top of what is held
+        # the default bank's buffer takes 0.46 MB; a call of the shapes of
+        # the last allocates under 1 MiB on top of what is held
         img = smooth_image(5, size=256)
         points = np.random.default_rng(5).uniform(0, 255, (34, 2))
         gf.compute_jets(img, gf.FilterBank(), points)
@@ -402,10 +402,34 @@ class TestComputeJets:
                 tracemalloc.stop()
         assert peak - held < 2**20
 
+    @staticmethod
+    def kept_buffer(bank, count):
+        """The store after a call of `count` points: u_x (then u_y) and the
+        window products of the largest batch of any wavenumber, the DC term
+        and each filter as (re, im)."""
+        columns = 2 * (1 + len(bank.orientations))
+        windows = {2 * spec.window_half_width() + 1 for spec in bank.specs}
+        largest = max(min(count, max(1, gf.gabor.WINDOW_SAMPLES // w)) * w for w in windows)
+        return {"kernel": [(2 * largest * columns,)]}
+
+    @staticmethod
+    def bound(bank):
+        """2 x max(WINDOW_SAMPLES, 2h+1) x 2(1 + orientations) floats."""
+        widest = max(2 * spec.window_half_width() + 1 for spec in bank.specs)
+        return 2 * max(gf.gabor.WINDOW_SAMPLES, widest) * 2 * (1 + len(bank.orientations))
+
+    @staticmethod
+    def call_and_store(img, bank, points):
+        """compute_jets(img, bank, points) and the shapes of the arrays its
+        thread keeps after it."""
+        jets = gf.compute_jets(img, bank, points)
+        return jets, {key: [a.shape for a in arrays]
+                      for key, arrays in vars(gf.gabor._work).items()}
+
     def test_store_holds_one_buffer_for_the_widest_window(self):
-        # every window's arrays are views of one buffer, which a call of
+        # every batch's arrays are views of one buffer, which a call of
         # another bank or point count replaces, so the store holds what the
-        # last call's widest window needs, not the sum over the windows seen
+        # last call's largest batch needs, not the sum over the windows seen
         img = smooth_image(6)
         wide = gf.FilterBank()
         narrow = gf.FilterBank(wavenumbers=gf.gabor.DEFAULT_WAVENUMBERS[:2])
@@ -413,20 +437,43 @@ class TestComputeJets:
 
         def shapes_after_calls(calls):
             for bank, count in calls:
-                gf.compute_jets(img, bank, rng.uniform(0, 127, (count, 2)))
-            return {key: [a.shape for a in arrays]
-                    for key, arrays in vars(gf.gabor._work).items()}
+                _, store = self.call_and_store(img, bank, rng.uniform(0, 127, (count, 2)))
+            return store
 
-        def buffer(bank, count):
-            # (u_x, u_y) and P u_x: the DC term and each filter as (re, im)
-            widest = max(2 * spec.window_half_width() + 1 for spec in bank.specs)
-            return {"kernel": [(3 * count * widest * 2 * (1 + len(bank.orientations)),)]}
-
-        calls = [(wide, count) for count in (0, 1, 34, 100)]
-        assert on_fresh_thread(shapes_after_calls, calls) == buffer(wide, 100)
+        for counts in [(0, 1, 34, 100), (100, 1)]:
+            calls = [(wide, count) for count in counts]
+            assert (on_fresh_thread(shapes_after_calls, calls)
+                    == self.kept_buffer(wide, counts[-1]))
         calls = [(wide, 34), (narrow, 34)]
-        assert on_fresh_thread(shapes_after_calls, calls) == buffer(narrow, 34)
-        assert buffer(wide, 34) == {"kernel": [(3 * 34 * 97 * 14,)]}  # 1.1 MB
+        assert on_fresh_thread(shapes_after_calls, calls) == self.kept_buffer(narrow, 34)
+        # k = pi/8 (2h+1 = 97) takes 21 points a batch: 0.46 MB at 34 points
+        assert self.kept_buffer(wide, 34) == {"kernel": [(2 * 21 * 97 * 14,)]}
+        assert self.kept_buffer(narrow, 34) == {"kernel": [(2 * 34 * 49 * 14,)]}
+
+    def test_many_points_keep_a_bounded_buffer_and_the_same_bits(self):
+        # 1,000 points are coded in batches: the store is no larger than
+        # the bound, not a table per point, and each jet is the one that
+        # calls of 34 points and the padded kernel give
+        img = smooth_image(7, size=256)
+        bank = gf.FilterBank()
+        points = np.random.default_rng(7).uniform(0, 256 - 1e-9, (1000, 2))
+        points[:4] = [(0.0, 0.0), (255.9, 0.0), (0.0, 255.9), (255.9, 255.9)]
+        jets, store = on_fresh_thread(self.call_and_store, img, bank, points)
+        assert store == self.kept_buffer(bank, 1000) == self.kept_buffer(bank, 34)
+        assert store["kernel"][0][0] <= self.bound(bank)
+        in_34s = [gf.compute_jets(img, bank, points[i:i + 34]) for i in range(0, 1000, 34)]
+        assert np.array_equal(jets, np.concatenate(in_34s))
+        assert np.array_equal(jets, padded_kernel(img, bank, points))
+
+    def test_a_window_wider_than_a_batch_takes_one_point_at_a_time(self):
+        # at the widest kernel, 2h+1 = 2,049 > WINDOW_SAMPLES window samples
+        # of a point: its batches are single points, and the store is the bound
+        bank = gf.FilterBank([3.0], [0.0], 512.0)
+        img = smooth_image(8, size=7)
+        points = [(0.0, 0.0), (3.4, 2.6), (6.9, 6.9)]
+        jets, store = on_fresh_thread(self.call_and_store, img, bank, points)
+        assert store == {"kernel": [(self.bound(bank),)]} == self.kept_buffer(bank, 3)
+        assert np.array_equal(jets, padded_kernel(img, bank, points))
 
     def test_threads_coding_at_once_match_serial_calls(self):
         # each thread codes every image and point count in its own order, so

@@ -144,6 +144,19 @@ class TestSpearmanRho:
             -gf.spearman_rho(x, y), abs=1e-14)
 
 
+class TestCorrelationResult:
+    @pytest.mark.parametrize("rho,p", [(3.0, 0.5), (-1.5, 0.5), (0.5, 7.5), (0.5, 0.0),
+                                       (math.nan, 0.5), (0.5, math.nan)])
+    def test_result_outside_its_range_rejected(self, rho, p):
+        with pytest.raises(ParameterError, match=r"rho must lie in \[-1, 1\] and "
+                                                 r"p_two_sided in \(0, 1\]"):
+            rank_stats.CorrelationResult(rho, 10, p)
+
+    def test_result_at_its_bounds_is_kept(self):
+        for rho, p in [(-1.0, 1.0), (1.0, 1e-300)]:
+            assert rank_stats.CorrelationResult(rho, 10, p).rho == rho
+
+
 class TestSignificance:
     def test_permutation_agrees_with_t_on_null_data(self):
         # pair values drawn independently carry no item effects, so the
