@@ -440,8 +440,9 @@ def run_study(config):
 
 def _matrices(config, expresser, ids, out):
     """Semantic dissimilarity, Gabor similarity and geometry: each matrix is
-    computed, written and dropped before the next, and the ratings and the
-    jets go once their matrix is built."""
+    computed, written and dropped before the next.  The ratings go once their
+    matrix is written, and the jet stack once its matrix is built, so the
+    stack and the text of the matrix's files are never held together."""
     def write(name, matrix):
         _write_matrix(out[f"_{name}.json"], out[f"_{name}.csv"], matrix)
 
@@ -462,8 +463,10 @@ def _matrices(config, expresser, ids, out):
             _outputs(config, "encode", image_id)[".json"],
             lambda doc: _coded_image(config, doc, image_id), stage="encode")
         vectors.append(grid.geometry_vector(placement))
-    write("gabor", pairwise_matrix(list(zip(ids, jets)), "gabor"))
+    gabor_matrix = pairwise_matrix(list(zip(ids, jets)), "gabor")
     del jets
+    write("gabor", gabor_matrix)
+    del gabor_matrix
     write("geometry", pairwise_matrix(list(zip(ids, vectors)), "geometry"))
 
 
@@ -476,12 +479,14 @@ def _coded_image(config, doc, image_id):
 
 
 def _correlate(config, expresser, ids, out):
-    """Rank-correlate the model matrices against the semantic matrix."""
+    """Rank-correlate the model matrices against the semantic matrix.  The
+    models go as a generator, so each is loaded, ranked and released before
+    the next is read."""
     opts = config.options
-    semantic, *models = (_load_matrix(config, expresser, ids, m)
-                         for m in ("semantic", *MEASURES))
+    semantic = _load_matrix(config, expresser, ids, "semantic")
     results = rank_stats.correlate_model_with_ratings(
-        models, semantic, permutations=opts.permutations, seed=opts.seed)
+        (_load_matrix(config, expresser, ids, m) for m in MEASURES), semantic,
+        permutations=opts.permutations, seed=opts.seed)
     for measure, result in zip(MEASURES, results):
         _write_json(out[f"_{measure}.json"],
                     result.to_document(expresser_id=expresser,
@@ -535,7 +540,8 @@ def _model_dissimilarity(matrix):
 
 
 def _embed(config, expresser, ids, out):
-    """nMDS embedding of the Gabor and semantic matrices."""
+    """nMDS embedding of the Gabor and semantic matrices, one measure's
+    matrix and fits at a time."""
     opts = config.options
     fit = {"max_iterations": opts.max_iterations, "tolerance": opts.tolerance,
            "seed": opts.seed}
@@ -551,6 +557,7 @@ def _embed(config, expresser, ids, out):
         if opts.scan_dims:
             _write_atomic(out[f"_{measure}_scan.csv"], "d,stress,rsq\n" + "".join(
                 f"{d},{fits[d].stress!r},{fits[d].rsq!r}\n" for d in scan))
+        del matrix, fits  # before the next measure's matrix is loaded
 
 
 def _align(config, expresser, ids, out):

@@ -167,19 +167,28 @@ def correlate_model_with_ratings(models, semantic, permutations=DEFAULT_PERMUTAT
     Returns one CorrelationResult per model.  Each matrix is put in
     sorted-id order and its upper triangle ranked once.  Similarity-kind
     model values are negated first so that agreement with the human data
-    reads as positive rho.  The p-values are `significance`'s, which
+    reads as positive rho; `semantic` must be a dissimilarity matrix, as a
+    similarity one would flip every sign.  `models` may be any iterable:
+    the semantic series is ranked first, then each model's, and a model is
+    released before the next is drawn, so a generator of loaded matrices
+    holds one of them at a time.  The p-values are `significance`'s, which
     relabels the items behind the semantic ranks and tests all models
     against one stream of `permutations` relabellings.
     """
+    if semantic.kind != "dissimilarity":
+        raise ParameterError(f"the semantic matrix must be a dissimilarity "
+                             f"matrix, got a {semantic.kind} matrix")
+    ids = set(semantic.item_ids)
+    ry = average_ranks(matrix_series(semantic))
     rx = []
     for model in models:
-        if set(model.item_ids) != set(semantic.item_ids):
-            missing = set(model.item_ids) ^ set(semantic.item_ids)
+        if set(model.item_ids) != ids:
+            missing = set(model.item_ids) ^ ids
             raise ParameterError(f"item sets differ; unmatched ids: "
                                  f"{sorted(missing)}")
         x = matrix_series(model)
         rx.append(average_ranks(-x if model.kind == "similarity" else x))
-    ry = average_ranks(matrix_series(semantic))
+        del model, x  # before the loop draws the next model
     ps = significance(rx, ry, permutations=permutations, seed=seed)
     return [CorrelationResult(_rho_from_ranks(x, ry), ry.size, p)
             for x, p in zip(rx, ps)]

@@ -132,15 +132,26 @@ def distance_matrix(item_ids, rows):
     item."""
     ids = tuple(item_ids)
     _check_item_ids(ids)
-    return PairMatrix(ids, squareform(pdist(np.array(rows, dtype=float))),
-                      "dissimilarity")
+    try:
+        vectors = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise ParameterError(f"inconsistent vector dimensions: {exc}") from exc
+    if vectors.ndim != 2:
+        raise ParameterError(f"need one vector per item, got arrays of shape "
+                             f"{vectors.shape[1:]}")
+    return PairMatrix(ids, squareform(pdist(vectors)), "dissimilarity")
 
 
 def _gabor_matrix(item_ids, arrays):
     ids = tuple(item_ids)
     _check_item_ids(ids)
     unit = _jet_stack(arrays)  # a copy: the caller's arrays never change
-    norms = np.linalg.norm(unit, axis=2)
+    # one image's node norms at a time: the same reduction of the same rows
+    # as a norm over the stack, without a stack of squares beside it (and
+    # with no view of the stack left bound, which would keep it past del)
+    norms = np.empty(unit.shape[:2])
+    for k in range(len(unit)):
+        norms[k] = np.linalg.norm(unit[k], axis=1)
     zero = norms == 0.0
     for i, node in zip(*np.nonzero(zero)):
         warnings.warn(f"zero jet at node {node} of image {ids[i]!r}; counting "

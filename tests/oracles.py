@@ -6,11 +6,13 @@ similarity.pairwise_matrix, the permutation test's draws a chunk at a
 time with rank_stats.significance.  Here are the references they are held
 to, one point, one pair or one draw at a time (the closed-form kernel, a
 direct windowed sum, the jet similarity, the per-draw Mantel loop, the
-textbook classical start), and the writers that make the files
-and documents the loaders read back.
+textbook classical start), the writers that make the files
+and documents the loaders read back, and traced_peak, the memory bound's
+measure.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,3 +290,23 @@ def dump_ratings(table):
     lines += [image_id + "," + ",".join(map(repr, row))
               for image_id, row in zip(table.image_ids, table.values.tolist())]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+def traced_peak(call):
+    """The most bytes that `call()` holds at once beyond what was held
+    before it, as tracemalloc counts them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -1830,6 +1831,90 @@ class TestModelDissimilarityConversion:
         embedding = cli._read(config.out_dir / "embeddings" / "SY_gabor.json",
                               nmds.Configuration.from_document)
         assert embedding.d == 2
+
+
+class TestUnitsHoldOneMatrixAtATime:
+    """A correlate or embed unit releases each matrix it loads, and what it
+    made of it, before it loads the next; correlate keeps its semantic
+    matrix throughout.  A matrices unit releases the jet stack before it
+    writes the Gabor matrix."""
+
+    @staticmethod
+    def unit_config(config_path, out_dir, inputs):
+        """The study's config writing to `out_dir`, with the study's
+        `inputs` directory copied there."""
+        config = load_config(config_path)
+        shutil.copytree(config.out_dir / inputs, out_dir / inputs)
+        return dataclasses.replace(config, out_dir=out_dir)
+
+    @staticmethod
+    def live_at_each_load(monkeypatch, exempt=()):
+        """measure -> the names of what the unit made before loading it that
+        was still alive then; cli._load_matrix is wrapped to record it."""
+        made, live = [], {}
+        load = cli._load_matrix
+
+        def recorded(config, expresser, ids, measure):
+            live[measure] = [name for name, ref in made if ref() is not None]
+            matrix = load(config, expresser, ids, measure)
+            if measure not in exempt:
+                made.append((measure, weakref.ref(matrix)))
+            return matrix
+
+        monkeypatch.setattr(cli, "_load_matrix", recorded)
+        return made, live
+
+    def test_matrices_writes_the_gabor_matrix_without_the_jet_stack(
+            self, matrices_study, tmp_path, monkeypatch):
+        config = self.unit_config(matrices_study, tmp_path, "jets")
+        stacks, live = [], {}
+        pairwise, write = cli.pairwise_matrix, cli._write_matrix
+
+        def built(items, measure):
+            if measure == "gabor":  # each item's jets are a view of the stack
+                stacks.append(weakref.ref(items[0][1].base))
+            return pairwise(items, measure)
+
+        def written(json_path, csv_path, matrix):
+            live[json_path.name] = sum(ref() is not None for ref in stacks)
+            write(json_path, csv_path, matrix)
+
+        monkeypatch.setattr(cli, "pairwise_matrix", built)
+        monkeypatch.setattr(cli, "_write_matrix", written)
+        run_stage(config, "matrices")
+        assert len(stacks) == 1
+        assert live == {"SY_semantic.json": 0, "SY_gabor.json": 0,
+                        "SY_geometry.json": 0}
+
+    def test_correlate_holds_one_model_matrix(self, matrices_study, tmp_path,
+                                              monkeypatch):
+        config = self.unit_config(matrices_study, tmp_path, "matrices")
+        _, live = self.live_at_each_load(monkeypatch, exempt=("semantic",))
+        run_stage(config, "correlate")
+        assert live == {"semantic": [], "gabor": [], "geometry": []}
+
+    def test_embed_holds_one_measure_matrix_and_its_fits(self, matrices_study,
+                                                         tmp_path, monkeypatch):
+        config = self.unit_config(matrices_study, tmp_path, "matrices")
+        made, live = self.live_at_each_load(monkeypatch)
+        dissimilarity, embed = cli._model_dissimilarity, nmds.embed
+
+        def converted(matrix):
+            result = dissimilarity(matrix)
+            made.append(("1 - s", weakref.ref(result)))
+            return result
+
+        def fitted(matrix, d, **kwargs):
+            result = embed(matrix, d, **kwargs)
+            made.append(("fit", weakref.ref(result)))
+            return result
+
+        monkeypatch.setattr(cli, "_model_dissimilarity", converted)
+        monkeypatch.setattr(nmds, "embed", fitted)
+        run_stage(config, "embed")
+        assert live == {"gabor": [], "semantic": []}
+        assert [name for name, _ in made] == ["gabor", "1 - s", "fit",
+                                               "semantic", "1 - s", "fit"]
 
 
 class TestArrayPathDrift:

@@ -2,7 +2,6 @@ import json
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from oracles import (
     evaluate_kernel,
     filter_response,
     grid_document,
+    traced_peak,
     write_pgm,
 )
 
@@ -389,18 +389,7 @@ class TestComputeJets:
         img = smooth_image(5, size=256)
         points = np.random.default_rng(5).uniform(0, 255, (34, 2))
         gf.compute_jets(img, gf.FilterBank(), points)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            gf.compute_jets(img, gf.FilterBank(), points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak - held < 2**20
+        assert traced_peak(lambda: gf.compute_jets(img, gf.FilterBank(), points)) < 2**20
 
     @staticmethod
     def kept_buffer(bank, count):

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from gaborface import nmds
 from gaborface.cli import _read
 from gaborface.errors import FormatError, ParameterError, RuntimeFailure
 from gaborface.nmds import Disparities
-from oracles import classical_start
+from oracles import classical_start, traced_peak
 
 
 def planted_matrix(rng, n, d, transform=None):
@@ -32,22 +31,6 @@ def planted_matrix(rng, n, d, transform=None):
 def config_from_points(pts, ids=None):
     ids = ids or tuple(f"p{i:02d}" for i in range(len(pts)))
     return gf.Configuration(ids, np.asarray(pts, float), 0.0, 1.0, 0)
-
-
-def peak_allocation(call):
-    """The most bytes that `call()` holds at once beyond what was held
-    before it, as tracemalloc counts them."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def oracle_isotonic(y):
@@ -167,7 +150,7 @@ class TestClassicalInit:
         n = 210
         m, _ = planted_matrix(np.random.default_rng(n), n, 3)
         matrix = n * n * 8
-        assert peak_allocation(lambda: gf.classical_init(m, 2)) < 1.5 * matrix
+        assert traced_peak(lambda: gf.classical_init(m, 2)) < 1.5 * matrix
 
     def test_embed_bytes_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS splits a 210 x 210 matrix product or eigh between its
@@ -315,7 +298,7 @@ class TestEmbed:
                                 transform=lambda d: d ** 1.5)
         evaluation = nmds._evaluator(squareform(m.values, checks=False))(pts)
         matrix = n * n * 8
-        assert peak_allocation(lambda: nmds._guttman_update(evaluation)) < 2 * matrix
+        assert traced_peak(lambda: nmds._guttman_update(evaluation)) < 2 * matrix
 
     def test_planted_exact_distances(self):
         m, _ = planted_matrix(np.random.default_rng(5), 15, 2)

@@ -1,6 +1,6 @@
 import itertools
 import math
-import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +10,7 @@ import gaborface as gf
 from gaborface.errors import ParameterError, RuntimeFailure
 from gaborface import rank_stats
 from gaborface.rank_stats import matrix_series
-from oracles import mantel_per_draw
+from oracles import mantel_per_draw, traced_peak
 
 CONSTANT_SERIES = "constant series has no rank correlation"
 
@@ -383,18 +383,7 @@ class TestChunkedDraws:
         rng = np.random.default_rng(items)
         ranks = item_ranks([pdist(rng.standard_normal((items, 3)))],
                            pdist(rng.standard_normal((items, 3))))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            gf.significance(*ranks, permutations)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak - held < 3 * buffer
+        assert traced_peak(lambda: gf.significance(*ranks, permutations)) < 3 * buffer
 
 
 class TestItemLabelNull:
@@ -552,6 +541,42 @@ class TestCorrelateModelWithRatings:
                            match=r"item sets differ; unmatched ids: \['i3', 'x'\]"):
             gf.correlate_model_with_ratings([semantic, other], semantic,
                                             permutations=10)
+
+    def test_a_semantic_matrix_of_similarity_kind_is_refused(self):
+        # the same distances as the similarity 1 - d / max d would flip
+        # the rho's sign: -0.442 here, against 0.442 with the distances
+        rng = np.random.default_rng(8)
+        ids = [f"i{k}" for k in range(8)]
+        distances = rng.uniform(0.1, 1.0, 28)
+        model = matrix_from_pairs(ids, np.abs(distances + rng.normal(0, 0.3, 28)))
+        semantic = matrix_from_pairs(ids, 1 - distances / distances.max(), "similarity")
+        with pytest.raises(ParameterError, match="the semantic matrix must be a "
+                           "dissimilarity matrix, got a similarity matrix"):
+            gf.correlate_model_with_ratings([model], semantic, permutations=10)
+
+    def test_a_generator_of_models_is_released_model_by_model(self):
+        # each model is dead when the next is drawn, and the results are
+        # those of the same models in a list, bit for bit
+        rng = np.random.default_rng(9)
+        ids = [f"i{k}" for k in range(8)]
+        semantic = matrix_from_pairs(ids, rng.uniform(0, 1, 28))
+        specs = [(rng.uniform(0, 1, 28), kind)
+                 for kind in ("similarity", "dissimilarity", "similarity")]
+        drawn, live_at_draw = [], []
+
+        def models():
+            for values, kind in specs:
+                live_at_draw.append(sum(ref() is not None for ref in drawn))
+                model = matrix_from_pairs(ids, values, kind)
+                drawn.append(weakref.ref(model))
+                yield model
+                del model
+
+        draws = {"permutations": 200, "seed": 3}
+        results = gf.correlate_model_with_ratings(models(), semantic, **draws)
+        assert live_at_draw == [0, 0, 0]
+        listed = [matrix_from_pairs(ids, values, kind) for values, kind in specs]
+        assert results == gf.correlate_model_with_ratings(listed, semantic, **draws)
 
     def test_each_matrix_is_ranked_once(self, monkeypatch):
         rng = np.random.default_rng(6)

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +16,7 @@ from oracles import (
     jet_similarity,
     matrix_csv,
     matrix_document,
+    traced_peak,
 )
 
 
@@ -132,6 +132,17 @@ class TestGeometryDissimilarity:
             d = geometry_distances(*rng.uniform(0, 50, (3, 33)))
             assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-9
 
+    @pytest.mark.parametrize("rows,message", [
+        ([[1.0, 2.0], [1.0]], "inconsistent vector dimensions"),
+        ([np.eye(2), np.eye(2)], r"need one vector per item, got arrays of "
+                                 r"shape \(2, 2\)"),
+    ], ids=["ragged", "not-vectors"])
+    def test_rows_that_are_not_equal_length_vectors_are_refused(self, rows, message):
+        # as the Gabor path refuses inconsistent jets, not with pdist's
+        # bare ValueError
+        with pytest.raises(ParameterError, match=message):
+            geometry_distances(*rows)
+
 
 class TestPairwiseMatrix:
     def test_identical_coded_images(self):
@@ -187,27 +198,19 @@ class TestPairwiseMatrix:
             np.testing.assert_array_equal(got, want)
 
     def test_gabor_matrix_at_210_images_copies_the_jets_once(self):
-        # past the caller's jets, a call holds its normalised copy of them,
-        # their squares while it takes the norms, then the n x n product
-        # and its mirror: under two stacks and one matrix.  A unit copy
-        # beside the stack, and the triangle and sum as new arrays, peak at
-        # over two stacks and three matrices.
+        # past the caller's jets, a call holds one normalised copy of them,
+        # whose node norms it takes one image at a time, and the n x n
+        # product: ~1.2 matrices on top of the stack.  The stack goes before
+        # the product is mirrored and copied into the PairMatrix, which hold
+        # under 2.5 matrices.  Norms over the whole stack square it beside
+        # the copy (~3.3 matrices past it), a view of the stack left bound
+        # keeps it through the mirror (~2.5), and a unit copy takes a
+        # second stack.
         n = 210
         rng = np.random.default_rng(n)
         items = [(f"i{k:03d}", random_jets(rng)) for k in range(n)]
         stack, matrix = n * NODE_COUNT * 18 * 8, n * n * 8
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            pairwise_matrix(items, "gabor")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak - held < 2 * stack + matrix
+        assert traced_peak(lambda: pairwise_matrix(items, "gabor")) < stack + 2 * matrix
 
     def test_too_few_items(self):
         rng = np.random.default_rng(3)
