@@ -23,7 +23,6 @@ raises the first failure of its last step, so an expresser that fails in
 from __future__ import annotations
 
 import argparse
-import html
 import json
 import os
 import re
@@ -600,7 +599,9 @@ def render_scatter(configuration, labels=None):
     ]
     for item_id, (x, y) in zip(configuration.item_ids, coords):
         px, py = to_px(x, y)
-        label = html.escape(str(labels.get(item_id, item_id)), quote=False)
+        label = str(labels.get(item_id, item_id))
+        # XML text escapes: & first, so no entity is escaped twice
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="4" fill="#1f77b4"/>')
         parts.append(
             f'<text x="{fmt(px + 6)}" y="{fmt(py - 6)}" font-family="sans-serif" '

@@ -89,15 +89,20 @@ class PairMatrix:
                "," + ",".join(ids) + "\n")
         bits = self.values.view(np.uint64)
         unmirrored = bits != bits.T
-        upper = []  # upper[j]: the strings of row j right of the diagonal
+        # upper[j]: the strings of row j right of the diagonal not yet read
+        # as a mirror, last column first, so row i pops column i's string
+        # and each string is freed after its second use
+        upper = []
         # one row of Python floats at a time: the whole matrix as floats
         # would raise the matrices stage's memory peak
         for i, row in enumerate(map(np.ndarray.tolist, self.values)):
-            upper.append(list(map(repr, row[i + 1:])))
-            lower = [upper[j][i - j - 1] for j in range(i)]
+            right = list(map(repr, row[i + 1:]))
+            lower = [strings.pop() for strings in upper]
             for j in np.flatnonzero(unmirrored[i, :i]).tolist():
                 lower[j] = repr(row[j])
-            cells = ",".join([*lower, repr(row[i]), *upper[i]])
+            cells = ",".join([*lower, repr(row[i]), *right])
+            right.reverse()
+            upper.append(right)
             yield ("," if i else "") + f"[{cells}]", f"{ids[i]},{cells}\n"
         yield "]}\n", ""
 

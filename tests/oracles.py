@@ -7,16 +7,20 @@ time with rank_stats.significance.  Here are the references they are held
 to, one point, one pair or one draw at a time (the closed-form kernel, a
 direct windowed sum, the jet similarity, the per-draw Mantel loop, the
 textbook classical start), the writers that make the files
-and documents the loaders read back, and traced_peak, the memory bound's
-measure.
+and documents the loaders read back, traced_peak, the memory bound's
+measure, and fresh_modules, the import checks' measure.
 """
 
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 
+import gaborface
 from gaborface.errors import (
     ParameterError,
     RuntimeFailure,
@@ -310,3 +314,20 @@ def traced_peak(call):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# Imports
+# ---------------------------------------------------------------------------
+
+def fresh_modules(statement):
+    """The names in sys.modules of a fresh interpreter, with this package on
+    its path, after it runs `statement`."""
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            f"{statement}\n"
+            "print('\\n'.join(sys.modules))")
+    src = str(Path(gaborface.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    return set(out.stdout.split())

@@ -5,8 +5,6 @@ import math
 import pickle
 import re
 import shutil
-import subprocess
-import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -14,6 +12,8 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gaborface as gf
 from gaborface.cli import (
@@ -28,6 +28,7 @@ from gaborface.errors import ValidationError
 from oracles import (
     amplitude,
     filter_response,
+    fresh_modules,
     gabor_image_similarity,
     matrix_csv,
     matrix_document,
@@ -350,6 +351,18 @@ class TestRenderScatter:
         root = ElementTree.fromstring(svg)
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert texts == ["NE<1>", "H&S", "<c>"]
+
+    @given(st.text(st.sampled_from("&<>;amp#x") | st.characters())
+           .filter(lambda label: not cli.BAD_TEXT.search(label)))
+    @example("H&S")
+    @example("NE<1>")
+    @example("a]]>b")
+    @example("&amp;")  # escaped once: &amp;amp;
+    def test_label_text_is_what_html_escape_writes(self, label):
+        import html  # the oracle only: the package does not load it
+        svg = render_scatter(self.square_config(), {"a": label})
+        texts = re.findall(r'font-size="12">([^<]*)</text>', svg)
+        assert texts == [html.escape(label, quote=False), "b", "c", "d"]
 
 
 class TestMainCli:
@@ -1580,10 +1593,7 @@ class TestMainCli:
             assert 0.01 <= rejected / 300 <= 0.09, (measure, rejected)
 
     def test_import_leaves_out_scipy_stats(self):
-        code = "import sys, gaborface.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert "scipy.stats" not in fresh_modules("import gaborface.cli")
 
 
 # kind of input -> (its file in the study directory, the stage that reads

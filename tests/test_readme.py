@@ -2,8 +2,8 @@
 exports, its CLI synopsis with the parser, its config example with the
 config reader, its outputs paragraph and id byte limits with the stage
 table, every public function and class of the package has a use outside
-the tests, every name a package module imports is used there, and
-rank_stats imports no SciPy."""
+the tests, every name a package module imports is used there,
+rank_stats imports no SciPy, and the CLI loads no html module."""
 
 import ast
 import re
@@ -13,6 +13,7 @@ import pytest
 
 import gaborface as gf
 from gaborface.cli import _STAGES, CONFIG_KEYS, NAME_MAX, main
+from oracles import fresh_modules
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -128,6 +129,14 @@ def test_rank_stats_imports_no_scipy():
                 if isinstance(node, ast.ImportFrom) and node.module]
     assert "numpy" in modules
     assert [name for name in modules if name.split(".")[0] == "scipy"] == []
+
+
+def test_cli_imports_no_html():
+    # html.entities' tables of named character references would sit in
+    # every process for the SVG labels' three escapes
+    modules = fresh_modules("import gaborface.cli")
+    assert "gaborface.cli" in modules
+    assert {"html", "html.entities"} & modules == set()
 
 
 def test_only_errors_py_catches_key_error():

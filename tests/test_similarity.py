@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -284,6 +286,21 @@ class TestPairMatrixSerialization:
         doc = {"kind": "dissimilarity", "item_ids": ["a", "b"], "values": values}
         with pytest.raises(FormatError):
             gf.PairMatrix.from_document(doc)
+
+    def test_text_of_210_items_keeps_a_quarter_of_the_cell_strings(self):
+        # a string right of the diagonal is freed once its mirror below the
+        # diagonal is written, so at most the ~n^2/4 strings of the upper
+        # right block between rows are held at once, not all ~n^2/2 of the
+        # upper triangle: the bound sits between the two, at 3n^2/8
+        n = 210
+        rng = np.random.default_rng(n)
+        values = rng.uniform(0, 1, (n, n))
+        values = (values + values.T) / 2
+        np.fill_diagonal(values, 0.0)
+        m = gf.PairMatrix(tuple(f"i{k:03d}" for k in range(n)), values, "dissimilarity")
+        cell = sys.getsizeof(repr(float(values[0, 1]))) + 8  # a string, its list slot
+        assert traced_peak(lambda: collections.deque(m.text_chunks(), maxlen=0)) \
+            < 3 * n * n // 8 * cell
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
