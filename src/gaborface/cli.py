@@ -364,6 +364,20 @@ def _load_matrix(config, expresser, ids, measure):
     return _load(config, "matrices", expresser, ids, f"_{measure}.json", of_kind)
 
 
+def _load_correlation(config, expresser, measure):
+    """The CorrelationResult of `expresser`'s `measure` file, which must name
+    that measure and expresser: a copy of another's would fill the wrong
+    summary cells."""
+    def of_slot(doc):
+        result = rank_stats.CorrelationResult.from_document(doc)
+        for key, value in (("measure", measure), ("expresser_id", expresser)):
+            if doc.get(key) != value:
+                raise FormatError(f"holds {key} {doc.get(key)!r}, not {value!r}")
+        return result
+    return _read(_outputs(config, "correlate", expresser)[f"_{measure}.json"], of_slot,
+                 stage="correlate")
+
+
 def _attempt(out, run):
     """run(out) with `out`'s files removed before it runs and again if it
     fails.  A unit writes its files and returns only its failure: the
@@ -504,8 +518,7 @@ def _write_summary(config, expressers, out):
         if not any(path.exists() for path in paths.values()):
             failed.append((expresser, None))
             continue
-        gab, geo = (_read(paths[f"_{m}.json"], rank_stats.CorrelationResult.from_document,
-                          stage="correlate") for m in MEASURES)
+        gab, geo = (_load_correlation(config, expresser, m) for m in MEASURES)
         rows.append((expresser,
                      (gab.rho, gab.p_two_sided, geo.rho, geo.p_two_sided, gab.n)))
     averaged = [values for expresser, values in rows

@@ -67,13 +67,14 @@ class FilterBank:
     """Every (wavenumber, orientation) filter at one envelope width.
 
     The default is the 18-filter bank: k in {pi/2, pi/4, pi/8}, six
-    orientations at pi/6 steps, sigma = pi.  The constructor refuses with a
-    ParameterError, naming the field, wavenumbers or orientations that are
-    empty or repeat a value, a wavenumber or sigma that is not finite and
-    > 0, an orientation outside [0, pi), a kernel half-width 6 sigma/k above
-    MAX_KERNEL_HALF_WIDTH and an integer too large for a float.  `specs`
-    lists the filters frequency-major, then orientation-minor: the order of
-    a jet's amplitudes.
+    orientations at pi/6 steps, sigma = pi.  The constructor refuses, naming
+    the field, wavenumbers or orientations not in a list or tuple and a
+    string or boolean for a number (a FormatError); wavenumbers or
+    orientations that are empty or repeat a value, a wavenumber or sigma not
+    finite and > 0, an orientation outside [0, pi), a kernel half-width
+    6 sigma/k above MAX_KERNEL_HALF_WIDTH and an integer too large for a
+    float (a ParameterError).  `specs` lists the filters frequency-major,
+    then orientation-minor: the order of a jet's amplitudes.
     """
 
     wavenumbers: tuple = DEFAULT_WAVENUMBERS
@@ -83,6 +84,9 @@ class FilterBank:
 
     def __post_init__(self):
         def floats(name, values):
+            if not isinstance(values, (list, tuple)):
+                raise FormatError(f"bank {name!r} must be a list of numbers")
+            require_numbers(values, f"bank {name!r}")
             try:
                 return tuple(float(v) for v in values)
             except OverflowError:  # an integer too large for a float
@@ -128,17 +132,10 @@ class FilterBank:
             raise FormatError("bank must be an object")
         names = ("wavenumbers", "orientations", "sigma")
         require_known_keys(doc, names, "bank")
-        fields = {}
-        for name in names:
-            if name not in doc:
-                if defaults:
-                    continue
-                raise FormatError(f"bank has no {name!r}")
-            value = fields[name] = doc[name]
-            if name != "sigma" and not isinstance(value, list):
-                raise FormatError(f"bank {name!r} must be a list of numbers")
-            require_numbers(value if name != "sigma" else [value], f"bank {name!r}")
-        return cls(**fields)
+        missing = [name for name in names if name not in doc]
+        if missing and not defaults:
+            raise FormatError(f"bank has no {missing[0]!r}")
+        return cls(**doc)
 
 
 def _reflect_indices(idx, n):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -16,7 +16,8 @@ NODE_COUNT = 34
 @dataclass(frozen=True)
 class GridPlacement:
     """The 34 labelled fiducial points on one image: `names` in node order
-    and their (x, y) coordinates as the read-only (34, 2) array `points`."""
+    and their (x, y) coordinates as the read-only (34, 2) array `points`;
+    those and `source_size`, (width, height), are numbers, not strings or bools."""
 
     image_id: str
     names: tuple
@@ -35,15 +36,13 @@ class GridPlacement:
             raise FormatError(f"duplicate node name {dup!r}")
         if self.nose_tip not in names:
             raise FormatError(f"nose_tip {self.nose_tip!r} names no node")
-        try:
-            w, h = self.source_size
-            valid = math.isfinite(w) and math.isfinite(h) and w >= 1 and h >= 1
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
+        size, xy = (np.array(v, dtype=object) for v in (self.source_size, self.points))
+        require_numbers(chain(size.flat, xy.flat), "source_size and node x, y")
+        if size.shape != (2,) or not all(1 <= v <= sys.float_info.max for v in size):
             raise FormatError(f"source_size must be a finite width and height "
                               f">= 1, got {self.source_size!r}")
-        points = np.array(self.points, dtype=float)
+        w, h = size
+        points = xy.astype(float)
         if points.shape != (NODE_COUNT, 2):
             raise FormatError(f"points must be a ({NODE_COUNT}, 2) array, got "
                               f"shape {points.shape}")
@@ -58,6 +57,7 @@ class GridPlacement:
         points.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "source_size", (w, h))
 
 
 def load_grid(document):
@@ -65,11 +65,9 @@ def load_grid(document):
     GridPlacement."""
     with malformed("grid document"):
         nodes = document["nodes"]
-        source_size = tuple(document["source_size"])
-        coordinates = [(node["x"], node["y"]) for node in nodes]
-        require_numbers(chain(source_size, *coordinates), "source_size and node x, y")
         return GridPlacement(document["image_id"], [node["name"] for node in nodes],
-                             coordinates, document["nose_tip"], source_size)
+                             [(node["x"], node["y"]) for node in nodes],
+                             document["nose_tip"], document["source_size"])
 
 
 def rescale_placement(placement, target):

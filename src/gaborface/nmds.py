@@ -48,7 +48,9 @@ class Disparities:
 
 @dataclass(frozen=True)
 class Configuration:
-    """An n-point embedding with stress-1 and RSQ diagnostics."""
+    """An n-point embedding of distinct string item ids with stress-1 and
+    RSQ diagnostics; coordinates, stress and rsq are numbers, not strings
+    or booleans."""
 
     item_ids: tuple
     coordinates: np.ndarray
@@ -57,11 +59,17 @@ class Configuration:
     iterations: int
 
     def __post_init__(self):
-        if not all(isinstance(i, str) for i in self.item_ids):
+        ids = tuple(self.item_ids)
+        if not all(isinstance(i, str) for i in ids):
             raise ParameterError("item ids must be strings")
+        if len(set(ids)) != len(ids):
+            raise ParameterError("duplicate item ids")
         # a read-only copy: the caller's array stays writable
-        coords = np.array(self.coordinates, dtype=float, order="C")
-        n = len(self.item_ids)
+        cells = np.array(self.coordinates, dtype=object)
+        require_numbers(chain(cells.flat, (self.stress, self.rsq)),
+                        "coordinates, stress and rsq")
+        coords = cells.astype(float, order="C")
+        n = len(ids)
         if coords.ndim != 2 or coords.shape[0] != n or coords.shape[1] < 1:
             raise ParameterError(f"coordinates shape {coords.shape} does not match "
                                  f"{n} items in d >= 1 dimensions")
@@ -73,7 +81,7 @@ class Configuration:
         require_integer(self.iterations, "iterations", 0)
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "item_ids", tuple(self.item_ids))
+        object.__setattr__(self, "item_ids", ids)
 
     @property
     def d(self):
@@ -89,14 +97,10 @@ class Configuration:
     def from_document(cls, doc):
         """The Configuration of a JSON value that to_document wrote."""
         with malformed("configuration"):
-            ids, coordinates = doc["item_ids"], doc["coordinates"]
-            if not isinstance(ids, list):
+            if not isinstance(doc["item_ids"], list):
                 raise FormatError("item_ids must be a list")
-            require_numbers(chain(chain.from_iterable(coordinates),
-                                  (doc["stress"], doc["rsq"])),
-                            "coordinates, stress and rsq")
-            return cls(tuple(ids), np.asarray(coordinates),
-                       doc["stress"], doc["rsq"], doc["iterations"])
+            return cls(doc["item_ids"], doc["coordinates"], doc["stress"], doc["rsq"],
+                       doc["iterations"])
 
 
 def classical_init(dissimilarity, d, seed=0):

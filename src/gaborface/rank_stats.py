@@ -31,9 +31,15 @@ class CorrelationResult:
     p_two_sided: float
 
     def __post_init__(self):
-        if not (-1 <= self.rho <= 1 and 0 < self.p_two_sided <= 1):  # NaN is outside
-            raise ParameterError(f"rho must lie in [-1, 1] and p_two_sided in "
-                                 f"(0, 1], got {self.rho!r} and {self.p_two_sided!r}")
+        rule = "rho must lie in [-1, 1] and p_two_sided in (0, 1]"
+        try:
+            rho = require_real(self.rho, "rho", -math.inf)
+            p = require_real(self.p_two_sided, "p_two_sided", 0)
+        except ParameterError as exc:  # no number, or one NaN, infinite or too large
+            raise ParameterError(f"{exc}; {rule}") from None
+        require_integer(self.n, "n_pairs", 1)
+        if not (-1 <= rho <= 1 and 0 < p <= 1):
+            raise ParameterError(f"{rule}, got {self.rho!r} and {self.p_two_sided!r}")
 
     def to_document(self, **extra):
         """The result as a JSON document, plus `extra` keys."""
@@ -46,9 +52,7 @@ class CorrelationResult:
         with malformed("correlation result"):
             if doc["method"] != "permutation":
                 raise FormatError(f"method {doc['method']!r} is not 'permutation'")
-            return cls(require_real(doc["rho"], "rho", -math.inf),
-                       require_integer(doc["n_pairs"], "n_pairs", 1),
-                       require_real(doc["p_two_sided"], "p_two_sided", 0))
+            return cls(doc["rho"], doc["n_pairs"], doc["p_two_sided"])
 
 
 def average_ranks(values):

@@ -296,6 +296,48 @@ class TestStudyPipeline:
                 f"{re.escape(message)}.*; re-run the correlate stage$")):
             cli._write_summary(config, ["SY"], out)
 
+    @pytest.mark.parametrize("change,message", [
+        (lambda doc: doc.update(measure="geometry"),
+         "holds measure 'geometry', not 'gabor'"),
+        (lambda doc: doc.update(expresser_id="KA"), "holds expresser_id 'KA', not 'SY'"),
+        (lambda doc: doc.pop("measure"), "holds measure None, not 'gabor'"),
+    ], ids=["measure", "expresser", "no-measure"])
+    def test_summary_refuses_another_slots_correlation_file(self, tmp_path, change,
+                                                            message):
+        # a well-formed result of another measure or expresser would put its
+        # rho in this slot's summary cells
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        for stage in ("encode", "matrices", "correlate"):
+            assert main(["--config", str(config_path), "--stage", stage]) == 0
+        config = load_config(config_path)
+        path = config.out_dir / "correlations" / "SY_gabor.json"
+        path.write_bytes(edit_json(change)(path.read_bytes()))
+        out = cli._outputs(config, "correlate", "summary", 1)
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(f'{path}: {message}; re-run the correlate stage')}$")):
+            cli._write_summary(config, ["SY"], out)
+
+    def test_summary_of_a_copied_correlation_file_exits_one(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the correlate unit leaves the geometry result in the gabor file
+        config_path = make_synthetic_study(tmp_path, n_images=4)
+        for stage in ("encode", "matrices"):
+            assert main(["--config", str(config_path), "--stage", stage]) == 0
+        (scope, correlate, directory, names), summary = cli._STAGES["correlate"]
+
+        def copying(config, expresser, ids, out):
+            correlate(config, expresser, ids, out)
+            shutil.copyfile(out["_geometry.json"], out["_gabor.json"])
+        monkeypatch.setitem(cli._STAGES, "correlate",
+                            ((scope, copying, directory, names), summary))
+        path = tmp_path / "out" / "correlations" / "SY_gabor.json"
+        with pytest.warns(UserWarning, match="study 'summary' failed"):
+            assert main(["--config", str(config_path), "--stage", "correlate"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: holds measure 'geometry', not 'gabor'; "
+            "re-run the correlate stage\n")
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
     def test_exclusion_changes_only_average(self, study, tmp_path):
         config = load_config(study)
         run_study(config)

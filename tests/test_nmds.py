@@ -445,6 +445,15 @@ class TestEmbed:
         with pytest.raises(ParameterError, match="must be strings"):
             gf.Configuration((["a"], "b"), [[0.0], [1.0]], 0.0, 1.0, 0)
 
+    def test_configuration_rejects_duplicate_ids(self):
+        # procrustes_align and render_scatter key the points by id
+        with pytest.raises(ParameterError, match="duplicate item ids"):
+            gf.Configuration(("a", "a"), [[0.0], [1.0]], 0.0, 1.0, 0)
+        doc = {"item_ids": ["a", "b", "a"], "coordinates": [[0.0], [1.0], [2.0]],
+               "stress": 0.0, "rsq": 1.0, "iterations": 0}
+        with pytest.raises(FormatError, match="malformed configuration: duplicate item ids"):
+            gf.Configuration.from_document(doc)
+
     def test_json_round_trip(self):
         m, _ = planted_matrix(np.random.default_rng(13), 6, 2)
         config = gf.embed(m, 2)

@@ -3,7 +3,8 @@ exports, its CLI synopsis with the parser, its config example with the
 config reader, its outputs paragraph and id byte limits with the stage
 table, every public function and class of the package has a use outside
 the tests, every name a package module imports is used there,
-rank_stats imports no SciPy, and the CLI loads no html module."""
+rank_stats imports no SciPy, the CLI loads no html module, and no document
+reader but the pair-matrix and jet number walks calls a require_* helper."""
 
 import ast
 import re
@@ -152,3 +153,31 @@ def test_only_errors_py_catches_key_error():
                      and any(isinstance(name, ast.Name) and name.id == "KeyError"
                              for name in ast.walk(node.type))]
     assert catchers == []
+
+
+def test_document_readers_leave_type_rules_to_the_records():
+    # each record's constructor holds its type rules, so that a record built
+    # in code is held to them too; a reader only walks its document.  The
+    # pair-matrix and jet readers keep their number walks, because their
+    # builders pass n x n and (points, filters) arrays that a constructor
+    # walk would cost on every build
+    helpers = {"require_numbers", "require_real", "require_integer"}
+    readers, callers = set(), set()
+    for path in sorted((ROOT / "src" / "gaborface").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(node.name, node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef) for node in cls.body
+                      if isinstance(node, ast.FunctionDef)]
+        for name, function in functions:
+            called = {node.func.id for node in ast.walk(function)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            # a reader reads a document by name, or walks one in errors.malformed
+            if name.endswith("from_document") or "malformed" in called:
+                readers.add(name)
+                if called & helpers:
+                    callers.add(name)
+    assert {"FilterBank.from_document", "load_grid", "Configuration.from_document",
+            "CorrelationResult.from_document"} <= readers
+    assert callers <= {"PairMatrix.from_document", "parse_jet_document"}
